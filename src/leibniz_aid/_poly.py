@@ -199,9 +199,6 @@ class Poly:
         lead = self.terms[max(self.terms)]
         return -content if lead < 0 else content
 
-    def sort_key(self):
-        return sorted(self.terms.items())
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
 

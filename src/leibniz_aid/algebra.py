@@ -268,7 +268,7 @@ def _transition_inverse(columns: Sequence[Sequence[Q]], n: int) -> RationalMatri
     """Inverse of the matrix whose columns are the given n vectors."""
     rows = [[columns[j][i] for j in range(n)] for i in range(n)]
     aug = [rows[i] + [Q(1) if k == i else QZERO for k in range(n)] for i in range(n)]
-    aug, pivots = _rref_rows(aug, 2 * n)
+    aug, pivots = _rref_rows(aug)
     if len(pivots) < n or any(p >= n for p in pivots):
         raise SingularMatrix("transition matrix is singular")
     return RationalMatrix(n, n, _freeze(row[n:] for row in aug))

@@ -17,10 +17,11 @@ exact rank test), or gives up with an explicit inconclusive verdict.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Sequence
 
 from ._poly import Poly
@@ -39,6 +40,7 @@ from .exactlin import (
     RationalMatrix,
     Subspace,
     _freeze,
+    _primitive_row,
     nullspace,
     restrict,
     solve_linear,
@@ -208,104 +210,95 @@ def _primitive(point: Sequence[int]) -> bool:
     return g == 1 and first > 0
 
 
-class _Echelon:
-    """Incremental (non-reduced) row echelon basis for fast membership."""
+class _CutView:
+    """A candidate space seen over the integers, for the cut test at integer x.
 
-    __slots__ = ("n", "rows", "pivots")
+    The structure constants are scaled by one common denominator and each
+    basis vector D_b of the space by its own, so at an integer x the columns
+    [x, e_j] and the images D_b(x) are integer vectors spanning the same
+    lines as the rational ones.  x cuts the space iff some D_b(x) leaves the
+    span of the columns, which a fraction-free echelon over ints decides.
+    """
 
-    def __init__(self, n: int):
+    __slots__ = ("n", "constants", "images")
+
+    def __init__(self, alg: LeibnizAlgebra, space: Subspace):
+        n = alg.dim
+        c = alg.constants
+        den = lcm(*(v.denominator for plane in c for row in plane for v in row))
+        # constants[i]: (j, k, den * c[i][j][k]) for the nonzero constants
         self.n = n
-        self.rows: list[list[Q]] = []
-        self.pivots: list[int] = []
+        self.constants = [
+            [
+                (j, k, v.numerator * (den // v.denominator))
+                for j in range(n)
+                for k, v in enumerate(c[i][j])
+                if v
+            ]
+            for i in range(n)
+        ]
+        # images[b]: (k, [(m, D_b[m][k] scaled)]) for the nonzero columns k
+        self.images = []
+        for b in space.basis_vectors():
+            scale = lcm(*(v.denominator for v in b))
+            ib = [v.numerator * (scale // v.denominator) for v in b]
+            cols = []
+            for k in range(n):
+                col = [(m, ib[m * n + k]) for m in range(n) if ib[m * n + k]]
+                if col:
+                    cols.append((k, col))
+            self.images.append(cols)
 
-    def residue(self, vec: Sequence[Q]) -> list[Q]:
-        v = list(vec)
-        for p, row in zip(self.pivots, self.rows):
-            f = v[p]
-            if f:
-                for k in range(p, self.n):
-                    if row[k]:
-                        v[k] -= f * row[k]
-        return v
-
-    def insert(self, vec: Sequence[Q]) -> bool:
-        v = self.residue(vec)
-        for p, x in enumerate(v):
-            if x:
-                if x != 1:
-                    v = [y / x for y in v]
-                # keep rows sorted by pivot column
-                pos = 0
-                while pos < len(self.pivots) and self.pivots[pos] < p:
-                    pos += 1
-                self.rows.insert(pos, v)
-                self.pivots.insert(pos, p)
+    def cuts(self, x: Sequence[int]) -> bool:
+        """Whether D(x) in [x, L] fails for some D of the space."""
+        n = self.n
+        cols = [[0] * n for _ in range(n)]
+        for i, xi in enumerate(x):
+            if xi:
+                for j, k, v in self.constants[i]:
+                    cols[j][k] += xi * v
+        echelon: list[tuple[int, list[int]]] = []  # (pivot, row), by pivot
+        for col in cols:
+            col = _int_residue(echelon, col)
+            p = next((k for k, v in enumerate(col) if v), None)
+            if p is not None:
+                bisect.insort(echelon, (p, _primitive_row(col)))
+        for image in self.images:
+            img = [0] * n
+            for k, col in image:
+                xk = x[k]
+                if xk:
+                    for m, v in col:
+                        img[m] += xk * v
+            if any(_int_residue(echelon, img)):
                 return True
         return False
 
-    def contains(self, vec: Sequence[Q]) -> bool:
-        return not any(self.residue(vec))
+
+def _int_residue(echelon: list[tuple[int, list[int]]], vec: list[int]) -> list[int]:
+    """A multiple of vec minus a combination of the echelon rows, zero at
+    every pivot; it is zero iff vec lies in their span."""
+    for p, row in echelon:
+        f = vec[p]
+        if f:
+            q = row[p]
+            g = gcd(q, f)
+            a, b = q // g, f // g
+            vec = [a * u - b * v for u, v in zip(vec, row)]
+    return vec
 
 
-def _image_columns(alg: LeibnizAlgebra, x: Sequence[Q]) -> list[tuple[Q, ...]]:
-    """Columns [x, e_j] of left multiplication by x."""
+def _restrict_at_point(alg: LeibnizAlgebra, space: Subspace, x: Sequence) -> Subspace:
+    """The members D of space with D(x) in [x, L], computed over Q.
+
+    Each functional f vanishing on [x, L] gives the condition f(D x) = 0,
+    which is linear in D: the row f[m] * x[k] at entry (m, k).
+    """
     n = alg.dim
-    cols = []
-    nz = [(i, xi) for i, xi in enumerate(x) if xi]
-    for j in range(n):
-        col = [QZERO] * n
-        for i, xi in nz:
-            row = alg.constants[i][j]
-            for k in range(n):
-                if row[k]:
-                    col[k] += xi * row[k]
-        cols.append(tuple(col))
-    return cols
-
-
-def _apply_matrix_vec(mat_vec: Sequence[Q], n: int, x: Sequence[Q]) -> list[Q]:
-    """Vectorized endomorphism applied to x."""
-    out = [QZERO] * n
-    for k, xk in enumerate(x):
-        if xk:
-            for m in range(n):
-                v = mat_vec[m * n + k]
-                if v:
-                    out[m] += xk * v
-    return out
-
-
-def _restrict_at_point(
-    alg: LeibnizAlgebra, space: Subspace, x: Sequence[Q]
-) -> tuple[Subspace, bool]:
-    """Cut space down by the condition D(x) in [x, L]; reports whether it cut."""
-    n = alg.dim
-    ech = _Echelon(n)
-    for col in _image_columns(alg, x):
-        if any(col):
-            ech.insert(col)
-    basis = space.basis_vectors()
-    images = [_apply_matrix_vec(b, n, x) for b in basis]
-    if all(ech.contains(img) for img in images):
-        return space, False
-    image_space = Subspace.from_vectors(n, [tuple(r) for r in ech.rows])
-    functionals = nullspace(image_space.basis)
-    small = []
-    for f in functionals.basis_vectors():
-        small.append(
-            [sum((fm * img[m] for m, fm in enumerate(f) if fm), QZERO) for img in images]
-        )
-    sol = nullspace(RationalMatrix(len(small), len(basis), _freeze(small)))
-    vectors = []
-    for y in sol.basis_vectors():
-        vec = [QZERO] * (n * n)
-        for coef, b in zip(y, basis):
-            if coef:
-                for k, v in enumerate(b):
-                    if v:
-                        vec[k] += coef * v
-        vectors.append(vec)
-    return Subspace.from_vectors(n * n, vectors), True
+    xq = tuple(Q(v) for v in x)
+    image = Subspace.from_vectors(n, alg.left_mult(xq).transpose().entries)
+    functionals = nullspace(image.basis).basis_vectors()
+    return restrict(space, [[fm * xk for fm in f for xk in xq] for f in functionals])
 
 
 def aid_refine(
@@ -326,22 +319,29 @@ def aid_refine(
     samples = 0
     if n == 0 or space.dim == 0:
         return space, samples
+    # sample points are integers: the cut test runs on the integer view, and
+    # only a point that cuts takes the exact restriction
+    view = _CutView(alg, space)
     for point in refinement_grid(n, cfg.grid_radius):
         if floor is not None and space.dim <= floor:
             break
-        x = tuple(Q(v) for v in point)
-        space, _ = _restrict_at_point(alg, space, x)
         samples += 1
+        if view.cuts(point):
+            space = _restrict_at_point(alg, space, point)
+            view = _CutView(alg, space)
     rng = random.Random(cfg.seed)
     stall = 0
     while stall < cfg.stall_limit and (floor is None or space.dim > floor):
         point = tuple(rng.randint(-cfg.random_bound, cfg.random_bound) for _ in range(n))
         if not any(point):
             continue
-        x = tuple(Q(v) for v in point)
-        space, cut = _restrict_at_point(alg, space, x)
         samples += 1
-        stall = 0 if cut else stall + 1
+        dim = space.dim
+        if view.cuts(point):
+            space = _restrict_at_point(alg, space, point)
+            view = _CutView(alg, space)
+        # the exact restriction, not the view, decides whether the stall ends
+        stall = 0 if space.dim < dim else stall + 1
     return space, samples
 
 
@@ -401,20 +401,6 @@ def _strip_row(
     return coeffs, rhs
 
 
-def _verify_refutation(ctx: _CertContext, x: Sequence[Q]) -> bool:
-    """Exact authority: rank([M_x | D x]) > rank(M_x)."""
-    from .exactlin import rref
-
-    n = ctx.n
-    cols = _image_columns(ctx.alg, x)
-    dx = ctx.dmat.apply(x)
-    m_rows = [[cols[j][m] for j in range(n)] for m in range(n)]
-    aug_rows = [row + [dx[m]] for m, row in enumerate(m_rows)]
-    rank_m = rref(RationalMatrix(n, n, _freeze(m_rows))).rank
-    rank_aug = rref(RationalMatrix(n, n + 1, _freeze(aug_rows))).rank
-    return rank_aug > rank_m
-
-
 def _search_refutation(
     ctx: _CertContext,
     residual: Poly,
@@ -457,7 +443,7 @@ def _search_refutation(
             if any(p.evaluate(point) == 0 for p in nonzero):
                 continue
             checks += 1
-            if _verify_refutation(ctx, point):
+            if aid_witness(ctx.alg, ctx.dmat, point) is None:
                 return tuple(point)
             if checks > 50:
                 return None
@@ -792,7 +778,7 @@ def aid_certify(
         )
     if retry.kind == "refuted":
         x = p.apply(retry.refuting_x)
-        if _verify_refutation(ctx, x):
+        if aid_witness(alg, dmat, x) is None:
             return CertOutcome(
                 "refuted",
                 refuting_x=x,
@@ -808,10 +794,7 @@ def aid_witness(
     from .exactlin import as_rational
 
     xs = tuple(as_rational(v) for v in x)
-    n = alg.dim
-    cols = _image_columns(alg, xs)
-    m = RationalMatrix(n, n, _freeze([cols[j][i] for j in range(n)] for i in range(n)))
-    return solve_linear(m, dmat.apply(xs))
+    return solve_linear(alg.left_mult(xs), dmat.apply(xs))
 
 
 # ---------------------------------------------------------------------------
@@ -828,6 +811,7 @@ class AidResult:
     witnesses: tuple[tuple[RationalMatrix, tuple[Q, ...]], ...]
     inconclusive: tuple[RationalMatrix, ...]
     proved_generators: tuple[tuple[RationalMatrix, CertOutcome], ...] = ()
+    inconclusive_generators: tuple[tuple[RationalMatrix, CertOutcome], ...] = ()
 
     @property
     def dim(self) -> int:
@@ -850,7 +834,7 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     cand = aid_basis_candidate(alg, der)
     space, samples = aid_refine(alg, cand, cfg, floor=inner.dim)
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
-    inconclusive: list[RationalMatrix] = []
+    inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
     proved_gens: list[tuple[RationalMatrix, CertOutcome]] = []
     depth_limit = cfg.depth_limit if cfg.depth_limit is not None else 2 * n
     rounds = 0
@@ -871,12 +855,12 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
                 proved_gens.append((gmat, outcome))
             elif outcome.kind == "refuted":
                 refutations.append((gmat, outcome.refuting_x))
-                space, cut = _restrict_at_point(alg, space, outcome.refuting_x)
+                space = _restrict_at_point(alg, space, outcome.refuting_x)
                 samples += 1
                 shrunk = True
                 break
             else:
-                inconclusive.append(gmat)
+                inconclusive.append((gmat, outcome))
         if shrunk:
             continue
         break
@@ -893,8 +877,9 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
         samples_used=samples,
         seed=cfg.seed,
         witnesses=tuple(refutations),
-        inconclusive=tuple(inconclusive),
+        inconclusive=tuple(g for g, _ in inconclusive),
         proved_generators=tuple(proved_gens),
+        inconclusive_generators=tuple(inconclusive),
     )
 
 
@@ -1081,13 +1066,13 @@ def analysis_report(
                 "branch_log": list(outcome.branch_log),
             }
         )
-    for gmat in aid.inconclusive:
+    for gmat, outcome in aid.inconclusive_generators:
         comp_info.append(
             {
                 "matrix": gmat,
                 "actions": endo_actions(alg, gmat),
                 "outcome": "inconclusive",
-                "branch_log": [],
+                "branch_log": list(outcome.branch_log),
             }
         )
     for gmat, x in aid.witnesses:

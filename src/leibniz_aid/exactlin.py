@@ -1,17 +1,21 @@
 """Exact linear algebra over the rationals.
 
-Everything in this package that looks like a number is a `fractions.Fraction`.
-Matrices are small and dense, elimination always picks the first nonzero
-entry as pivot (no magnitude pivoting, so results are deterministic), and a
-subspace is represented by the reduced row echelon basis of its spanning set.
-That representation is canonical: two subspaces are equal iff their stored
-bases are equal entrywise.
+The interface is `fractions.Fraction`: every matrix, vector and subspace
+this module takes or returns holds Fractions.  The elimination kernel
+beneath it runs over Python ints: each row is cleared of denominators,
+Gauss-Jordan proceeds fraction-free, and each pivot row is divided by its
+pivot only at the end.  Elimination always picks the first nonzero entry as
+pivot (no magnitude pivoting, so results are deterministic), and a subspace
+is represented by the reduced row echelon basis of its spanning set.  That
+representation is canonical: two subspaces are equal iff their stored bases
+are equal entrywise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -69,11 +73,6 @@ class RationalMatrix:
         if any(len(r) != ncols for r in data):
             raise DimensionMismatch("ragged rows")
         return RationalMatrix(len(data), ncols, data)
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        row = (QZERO,) * cols
-        return RationalMatrix(rows, cols, (row,) * rows)
 
     @staticmethod
     def identity(n: int) -> "RationalMatrix":
@@ -142,46 +141,62 @@ class RrefResult:
     rank: int
 
 
-def _rref_rows(rows: list[list[Q]], cols: int) -> tuple[list[list[Q]], list[int]]:
-    """In-place Gauss-Jordan on a list of row lists; returns (rows, pivot cols).
+def _rref_rows(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
+    """Gauss-Jordan on a list of equal-length row lists; returns (rows, pivot cols).
 
     The pivot in each column is the first row with a nonzero entry, never the
     entry of largest magnitude, so the computation is deterministic and the
-    result canonical.
+    result canonical.  The arithmetic is over ints: every row is scaled to a
+    primitive integer row, a row update p*row - f*pivot_row is divided by its
+    content, and each pivot row is divided by its pivot only at the end.  The
+    nonzero rows of the reduced echelon form are unique and the remaining rows
+    are zero, so the Fractions returned are those of rational Gauss-Jordan.
     """
+    work = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row))
+        work.append(_primitive_row([v.numerator * (den // v.denominator) for v in row]))
+    nrows = len(work)
+    cols = len(work[0]) if work else 0
     pivots: list[int] = []
     r = 0
-    nrows = len(rows)
     for c in range(cols):
-        pivot_row = None
         for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
+            if work[i][c]:
                 break
-        if pivot_row is None:
+        else:
             continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][c]
-        if inv != 1:
-            rows[r] = [v / inv for v in rows[r]]
-        prow = rows[r]
+        work[r], work[i] = work[i], work[r]
+        prow = work[r]
+        p = prow[c]
         for i in range(nrows):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                rows[i] = [v - f * p for v, p in zip(rows[i], prow)]
+            f = work[i][c]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                work[i] = _primitive_row([a * u - b * v for u, v in zip(work[i], prow)])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    out = []
+    for row, c in zip(work, pivots):
+        p = row[c]
+        out.append([Q(v, p) if v else QZERO for v in row])
+    out.extend([QZERO] * cols for _ in range(nrows - r))
+    return out, pivots
+
+
+def _primitive_row(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
 
 def rref(matrix: RationalMatrix) -> RrefResult:
     """Reduced row echelon form with the pivot columns and the rank."""
     rows = [list(r) for r in matrix.entries]
-    rows, pivots = _rref_rows(rows, matrix.cols)
+    rows, pivots = _rref_rows(rows)
     return RrefResult(
         RationalMatrix(matrix.rows, matrix.cols, _freeze(rows)), tuple(pivots), len(pivots)
     )
@@ -214,7 +229,7 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence) -> tuple[Q, ...] | None:
     rows = [list(r) + [bv] for r, bv in zip(matrix.entries, b)]
     if not rows:
         return ()
-    rows, pivots = _rref_rows(rows, matrix.cols + 1)
+    rows, pivots = _rref_rows(rows)
     if pivots and pivots[-1] == matrix.cols:
         return None
     x = [QZERO] * matrix.cols
@@ -242,7 +257,7 @@ class Subspace:
             if len(row) != ambient_dim:
                 raise DimensionMismatch("vector does not live in the ambient space")
             rows.append(row)
-        rows, pivots = _rref_rows(rows, ambient_dim)
+        rows, pivots = _rref_rows(rows)
         rows = rows[: len(pivots)]
         return Subspace(ambient_dim, RationalMatrix(len(rows), ambient_dim, _freeze(rows)))
 
@@ -260,15 +275,6 @@ class Subspace:
 
     def basis_vectors(self) -> tuple[tuple[Q, ...], ...]:
         return self.basis.entries
-
-    def pivot_columns(self) -> tuple[int, ...]:
-        cols = []
-        for row in self.basis.entries:
-            for c, v in enumerate(row):
-                if v:
-                    cols.append(c)
-                    break
-        return tuple(cols)
 
     def reduce(self, vector: Sequence) -> tuple[Q, ...]:
         """Residue of a vector after elimination against the basis."""
@@ -315,7 +321,7 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
         rows.append(list(r) + list(r))
     for r in s2.basis.entries:
         rows.append(list(r) + [QZERO] * n)
-    rows, pivots = _rref_rows(rows, 2 * n)
+    rows, pivots = _rref_rows(rows)
     vectors = []
     for row in rows:
         left = row[:n]
@@ -342,23 +348,12 @@ def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
     rank = len(working)
     for row in s2.basis.entries:
         candidate = working + [list(row)]
-        _, pivots = _rref_rows([r[:] for r in candidate], s1.ambient_dim)
+        _, pivots = _rref_rows(candidate)
         if len(pivots) > rank:
             working = candidate
             rank += 1
             taken.append(row)
     return Subspace.from_vectors(s1.ambient_dim, taken)
-
-
-def combine(s1: Subspace, s2: Subspace, mode: str) -> Subspace:
-    """Dispatch on mode: 'sum', 'intersect' or 'complement_in'."""
-    if mode == "sum":
-        return subspace_sum(s1, s2)
-    if mode == "intersect":
-        return subspace_intersect(s1, s2)
-    if mode == "complement_in":
-        return complement_in(s1, s2)
-    raise ValueError(f"unknown combine mode: {mode!r}")
 
 
 def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspace:

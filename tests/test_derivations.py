@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from leibniz_aid.algebra import _transition_inverse, change_basis
 from leibniz_aid.catalog import make
+from leibniz_aid.cli import _random_invertible, report_json
 from leibniz_aid.derivations import (
     AidConfig,
     NotBracketClosed,
@@ -18,6 +19,7 @@ from leibniz_aid.derivations import (
     aid_refine,
     aid_space,
     aid_witness,
+    analysis_report,
     bracket,
     caid_restriction_witness,
     derivation_space,
@@ -30,6 +32,8 @@ from leibniz_aid.derivations import (
     restriction_witness,
     subalgebra_nilpotency,
     vec_to_endo,
+    _CutView,
+    _restrict_at_point,
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, rref
 
@@ -174,6 +178,69 @@ def test_aid_refine_cuts_a_known_overestimate():
     refined, samples = aid_refine(alg, cand, floor=inner_space(alg).dim)
     assert refined.dim <= cand.dim
     assert refined.contains_subspace(inner_space(alg))
+
+
+@pytest.mark.parametrize(
+    "ref,samples", [("catalog:F3:10:0,0,1", 3665), ("catalog:F3:12:0,0,1", 6593)]
+)
+def test_refinement_sample_counts_are_pinned(ref, samples):
+    assert aid_space(make(ref)).samples_used == samples
+
+
+def random_basis_copy(ref: str, seed: int):
+    alg = make(ref)
+    return change_basis(alg, _random_invertible(random.Random(seed), alg.dim))
+
+
+@pytest.mark.parametrize(
+    "ref,seed", [("catalog:G53", 1), ("catalog:F1:7:0,0,0,1,0", 1)]
+)
+def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
+    alg = random_basis_copy(ref, seed)
+    n = alg.dim
+    der = derivation_space(alg)
+    refined = aid_space(alg).upper_bound
+    rng = random.Random(seed)
+    outcomes = {True: 0, False: 0}
+    for space in (der, aid_basis_candidate(alg, der), refined):
+        view = _CutView(alg, space)
+        basis = [vec_to_endo(b, n) for b in space.basis_vectors()]
+        for trial in range(100):
+            # sparse and dense integer points, then rational ones
+            support = rng.sample(range(n), rng.randint(1, n))
+            point = [0] * n
+            for k in support:
+                point[k] = rng.choice([v for v in range(-4, 5) if v])
+            if trial % 3 == 2:
+                point = [Q(v, rng.randint(1, 7)) for v in point]
+            cut = _restrict_at_point(alg, space, point) != space
+            # the exact rank test, generator by generator, is the oracle
+            assert cut == any(aid_witness(alg, d, point) is None for d in basis)
+            # the condition is homogeneous in x: a rational x is tested at
+            # an integer multiple
+            scale = lcm(*(Q(v).denominator for v in point))
+            assert view.cuts([int(v * scale) for v in point]) == cut
+            outcomes[cut] += 1
+    assert outcomes[True] and outcomes[False]
+
+
+def test_inconclusive_generator_reports_its_branch_log():
+    # in this basis G53 stops at a pivot that is nonlinear in every variable
+    alg = random_basis_copy("catalog:G53", 1)
+    report = analysis_report(alg)
+    aid = report.aid
+    assert aid.status == "probabilistic"
+    assert aid.inconclusive
+    assert tuple(g for g, _ in aid.inconclusive_generators) == aid.inconclusive
+    gens = [
+        g for g in report_json(report)["complement_generators"]
+        if g["outcome"] == "inconclusive"
+    ]
+    assert len(gens) == len(aid.inconclusive)
+    for g in gens:
+        assert g["branch_log"]
+        assert g["branch_log"][-1].startswith("cannot solve ")
+        assert g["branch_log"][-1].endswith(" = 0 (nonlinear in every variable)")
 
 
 # -- certification --------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -214,3 +215,117 @@ def test_from_vectors_canonical_under_shuffle(vectors):
     assert s1 == s2
     doubled = [[2 * x for x in v] for v in vectors]
     assert Subspace.from_vectors(3, doubled) == s1
+
+
+# -- the integer kernel against sympy ---------------------------------------
+
+# small values, zeros, and values with large numerators and denominators
+entries = st.one_of(
+    st.just(Q(0)),
+    st.integers(-5, 5).map(Q),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+    st.builds(
+        Q,
+        st.integers(-(10**12), 10**12),
+        st.integers(1, 10**12),
+    ),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=7, max_cols=7, cols=None):
+    """Tall, wide and square matrices; some of low rank, some with zero rows.
+
+    A low-rank matrix is a product B C through an inner dimension below both
+    sides; signs are free, so pivots come out negative as often as positive.
+    """
+    rows = draw(st.integers(0, max_rows))
+    if cols is None:
+        cols = draw(st.integers(1, max_cols))
+    inner = draw(st.integers(0, min(rows, cols)))
+    if draw(st.booleans()) and inner < min(rows, cols):
+        b = [[draw(entries) for _ in range(inner)] for _ in range(rows)]
+        c = [[draw(entries) for _ in range(cols)] for _ in range(inner)]
+        data = [
+            [sum((b[i][k] * c[k][j] for k in range(inner)), Q(0)) for j in range(cols)]
+            for i in range(rows)
+        ]
+    else:
+        data = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+    for i in range(rows):
+        if draw(st.integers(0, 5)) == 0:
+            data[i] = [Q(0)] * cols
+    return RationalMatrix(rows, cols, tuple(tuple(r) for r in data))
+
+
+def to_sympy(v: Q) -> sp.Rational:
+    return sp.Rational(v.numerator, v.denominator)
+
+
+def sympy_matrix(rows: int, cols: int, entries) -> sp.Matrix:
+    return sp.Matrix(rows, cols, [to_sympy(v) for r in entries for v in r])
+
+
+def from_sympy(v) -> Q:
+    v = sp.Rational(v)
+    return Q(int(v.p), int(v.q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_sympy(m):
+    res = rref(m)
+    ref, pivots = sympy_matrix(m.rows, m.cols, m.entries).rref()
+    assert res.pivots == tuple(pivots)
+    assert res.rank == len(pivots)
+    assert res.matrix.entries == tuple(
+        tuple(from_sympy(ref[i, j]) for j in range(m.cols)) for i in range(m.rows)
+    )
+    assert all(isinstance(v, Q) for r in res.matrix.entries for v in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_linear_matches_sympy(m, data):
+    if m.rows == 0:
+        return
+    b = [data.draw(entries) for _ in range(m.rows)]
+    x = solve_linear(m, b)
+    try:
+        sol, params = sympy_matrix(m.rows, m.cols, m.entries).gauss_jordan_solve(
+            sympy_matrix(m.rows, 1, [[v] for v in b])
+        )
+    except ValueError:  # sympy: the system is inconsistent
+        assert x is None
+        return
+    # sympy's free parameters are the non-pivot unknowns; solve_linear sets
+    # them to zero
+    sol = sol.subs({p: 0 for p in params})
+    assert x == tuple(from_sympy(v) for v in sol)
+
+
+def sympy_intersection(n: int, v1: list, v2: list) -> tuple:
+    """RREF basis of span(v1) ∩ span(v2), from a sympy kernel."""
+    if not v1 or not v2:
+        return ()
+    a = sympy_matrix(len(v1), n, v1)
+    b = sympy_matrix(len(v2), n, v2)
+    kernel = a.T.row_join(-b.T).nullspace()
+    if not kernel:
+        return ()
+    vectors = sp.Matrix.hstack(*[a.T * k[: len(v1), :] for k in kernel]).T
+    ref, pivots = vectors.rref()
+    return tuple(
+        tuple(from_sympy(ref[i, j]) for j in range(n)) for i in range(len(pivots))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(max_rows=5, max_cols=6), st.data())
+def test_subspace_intersect_matches_sympy(m1, data):
+    n = m1.cols
+    m2 = data.draw(rational_matrices(max_rows=5, cols=n))
+    v1 = [list(r) for r in m1.entries]
+    v2 = [list(r) for r in m2.entries]
+    meet = subspace_intersect(Subspace.from_vectors(n, v1), Subspace.from_vectors(n, v2))
+    assert meet.basis.entries == sympy_intersection(n, v1, v2)
