@@ -9,6 +9,7 @@ c[i][j][k] is the coefficient of e_{k+1} in [e_{i+1}, e_{j+1}] (indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import Mapping, Sequence
 
 from .exactlin import (
@@ -123,20 +124,46 @@ class LeibnizAlgebra:
         return alg
 
     def check_identity(self) -> None:
+        """Raise IdentityViolation on the first basis triple (i, j, k), in
+        lexicographic order, where the Leibniz identity fails.
+
+        Both sides are quadratic in the constants, so they are summed over
+        the nonzero constants scaled to ints by one common denominator den,
+        and scaled back by den**2 only to report a failure.
+        """
         n = self.dim
+        den, nz = self.scaled_constants()
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    lhs = self.product(self.basis_coords(i), self.constants[j][k])
-                    rhs = tuple(
-                        a - b
-                        for a, b in zip(
-                            self.product(self.constants[i][j], self.basis_coords(k)),
-                            self.product(self.constants[i][k], self.basis_coords(j)),
-                        )
-                    )
+                    # [e_i,[e_j,e_k]] and [[e_i,e_j],e_k] - [[e_i,e_k],e_j]
+                    lhs, rhs = [0] * n, [0] * n
+                    for t, a in nz[j][k]:
+                        for m, b in nz[i][t]:
+                            lhs[m] += a * b
+                    for t, a in nz[i][j]:
+                        for m, b in nz[t][k]:
+                            rhs[m] += a * b
+                    for t, a in nz[i][k]:
+                        for m, b in nz[t][j]:
+                            rhs[m] -= a * b
                     if lhs != rhs:
-                        raise IdentityViolation(i + 1, j + 1, k + 1, lhs, rhs)
+                        raise IdentityViolation(
+                            i + 1, j + 1, k + 1,
+                            tuple(Q(v, den * den) for v in lhs),
+                            tuple(Q(v, den * den) for v in rhs),
+                        )
+
+    def scaled_constants(self) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+        """(den, nz): one common denominator of the constants, and nz[i][j]
+        the pairs (k, den * c[i][j][k]) for the nonzero constants, as ints."""
+        c = self.constants
+        den = lcm(*(v.denominator for plane in c for row in plane for v in row))
+        return den, [
+            [[(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
+             for row in plane]
+            for plane in c
+        ]
 
     def basis_coords(self, i: int) -> Vector:
         """Coordinates of the 0-based i-th basis vector."""
@@ -346,41 +373,42 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     return LeibnizAlgebra.build(n, products, check="enforce")
 
 
+def _series_columns(series: SeriesReport) -> tuple[list[Vector], list[int]]:
+    """A basis adapted to the lower central series of a nilpotent algebra,
+    with the degree of each vector: degree i spans a deterministic complement
+    of L^{i+1} inside L^i."""
+    columns: list[Vector] = []
+    degrees: list[int] = []
+    terms = series.terms
+    for i in range(len(terms) - 1):
+        comp = complement_in(terms[i + 1], terms[i]).basis_vectors()
+        columns.extend(comp)
+        degrees.extend([i + 1] * len(comp))
+    return columns, degrees
+
+
 def graded(alg: LeibnizAlgebra) -> LeibnizAlgebra:
     """Associated graded algebra of the lower central series filtration.
 
-    Component i is a deterministic complement of L^{i+1} inside L^i; products
-    are projected onto the component of the matching total degree.  Requires
-    a nilpotent input.
+    The basis is adapted to the series (see _series_columns); products are
+    projected onto the component of the matching total degree.  Requires a
+    nilpotent input.
     """
     series = central_series(alg)
     if not series.nilpotent:
         raise NotNilpotent("the lower central series does not reach zero")
-    terms = list(series.terms)
-    components = []
-    degrees: list[int] = []
-    for i in range(len(terms) - 1):
-        comp = complement_in(terms[i + 1], terms[i])
-        components.append(comp)
-        degrees.extend([i + 1] * comp.dim)
-    columns = [v for comp in components for v in comp.basis_vectors()]
+    columns, degrees = _series_columns(series)
     n = alg.dim
-    if not columns:
-        return LeibnizAlgebra.build(0, {}, check="skip")
-    inv = _transition_inverse(columns, n)
-    # block_of[d] = slice of new indices with degree d+1
-    products: dict[tuple[int, int], dict[int, Q]] = {}
-    for i in range(n):
-        for j in range(n):
-            w = inv.apply(alg.product(columns[i], columns[j]))
-            target = degrees[i] + degrees[j]
-            coeffs = {
-                k + 1: v
-                for k, v in enumerate(w)
-                if v and degrees[k] == target
-            }
-            if coeffs:
-                products[(i + 1, j + 1)] = coeffs
+    c = change_basis(alg, RationalMatrix(n, n, _freeze(zip(*columns)))).constants
+    products = {
+        (i + 1, j + 1): {
+            k + 1: v
+            for k, v in enumerate(c[i][j])
+            if v and degrees[k] == degrees[i] + degrees[j]
+        }
+        for i in range(n)
+        for j in range(n)
+    }
     return LeibnizAlgebra.build(n, products, check="enforce")
 
 

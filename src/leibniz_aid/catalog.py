@@ -25,6 +25,7 @@ from .derivations import (
     aid_certify,
     endo_actions,
     endo_to_vec,
+    inner_combination,
     matrix_unit,
     restriction_witness,
     vec_to_endo,
@@ -33,10 +34,8 @@ from .exactlin import (
     Q,
     QZERO,
     RationalMatrix,
-    _freeze,
     as_rational,
     format_rational,
-    solve_linear,
 )
 
 FAMILIES = ("NF", "F1", "F2", "F3", "D3", "D4", "G53")
@@ -403,14 +402,6 @@ def matrix_json(m: RationalMatrix) -> list[list[str]]:
 
 def vec_json(v) -> list[str]:
     return [format_rational(x) for x in v]
-
-
-def inner_combination(alg: LeibnizAlgebra, m: RationalMatrix):
-    """Coefficients a with R_a = m, or None when m is not inner."""
-    n = alg.dim
-    cols = [endo_to_vec(alg.right_mult(alg.basis_coords(j))) for j in range(n)]
-    rows = _freeze([cols[j][k] for j in range(n)] for k in range(n * n))
-    return solve_linear(RationalMatrix(n * n, n, rows), endo_to_vec(m))
 
 
 def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,

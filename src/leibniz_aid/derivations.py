@@ -29,6 +29,7 @@ from .algebra import (
     Annihilators,
     LeibnizAlgebra,
     SeriesReport,
+    _series_columns,
     _transition_inverse,
     annihilators,
     central_series,
@@ -134,6 +135,15 @@ def inner_space(alg: LeibnizAlgebra) -> Subspace:
     return Subspace.from_vectors(n * n, vectors)
 
 
+def inner_combination(alg: LeibnizAlgebra, m: RationalMatrix) -> tuple[Q, ...] | None:
+    """Coefficients a with R_a = m, or None when m is not inner."""
+    n = alg.dim
+    c = alg.constants
+    # entry (r, i) of R_a is [e_i, a]_r = sum_j c[i][j][r] a_j
+    rows = _freeze([c[i][j][r] for j in range(n)] for r in range(n) for i in range(n))
+    return solve_linear(RationalMatrix(n * n, n, rows), endo_to_vec(m))
+
+
 def aid_basis_candidate(alg: LeibnizAlgebra, der: Subspace | None = None) -> Subspace:
     """Derivations whose column i lies in [e_i, L], for every i.
 
@@ -224,18 +234,11 @@ class _CutView:
 
     def __init__(self, alg: LeibnizAlgebra, space: Subspace):
         n = alg.dim
-        c = alg.constants
-        den = lcm(*(v.denominator for plane in c for row in plane for v in row))
-        # constants[i]: (j, k, den * c[i][j][k]) for the nonzero constants
         self.n = n
+        # constants[i]: (j, k, den * c[i][j][k]) for the nonzero constants
         self.constants = [
-            [
-                (j, k, v.numerator * (den // v.denominator))
-                for j in range(n)
-                for k, v in enumerate(c[i][j])
-                if v
-            ]
-            for i in range(n)
+            [(j, k, v) for j, row in enumerate(plane) for k, v in row]
+            for plane in alg.scaled_constants()[1]
         ]
         # images[b]: (k, [(m, D_b[m][k] scaled)]) for the nonzero columns k
         self.images = []
@@ -665,25 +668,30 @@ def _decide(
     return CertOutcome("inconclusive", branch_log=logs)
 
 
-def _series_adapted_columns(alg: LeibnizAlgebra) -> list[tuple[Q, ...]] | None:
-    """Basis columns adapted to the lower central series flag, or None.
+@dataclass(frozen=True)
+class _AdaptedBasis:
+    """`alg` in the basis f_j = sum_i p[i][j] e_i; p is None when the given
+    basis is adapted already or the algebra is not nilpotent."""
+
+    alg: LeibnizAlgebra
+    p: RationalMatrix | None = None
+    pinv: RationalMatrix | None = None
+
+
+def _series_adapted_basis(alg: LeibnizAlgebra, series: SeriesReport) -> _AdaptedBasis:
+    """The algebra in a basis adapted to its lower central series.
 
     In such a basis the structure constants of a nilpotent algebra only push
     into strictly deeper series layers, which keeps elimination pivots sparse.
-    Returns None when the algebra is not nilpotent or is already adapted.
     """
-    sr = central_series(alg)
-    if not sr.nilpotent:
-        return None
-    columns: list[tuple[Q, ...]] = []
-    terms = sr.terms
-    for k in range(len(terms) - 1):
-        columns.extend(complement_in(terms[k + 1], terms[k]).basis_vectors())
+    if not series.nilpotent:
+        return _AdaptedBasis(alg)
+    columns, _ = _series_columns(series)
     n = alg.dim
-    identity = all(
-        columns[j][i] == (1 if i == j else 0) for j in range(n) for i in range(n)
-    )
-    return None if identity else columns
+    p = RationalMatrix(n, n, _freeze(zip(*columns)))
+    if p == RationalMatrix.identity(n):
+        return _AdaptedBasis(alg)
+    return _AdaptedBasis(change_basis(alg, p), p, _transition_inverse(columns, n))
 
 
 def aid_certify(
@@ -691,7 +699,8 @@ def aid_certify(
     dmat: RationalMatrix,
     depth_limit: int | None = None,
     node_budget: int = 4000,
-    _adapt: bool = True,
+    *,
+    _basis: _AdaptedBasis | None = None,
 ) -> CertOutcome:
     """Decide whether D(x) lies in [x, L] for every rational x.
 
@@ -701,8 +710,16 @@ def aid_certify(
     pivot for one of its variables, which needs the pivot linear in that
     variable with a rational coefficient, or the pivot a rational multiple of
     a power of such a form; otherwise that branch (and with it the whole
-    certificate) is inconclusive.  Refutations are concrete rational points,
-    always re-verified with an exact rank comparison.
+    certificate) is inconclusive.
+
+    Almost-innerness does not depend on the basis, while elimination is very
+    sensitive to it, so a nilpotent algebra is eliminated in a basis adapted
+    to its lower central series, where the constants are triangular by layer
+    (the branch log then starts with "series-adapted basis").  `_basis` is
+    that basis when the caller has computed it already.  Refutations are
+    concrete rational points in the given basis, always re-verified there
+    with an exact rank comparison; one that does not replay leaves the
+    certificate inconclusive.
     """
     n = alg.dim
     if depth_limit is None:
@@ -710,81 +727,35 @@ def aid_certify(
     if n == 0:
         return CertOutcome("proved")
     # Constant witness shortcut: D = R_w for a single w solving all layers.
-    stacked_rows: list[list[Q]] = []
-    stacked_rhs: list[Q] = []
-    for i in range(n):
-        for m in range(n):
-            stacked_rows.append([alg.constants[i][j][m] for j in range(n)])
-            stacked_rhs.append(dmat.entries[m][i])
-    w = solve_linear(
-        RationalMatrix(len(stacked_rows), n, _freeze(stacked_rows)), stacked_rhs
-    )
-    if w is not None:
+    if inner_combination(alg, dmat) is not None:
         return CertOutcome("proved", branch_log=("inner: constant witness",))
-    rows: list[tuple[list[Poly], Poly]] = []
-    for m in range(n):
-        coeffs = []
-        for j in range(n):
-            terms = {}
-            for i in range(n):
-                v = alg.constants[i][j][m]
-                if v:
-                    terms[tuple(1 if t == i else 0 for t in range(n))] = v
-            coeffs.append(Poly(n, terms))
-        rterms = {}
-        for k in range(n):
-            v = dmat.entries[m][k]
-            if v:
-                rterms[tuple(1 if t == k else 0 for t in range(n))] = v
-        rhs = Poly(n, rterms)
-        rows.append((coeffs, rhs))
-    ctx = _CertContext(alg, dmat, depth_limit, node_budget)
-    out = _decide(ctx, rows, 0, [], [])
-    if out.kind != "inconclusive" or not _adapt:
-        return out
-    # Almost-innerness is invariant under base change, while elimination is
-    # very sensitive to it; retry once in a series-adapted basis where the
-    # constants of a nilpotent algebra are triangular by layer.
-    columns = _series_adapted_columns(alg)
-    if columns is None:
-        return out
-    p = RationalMatrix(n, n, _freeze([[col[i] for col in columns] for i in range(n)]))
-    pinv = _transition_inverse(columns, n)
-    adapted = change_basis(alg, p)
-    dnew_rows = [
-        [
-            sum(
-                (
-                    pinv.entries[i][a] * dmat.entries[a][b] * p.entries[b][j]
-                    for a in range(n)
-                    for b in range(n)
-                ),
-                QZERO,
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    retry = aid_certify(
-        adapted,
-        RationalMatrix(n, n, _freeze(dnew_rows)),
-        depth_limit,
-        node_budget,
-        _adapt=False,
-    )
-    if retry.kind == "proved":
-        return CertOutcome(
-            "proved", branch_log=("series-adapted basis",) + retry.branch_log
+    basis = _basis
+    if basis is None:
+        basis = _series_adapted_basis(alg, central_series(alg))
+    dm = dmat if basis.p is None else basis.pinv @ dmat @ basis.p
+    # row m of the witness equation, linear forms in t:
+    # sum_j (sum_i c[i][j][m] t_i) w_j = sum_k D[m][k] t_k
+    c = basis.alg.constants
+    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
+    rows = [
+        (
+            [Poly(n, {unit[i]: c[i][j][m] for i in range(n)}) for j in range(n)],
+            Poly(n, dict(zip(unit, dm.entries[m]))),
         )
-    if retry.kind == "refuted":
-        x = p.apply(retry.refuting_x)
-        if aid_witness(alg, dmat, x) is None:
-            return CertOutcome(
-                "refuted",
-                refuting_x=x,
-                branch_log=("series-adapted basis",) + retry.branch_log,
-            )
-    return out
+        for m in range(n)
+    ]
+    ctx = _CertContext(basis.alg, dm, depth_limit, node_budget)
+    out = _decide(ctx, rows, 0, [], [])
+    if basis.p is None:
+        return out
+    log = ("series-adapted basis",) + out.branch_log
+    if out.kind != "refuted":
+        return CertOutcome(out.kind, branch_log=log)
+    x = basis.p.apply(out.refuting_x)
+    if aid_witness(alg, dmat, x) is None:
+        return CertOutcome("refuted", refuting_x=x, branch_log=log)
+    note = "refuting point does not replay in the given basis"
+    return CertOutcome("inconclusive", branch_log=log + (note,))
 
 
 def aid_witness(
@@ -828,9 +799,18 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     complement generator is proved (certified_exact) or some remain
     inconclusive (probabilistic), or the round cap is hit (partial).
     """
+    return _aid_space(alg, cfg, derivation_space(alg), inner_space(alg), None)
+
+
+def _aid_space(
+    alg: LeibnizAlgebra,
+    cfg: AidConfig,
+    der: Subspace,
+    inner: Subspace,
+    series: SeriesReport | None,
+) -> AidResult:
+    """aid_space on the caller's Der, Inner and (if known) central series."""
     n = alg.dim
-    inner = inner_space(alg)
-    der = derivation_space(alg)
     cand = aid_basis_candidate(alg, der)
     space, samples = aid_refine(alg, cand, cfg, floor=inner.dim)
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
@@ -839,6 +819,7 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     depth_limit = cfg.depth_limit if cfg.depth_limit is not None else 2 * n
     rounds = 0
     status = "certified_exact"
+    basis = None  # the series-adapted basis, computed once if a generator needs it
     while True:
         rounds += 1
         if rounds > cfg.max_rounds:
@@ -850,7 +831,11 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
         shrunk = False
         for gen_vec in comp.basis_vectors():
             gmat = vec_to_endo(gen_vec, n)
-            outcome = aid_certify(alg, gmat, depth_limit, cfg.node_budget)
+            if basis is None:
+                basis = _series_adapted_basis(
+                    alg, series if series is not None else central_series(alg)
+                )
+            outcome = aid_certify(alg, gmat, depth_limit, cfg.node_budget, _basis=basis)
             if outcome.kind == "proved":
                 proved_gens.append((gmat, outcome))
             elif outcome.kind == "refuted":
@@ -868,8 +853,11 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
         inner,
         Subspace.from_vectors(n * n, [endo_to_vec(g) for g, _ in proved_gens]),
     )
+    if proved == space:
+        # one object for both bounds: callers may keep many results alive
+        proved = space
     if status != "partial":
-        status = "certified_exact" if proved == space else "probabilistic"
+        status = "certified_exact" if proved is space else "probabilistic"
     return AidResult(
         upper_bound=space,
         proved=proved,
@@ -913,7 +901,12 @@ def rcaid_caid(alg: LeibnizAlgebra, target: str, aid: Subspace) -> Subspace:
         t = ann.center
     else:
         raise ValueError(f"unknown target: {target!r}")
-    envelope = subspace_sum(inner_space(alg), _hom_into(alg.dim, t))
+    return _envelope_meet(aid, inner_space(alg), t)
+
+
+def _envelope_meet(aid: Subspace, inner: Subspace, target: Subspace) -> Subspace:
+    """aid ∩ (Inner + Hom(L, target))."""
+    envelope = subspace_sum(inner, _hom_into(target.ambient_dim, target))
     return subspace_intersect(aid, envelope)
 
 
@@ -1032,7 +1025,7 @@ def analysis_report(
     ann = annihilators(alg)
     der = derivation_space(alg)
     inner = inner_space(alg)
-    aid = aid_space(alg, cfg)
+    aid = _aid_space(alg, cfg, der, inner, series)
     notes = [
         "field: Q; sampling and certificates range over rational points only",
         "matrix convention: column j is the image of e_j; transposed "
@@ -1045,8 +1038,8 @@ def analysis_report(
         notes.append(
             "aid not certified exact; rcaid/caid computed from the proved lower bound"
         )
-    rcaid = rcaid_caid(alg, "right_ann", aid_sub)
-    caid = rcaid_caid(alg, "center", aid_sub)
+    rcaid = _envelope_meet(aid_sub, inner, ann.ann_r)
+    caid = _envelope_meet(aid_sub, inner, ann.center)
     tower = {
         "der": der.dim,
         "inner": inner.dim,

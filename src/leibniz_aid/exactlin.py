@@ -227,8 +227,6 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence) -> tuple[Q, ...] | None:
     if len(b) != matrix.rows:
         raise DimensionMismatch("rhs length mismatch")
     rows = [list(r) + [bv] for r, bv in zip(matrix.entries, b)]
-    if not rows:
-        return ()
     rows, pivots = _rref_rows(rows)
     if pivots and pivots[-1] == matrix.cols:
         return None
@@ -338,21 +336,16 @@ def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
 
     Requires s1 ⊆ s2.  The basis rows of s2 are scanned in order and a row is
     kept whenever it enlarges the span, which extends the RREF basis of s1 by
-    standard-order pivots.
+    standard-order pivots.  A row enlarges the span exactly when it is not in
+    the span of s1 and the rows before it, so the kept rows are the pivot
+    columns past s1 of one elimination on the vectors of s1 and s2 as columns.
     """
     _check_ambient(s1, s2)
     if not s2.contains_subspace(s1):
         raise NotASubspace("first space is not contained in the second")
-    working = [list(r) for r in s1.basis.entries]
-    taken = []
-    rank = len(working)
-    for row in s2.basis.entries:
-        candidate = working + [list(row)]
-        _, pivots = _rref_rows(candidate)
-        if len(pivots) > rank:
-            working = candidate
-            rank += 1
-            taken.append(row)
+    rows = s2.basis.entries
+    _, pivots = _rref_rows([list(c) for c in zip(*s1.basis.entries, *rows)])
+    taken = [rows[p - s1.dim] for p in pivots if p >= s1.dim]
     return Subspace.from_vectors(s1.ambient_dim, taken)
 
 

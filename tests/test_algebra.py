@@ -7,6 +7,7 @@ import random
 import pytest
 
 from leibniz_aid import catalog
+from leibniz_aid.cli import _random_invertible
 from leibniz_aid.algebra import (
     IdentityViolation,
     IndexOutOfRange,
@@ -23,8 +24,9 @@ from leibniz_aid.algebra import (
     product_span,
     quotient,
     to_json_dict,
+    _transition_inverse,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace
+from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in
 
 NF3 = catalog.make(catalog.parse_ref("catalog:NF:3"))
 SOLVABLE = LeibnizAlgebra.build(2, {(2, 1): {2: 1}})  # [e2,e1]=e2, not nilpotent
@@ -77,6 +79,58 @@ def test_check_skip_trusts_the_caller():
     alg = LeibnizAlgebra.build(1, {(1, 1): {1: 1}}, check="skip")
     with pytest.raises(IdentityViolation):
         alg.check_identity()
+
+
+def reference_identity_failure(alg):
+    """The Fraction triple loop over every basis triple: the first failing
+    1-based (i, j, k) with both sides of the identity, or None."""
+    n = alg.dim
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lhs = alg.product(alg.basis_coords(i), alg.constants[j][k])
+                rhs = tuple(
+                    a - b
+                    for a, b in zip(
+                        alg.product(alg.constants[i][j], alg.basis_coords(k)),
+                        alg.product(alg.constants[i][k], alg.basis_coords(j)),
+                    )
+                )
+                if lhs != rhs:
+                    return (i + 1, j + 1, k + 1, lhs, rhs)
+    return None
+
+
+def _perturbed(alg, rng):
+    """alg with one structure constant moved by a small rational, unchecked."""
+    n = alg.dim
+    table = [[list(row) for row in plane] for plane in alg.constants]
+    i, j, k = (rng.randrange(n) for _ in range(3))
+    table[i][j][k] += Q(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
+    return LeibnizAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in table))
+
+
+@pytest.mark.parametrize(
+    "ref",
+    ["catalog:NF:4", "catalog:D3:L1:2", "catalog:D4:L9", "catalog:F1:6:0,0,-3/2,0",
+     "catalog:F3:5:1,2,3", "catalog:G53"],
+)
+def test_check_identity_matches_the_triple_loop(ref):
+    rng = random.Random(7)
+    base = catalog.make(catalog.parse_ref(ref))
+    failures = 0
+    for _ in range(6):
+        moved = change_basis(base, _random_invertible(rng, base.dim))
+        for alg in (moved, _perturbed(moved, rng)):
+            expected = reference_identity_failure(alg)
+            try:
+                alg.check_identity()
+                got = None
+            except IdentityViolation as exc:
+                got = (exc.i, exc.j, exc.k, exc.lhs, exc.rhs)
+                failures += 1
+            assert got == expected, ref
+    assert failures  # the perturbations do break the identity
 
 
 def test_labels_roundtrip_and_arity():
@@ -222,6 +276,39 @@ def test_change_basis_rejects_singular():
 def test_graded_of_graded_algebra_is_itself():
     g = graded(NF3)
     assert g.constants == NF3.constants
+
+
+def reference_graded(alg):
+    """Products of the series-adapted basis vectors, expanded in that basis
+    and cut to the component of matching total degree."""
+    terms = central_series(alg).terms
+    columns, degrees = [], []
+    for i in range(len(terms) - 1):
+        comp = complement_in(terms[i + 1], terms[i]).basis_vectors()
+        columns += comp
+        degrees += [i + 1] * len(comp)
+    n = alg.dim
+    inv = _transition_inverse(columns, n)
+    products = {}
+    for i in range(n):
+        for j in range(n):
+            w = inv.apply(alg.product(columns[i], columns[j]))
+            products[(i + 1, j + 1)] = {
+                k + 1: v for k, v in enumerate(w)
+                if v and degrees[k] == degrees[i] + degrees[j]
+            }
+    return LeibnizAlgebra.build(n, products)
+
+
+@pytest.mark.parametrize(
+    "ref", ["catalog:D4:L9", "catalog:F1:6:0,0,-3/2,0", "catalog:F3:5:1,2,3", "catalog:G53"]
+)
+def test_graded_matches_the_reference_in_random_bases(ref):
+    rng = random.Random(11)
+    base = catalog.make(catalog.parse_ref(ref))
+    for _ in range(3):
+        moved = change_basis(base, _random_invertible(rng, base.dim))
+        assert graded(moved).constants == reference_graded(moved).constants, ref
 
 
 def test_graded_rejects_non_nilpotent():

@@ -7,7 +7,9 @@ from math import gcd, lcm
 
 import pytest
 
-from leibniz_aid.algebra import _transition_inverse, change_basis
+from leibniz_aid import derivations
+from leibniz_aid._poly import Poly
+from leibniz_aid.algebra import _transition_inverse, central_series, change_basis
 from leibniz_aid.catalog import make
 from leibniz_aid.cli import _random_invertible, report_json
 from leibniz_aid.derivations import (
@@ -279,7 +281,21 @@ def test_certify_proves_membership_outside_inner():
     assert out.kind == "proved"
 
 
-def test_certify_retries_in_a_series_adapted_basis():
+def _witness_equation_coeffs(alg):
+    """Coefficient rows of left_mult(x) w = D x, linear forms in x."""
+    n = alg.dim
+    c = alg.constants
+    return [
+        [
+            Poly(n, {tuple(int(t == i) for t in range(n)): c[i][j][m]
+                     for i in range(n) if c[i][j][m]})
+            for j in range(n)
+        ]
+        for m in range(n)
+    ]
+
+
+def test_certify_eliminates_only_in_the_series_adapted_basis(monkeypatch):
     l9 = make("catalog:D4:L9")
     gen = aid_space(l9).proved_generators[0][0]
     p = RationalMatrix.from_rows(
@@ -288,12 +304,57 @@ def test_certify_retries_in_a_series_adapted_basis():
     cols = [p.col(j) for j in range(4)]
     moved = change_basis(l9, p)
     gm = _transition_inverse(cols, 4) @ gen @ p
-    # the raw elimination gives up on this presentation...
-    assert aid_certify(moved, gm, _adapt=False).kind == "inconclusive"
-    # ...but the adapted retry settles it
+    roots = {}  # elimination context -> the rows it started from
+
+    def spy(ctx, rows, *args):
+        roots.setdefault(ctx, (ctx.alg, rows))
+        return decide(ctx, rows, *args)
+
+    decide = derivations._decide
+    monkeypatch.setattr(derivations, "_decide", spy)
     out = aid_certify(moved, gm)
     assert out.kind == "proved"
     assert out.branch_log[0] == "series-adapted basis"
+    # one elimination, and not on the moved constants: the raw-basis attempt
+    # on this presentation exhausts itself without deciding anything
+    [(root_alg, rows)] = roots.values()
+    root_coeffs = [coeffs for coeffs, _ in rows]
+    assert root_coeffs == _witness_equation_coeffs(root_alg)
+    assert root_coeffs != _witness_equation_coeffs(moved)
+    assert derivations._series_adapted_basis(root_alg, central_series(root_alg)).p is None
+
+
+def _moved_d4_l4_1():
+    """D4:L4:1 and its non-AID derivation E(4,2), in the basis p."""
+    alg = make("catalog:D4:L4:1")
+    p = RationalMatrix.from_rows(
+        [[1, 1, -2, 0], [2, 1, 1, 0], [1, 0, 2, -1], [2, -1, 0, -1]]
+    )
+    gm = _transition_inverse([p.col(j) for j in range(4)], 4) @ matrix_unit(4, 4, 2) @ p
+    return change_basis(alg, p), gm
+
+
+def test_certify_maps_an_adapted_refutation_back_to_the_given_basis():
+    moved, gm = _moved_d4_l4_1()
+    out = aid_certify(moved, gm)
+    assert out.kind == "refuted"
+    assert out.branch_log[0] == "series-adapted basis"
+    assert aid_witness(moved, gm, out.refuting_x) is None
+
+
+def test_certify_reports_a_refutation_that_does_not_replay_as_inconclusive(monkeypatch):
+    moved, gm = _moved_d4_l4_1()
+    replay = derivations.aid_witness
+
+    def no_replay_in_the_given_basis(alg, dmat, x):
+        # the search in the adapted basis is left alone
+        return (Q(0),) * alg.dim if alg is moved else replay(alg, dmat, x)
+
+    monkeypatch.setattr(derivations, "aid_witness", no_replay_in_the_given_basis)
+    out = aid_certify(moved, gm)
+    assert out.kind == "inconclusive"
+    assert out.refuting_x is None
+    assert out.branch_log[-1] == "refuting point does not replay in the given basis"
 
 
 def test_witness_solves_the_pointwise_equation():
@@ -340,6 +401,19 @@ def test_aid_space_g53():
     res = aid_space(make("catalog:G53"))
     assert res.status == "certified_exact"
     assert res.dim == 5
+
+
+def test_certified_result_shares_one_subspace_for_both_bounds():
+    res = aid_space(make("catalog:D4:L9"))
+    assert res.status == "certified_exact"
+    assert res.proved is res.upper_bound
+
+
+def test_aid_space_random_basis_f3_6_is_certified_exact():
+    # eliminating this copy in its own basis swelled for ~90 s and gave up
+    res = aid_space(random_basis_copy("catalog:F3:6:0,0,1", 1))
+    assert res.status == "certified_exact"
+    assert res.dim == 6
 
 
 # -- restricted variants ---------------------------------------------------

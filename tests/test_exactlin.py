@@ -115,6 +115,11 @@ def test_solve_linear_particular_solution():
     assert x == (Q(2), Q(1))
 
 
+def test_solve_linear_without_equations_returns_the_zero_vector():
+    assert solve_linear(RationalMatrix(0, 3, ()), []) == (Q(0), Q(0), Q(0))
+    assert solve_linear(RationalMatrix(0, 0, ()), []) == ()
+
+
 def test_solve_linear_none_for_inconsistent():
     m = RationalMatrix.from_rows([[1, 1], [2, 2]])
     assert solve_linear(m, [1, 3]) is None
@@ -288,6 +293,8 @@ def test_rref_matches_sympy(m):
 @given(rational_matrices(), st.data())
 def test_solve_linear_matches_sympy(m, data):
     if m.rows == 0:
+        # no equations: every vector solves, the particular one is zero
+        assert solve_linear(m, []) == (Q(0),) * m.cols
         return
     b = [data.draw(entries) for _ in range(m.rows)]
     x = solve_linear(m, b)
@@ -329,3 +336,27 @@ def test_subspace_intersect_matches_sympy(m1, data):
     v2 = [list(r) for r in m2.entries]
     meet = subspace_intersect(Subspace.from_vectors(n, v1), Subspace.from_vectors(n, v2))
     assert meet.basis.entries == sympy_intersection(n, v1, v2)
+
+
+def reference_complement(s1: Subspace, s2: Subspace) -> Subspace:
+    """Scan the basis rows of s2 in order and keep each row that enlarges
+    the span of s1 and the rows kept so far (one rank test per row)."""
+    working = [list(r) for r in s1.basis.entries]
+    taken = []
+    for row in s2.basis.entries:
+        if rref(RationalMatrix.from_rows(working + [list(row)])).rank > len(working):
+            working.append(list(row))
+            taken.append(row)
+    return Subspace.from_vectors(s1.ambient_dim, taken)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_matrices(max_rows=5, max_cols=6), st.data())
+def test_complement_in_matches_the_row_scan(m1, data):
+    n = m1.cols
+    m2 = data.draw(rational_matrices(max_rows=5, cols=n))
+    s1 = Subspace.from_vectors(n, m1.entries)
+    s2 = Subspace.from_vectors(n, m1.entries + m2.entries)
+    comp = complement_in(s1, s2)
+    assert comp == reference_complement(s1, s2)
+    assert comp.dim == s2.dim - s1.dim
