@@ -448,8 +448,10 @@ def from_json_dict(doc: Mapping, check: str = "enforce") -> LeibnizAlgebra:
         if not isinstance(item, Mapping) or set(item) != {"i", "j", "c"}:
             raise ValueError(f"product entries need exactly the fields i, j, c: {item!r}")
         i, j = item["i"], item["j"]
-        if not isinstance(i, int) or not isinstance(j, int):
+        if any(not isinstance(k, int) or isinstance(k, bool) for k in (i, j)):
             raise ValueError("product indices must be integers")
+        if not isinstance(item["c"], Mapping):
+            raise ValueError(f"coefficient map of product ({i},{j}) must be an object")
         try:
             coeffs = {int(k): as_rational(v) for k, v in item["c"].items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -14,13 +14,18 @@ data and attaches a machine-checkable certificate to every disagreement:
 either a concrete refuting x for a claimed generator, an explicit inner
 combination showing the generator adds nothing, or per-member global-x
 witnesses for a larger-than-expected restricted space.
+
+`paper_claims` is the table of the paper's claims that `verify-paper`
+checks: one `Claim` row per check, naming the kind of claim, the algebra,
+the claimed generator and F1/F2 scale where there is one, and the fields
+the check reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import IdentityViolation, LeibnizAlgebra, annihilators
+from .algebra import IdentityViolation, LeibnizAlgebra
 from .derivations import (
     aid_certify,
     endo_actions,
@@ -364,6 +369,87 @@ def expected_for(ref: CatalogRef) -> ExpectedData | None:
     return None
 
 
+# ---------------------------------------------------------------------------
+# the paper's claims
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One `verify-paper` check: a claim of kind `kind` about the algebra
+    `ref` (a catalog reference or ``abelian:<n>``), reported with `fields`.
+
+    * ``table`` - the recorded `expected_for(ref)` data hold;
+    * ``inner-equality`` - AID = Inner, certified exact;
+    * ``decomposition`` - AID = Inner + <generator>, the generator certified
+      almost inner, the sum direct and, when `scale` s is given, the
+      generator equal to R_(e2/s);
+    * ``refutation`` - the generator is refuted at an explicit x and
+      AID = Inner;
+    * ``data`` - the generator's outcome is reported, nothing is claimed;
+    * ``dims`` - Der, Inner and AID have the recorded dimensions, AID is
+      certified exact and a nilpotent Lie algebra.
+    """
+
+    kind: str
+    ref: str
+    fields: tuple[str, ...]
+    generator: RationalMatrix | None = None
+    scale: Q | None = None
+
+
+_SUM_FIELDS = ("sum_matches", "generator_certified", "status")
+_REFUTED_FIELDS = ("status", "generator_outcome", "refuting_x")
+_D3_CLAIMED = ("L1:0", "L1:1", "L1:-1", "L1:2", "L2", "L3", "L4", "L5", "L6")
+_D4_CLAIMED = ("L4:0", "L4:1", "L9", "L10", "L11", "L12",
+               "L13:0", "L13:1", "L13:2", "L20:0", "L20:2")
+
+
+def paper_claims(nmax: int) -> tuple[Claim, ...]:
+    """The claims `verify-paper` checks, in report order; the null-filiform
+    algebras run up to dimension `nmax`."""
+    claims = [Claim("table", f"catalog:D4:{e}", ("tower", "status"))
+              for e in _D4_CLAIMED]
+    claims += [Claim("inner-equality", f"catalog:NF:{n}",
+                     ("status", "aid_dim", "inner_dim"))
+               for n in range(2, nmax + 1)]
+    claims += [Claim("inner-equality", f"catalog:D3:{e}",
+                     ("status", "aid_dim", "rcaid_dim", "inner_dim"))
+               for e in _D3_CLAIMED]
+    for n in (4, 5, 6, 7):  # F1(a4..an, theta): a_n alone, then theta too
+        gen = matrix_unit(n, n, 2)
+        zeros = "0," * (n - 4)
+        for a_n in ("1", "2", "-3/2"):
+            claims.append(Claim("decomposition", f"catalog:F1:{n}:{zeros}{a_n},0",
+                                _SUM_FIELDS, gen, Q(a_n)))
+        claims.append(Claim("refutation", f"catalog:F1:{n}:{zeros}1,1",
+                            _REFUTED_FIELDS, gen))
+    for n in (4, 5, 6):  # F2(b4..bn, gamma) with gamma alone
+        zeros = "0," * (n - 3)
+        for gamma in ("1", "3"):
+            claims.append(Claim("decomposition", f"catalog:F2:{n}:{zeros}{gamma}",
+                                _SUM_FIELDS, matrix_unit(n, n, 2), Q(gamma)))
+    for n in (5, 6):  # b4 = gamma = 1: the remark says AID = Inner
+        params = ",".join(["1"] + ["0"] * (n - 4) + ["1"])
+        claims.append(Claim("refutation", f"catalog:F2:{n}:{params}",
+                            _REFUTED_FIELDS, matrix_unit(n, n, 2)))
+    for n in (5, 6):
+        gen = matrix_unit(n, n, 2)
+        for thetas in ("0,0,1", "1,2,3"):
+            claims.append(Claim("decomposition", f"catalog:F3:{n}:{thetas}",
+                                ("status", "aid_dim", "inner_dim",
+                                 "generator_certified"), gen))
+        # theta3 = 0: an open question, so the outcome is data
+        claims.append(Claim("data", f"catalog:F3:{n}:1,1,0",
+                            ("status", "aid_dim", "inner_dim",
+                             "generator_outcome", "refuting_x"), gen))
+    claims.append(Claim("dims", "catalog:G53",
+                        ("der_dim", "inner_dim", "aid_dim", "status",
+                         "aid_nilpotent", "aid_series")))
+    claims += [Claim("inner-equality", ref, ("aid_dim", "inner_dim"))
+               for ref in ("abelian:1", "abelian:2", "catalog:NF:2")]
+    return tuple(claims)
+
+
 def list_entries() -> tuple[CatalogEntry, ...]:
     rows = [
         CatalogEntry("NF:n", None, "none", "null-filiform family, any dimension"),
@@ -404,6 +490,19 @@ def vec_json(v) -> list[str]:
     return [format_rational(x) for x in v]
 
 
+def inner_witness_certificate(alg: LeibnizAlgebra, gen: RationalMatrix,
+                              label: str | None = None) -> dict:
+    """Certificate that `gen` is inner: its combination of right
+    multiplications, to be replayed at a basis vector x."""
+    cert = {"kind": "inner_witness", "generator": matrix_json(gen)}
+    if label is not None:
+        cert["generator_label"] = label
+    cert["combination"] = vec_json(inner_combination(alg, gen))
+    cert["x"] = vec_json(alg.basis_coords(1 if alg.dim > 1 else 0))
+    cert["expects_witness"] = True
+    return cert
+
+
 def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
                            inner) -> tuple[str, dict]:
     """Classify a claimed complement generator; returns (verdict, certificate).
@@ -421,16 +520,7 @@ def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
             "expects_witness": False,
         }
     if inner.contains(endo_to_vec(gen)):
-        combo = inner_combination(alg, gen)
-        x = alg.basis_coords(1 if alg.dim > 1 else 0)
-        return "inner", {
-            "kind": "inner_witness",
-            "generator": matrix_json(gen),
-            "generator_label": label,
-            "combination": vec_json(combo),
-            "x": vec_json(x),
-            "expects_witness": True,
-        }
+        return "inner", inner_witness_certificate(alg, gen, label)
     return "ok", {
         "kind": "aid_member",
         "generator": matrix_json(gen),
@@ -440,30 +530,32 @@ def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
     }
 
 
-def build_deviations(alg, expected: ExpectedData, tower: dict, aid, inner,
-                     algebra_id: str) -> list:
-    """Compare computed dimensions against the recorded expected values."""
-    from .derivations import Deviation, derivation_space
+def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner,
+                     aid, rcaid, ann_r) -> list:
+    """Compare an analysis against the recorded expected values.
+
+    `der`, `inner` and `rcaid` are the analysis's spaces, `aid` its
+    AidResult and `ann_r` the right annihilator of `alg`.
+    """
+    from .derivations import Deviation
 
     out: list = []
     loc = algebra_id
-    if expected.der is not None and tower["der"] != expected.der:
-        basis = [matrix_json(vec_to_endo(v, alg.dim))
-                 for v in derivation_space(alg).basis_vectors()]
-        out.append(Deviation(f"{loc}:der", str(expected.der), str(tower["der"]),
+    if expected.der is not None and der.dim != expected.der:
+        basis = [matrix_json(vec_to_endo(v, alg.dim)) for v in der.basis_vectors()]
+        out.append(Deviation(f"{loc}:der", str(expected.der), str(der.dim),
                              {"kind": "derivation_basis", "basis": basis}))
-    if expected.inner is not None and tower["inner"] != expected.inner:
+    if expected.inner is not None and inner.dim != expected.inner:
         basis = [matrix_json(alg.right_mult(alg.basis_coords(j)))
                  for j in range(alg.dim)]
-        out.append(Deviation(f"{loc}:inner", str(expected.inner),
-                             str(tower["inner"]),
+        out.append(Deviation(f"{loc}:inner", str(expected.inner), str(inner.dim),
                              {"kind": "inner_basis", "basis": basis}))
     gen_verdict = None
     gen_cert = None
     if expected.generator is not None:
         gen_verdict, gen_cert = _generator_certificate(
             alg, expected.generator, expected.generator_label, inner)
-    if expected.aid is not None and tower["aid"] != expected.aid:
+    if expected.aid is not None and aid.upper_bound.dim != expected.aid:
         if gen_cert is not None and gen_verdict != "ok":
             cert = gen_cert
         else:
@@ -473,8 +565,8 @@ def build_deviations(alg, expected: ExpectedData, tower: dict, aid, inner,
                           for v in aid.upper_bound.basis_vectors()],
                 "status": aid.status,
             }
-        out.append(Deviation(f"{loc}:aid", str(expected.aid), str(tower["aid"]),
-                             cert))
+        out.append(Deviation(f"{loc}:aid", str(expected.aid),
+                             str(aid.upper_bound.dim), cert))
     elif gen_verdict == "not_aid":
         out.append(Deviation(
             f"{loc}:generator",
@@ -485,24 +577,18 @@ def build_deviations(alg, expected: ExpectedData, tower: dict, aid, inner,
             f"{loc}:generator",
             f"{expected.generator_label} spans AID over Inner",
             "already an inner derivation", gen_cert))
-    if expected.rcaid is not None and tower["rcaid"] != expected.rcaid:
+    if expected.rcaid is not None and rcaid.dim != expected.rcaid:
         members = []
-        ann = annihilators(alg)
-        from .derivations import rcaid_caid
-
-        space = rcaid_caid(alg, "right_ann",
-                           aid.upper_bound if aid.status == "certified_exact"
-                           else aid.proved)
-        for v in space.basis_vectors():
+        for v in rcaid.basis_vectors():
             m = vec_to_endo(v, alg.dim)
-            gx = restriction_witness(alg, m, ann.ann_r)
+            gx = restriction_witness(alg, m, ann_r)
             members.append({
                 "matrix": matrix_json(m),
                 "actions": endo_actions(alg, m),
                 "global_x": vec_json(gx) if gx is not None else None,
             })
         out.append(Deviation(
-            f"{loc}:rcaid", str(expected.rcaid), str(tower["rcaid"]),
+            f"{loc}:rcaid", str(expected.rcaid), str(rcaid.dim),
             {"kind": "restricted_members", "target": "right_ann",
              "members": members,
              "generator": members[-1]["matrix"] if members else None,

@@ -4,9 +4,9 @@ Commands:
 
 * ``catalog`` — list the built-in families and named instances.
 * ``analyze <file|catalog-ref>`` — full report for one algebra (text or JSON).
-* ``verify-paper`` — run the whole battery of published claims against the
-  expected values recorded in the catalog; disagreements are reported as
-  deviations with machine-checkable certificates.
+* ``verify-paper`` — check every row of the catalog's claims table
+  (`catalog.paper_claims`); disagreements are reported as deviations with
+  machine-checkable certificates.
 * ``witness <ref> <endo.json> <x1> ... <xn>`` — replay a certificate: find
   (or fail to find) an element a with D(x) = [x, a].
 * ``fuzz <ref> --basis-changes N --seed S`` — random basis changes, checking
@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import algebra as alg_mod
 from . import catalog as cat_mod
@@ -334,14 +333,12 @@ def _tower_dims(algebra, cfg) -> tuple[dict, str]:
     symbolic certification succeeds in one basis and not another; the
     certification status is returned separately as data.
     """
-    der = der_mod.derivation_space(algebra).dim
-    inner = der_mod.inner_space(algebra).dim
-    aid = der_mod.aid_space(algebra, cfg)
-    rcaid = der_mod.rcaid_caid(algebra, "right_ann", aid.upper_bound).dim
-    caid = der_mod.rcaid_caid(algebra, "center", aid.upper_bound).dim
+    der, inner, aid = der_mod._der_inner_aid(algebra, cfg)
+    ann = alg_mod.annihilators(algebra)
     dims = {
-        "der": der, "inner": inner, "aid": aid.upper_bound.dim,
-        "rcaid": rcaid, "caid": caid,
+        "der": der.dim, "inner": inner.dim, "aid": aid.upper_bound.dim,
+        "rcaid": der_mod._envelope_meet(aid.upper_bound, inner, ann.ann_r).dim,
+        "caid": der_mod._envelope_meet(aid.upper_bound, inner, ann.center).dim,
     }
     return dims, aid.status
 
@@ -360,255 +357,92 @@ def _random_invertible(rng, n: int) -> RationalMatrix:
 # verify-paper battery
 
 
-def _check(name: str, passed: bool, deviations=(), **info) -> dict:
-    entry = {"name": name, "passed": passed,
-             "deviations": [_deviation_json(d) for d in deviations]}
-    entry.update(info)
-    return entry
+def _claim_algebra(ref: str):
+    if ref.startswith("abelian:"):
+        return alg_mod.LeibnizAlgebra.build(int(ref.split(":")[1]), {})
+    return cat_mod.make(ref)
 
 
-def _table_checks(cfg) -> list[dict]:
-    rows = [
-        ("L4", ["0", "1"]), ("L9", [None]), ("L10", [None]),
-        ("L11", [None]), ("L12", [None]), ("L13", ["0", "1", "2"]),
-        ("L20", ["0", "2"]),
-    ]
-    out = []
-    for entry, alphas in rows:
-        for alpha in alphas:
-            ref_s = f"catalog:D4:{entry}" + (f":{alpha}" if alpha is not None else "")
-            ref = cat_mod.parse_ref(ref_s)
-            print(f"verify: table {ref_s}", file=sys.stderr)
-            report = der_mod.analysis_report(
-                cat_mod.make(ref), cfg, ref.ref_string(), cat_mod.expected_for(ref)
-            )
-            out.append(_check(
-                f"table:{ref_s}", not report.deviations, report.deviations,
-                tower=dict(report.tower), status=report.aid.status,
-            ))
-    return out
-
-
-def _nf_checks(cfg, nmax: int) -> list[dict]:
-    out = []
-    for n in range(2, nmax + 1):
-        ref_s = f"catalog:NF:{n}"
-        print(f"verify: {ref_s}", file=sys.stderr)
-        algebra = cat_mod.make(ref_s)
-        aid = der_mod.aid_space(algebra, cfg)
-        inner = der_mod.inner_space(algebra)
-        passed = aid.status == "certified_exact" and aid.upper_bound == inner
-        out.append(_check(f"inner-equality:{ref_s}", passed,
-                          status=aid.status, aid_dim=aid.upper_bound.dim,
-                          inner_dim=inner.dim))
-    return out
-
-
-def _d3_checks(cfg) -> list[dict]:
-    refs = [f"catalog:D3:L1:{a}" for a in ("0", "1", "-1", "2")]
-    refs += [f"catalog:D3:{e}" for e in ("L2", "L3", "L4", "L5", "L6")]
-    out = []
-    for ref_s in refs:
-        print(f"verify: {ref_s}", file=sys.stderr)
-        algebra = cat_mod.make(ref_s)
-        aid = der_mod.aid_space(algebra, cfg)
-        inner = der_mod.inner_space(algebra)
-        space = aid.upper_bound if aid.status == "certified_exact" else aid.proved
-        rcaid = der_mod.rcaid_caid(algebra, "right_ann", space)
-        passed = (aid.status == "certified_exact"
-                  and aid.upper_bound == inner and rcaid == inner)
-        out.append(_check(f"inner-equality:{ref_s}", passed,
-                          status=aid.status, aid_dim=aid.upper_bound.dim,
-                          rcaid_dim=rcaid.dim, inner_dim=inner.dim))
-    return out
-
-
-def _decomposition_check(ref_s: str, algebra, cfg, gen, scale_vec) -> dict:
-    """AID should equal Inner + <gen> with gen certified almost inner,
-    and the published decomposition claims the sum is direct."""
-    aid = der_mod.aid_space(algebra, cfg)
-    inner = der_mod.inner_space(algebra)
-    gen_vec = der_mod.endo_to_vec(gen)
-    span_sum = der_mod.subspace_sum(
-        inner, Subspace.from_vectors(algebra.dim**2, [gen_vec])
-    )
-    outcome = der_mod.aid_certify(algebra, gen)
-    witness_ok = algebra.right_mult(scale_vec) == gen
-    sum_ok = (aid.status == "certified_exact" and aid.upper_bound == span_sum
-              and outcome.kind == "proved" and witness_ok)
-    direct = not inner.contains(gen_vec)
+def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
+    """One check of the claims table, on one analysis of its algebra."""
+    table = claim.kind == "table"
+    print(f"verify: {'table ' if table else ''}{claim.ref}", file=sys.stderr)
+    algebra = _claim_algebra(claim.ref)
+    if table:
+        ref = cat_mod.parse_ref(claim.ref)
+        report = der_mod.analysis_report(
+            algebra, cfg, ref.ref_string(), cat_mod.expected_for(ref)
+        )
+        return _check(claim, not report.deviations, report.deviations,
+                      {"tower": dict(report.tower), "status": report.aid.status})
     deviations = []
-    if not direct:
-        combo = cat_mod.inner_combination(algebra, gen)
-        deviations.append(Deviation(
-            f"{ref_s}:decomposition",
-            "generator independent of Inner (direct sum)",
-            "generator already inner",
-            {
-                "kind": "inner_witness",
-                "generator": cat_mod.matrix_json(gen),
-                "combination": cat_mod.vec_json(combo),
-                "x": cat_mod.vec_json(algebra.basis_coords(1)),
-                "expects_witness": True,
-            },
-        ))
-    return _check(f"decomposition:{ref_s}", sum_ok and direct, deviations,
-                  sum_matches=sum_ok, generator_certified=outcome.kind,
-                  status=aid.status)
-
-
-def _refutation_check(ref_s: str, algebra, cfg, gen) -> dict:
-    """The generator should fail almost-innerness with an explicit x, and
-    AID should collapse to Inner."""
-    aid = der_mod.aid_space(algebra, cfg)
-    inner = der_mod.inner_space(algebra)
-    outcome = der_mod.aid_certify(algebra, gen)
-    refuted = outcome.kind == "refuted"
-    x_confirms = (refuted and
-                  der_mod.aid_witness(algebra, gen, outcome.refuting_x) is None)
-    equal = aid.status == "certified_exact" and aid.upper_bound == inner
-    info = {"status": aid.status, "generator_outcome": outcome.kind}
-    if refuted:
-        info["refuting_x"] = cat_mod.vec_json(outcome.refuting_x)
-    return _check(f"refutation:{ref_s}", refuted and x_confirms and equal, **info)
-
-
-def _f1_checks(cfg) -> list[dict]:
-    out = []
-    for n in (4, 5, 6, 7):
-        for a_n in ("1", "2", "-3/2"):
-            zeros = ["0"] * (n - 4)
-            params = ",".join(zeros + [a_n, "0"])
-            ref_s = f"catalog:F1:{n}:{params}"
-            print(f"verify: {ref_s}", file=sys.stderr)
-            algebra = cat_mod.make(ref_s)
-            gen = der_mod.matrix_unit(n, n, 2)
-            scale = tuple(
-                (Q(1) / as_rational(a_n)) if i == 1 else Q(0) for i in range(n)
-            )
-            out.append(_decomposition_check(ref_s, algebra, cfg, gen, scale))
-        params = ",".join(["0"] * (n - 4) + ["1", "1"])
-        ref_s = f"catalog:F1:{n}:{params}"
-        print(f"verify: {ref_s}", file=sys.stderr)
-        algebra = cat_mod.make(ref_s)
-        out.append(_refutation_check(ref_s, algebra, cfg,
-                                     der_mod.matrix_unit(n, n, 2)))
-    return out
-
-
-def _f2_checks(cfg) -> list[dict]:
-    out = []
-    for n in (4, 5, 6):
-        for gamma in ("1", "3"):
-            params = ",".join(["0"] * (n - 3) + [gamma])
-            ref_s = f"catalog:F2:{n}:{params}"
-            print(f"verify: {ref_s}", file=sys.stderr)
-            algebra = cat_mod.make(ref_s)
-            gen = der_mod.matrix_unit(n, n, 2)
-            scale = tuple(
-                (Q(1) / as_rational(gamma)) if i == 1 else Q(0) for i in range(n)
-            )
-            out.append(_decomposition_check(ref_s, algebra, cfg, gen, scale))
-    for n in (5, 6):
-        # one interior coefficient switched on; the remark says AID = Inner
-        params = ["0"] * (n - 2)
-        params[0] = "1"  # b4
-        params[-1] = "1"  # gamma
-        ref_s = f"catalog:F2:{n}:{','.join(params)}"
-        print(f"verify: {ref_s}", file=sys.stderr)
-        algebra = cat_mod.make(ref_s)
-        out.append(_refutation_check(ref_s, algebra, cfg,
-                                     der_mod.matrix_unit(n, n, 2)))
-    return out
-
-
-def _f3_checks(cfg) -> list[dict]:
-    out = []
-    for n in (5, 6):
-        for triple in ("0,0,1", "1,2,3"):
-            ref_s = f"catalog:F3:{n}:{triple}"
-            print(f"verify: {ref_s}", file=sys.stderr)
-            algebra = cat_mod.make(ref_s)
-            gen = der_mod.matrix_unit(n, n, 2)
-            aid = der_mod.aid_space(algebra, cfg)
-            inner = der_mod.inner_space(algebra)
-            outcome = der_mod.aid_certify(algebra, gen)
-            passed = (aid.status == "certified_exact"
-                      and aid.upper_bound.dim == inner.dim + 1
-                      and outcome.kind == "proved"
-                      and not inner.contains(der_mod.endo_to_vec(gen)))
-            out.append(_check(f"decomposition:{ref_s}", passed,
-                              status=aid.status, aid_dim=aid.upper_bound.dim,
-                              inner_dim=inner.dim,
-                              generator_certified=outcome.kind))
-        # theta3 = 0 outcome reported as data (pre-flagged open question)
-        ref_s = f"catalog:F3:{n}:1,1,0"
-        print(f"verify: {ref_s}", file=sys.stderr)
-        algebra = cat_mod.make(ref_s)
-        gen = der_mod.matrix_unit(n, n, 2)
-        aid = der_mod.aid_space(algebra, cfg)
-        inner = der_mod.inner_space(algebra)
+    der, inner, aid = der_mod._der_inner_aid(algebra, cfg)
+    exact = aid.status == "certified_exact"
+    values = {"status": aid.status, "der_dim": der.dim,
+              "aid_dim": aid.upper_bound.dim, "inner_dim": inner.dim}
+    # Inner <= RCAID <= AID, so AID = Inner forces RCAID = Inner: RCAID is
+    # computed only for the claims that report it
+    rcaid = None
+    if "rcaid_dim" in claim.fields:
+        rcaid = der_mod._envelope_meet(aid.upper_bound if exact else aid.proved,
+                                       inner, alg_mod.annihilators(algebra).ann_r)
+        values["rcaid_dim"] = rcaid.dim
+    collapses = exact and aid.upper_bound == inner
+    gen = claim.generator
+    if gen is not None:
         outcome = der_mod.aid_certify(algebra, gen)
-        info = {
-            "status": aid.status,
-            "aid_dim": aid.upper_bound.dim,
-            "inner_dim": inner.dim,
-            "generator_outcome": outcome.kind,
-        }
+        values["generator_certified"] = values["generator_outcome"] = outcome.kind
         if outcome.kind == "refuted":
-            info["refuting_x"] = cat_mod.vec_json(outcome.refuting_x)
-        out.append(_check(f"data:{ref_s}", True, **info))
-    return out
+            values["refuting_x"] = cat_mod.vec_json(outcome.refuting_x)
+    if claim.kind == "inner-equality":
+        passed = collapses and (rcaid is None or rcaid == inner)
+    elif claim.kind == "decomposition":
+        gen_vec = der_mod.endo_to_vec(gen)
+        span_sum = der_mod.subspace_sum(
+            inner, Subspace.from_vectors(algebra.dim**2, [gen_vec]))
+        sum_ok = (exact and aid.upper_bound == span_sum
+                  and outcome.kind == "proved")
+        if claim.scale is not None:  # the witness family: gen = R_(e2/scale)
+            e2_scaled = [v / claim.scale for v in algebra.basis_coords(1)]
+            sum_ok = sum_ok and algebra.right_mult(e2_scaled) == gen
+        values["sum_matches"] = sum_ok
+        direct = not inner.contains(gen_vec)
+        if not direct:
+            deviations.append(Deviation(
+                f"{claim.ref}:decomposition",
+                "generator independent of Inner (direct sum)",
+                "generator already inner",
+                cat_mod.inner_witness_certificate(algebra, gen),
+            ))
+        passed = sum_ok and direct
+    elif claim.kind == "refutation":
+        passed = (outcome.kind == "refuted" and collapses
+                  and der_mod.aid_witness(algebra, gen, outcome.refuting_x) is None)
+    elif claim.kind == "dims":
+        want = cat_mod.expected_for(cat_mod.parse_ref(claim.ref))
+        series_dims, nilpotent = der_mod.subalgebra_nilpotency(aid.upper_bound)
+        values["aid_nilpotent"] = nilpotent
+        values["aid_series"] = list(series_dims)
+        passed = (exact and nilpotent
+                  and (der.dim, inner.dim, aid.upper_bound.dim)
+                  == (want.der, want.inner, want.aid))
+    else:  # data: reported, not claimed
+        passed = True
+    return _check(claim, passed, deviations, values)
 
 
-def _g53_check(cfg) -> dict:
-    ref_s = "catalog:G53"
-    print(f"verify: {ref_s}", file=sys.stderr)
-    algebra = cat_mod.make(ref_s)
-    der = der_mod.derivation_space(algebra)
-    inner = der_mod.inner_space(algebra)
-    aid = der_mod.aid_space(algebra, cfg)
-    series_dims, nilpotent = der_mod.subalgebra_nilpotency(aid.upper_bound)
-    passed = (der.dim == 10 and inner.dim == 4 and aid.upper_bound.dim == 5
-              and aid.status == "certified_exact" and nilpotent)
-    return _check(f"dims:{ref_s}", passed, der_dim=der.dim,
-                  inner_dim=inner.dim, aid_dim=aid.upper_bound.dim,
-                  status=aid.status, aid_nilpotent=nilpotent,
-                  aid_series=list(series_dims))
-
-
-def _small_dim_checks(cfg) -> list[dict]:
-    out = []
-    cases = [
-        ("abelian:1", alg_mod.LeibnizAlgebra.build(1, {})),
-        ("abelian:2", alg_mod.LeibnizAlgebra.build(2, {})),
-        ("catalog:NF:2", cat_mod.make("catalog:NF:2")),
-    ]
-    for name, algebra in cases:
-        print(f"verify: {name}", file=sys.stderr)
-        aid = der_mod.aid_space(algebra, cfg)
-        inner = der_mod.inner_space(algebra)
-        space = aid.upper_bound if aid.status == "certified_exact" else aid.proved
-        rcaid = der_mod.rcaid_caid(algebra, "right_ann", space)
-        passed = (aid.status == "certified_exact"
-                  and aid.upper_bound == inner and rcaid == inner)
-        out.append(_check(f"inner-equality:{name}", passed,
-                          aid_dim=aid.upper_bound.dim, inner_dim=inner.dim))
-    return out
+def _check(claim: cat_mod.Claim, passed: bool, deviations, values: dict) -> dict:
+    entry = {"name": f"{claim.kind}:{claim.ref}", "passed": passed,
+             "deviations": [_deviation_json(d) for d in deviations]}
+    # refuting_x exists only for a refuted generator
+    entry.update((f, values[f]) for f in claim.fields if f in values)
+    return entry
 
 
 def _cmd_verify(args) -> int:
     cfg = AidConfig()
     nmax = args.nmax
-    checks: list[dict] = []
-    checks += _table_checks(cfg)
-    checks += _nf_checks(cfg, nmax)
-    checks += _d3_checks(cfg)
-    checks += _f1_checks(cfg)
-    checks += _f2_checks(cfg)
-    checks += _f3_checks(cfg)
-    checks.append(_g53_check(cfg))
-    checks += _small_dim_checks(cfg)
+    checks = [_evaluate(claim, cfg) for claim in cat_mod.paper_claims(nmax)]
     all_passed = all(c["passed"] for c in checks)
     deviations = [d for c in checks for d in c["deviations"]]
     certified = all(d["certificate"] for d in deviations)

@@ -799,17 +799,16 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     complement generator is proved (certified_exact) or some remain
     inconclusive (probabilistic), or the round cap is hit (partial).
     """
-    return _aid_space(alg, cfg, derivation_space(alg), inner_space(alg), None)
+    return _der_inner_aid(alg, cfg)[2]
 
 
-def _aid_space(
-    alg: LeibnizAlgebra,
-    cfg: AidConfig,
-    der: Subspace,
-    inner: Subspace,
-    series: SeriesReport | None,
-) -> AidResult:
-    """aid_space on the caller's Der, Inner and (if known) central series."""
+def _der_inner_aid(
+    alg: LeibnizAlgebra, cfg: AidConfig, series: SeriesReport | None = None
+) -> tuple[Subspace, Subspace, AidResult]:
+    """Der, Inner and AID of one algebra, each computed once; `series` is the
+    central series when the caller has it already."""
+    der = derivation_space(alg)
+    inner = inner_space(alg)
     n = alg.dim
     cand = aid_basis_candidate(alg, der)
     space, samples = aid_refine(alg, cand, cfg, floor=inner.dim)
@@ -858,7 +857,7 @@ def _aid_space(
         proved = space
     if status != "partial":
         status = "certified_exact" if proved is space else "probabilistic"
-    return AidResult(
+    return der, inner, AidResult(
         upper_bound=space,
         proved=proved,
         status=status,
@@ -1023,9 +1022,7 @@ def analysis_report(
 
     series = central_series(alg)
     ann = annihilators(alg)
-    der = derivation_space(alg)
-    inner = inner_space(alg)
-    aid = _aid_space(alg, cfg, der, inner, series)
+    der, inner, aid = _der_inner_aid(alg, cfg, series)
     notes = [
         "field: Q; sampling and certificates range over rational points only",
         "matrix convention: column j is the image of e_j; transposed "
@@ -1080,7 +1077,8 @@ def analysis_report(
     deviations = ()
     if expected is not None:
         deviations = tuple(
-            build_deviations(alg, expected, tower, aid, inner, algebra_id)
+            build_deviations(alg, expected, algebra_id, der=der, inner=inner,
+                             aid=aid, rcaid=rcaid, ann_r=ann.ann_r)
         )
     return AnalysisReport(
         algebra_id=algebra_id,

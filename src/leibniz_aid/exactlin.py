@@ -37,10 +37,11 @@ class NotASubspace(ValueError):
 
 
 def as_rational(value) -> Q:
-    """Coerce an int, Fraction or 'p/q' string to a Fraction."""
+    """Coerce an int, Fraction or 'p/q' string to a Fraction; bools are
+    rejected, although Python counts them as ints."""
     if isinstance(value, Q):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Q(value)
     if isinstance(value, str):
         return Q(value)

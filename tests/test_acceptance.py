@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +32,10 @@ from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, as_rational, subsp
 
 import test_properties
 from conftest import CATALOG_BATTERY, analyze
+
+# the recorded stdout of `verify-paper --deviations-ok`; a refactoring of the
+# claims table or its evaluator must keep every byte of it
+GOLDEN_VERIFY = Path(__file__).parent / "data" / "verify_paper_deviations_ok.json"
 
 # (dim Inner, dim RCAID, dim AID, dim Der) as recorded for the 4-dim table
 PUBLISHED_ROWS = {
@@ -154,6 +159,13 @@ def test_criterion_1_run_passes_only_under_deviations_ok(verify_runs):
     # the pre-flagged rows resolve to deviations carrying certificates
     flagged = [c for c in table_checks if ":L4:" in c["name"] or ":L13:" in c["name"]]
     assert all(c["deviations"] for c in flagged)
+
+
+def test_verify_paper_output_matches_the_golden_file(verify_runs):
+    # every check, verdict, info field (in order) and certificate, byte for byte
+    _, (_, ok_out) = verify_runs
+    golden = GOLDEN_VERIFY.read_text(encoding="utf-8")
+    assert ok_out == golden
 
 
 # -- criterion 2: null-filiform AID = Inner, certified ------------------------

@@ -109,6 +109,23 @@ def test_analyze_rejects_unknown_refs_and_bad_files(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "product",
+    [
+        {"i": 1, "j": 1, "c": [1]},  # coefficient map not an object
+        {"i": True, "j": 1, "c": {"2": "1"}},  # bool index
+        {"i": 1, "j": 1, "c": {"2": True}},  # bool coefficient
+    ],
+    ids=["list-coefficients", "bool-index", "bool-coefficient"],
+)
+def test_analyze_rejects_malformed_products(capsys, write_algebra, product):
+    path = write_algebra("malformed.json", {"dim": 2, "products": [product]})
+    code, out, err = run(capsys, "analyze", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_analyze_seed_is_recorded(capsys):
     code, out, _ = run(
         capsys, "analyze", "catalog:NF:3", "--seed", "7", "--format", "json"
@@ -181,6 +198,17 @@ def test_fuzz_reports_invariant_towers(capsys):
     assert sum(doc["statuses"].values()) == 4  # reference + three trials
 
 
+@pytest.mark.parametrize("ref", ["catalog:D4:L9", "catalog:G53"])
+def test_fuzz_reference_dims_match_the_analyzed_tower(capsys, ref):
+    code, out, _ = run(capsys, "fuzz", ref, "--basis-changes", "1")
+    assert code == 0
+    fuzz_dims = json.loads(out)["reference_dims"]
+    code, out, _ = run(capsys, "analyze", ref, "--format", "json")
+    assert code == 0
+    tower = json.loads(out)["tower"]
+    assert fuzz_dims == {k: tower[k] for k in ("der", "inner", "aid", "rcaid", "caid")}
+
+
 # -- verify-paper -------------------------------------------------------------
 
 
@@ -218,6 +246,35 @@ def test_verify_deviations_ok_accepts_certificated_mismatches(verify_runs):
     for check in doc["checks"]:
         for dev in check["deviations"]:
             assert dev["certificate"], dev["location"]
+
+
+def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
+    import leibniz_aid.algebra as alg_mod
+    import leibniz_aid.catalog as cat_mod
+    import leibniz_aid.derivations as der_mod
+
+    calls = {"derivation_space": 0, "inner_space": 0, "annihilators": 0}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(der_mod, "derivation_space")
+    counting(der_mod, "inner_space")
+    counting(der_mod, "annihilators")
+    counting(alg_mod, "annihilators")
+    main(["verify-paper", "--nmax", "2"])
+    capsys.readouterr()
+    claims = cat_mod.paper_claims(2)
+    assert calls["derivation_space"] == calls["inner_space"] == len(claims)
+    # one analysis_report per table row, one RCAID per row that reports it
+    reporting = [c for c in claims if c.kind == "table" or "rcaid_dim" in c.fields]
+    assert calls["annihilators"] == len(reporting)
 
 
 def test_verify_every_check_has_a_verdict(verify_runs):
