@@ -23,7 +23,10 @@ from .exactlin import (
     solve_linear,
     subspace_intersect,
     _freeze,
+    _int_matrix,
+    _int_rows,
     _rref_rows,
+    _subspace_int,
 )
 
 Vector = tuple[Q, ...]
@@ -154,16 +157,27 @@ class LeibnizAlgebra:
                             tuple(Q(v, den * den) for v in rhs),
                         )
 
-    def scaled_constants(self) -> tuple[int, list[list[list[tuple[int, int]]]]]:
+    def scaled_constants(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
         """(den, nz): one common denominator of the constants, and nz[i][j]
-        the pairs (k, den * c[i][j][k]) for the nonzero constants, as ints."""
-        c = self.constants
-        den = lcm(*(v.denominator for plane in c for row in plane for v in row))
-        return den, [
-            [[(k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v]
-             for row in plane]
-            for plane in c
-        ]
+        the pairs (k, den * c[i][j][k]) for the nonzero constants, as ints.
+
+        Computed once per algebra and kept in the instance; tuples all the
+        way down, so no caller can change the shared copy.
+        """
+        cached = self.__dict__.get("_scaled_constants")
+        if cached is None:
+            c = self.constants
+            den = lcm(*(v.denominator for plane in c for row in plane for v in row))
+            cached = den, tuple(
+                tuple(
+                    tuple((k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v)
+                    for row in plane
+                )
+                for plane in c
+            )
+            # the dataclass is frozen; the cache is not one of its fields
+            self.__dict__["_scaled_constants"] = cached
+        return cached
 
     def basis_coords(self, i: int) -> Vector:
         """Coordinates of the 0-based i-th basis vector."""
@@ -212,13 +226,25 @@ class LeibnizAlgebra:
 
 
 def product_span(alg: LeibnizAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
-    """Span of [u, v] over basis vectors u of s1 and v of s2."""
-    vectors = [
-        alg.product(u, v)
-        for u in s1.basis_vectors()
-        for v in s2.basis_vectors()
-    ]
-    return Subspace.from_vectors(alg.dim, vectors)
+    """Span of [u, v] over basis vectors u of s1 and v of s2.
+
+    Each basis vector is scaled to integers and the products are taken with
+    the integer constants: the same lines, so the same span.
+    """
+    nz = alg.scaled_constants()[1]
+    left, right = _int_rows(s1.basis_vectors()), _int_rows(s2.basis_vectors())
+    rows = []
+    for u in left:
+        for v in right:
+            out: dict[int, int] = {}
+            for i, ui in u.items():
+                plane = nz[i]
+                for j, vj in v.items():
+                    c = ui * vj
+                    for k, w in plane[j]:
+                        out[k] = out.get(k, 0) + c * w
+            rows.append({k: w for k, w in out.items() if w})
+    return _subspace_int(alg.dim, rows)
 
 
 @dataclass(frozen=True)
@@ -361,13 +387,30 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     n = alg.dim
     if (p.rows, p.cols) != (n, n):
         raise SingularMatrix("base change matrix has the wrong shape")
-    cols = [p.col(j) for j in range(n)]
-    inv = _transition_inverse(cols, n)
+    inv = _transition_inverse([p.col(j) for j in range(n)], n)
+    # over ints: U = s P, Z = d P^-1 and the constants scaled by den, so
+    # Z [u_i, u_j] is the coordinate vector of [f_i, f_j] times d den s^2
+    den, nz = alg.scaled_constants()
+    s, u = _int_matrix(p.entries)
+    d, z = _int_matrix(inv.entries)
+    scale = d * den * s * s
+    ucols = [[(a, u[a][j]) for a in range(n) if u[a][j]] for j in range(n)]
     products: dict[tuple[int, int], dict[int, Q]] = {}
     for i in range(n):
         for j in range(n):
-            w = inv.apply(alg.product(cols[i], cols[j]))
-            coeffs = {k + 1: v for k, v in enumerate(w) if v}
+            w = [0] * n
+            for a, ua in ucols[i]:
+                plane = nz[a]
+                for b, ub in ucols[j]:
+                    c = ua * ub
+                    for k, v in plane[b]:
+                        w[k] += c * v
+            coeffs = {}
+            if any(w):
+                for k, row in enumerate(z):
+                    t = sum(x * y for x, y in zip(row, w) if y)
+                    if t:
+                        coeffs[k + 1] = Q(t, scale)
             if coeffs:
                 products[(i + 1, j + 1)] = coeffs
     return LeibnizAlgebra.build(n, products, check="enforce")

@@ -504,13 +504,14 @@ def inner_witness_certificate(alg: LeibnizAlgebra, gen: RationalMatrix,
 
 
 def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
-                           inner) -> tuple[str, dict]:
+                           inner, basis) -> tuple[str, dict]:
     """Classify a claimed complement generator; returns (verdict, certificate).
 
     Verdicts: 'not_aid' (refuting x found), 'inner' (explicit combination,
     so the generator cannot extend Inner), 'ok' (in AID, outside Inner).
+    `basis` is the analysis's series-adapted basis, or None.
     """
-    outcome = aid_certify(alg, gen)
+    outcome = aid_certify(alg, gen, _basis=basis)
     if outcome.kind == "refuted":
         return "not_aid", {
             "kind": "refuting_x",
@@ -531,11 +532,12 @@ def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
 
 
 def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner,
-                     aid, rcaid, ann_r) -> list:
+                     aid, rcaid, ann_r, _basis=None) -> list:
     """Compare an analysis against the recorded expected values.
 
     `der`, `inner` and `rcaid` are the analysis's spaces, `aid` its
-    AidResult and `ann_r` the right annihilator of `alg`.
+    AidResult and `ann_r` the right annihilator of `alg`; `_basis` is the
+    series-adapted basis of the analysis, when the caller has it.
     """
     from .derivations import Deviation
 
@@ -554,7 +556,7 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
     gen_cert = None
     if expected.generator is not None:
         gen_verdict, gen_cert = _generator_certificate(
-            alg, expected.generator, expected.generator_label, inner)
+            alg, expected.generator, expected.generator_label, inner, _basis)
     if expected.aid is not None and aid.upper_bound.dim != expected.aid:
         if gen_cert is not None and gen_verdict != "ok":
             cert = gen_cert

@@ -333,7 +333,7 @@ def _tower_dims(algebra, cfg) -> tuple[dict, str]:
     symbolic certification succeeds in one basis and not another; the
     certification status is returned separately as data.
     """
-    der, inner, aid = der_mod._der_inner_aid(algebra, cfg)
+    der, inner, aid, _ = der_mod._der_inner_aid(algebra, cfg)
     ann = alg_mod.annihilators(algebra)
     dims = {
         "der": der.dim, "inner": inner.dim, "aid": aid.upper_bound.dim,
@@ -376,7 +376,7 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
         return _check(claim, not report.deviations, report.deviations,
                       {"tower": dict(report.tower), "status": report.aid.status})
     deviations = []
-    der, inner, aid = der_mod._der_inner_aid(algebra, cfg)
+    der, inner, aid, basis = der_mod._der_inner_aid(algebra, cfg)
     exact = aid.status == "certified_exact"
     values = {"status": aid.status, "der_dim": der.dim,
               "aid_dim": aid.upper_bound.dim, "inner_dim": inner.dim}
@@ -390,7 +390,7 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
     collapses = exact and aid.upper_bound == inner
     gen = claim.generator
     if gen is not None:
-        outcome = der_mod.aid_certify(algebra, gen)
+        outcome = der_mod.aid_certify(algebra, gen, _basis=basis)
         values["generator_certified"] = values["generator_outcome"] = outcome.kind
         if outcome.kind == "refuted":
             values["refuting_x"] = cat_mod.vec_json(outcome.refuting_x)

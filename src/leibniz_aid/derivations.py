@@ -41,7 +41,11 @@ from .exactlin import (
     RationalMatrix,
     Subspace,
     _freeze,
+    _int_matrix,
+    _nullspace_int,
+    _primitive_map,
     _primitive_row,
+    _subspace_int,
     nullspace,
     restrict,
     solve_linear,
@@ -102,28 +106,41 @@ def endo_actions(alg: LeibnizAlgebra, m: RationalMatrix) -> list[str]:
 
 
 def derivation_space(alg: LeibnizAlgebra) -> Subspace:
-    """Null space of the Leibniz-rule constraints in endomorphism space."""
+    """Null space of the Leibniz-rule constraints in endomorphism space.
+
+    The constraint for (i, j) at coordinate m is
+    sum_k c[i][j][k] D[m][k] - c[k][j][m] D[k][i] - c[i][k][m] D[k][j] = 0.
+    Rows are built sparse from the integer constants, made primitive and
+    deduplicated, then eliminated by the sparse integer kernel.
+    """
     n = alg.dim
-    c = alg.constants
-    rows: list[list[Q]] = []
-    seen: set[tuple[Q, ...]] = set()
+    _, nz = alg.scaled_constants()
+    # by_left[i]: (k, m, c[i][k][m]); by_right[j]: (k, m, c[k][j][m])
+    by_left = [[(k, m, v) for k in range(n) for m, v in nz[i][k]] for i in range(n)]
+    by_right = [[(k, m, v) for k in range(n) for m, v in nz[k][j]] for j in range(n)]
+    rows: list[dict[int, int]] = []
+    seen: set[tuple[tuple[int, int], ...]] = set()
     for i in range(n):
         for j in range(n):
-            cij = c[i][j]
-            for m in range(n):
-                row = [QZERO] * (n * n)
-                for k in range(n):
-                    if cij[k]:
-                        row[m * n + k] += cij[k]
-                    if c[k][j][m]:
-                        row[k * n + i] -= c[k][j][m]
-                    if c[i][k][m]:
-                        row[k * n + j] -= c[i][k][m]
-                key = tuple(row)
-                if any(row) and key not in seen:
-                    seen.add(key)
-                    rows.append(row)
-    return nullspace(RationalMatrix(len(rows), n * n, _freeze(rows)))
+            acc: list[dict[int, int]] = [{} for _ in range(n)]
+            for k, v in nz[i][j]:
+                for m in range(n):
+                    acc[m][m * n + k] = v
+            for k, m, v in by_right[j]:
+                row = acc[m]
+                row[k * n + i] = row.get(k * n + i, 0) - v
+            for k, m, v in by_left[i]:
+                row = acc[m]
+                row[k * n + j] = row.get(k * n + j, 0) - v
+            for row in acc:
+                row = {col: v for col, v in row.items() if v}
+                if row:
+                    row = _primitive_map(row)
+                    key = tuple(sorted(row.items()))
+                    if key not in seen:
+                        seen.add(key)
+                        rows.append(row)
+    return _nullspace_int(rows, n * n)
 
 
 def inner_space(alg: LeibnizAlgebra) -> Subspace:
@@ -642,30 +659,71 @@ def _decide(
     del ctx.log[mark:]
     if out_nz.kind == "refuted":
         return out_nz
-    # branch split_poly == 0
-    if split is None:
+    # branch split_poly == 0, as cases (label, k, t_k's replacement, nonzero)
+    if split is not None:
+        k, coeff = split
+        replacement = (split_poly - Poly.var(pivot.nvars, k, coeff)).scale(Q(-1) / coeff)
+        cases = [(f"{split_poly} = 0", k, replacement, nonzero)]
+    else:
+        cases = _factor_cases(pivot, nz_vars, nonzero)
+    if cases is None:
         note = f"cannot solve {pivot} = 0 (nonlinear in every variable)"
         if out_nz.kind == "proved":
             return CertOutcome("inconclusive", branch_log=tuple(ctx.log) + (note,))
         return CertOutcome("inconclusive", branch_log=out_nz.branch_log + (note,))
-    k, coeff = split
-    replacement = (split_poly - Poly.var(pivot.nvars, k, coeff)).scale(Q(-1) / coeff)
-    ctx.log.append(f"case {split_poly} = 0, t{k + 1} := {replacement}")
-    zero_rows = [
-        ([p.subs_var(k, replacement) for p in coeffs], rhs.subs_var(k, replacement))
-        for coeffs, rhs in rows
-    ]
-    out_zero = _decide(ctx, zero_rows, depth + 1, nonzero, subs + [(k, replacement)])
-    del ctx.log[mark:]
-    if out_zero.kind == "refuted":
-        return out_zero
-    if out_nz.kind == out_zero.kind == "proved":
+    outs = [out_nz]
+    for label, k, replacement, case_nonzero in cases:
+        ctx.log.append(f"case {label}, t{k + 1} := {replacement}")
+        zero_rows = [
+            ([p.subs_var(k, replacement) for p in coeffs], rhs.subs_var(k, replacement))
+            for coeffs, rhs in rows
+        ]
+        out = _decide(ctx, zero_rows, depth + 1, case_nonzero, subs + [(k, replacement)])
+        del ctx.log[mark:]
+        if out.kind == "refuted":
+            return out
+        outs.append(out)
+    if all(out.kind == "proved" for out in outs):
         return CertOutcome("proved", branch_log=tuple(ctx.log))
     logs = tuple(ctx.log)
-    for out in (out_nz, out_zero):
+    for out in outs:
         if out.kind == "inconclusive":
             logs = logs + out.branch_log[-2:]
     return CertOutcome("inconclusive", branch_log=logs)
+
+
+def _factor_cases(
+    pivot: Poly, nz_vars: set[int], nonzero: list[Poly]
+) -> list[tuple[str, int, Poly, list[Poly]]] | None:
+    """Zero-branch cases of a pivot m * l, or None.
+
+    m is the pivot's monomial gcd and l = pivot / m must be a constant, a
+    linear form or a power of one.  m * l = 0 splits into t_v = 0 for each
+    variable v of m the branch does not force nonzero, then all those t_v
+    nonzero and l = 0, solved for one variable of l.  Each case is
+    (label, k, replacement for t_k, nonzero stack of the case).
+    """
+    nvars = pivot.nvars
+    mono = pivot.monomial_gcd()
+    if not any(mono):
+        return None
+    ell = pivot.divide_monomial(mono)
+    if ell.total_degree() > 1:
+        ell = _linear_power(ell)
+        if ell is None:
+            return None
+    zero = Poly.zero(nvars)
+    mvars = [v for v, e in enumerate(mono) if e and v not in nz_vars]
+    cases = [(f"t{v + 1} = 0", v, zero, nonzero) for v in mvars]
+    if not ell.is_constant():
+        k, coeff = ell.linear_var_with_constant_coeff()
+        replacement = (ell - Poly.var(nvars, k, coeff)).scale(Q(-1) / coeff)
+        stacked = list(nonzero)
+        for v in mvars:
+            stacked += _stack_entries(Poly.var(nvars, v).subs_var(k, replacement))
+        label = "".join(f"t{v + 1} != 0, " for v in mvars) + f"{ell} = 0"
+        cases.append((label, k, replacement, stacked))
+    return cases
 
 
 @dataclass(frozen=True)
@@ -692,6 +750,25 @@ def _series_adapted_basis(alg: LeibnizAlgebra, series: SeriesReport) -> _Adapted
     if p == RationalMatrix.identity(n):
         return _AdaptedBasis(alg)
     return _AdaptedBasis(change_basis(alg, p), p, _transition_inverse(columns, n))
+
+
+def _conjugated(space: Subspace, basis: _AdaptedBasis) -> Subspace:
+    """{P D P^-1 : D in space}, for a space of endomorphisms in the adapted
+    basis.  Each P D P^-1 is formed over the ints, up to a nonzero factor
+    that leaves the span alone."""
+    n = basis.alg.dim
+    p, pinv = _int_matrix(basis.p.entries)[1], _int_matrix(basis.pinv.entries)[1]
+    rows = []
+    for v in space.basis_vectors():
+        d = _int_matrix(vec_to_endo(v, n).entries)[1]
+        m = _int_product(_int_product(p, d), pinv)
+        rows.append({r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x})
+    return _subspace_int(n * n, rows)
+
+
+def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
 
 
 def aid_certify(
@@ -804,12 +881,24 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
 
 def _der_inner_aid(
     alg: LeibnizAlgebra, cfg: AidConfig, series: SeriesReport | None = None
-) -> tuple[Subspace, Subspace, AidResult]:
-    """Der, Inner and AID of one algebra, each computed once; `series` is the
-    central series when the caller has it already."""
-    der = derivation_space(alg)
-    inner = inner_space(alg)
+) -> tuple[Subspace, Subspace, AidResult, _AdaptedBasis]:
+    """Der, Inner and AID of one algebra, each computed once, and the
+    series-adapted basis they used; `series` is the central series when the
+    caller has it already.
+
+    Der is solved in the series-adapted basis, where the Leibniz-rule system
+    is sparse, and each basis vector is mapped back by D -> P D P^-1.  Inner,
+    the linear candidate and the sampling refinement stay in the given basis:
+    the basis-vector slice D e_i in [e_i, L] and the sample grid depend on
+    the basis, and so do the samples and witnesses reported.
+    """
     n = alg.dim
+    basis = _series_adapted_basis(alg, series if series is not None else central_series(alg))
+    if basis.p is None:
+        der = derivation_space(alg)
+    else:
+        der = _conjugated(derivation_space(basis.alg), basis)
+    inner = inner_space(alg)
     cand = aid_basis_candidate(alg, der)
     space, samples = aid_refine(alg, cand, cfg, floor=inner.dim)
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
@@ -818,7 +907,6 @@ def _der_inner_aid(
     depth_limit = cfg.depth_limit if cfg.depth_limit is not None else 2 * n
     rounds = 0
     status = "certified_exact"
-    basis = None  # the series-adapted basis, computed once if a generator needs it
     while True:
         rounds += 1
         if rounds > cfg.max_rounds:
@@ -830,10 +918,6 @@ def _der_inner_aid(
         shrunk = False
         for gen_vec in comp.basis_vectors():
             gmat = vec_to_endo(gen_vec, n)
-            if basis is None:
-                basis = _series_adapted_basis(
-                    alg, series if series is not None else central_series(alg)
-                )
             outcome = aid_certify(alg, gmat, depth_limit, cfg.node_budget, _basis=basis)
             if outcome.kind == "proved":
                 proved_gens.append((gmat, outcome))
@@ -857,7 +941,7 @@ def _der_inner_aid(
         proved = space
     if status != "partial":
         status = "certified_exact" if proved is space else "probabilistic"
-    return der, inner, AidResult(
+    aid = AidResult(
         upper_bound=space,
         proved=proved,
         status=status,
@@ -868,6 +952,7 @@ def _der_inner_aid(
         proved_generators=tuple(proved_gens),
         inconclusive_generators=tuple(inconclusive),
     )
+    return der, inner, aid, basis
 
 
 # ---------------------------------------------------------------------------
@@ -1022,7 +1107,7 @@ def analysis_report(
 
     series = central_series(alg)
     ann = annihilators(alg)
-    der, inner, aid = _der_inner_aid(alg, cfg, series)
+    der, inner, aid, basis = _der_inner_aid(alg, cfg, series)
     notes = [
         "field: Q; sampling and certificates range over rational points only",
         "matrix convention: column j is the image of e_j; transposed "
@@ -1078,7 +1163,7 @@ def analysis_report(
     if expected is not None:
         deviations = tuple(
             build_deviations(alg, expected, algebra_id, der=der, inner=inner,
-                             aid=aid, rcaid=rcaid, ann_r=ann.ann_r)
+                             aid=aid, rcaid=rcaid, ann_r=ann.ann_r, _basis=basis)
         )
     return AnalysisReport(
         algebra_id=algebra_id,

@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
 The interface is `fractions.Fraction`: every matrix, vector and subspace
-this module takes or returns holds Fractions.  The elimination kernel
-beneath it runs over Python ints: each row is cleared of denominators,
-Gauss-Jordan proceeds fraction-free, and each pivot row is divided by its
-pivot only at the end.  Elimination always picks the first nonzero entry as
-pivot (no magnitude pivoting, so results are deterministic), and a subspace
-is represented by the reduced row echelon basis of its spanning set.  That
-representation is canonical: two subspaces are equal iff their stored bases
-are equal entrywise.
+this module takes or returns holds Fractions.  Beneath it is one
+elimination kernel, `_rref_int`, sparse and over Python ints: rows are
+{col: int} maps kept primitive, each row is reduced against the pivot rows
+by its leading column, a back-substitution pass clears the other pivot
+columns, and each pivot row is divided by its pivot only at the end.
+Callers that build integer rows themselves (the Leibniz-rule system,
+product spans) enter it through `_nullspace_int` and `_subspace_int`,
+without a round trip through Fractions.  A subspace is represented by the
+reduced row echelon basis of its spanning set.  That form is unique, so it
+is canonical: two subspaces are equal iff their stored bases are equal
+entrywise, whatever order the kernel met the rows in.
 """
 
 from __future__ import annotations
@@ -143,55 +146,145 @@ class RrefResult:
 
 
 def _rref_rows(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Gauss-Jordan on a list of equal-length row lists; returns (rows, pivot cols).
+    """Reduced row echelon form of a list of equal-length Fraction rows;
+    returns (rows, pivot cols).
 
-    The pivot in each column is the first row with a nonzero entry, never the
-    entry of largest magnitude, so the computation is deterministic and the
-    result canonical.  The arithmetic is over ints: every row is scaled to a
-    primitive integer row, a row update p*row - f*pivot_row is divided by its
-    content, and each pivot row is divided by its pivot only at the end.  The
-    nonzero rows of the reduced echelon form are unique and the remaining rows
-    are zero, so the Fractions returned are those of rational Gauss-Jordan.
+    A thin adapter over the sparse integer kernel `_rref_int`.  The nonzero
+    rows of the reduced echelon form are unique; they come first, by pivot
+    column, and zero rows pad the result to the input's row count.
     """
-    work = []
+    ncols = len(rows[0]) if rows else 0
+    reduced = _rref_int(_int_rows(rows))
+    out = _fraction_rows(reduced, ncols)
+    out.extend([QZERO] * ncols for _ in range(len(rows) - len(reduced)))
+    return out, [c for c, _ in reduced]
+
+
+def _int_rows(rows: Iterable[Sequence[Q]]) -> list[dict[int, int]]:
+    """The nonzero Fraction rows as sparse {col: int} rows, each scaled by
+    the lcm of its denominators."""
+    out = []
     for row in rows:
         den = lcm(*(v.denominator for v in row))
-        work.append(_primitive_row([v.numerator * (den // v.denominator) for v in row]))
-    nrows = len(work)
-    cols = len(work[0]) if work else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        for i in range(r, nrows):
-            if work[i][c]:
-                break
-        else:
-            continue
-        work[r], work[i] = work[i], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(nrows):
-            f = work[i][c]
-            if f and i != r:
-                g = gcd(p, f)
-                a, b = p // g, f // g
-                work[i] = _primitive_row([a * u - b * v for u, v in zip(work[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
+        sparse = {c: v.numerator * (den // v.denominator) for c, v in enumerate(row) if v}
+        if sparse:
+            out.append(sparse)
+    return out
+
+
+def _int_matrix(rows: Sequence[Sequence[Q]]) -> tuple[int, list[list[int]]]:
+    """(d, Z): the lcm d of the denominators and the integer rows Z = d * rows."""
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+
+
+def _fraction_rows(reduced: list[tuple[int, dict[int, int]]], ncols: int) -> list[list[Q]]:
+    """Kernel output as dense Fraction rows, each divided by its pivot.
+
+    Equal entries share one Fraction object: callers keep many subspaces
+    alive (every AidResult holds its bounds), and most entries repeat.
+    """
     out = []
-    for row, c in zip(work, pivots):
+    shared: dict[tuple[int, int], Q] = {}
+    for c, row in reduced:
         p = row[c]
-        out.append([Q(v, p) if v else QZERO for v in row])
-    out.extend([QZERO] * cols for _ in range(nrows - r))
-    return out, pivots
+        dense = [QZERO] * ncols
+        for k, v in row.items():
+            f = Q(v, p)
+            dense[k] = shared.setdefault((f.numerator, f.denominator), f)
+        out.append(dense)
+    return out
+
+
+def _rref_int(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
+    """The one elimination kernel: sparse, fraction-free, over ints.
+
+    Rows are {col: int} maps without zero entries.  Each row is reduced
+    against the pivot rows by its leading column until it is zero or leads
+    in a new column, which makes it a pivot row.  A back-substitution pass,
+    last pivot first, then clears every pivot row at the other pivot
+    columns.  Every update a*row - b*pivot_row is divided by its content, so
+    rows stay primitive.  Returns (pivot col, row) by pivot column; dividing
+    each row by its entry at the pivot gives the reduced echelon form.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        while row:
+            c = min(row)
+            prow = pivots.get(c)
+            if prow is None:
+                pivots[c] = _primitive_map(row)
+                break
+            row = _eliminate(row, c, prow)
+    order = sorted(pivots)
+    for c in reversed(order):
+        row = pivots[c]
+        for k in [k for k in row if k != c and k in pivots]:
+            row = _eliminate(row, k, pivots[k])
+        pivots[c] = row
+    return [(c, pivots[c]) for c in order]
+
+
+def _eliminate(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int]:
+    """The primitive part of a*row - b*prow, with a, b chosen to clear col c."""
+    p, f = prow[c], row[c]
+    g = gcd(p, f)
+    a, b = p // g, f // g
+    out = {k: a * v for k, v in row.items()} if a != 1 else dict(row)
+    for k, v in prow.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            del out[k]
+    return _primitive_map(out)
+
+
+def _primitive_map(row: dict[int, int]) -> dict[int, int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
 def _primitive_row(row: list[int]) -> list[int]:
-    """The integer row divided by the gcd of its entries."""
+    """The dense integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return [v // g for v in row] if g > 1 else row
+
+
+def _nullspace_int(rows: Iterable[dict[int, int]], ncols: int) -> "Subspace":
+    """Canonical basis of the null space of sparse integer rows in Q^ncols.
+
+    For each free column f the vector with 1 at f and -row[f]/pivot at each
+    pivot column is scaled to integers, and the kernel then puts the span of
+    those vectors into reduced echelon form.
+    """
+    reduced = _rref_int(rows)
+    # hits[f]: (pivot col, pivot entry, entry at f) of the rows nonzero at f
+    hits: dict[int, list[tuple[int, int, int]]] = {}
+    for c, row in reduced:
+        p = row[c]
+        for f, v in row.items():
+            if f != c:
+                hits.setdefault(f, []).append((c, p, v))
+    pivot_cols = {c for c, _ in reduced}
+    vectors = []
+    for f in range(ncols):
+        if f in pivot_cols:
+            continue
+        column = hits.get(f, ())
+        scale = lcm(*(p for _, p, _ in column))
+        vec = {f: scale}
+        for c, p, v in column:
+            vec[c] = -v * (scale // p)
+        vectors.append(vec)
+    return _subspace_int(ncols, vectors)
+
+
+def _subspace_int(ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
+    """The Subspace spanned by sparse integer rows."""
+    basis = _fraction_rows(_rref_int(row for row in rows if row), ambient_dim)
+    return Subspace(ambient_dim, RationalMatrix(len(basis), ambient_dim, _freeze(basis)))
 
 
 def rref(matrix: RationalMatrix) -> RrefResult:
@@ -205,17 +298,7 @@ def rref(matrix: RationalMatrix) -> RrefResult:
 
 def nullspace(matrix: RationalMatrix) -> "Subspace":
     """Canonical basis of {v : Mv = 0} inside Q^cols."""
-    res = rref(matrix)
-    pivots = set(res.pivots)
-    free = [c for c in range(matrix.cols) if c not in pivots]
-    vectors = []
-    for f in free:
-        v = [QZERO] * matrix.cols
-        v[f] = QONE
-        for r, p in enumerate(res.pivots):
-            v[p] = -res.matrix.entries[r][f]
-        vectors.append(v)
-    return Subspace.from_vectors(matrix.cols, vectors)
+    return _nullspace_int(_int_rows(matrix.entries), matrix.cols)
 
 
 def solve_linear(matrix: RationalMatrix, rhs: Sequence) -> tuple[Q, ...] | None:
@@ -256,9 +339,7 @@ class Subspace:
             if len(row) != ambient_dim:
                 raise DimensionMismatch("vector does not live in the ambient space")
             rows.append(row)
-        rows, pivots = _rref_rows(rows)
-        rows = rows[: len(pivots)]
-        return Subspace(ambient_dim, RationalMatrix(len(rows), ambient_dim, _freeze(rows)))
+        return _subspace_int(ambient_dim, _int_rows(rows))
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
@@ -346,8 +427,9 @@ def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
         raise NotASubspace("first space is not contained in the second")
     rows = s2.basis.entries
     _, pivots = _rref_rows([list(c) for c in zip(*s1.basis.entries, *rows)])
-    taken = [rows[p - s1.dim] for p in pivots if p >= s1.dim]
-    return Subspace.from_vectors(s1.ambient_dim, taken)
+    # rows of a reduced echelon basis are one too: no elimination needed
+    taken = tuple(rows[p - s1.dim] for p in pivots if p >= s1.dim)
+    return Subspace(s1.ambient_dim, RationalMatrix(len(taken), s1.ambient_dim, taken))
 
 
 def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspace:
@@ -359,7 +441,8 @@ def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspac
     # Constraints expressed in the coordinates of the basis: (C B^T) y = 0.
     small = []
     for c in rows:
-        small.append([sum((a * b for a, b in zip(c, brow) if a), QZERO) for brow in basis])
+        nz = [(k, a) for k, a in enumerate(c) if a]
+        small.append([sum((a * brow[k] for k, a in nz), QZERO) for brow in basis])
     sol = nullspace(RationalMatrix(len(small), space.dim, _freeze(small)))
     vectors = []
     for y in sol.basis.entries:

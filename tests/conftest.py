@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+from fractions import Fraction
 
 import pytest
 import sympy as sp
@@ -46,6 +48,126 @@ def sympy_derivation_dim(alg: la.LeibnizAlgebra) -> int:
                 eqs.append(sp.expand(lhs - rhs))
     mat = sp.Matrix([[e.coeff(s) for s in syms] for e in eqs])
     return n * n - mat.rank()
+
+
+# -- the dense elimination oracle ---------------------------------------------
+#
+# The package eliminates on one sparse integer kernel.  The functions below
+# are the dense Gauss-Jordan it replaced, kept as an independent second
+# opinion: same pivot rule, same canonical reduced echelon form.
+
+
+def dense_rref_rows(rows: list[list]) -> tuple[list[list], list[int]]:
+    """Dense fraction-free Gauss-Jordan; returns (rows, pivot cols), with the
+    nonzero rows first and zero rows padding to the input's row count."""
+    work = []
+    for row in rows:
+        den = math.lcm(*(v.denominator for v in row))
+        work.append(_dense_primitive([v.numerator * (den // v.denominator) for v in row]))
+    nrows = len(work)
+    cols = len(work[0]) if work else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        for i in range(r, nrows):
+            if work[i][c]:
+                break
+        else:
+            continue
+        work[r], work[i] = work[i], work[r]
+        prow = work[r]
+        p = prow[c]
+        for i in range(nrows):
+            f = work[i][c]
+            if f and i != r:
+                g = math.gcd(p, f)
+                a, b = p // g, f // g
+                work[i] = _dense_primitive([a * u - b * v for u, v in zip(work[i], prow)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    out = []
+    for row, c in zip(work, pivots):
+        p = row[c]
+        out.append([Fraction(v, p) for v in row])
+    out.extend([Fraction(0)] * cols for _ in range(nrows - r))
+    return out, pivots
+
+
+def _dense_primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def dense_subspace(n: int, vectors) -> la.Subspace:
+    rows, pivots = dense_rref_rows([list(v) for v in vectors])
+    basis = tuple(tuple(r) for r in rows[: len(pivots)])
+    return la.Subspace(n, la.RationalMatrix(len(basis), n, basis))
+
+
+def dense_nullspace(m: la.RationalMatrix) -> la.Subspace:
+    rows, pivots = dense_rref_rows([list(r) for r in m.entries])
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            v[p] = -rows[r][f]
+        vectors.append(v)
+    return dense_subspace(m.cols, vectors)
+
+
+def dense_solve_linear(m: la.RationalMatrix, rhs: list) -> tuple | None:
+    rows, pivots = dense_rref_rows([list(r) + [b] for r, b in zip(m.entries, rhs)])
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = rows[r][m.cols]
+    return tuple(x)
+
+
+def dense_subspace_intersect(s1: la.Subspace, s2: la.Subspace) -> la.Subspace:
+    n = s1.ambient_dim
+    rows = [list(r) + list(r) for r in s1.basis.entries]
+    rows += [list(r) + [Fraction(0)] * n for r in s2.basis.entries]
+    rows, _ = dense_rref_rows(rows)
+    return dense_subspace(n, [r[n:] for r in rows if not any(r[:n]) and any(r[n:])])
+
+
+def dense_derivation_space(alg: la.LeibnizAlgebra) -> la.Subspace:
+    """Der from the Leibniz rule written out as dense Fraction rows."""
+    n = alg.dim
+    c = alg.constants
+    rows = []
+    for i in range(n):
+        for j in range(n):
+            for m in range(n):
+                row = [Fraction(0)] * (n * n)
+                for k in range(n):
+                    row[m * n + k] += c[i][j][k]
+                    row[k * n + i] -= c[k][j][m]
+                    row[k * n + j] -= c[i][k][m]
+                rows.append(row)
+    return dense_nullspace(la.RationalMatrix(len(rows), n * n, tuple(map(tuple, rows))))
+
+
+def fraction_central_series_terms(alg: la.LeibnizAlgebra) -> list[la.Subspace]:
+    """L^1 = L, L^{k+1} = [L^k, L] with Fraction products, until it is
+    zero or stops shrinking."""
+    n = alg.dim
+    full = la.Subspace.full(n)
+    terms = [full]
+    while True:
+        products = [alg.product(u, e) for u in terms[-1].basis_vectors()
+                    for e in full.basis_vectors()]
+        nxt = dense_subspace(n, products)
+        stalled = nxt.dim == terms[-1].dim
+        if nxt.dim or not stalled:
+            terms.append(nxt)
+        if stalled or nxt.dim == 0:
+            return terms
 
 
 @functools.cache

@@ -28,6 +28,8 @@ from leibniz_aid.algebra import (
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in
 
+from conftest import fraction_central_series_terms
+
 NF3 = catalog.make(catalog.parse_ref("catalog:NF:3"))
 SOLVABLE = LeibnizAlgebra.build(2, {(2, 1): {2: 1}})  # [e2,e1]=e2, not nilpotent
 
@@ -209,6 +211,27 @@ def test_product_span():
     full = Subspace.full(3)
     sq = product_span(NF3, full, full)
     assert sq == Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
+
+
+@pytest.mark.parametrize(
+    "ref", ["catalog:NF:5", "catalog:D4:L9", "catalog:F1:6:0,0,-3/2,0", "catalog:G53"]
+)
+def test_central_series_matches_the_fraction_products(ref):
+    rng = random.Random(11)
+    base = catalog.make(catalog.parse_ref(ref))
+    for alg in (base, change_basis(base, _random_invertible(rng, base.dim)), SOLVABLE):
+        assert list(central_series(alg).terms) == fraction_central_series_terms(alg)
+
+
+def test_scaled_constants_are_computed_once_and_immutable():
+    alg = change_basis(NF3, _random_invertible(random.Random(3), 3))
+    den, nz = alg.scaled_constants()
+    assert alg.scaled_constants() is alg.scaled_constants()
+    assert isinstance(nz, tuple)
+    assert all(isinstance(x, tuple) for plane in nz for row in plane for x in (plane, row))
+    # the cache is no field: equality and hashing see the constants only
+    assert alg == LeibnizAlgebra(alg.dim, alg.constants)
+    assert hash(alg) == hash(LeibnizAlgebra(alg.dim, alg.constants))
 
 
 # -- quotient, direct sum, base change ----------------------------------

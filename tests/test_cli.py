@@ -253,7 +253,8 @@ def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
     import leibniz_aid.catalog as cat_mod
     import leibniz_aid.derivations as der_mod
 
-    calls = {"derivation_space": 0, "inner_space": 0, "annihilators": 0}
+    calls = {"derivation_space": 0, "inner_space": 0, "annihilators": 0,
+             "central_series": 0}
 
     def counting(module, name):
         original = getattr(module, name)
@@ -268,10 +269,14 @@ def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
     counting(der_mod, "inner_space")
     counting(der_mod, "annihilators")
     counting(alg_mod, "annihilators")
+    counting(der_mod, "central_series")
+    counting(alg_mod, "central_series")
     main(["verify-paper", "--nmax", "2"])
     capsys.readouterr()
     claims = cat_mod.paper_claims(2)
     assert calls["derivation_space"] == calls["inner_space"] == len(claims)
+    # the claimed generators are certified in the analysis's adapted basis
+    assert calls["central_series"] == len(claims)
     # one analysis_report per table row, one RCAID per row that reports it
     reporting = [c for c in claims if c.kind == "table" or "rcaid_dim" in c.fields]
     assert calls["annihilators"] == len(reporting)

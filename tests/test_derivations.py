@@ -9,7 +9,13 @@ import pytest
 
 from leibniz_aid import derivations
 from leibniz_aid._poly import Poly
-from leibniz_aid.algebra import _transition_inverse, central_series, change_basis
+from leibniz_aid.algebra import (
+    LeibnizAlgebra,
+    _transition_inverse,
+    central_series,
+    change_basis,
+    direct_sum,
+)
 from leibniz_aid.catalog import make
 from leibniz_aid.cli import _random_invertible, report_json
 from leibniz_aid.derivations import (
@@ -34,12 +40,14 @@ from leibniz_aid.derivations import (
     restriction_witness,
     subalgebra_nilpotency,
     vec_to_endo,
+    DEFAULT_SEED,
     _CutView,
+    _der_inner_aid,
     _restrict_at_point,
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, rref
 
-from conftest import sympy_derivation_dim
+from conftest import CATALOG_BATTERY, dense_derivation_space, sympy_derivation_dim
 
 NF3 = make("catalog:NF:3")
 
@@ -114,6 +122,33 @@ def test_derivation_space_members_satisfy_the_product_rule():
                     )
                 )
                 assert lhs == rhs
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_derivation_space_matches_the_dense_builder(ref):
+    # the standard basis, then two bases drawn as `fuzz` draws them
+    alg = make(ref)
+    rng = random.Random(DEFAULT_SEED)
+    copies = [change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
+    for a in [alg] + copies:
+        assert derivation_space(a) == dense_derivation_space(a), ref
+
+
+@pytest.mark.parametrize("ref", ["catalog:G53", "catalog:F3:5:1,2,3", "catalog:D4:L9"])
+def test_der_in_the_adapted_basis_maps_back_to_der(ref):
+    alg = random_basis_copy(ref, 3)
+    der, _, _, basis = _der_inner_aid(alg, AidConfig())
+    assert basis.p is not None  # Der was solved in the series-adapted basis
+    assert der == derivation_space(alg)
+
+
+def test_der_of_a_non_nilpotent_algebra_stays_in_the_given_basis():
+    solvable = LeibnizAlgebra.build(2, {(2, 1): {2: 1}})  # [e2,e1]=e2
+    alg = change_basis(direct_sum(solvable, make("catalog:NF:3")),
+                       _random_invertible(random.Random(4), 5))
+    der, _, _, basis = _der_inner_aid(alg, AidConfig())
+    assert basis.p is None and basis.alg is alg
+    assert der == derivation_space(alg) == dense_derivation_space(alg)
 
 
 def test_inner_space_spans_right_multiplications():
@@ -227,9 +262,10 @@ def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
 
 
 def test_inconclusive_generator_reports_its_branch_log():
-    # in this basis G53 stops at a pivot that is nonlinear in every variable
+    # with the case-split depth capped at 1, G53 in this basis stops at the
+    # depth limit with one complement generator left undecided
     alg = random_basis_copy("catalog:G53", 1)
-    report = analysis_report(alg)
+    report = analysis_report(alg, AidConfig(depth_limit=1))
     aid = report.aid
     assert aid.status == "probabilistic"
     assert aid.inconclusive
@@ -241,8 +277,7 @@ def test_inconclusive_generator_reports_its_branch_log():
     assert len(gens) == len(aid.inconclusive)
     for g in gens:
         assert g["branch_log"]
-        assert g["branch_log"][-1].startswith("cannot solve ")
-        assert g["branch_log"][-1].endswith(" = 0 (nonlinear in every variable)")
+        assert g["branch_log"][-1].startswith("depth limit at pivot ")
 
 
 # -- certification --------------------------------------------------------

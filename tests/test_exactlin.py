@@ -26,7 +26,14 @@ from leibniz_aid.exactlin import (
     subspace_sum,
 )
 
-from conftest import sympy_nullspace_dim
+from conftest import (
+    dense_nullspace,
+    dense_rref_rows,
+    dense_solve_linear,
+    dense_subspace,
+    dense_subspace_intersect,
+    sympy_nullspace_dim,
+)
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -360,3 +367,36 @@ def test_complement_in_matches_the_row_scan(m1, data):
     comp = complement_in(s1, s2)
     assert comp == reference_complement(s1, s2)
     assert comp.dim == s2.dim - s1.dim
+
+
+# -- the sparse kernel against the dense oracle ------------------------------
+
+
+@st.composite
+def kernel_matrices(draw, cols=None):
+    """Matrices of `rational_matrices` shapes up to 10 x 10, each either
+    kept dense or thinned to about one entry in four."""
+    m = draw(rational_matrices(max_rows=10, max_cols=10, cols=cols))
+    if draw(st.booleans()):
+        return m
+    rows = [
+        [v if draw(st.integers(0, 3)) == 0 else Q(0) for v in r] for r in m.entries
+    ]
+    return RationalMatrix(m.rows, m.cols, tuple(tuple(r) for r in rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices(), st.data())
+def test_sparse_kernel_matches_the_dense_oracle(m, data):
+    rows, pivots = dense_rref_rows([list(r) for r in m.entries])
+    res = rref(m)
+    assert res.pivots == tuple(pivots)
+    assert res.matrix.entries == tuple(tuple(r) for r in rows)
+    assert nullspace(m) == dense_nullspace(m)
+    b = [data.draw(entries) for _ in range(m.rows)]
+    assert solve_linear(m, b) == dense_solve_linear(m, b)
+    other = data.draw(kernel_matrices(cols=m.cols))
+    s1 = Subspace.from_vectors(m.cols, m.entries)
+    s2 = Subspace.from_vectors(m.cols, other.entries)
+    assert s1 == dense_subspace(m.cols, m.entries)
+    assert subspace_intersect(s1, s2) == dense_subspace_intersect(s1, s2)

@@ -214,7 +214,7 @@ def _random_invertible(rng: random.Random, n: int) -> RationalMatrix:
             return m
 
 
-def _tower(alg) -> tuple[int, int, int, int, int]:
+def _tower(alg) -> tuple[int, int, int, int, int, str]:
     aid = aid_space(alg)
     return (
         derivation_space(alg).dim,
@@ -222,6 +222,7 @@ def _tower(alg) -> tuple[int, int, int, int, int]:
         aid.upper_bound.dim,
         rcaid_caid(alg, "right_ann", aid.upper_bound).dim,
         rcaid_caid(alg, "center", aid.upper_bound).dim,
+        aid.status,
     )
 
 
@@ -249,11 +250,8 @@ def test_basis_change_equivariance_hundred_draws():
             assert conjugated == derivation_space(moved), (ref, p.entries)
 
 
-@pytest.mark.parametrize("ref", [r for r in CATALOG_BATTERY if r != "catalog:G53"])
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_certified_status_survives_random_bases(ref):
-    # G53 is left out: in random bases its certificate stops at a pivot that
-    # is nonlinear in every variable (ROADMAP item 5), and no seed is chosen
-    # to hide that
     if analyze(ref).aid.status != "certified_exact":
         pytest.skip("not certified in the standard basis")
     alg = la.make(ref)
