@@ -17,11 +17,10 @@ exact rank test), or gives up with an explicit inconclusive verdict.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, isqrt
 from typing import Iterable, Iterator, Sequence
 
 from ._poly import Poly
@@ -41,13 +40,15 @@ from .exactlin import (
     RationalMatrix,
     Subspace,
     _freeze,
+    _add_pivot,
     _int_matrix,
+    _int_rows,
+    _null_vectors_int,
     _nullspace_int,
     _primitive_map,
-    _primitive_row,
+    _restrict_int,
     _subspace_int,
     nullspace,
-    restrict,
     solve_linear,
     subspace_intersect,
     subspace_sum,
@@ -144,12 +145,12 @@ def derivation_space(alg: LeibnizAlgebra) -> Subspace:
 
 
 def inner_space(alg: LeibnizAlgebra) -> Subspace:
-    """Span of the right multiplications R_{e_j}."""
+    """Span of the right multiplications R_{e_j}, read off the integer
+    constants: entry (r, i) of R_{e_j} is c[i][j][r]."""
     n = alg.dim
-    vectors = []
-    for j in range(n):
-        vectors.append(endo_to_vec(alg.right_mult(alg.basis_coords(j))))
-    return Subspace.from_vectors(n * n, vectors)
+    nz = alg.scaled_constants()[1]
+    rows = [{r * n + i: v for i in range(n) for r, v in nz[i][j]} for j in range(n)]
+    return _subspace_int(n * n, rows)
 
 
 def inner_combination(alg: LeibnizAlgebra, m: RationalMatrix) -> tuple[Q, ...] | None:
@@ -170,17 +171,34 @@ def aid_basis_candidate(alg: LeibnizAlgebra, der: Subspace | None = None) -> Sub
     n = alg.dim
     if der is None:
         der = derivation_space(alg)
-    constraint_rows: list[list[Q]] = []
+    rows = []
     for i in range(n):
-        image = Subspace.from_vectors(n, [alg.constants[i][j] for j in range(n)])
-        functionals = nullspace(image.basis)
-        for f in functionals.basis_vectors():
-            row = [QZERO] * (n * n)
-            for m in range(n):
-                if f[m]:
-                    row[m * n + i] = f[m]
-            constraint_rows.append(row)
-    return restrict(der, constraint_rows)
+        rows.extend(_point_conditions(alg, [1 if k == i else 0 for k in range(n)]))
+    return _restrict_int(der, rows)
+
+
+def _bracket_columns(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, int]]:
+    """The integer vectors [x, e_j] for an integer x, each scaled by the
+    common denominator of the constants; together they span [x, L]."""
+    nz = alg.scaled_constants()[1]
+    cols: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    for i, xi in enumerate(x):
+        if xi:
+            for col, entries in zip(cols, nz[i]):
+                for k, v in entries:
+                    col[k] = col.get(k, 0) + xi * v
+    return [{k: v for k, v in col.items() if v} for col in cols]
+
+
+def _point_conditions(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, int]]:
+    """Integer rows, linear in D, that all vanish iff D(x) in [x, L], for an
+    integer x: each integer functional f vanishing on [x, L] gives f(D x) = 0,
+    the row f[m] * x[k] at entry (m, k)."""
+    n = alg.dim
+    return [
+        {m * n + k: fm * xk for m, fm in f.items() for k, xk in enumerate(x) if xk}
+        for f in _null_vectors_int(_bracket_columns(alg, x), n)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -228,97 +246,55 @@ def refinement_grid(n: int, radius: int | None = None) -> Iterator[tuple[int, ..
 
 
 def _primitive(point: Sequence[int]) -> bool:
-    g = 0
-    first = 0
-    for v in point:
-        g = gcd(g, abs(v))
-        if not first:
-            first = v
-    return g == 1 and first > 0
+    return gcd(*point) == 1 and next(v for v in point if v) > 0
 
 
 class _CutView:
     """A candidate space seen over the integers, for the cut test at integer x.
 
-    The structure constants are scaled by one common denominator and each
-    basis vector D_b of the space by its own, so at an integer x the columns
-    [x, e_j] and the images D_b(x) are integer vectors spanning the same
-    lines as the rational ones.  x cuts the space iff some D_b(x) leaves the
-    span of the columns, which a fraction-free echelon over ints decides.
+    Each basis vector D_b of the space is scaled by its own denominator, so
+    at an integer x the images D_b(x) and the columns `_bracket_columns`
+    are integer vectors spanning the same lines as the rational ones.  x
+    cuts the space iff some D_b(x) leaves the span of the columns.
     """
 
-    __slots__ = ("n", "constants", "images")
+    __slots__ = ("alg", "images")
 
     def __init__(self, alg: LeibnizAlgebra, space: Subspace):
         n = alg.dim
-        self.n = n
-        # constants[i]: (j, k, den * c[i][j][k]) for the nonzero constants
-        self.constants = [
-            [(j, k, v) for j, row in enumerate(plane) for k, v in row]
-            for plane in alg.scaled_constants()[1]
-        ]
-        # images[b]: (k, [(m, D_b[m][k] scaled)]) for the nonzero columns k
+        self.alg = alg
+        # images[b]: {k: [(m, D_b[m][k] scaled)]} for the nonzero columns k
         self.images = []
-        for b in space.basis_vectors():
-            scale = lcm(*(v.denominator for v in b))
-            ib = [v.numerator * (scale // v.denominator) for v in b]
-            cols = []
-            for k in range(n):
-                col = [(m, ib[m * n + k]) for m in range(n) if ib[m * n + k]]
-                if col:
-                    cols.append((k, col))
+        for b in _int_rows(space.basis_vectors()):
+            cols: dict[int, list[tuple[int, int]]] = {}
+            for idx, v in b.items():
+                m, k = divmod(idx, n)
+                cols.setdefault(k, []).append((m, v))
             self.images.append(cols)
 
     def cuts(self, x: Sequence[int]) -> bool:
         """Whether D(x) in [x, L] fails for some D of the space."""
-        n = self.n
-        cols = [[0] * n for _ in range(n)]
-        for i, xi in enumerate(x):
-            if xi:
-                for j, k, v in self.constants[i]:
-                    cols[j][k] += xi * v
-        echelon: list[tuple[int, list[int]]] = []  # (pivot, row), by pivot
-        for col in cols:
-            col = _int_residue(echelon, col)
-            p = next((k for k, v in enumerate(col) if v), None)
-            if p is not None:
-                bisect.insort(echelon, (p, _primitive_row(col)))
+        pivots: dict[int, dict[int, int]] = {}
+        for col in _bracket_columns(self.alg, x):
+            _add_pivot(pivots, col)
         for image in self.images:
-            img = [0] * n
-            for k, col in image:
+            img: dict[int, int] = {}
+            for k, col in image.items():
                 xk = x[k]
                 if xk:
                     for m, v in col:
-                        img[m] += xk * v
-            if any(_int_residue(echelon, img)):
+                        img[m] = img.get(m, 0) + xk * v
+            if _add_pivot(pivots, {m: v for m, v in img.items() if v}):
                 return True
         return False
 
 
-def _int_residue(echelon: list[tuple[int, list[int]]], vec: list[int]) -> list[int]:
-    """A multiple of vec minus a combination of the echelon rows, zero at
-    every pivot; it is zero iff vec lies in their span."""
-    for p, row in echelon:
-        f = vec[p]
-        if f:
-            q = row[p]
-            g = gcd(q, f)
-            a, b = q // g, f // g
-            vec = [a * u - b * v for u, v in zip(vec, row)]
-    return vec
-
-
 def _restrict_at_point(alg: LeibnizAlgebra, space: Subspace, x: Sequence) -> Subspace:
-    """The members D of space with D(x) in [x, L], computed over Q.
+    """The members D of space with D(x) in [x, L], for a rational x.
 
-    Each functional f vanishing on [x, L] gives the condition f(D x) = 0,
-    which is linear in D: the row f[m] * x[k] at entry (m, k).
+    The condition is homogeneous in x, so x is scaled to integers first.
     """
-    n = alg.dim
-    xq = tuple(Q(v) for v in x)
-    image = Subspace.from_vectors(n, alg.left_mult(xq).transpose().entries)
-    functionals = nullspace(image.basis).basis_vectors()
-    return restrict(space, [[fm * xk for fm in f for xk in xq] for f in functionals])
+    return _restrict_int(space, _point_conditions(alg, _int_matrix([x])[1][0]))
 
 
 def aid_refine(
@@ -1039,7 +1015,7 @@ def subalgebra_nilpotency(space: Subspace) -> tuple[tuple[int, ...], bool]:
     the space.  Returns the series dimensions and whether it reaches zero.
     """
     nsq = space.ambient_dim
-    n = int(round(nsq**0.5))
+    n = isqrt(nsq)
     if n * n != nsq:
         raise ValueError("ambient dimension is not a square")
     mats = [vec_to_endo(v, n) for v in space.basis_vectors()]

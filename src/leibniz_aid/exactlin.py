@@ -3,11 +3,12 @@
 The interface is `fractions.Fraction`: every matrix, vector and subspace
 this module takes or returns holds Fractions.  Beneath it is one
 elimination kernel, `_rref_int`, sparse and over Python ints: rows are
-{col: int} maps kept primitive, each row is reduced against the pivot rows
-by its leading column, a back-substitution pass clears the other pivot
-columns, and each pivot row is divided by its pivot only at the end.
-Callers that build integer rows themselves (the Leibniz-rule system,
-product spans) enter it through `_nullspace_int` and `_subspace_int`,
+{col: int} maps kept primitive, `_add_pivot` reduces each row against the
+pivot rows by its leading column (and says whether it left their span), a
+back-substitution pass clears the other pivot columns, and each pivot row
+is divided by its pivot only at the end.  Callers that build integer rows
+themselves (Der, Inner, product spans, point conditions) enter it through
+`_nullspace_int`, `_null_vectors_int`, `_subspace_int` and `_restrict_int`
 without a round trip through Fractions.  A subspace is represented by the
 reduced row echelon basis of its spanning set.  That form is unique, so it
 is canonical: two subspaces are equal iff their stored bases are equal
@@ -199,23 +200,18 @@ def _fraction_rows(reduced: list[tuple[int, dict[int, int]]], ncols: int) -> lis
 def _rref_int(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]]:
     """The one elimination kernel: sparse, fraction-free, over ints.
 
-    Rows are {col: int} maps without zero entries.  Each row is reduced
-    against the pivot rows by its leading column until it is zero or leads
-    in a new column, which makes it a pivot row.  A back-substitution pass,
-    last pivot first, then clears every pivot row at the other pivot
-    columns.  Every update a*row - b*pivot_row is divided by its content, so
-    rows stay primitive.  Returns (pivot col, row) by pivot column; dividing
-    each row by its entry at the pivot gives the reduced echelon form.
+    Rows are {col: int} maps without zero entries.  `_add_pivot` reduces
+    each row against the pivot rows by its leading column until it is zero
+    or leads in a new column, which makes it a pivot row.  A
+    back-substitution pass, last pivot first, then clears every pivot row at
+    the other pivot columns.  Every update a*row - b*pivot_row is divided by
+    its content, so rows stay primitive.  Returns (pivot col, row) by pivot
+    column; dividing each row by its entry at the pivot gives the reduced
+    echelon form.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = _primitive_map(row)
-                break
-            row = _eliminate(row, c, prow)
+        _add_pivot(pivots, row)
     order = sorted(pivots)
     for c in reversed(order):
         row = pivots[c]
@@ -223,6 +219,20 @@ def _rref_int(rows: Iterable[dict[int, int]]) -> list[tuple[int, dict[int, int]]
             row = _eliminate(row, k, pivots[k])
         pivots[c] = row
     return [(c, pivots[c]) for c in order]
+
+
+def _add_pivot(pivots: dict[int, dict[int, int]], row: dict[int, int]) -> bool:
+    """The kernel's forward step: reduce row against the pivot rows, keyed
+    by leading column, until it is zero or leads in a new column, which it
+    then takes.  Returns whether it did: whether row left their span."""
+    while row:
+        c = min(row)
+        prow = pivots.get(c)
+        if prow is None:
+            pivots[c] = _primitive_map(row)
+            return True
+        row = _eliminate(row, c, prow)
+    return False
 
 
 def _eliminate(row: dict[int, int], c: int, prow: dict[int, int]) -> dict[int, int]:
@@ -246,19 +256,15 @@ def _primitive_map(row: dict[int, int]) -> dict[int, int]:
     return {k: v // g for k, v in row.items()} if g > 1 else row
 
 
-def _primitive_row(row: list[int]) -> list[int]:
-    """The dense integer row divided by the gcd of its entries."""
-    g = gcd(*row)
-    return [v // g for v in row] if g > 1 else row
-
-
 def _nullspace_int(rows: Iterable[dict[int, int]], ncols: int) -> "Subspace":
-    """Canonical basis of the null space of sparse integer rows in Q^ncols.
+    """Canonical basis of the null space of sparse integer rows in Q^ncols."""
+    return _subspace_int(ncols, _null_vectors_int(rows, ncols))
 
-    For each free column f the vector with 1 at f and -row[f]/pivot at each
-    pivot column is scaled to integers, and the kernel then puts the span of
-    those vectors into reduced echelon form.
-    """
+
+def _null_vectors_int(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Integer vectors spanning the null space of sparse integer rows in
+    Q^ncols, not in reduced echelon form: for each free column f, 1 at f and
+    -row[f]/pivot at each pivot column, scaled to integers."""
     reduced = _rref_int(rows)
     # hits[f]: (pivot col, pivot entry, entry at f) of the rows nonzero at f
     hits: dict[int, list[tuple[int, int, int]]] = {}
@@ -278,7 +284,7 @@ def _nullspace_int(rows: Iterable[dict[int, int]], ncols: int) -> "Subspace":
         for c, p, v in column:
             vec[c] = -v * (scale // p)
         vectors.append(vec)
-    return _subspace_int(ncols, vectors)
+    return vectors
 
 
 def _subspace_int(ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
@@ -423,10 +429,11 @@ def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
     columns past s1 of one elimination on the vectors of s1 and s2 as columns.
     """
     _check_ambient(s1, s2)
-    if not s2.contains_subspace(s1):
-        raise NotASubspace("first space is not contained in the second")
     rows = s2.basis.entries
     _, pivots = _rref_rows([list(c) for c in zip(*s1.basis.entries, *rows)])
+    # the rank is dim(s1 + s2), which is dim s2 exactly when s1 ⊆ s2
+    if len(pivots) != s2.dim:
+        raise NotASubspace("first space is not contained in the second")
     # rows of a reduced echelon basis are one too: no elimination needed
     taken = tuple(rows[p - s1.dim] for p in pivots if p >= s1.dim)
     return Subspace(s1.ambient_dim, RationalMatrix(len(taken), s1.ambient_dim, taken))
@@ -434,23 +441,30 @@ def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
 
 def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspace:
     """{v in space : C v = 0} for a list of constraint row vectors."""
-    rows = list(constraint_rows)
-    if not rows or space.dim == 0:
-        return space
-    basis = space.basis.entries
-    # Constraints expressed in the coordinates of the basis: (C B^T) y = 0.
+    return _restrict_int(space, _int_rows(constraint_rows))
+
+
+def _restrict_int(space: Subspace, rows: Iterable[dict[int, int]]) -> Subspace:
+    """{v in space : C v = 0} for sparse integer rows C: the combinations
+    y B with (C B^T) y = 0, B the basis scaled row by row to integers (which
+    rescales the coordinates of y and leaves their span as it is)."""
+    basis = _int_rows(space.basis_vectors())
     small = []
-    for c in rows:
-        nz = [(k, a) for k, a in enumerate(c) if a]
-        small.append([sum((a * brow[k] for k, a in nz), QZERO) for brow in basis])
-    sol = nullspace(RationalMatrix(len(small), space.dim, _freeze(small)))
+    for row in rows:
+        acc = {}
+        for b, brow in enumerate(basis):
+            v = sum(a * brow.get(k, 0) for k, a in row.items())
+            if v:
+                acc[b] = v
+        if acc:
+            small.append(acc)
+    if not small:
+        return space
     vectors = []
-    for y in sol.basis.entries:
-        vec = [QZERO] * space.ambient_dim
-        for coef, brow in zip(y, basis):
-            if coef:
-                for k, b in enumerate(brow):
-                    if b:
-                        vec[k] += coef * b
-        vectors.append(vec)
-    return Subspace.from_vectors(space.ambient_dim, vectors)
+    for y in _null_vectors_int(small, len(basis)):
+        vec: dict[int, int] = {}
+        for b, coef in y.items():
+            for k, v in basis[b].items():
+                vec[k] = vec.get(k, 0) + coef * v
+        vectors.append({k: v for k, v in vec.items() if v})
+    return _subspace_int(space.ambient_dim, vectors)

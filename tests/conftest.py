@@ -153,6 +153,56 @@ def dense_derivation_space(alg: la.LeibnizAlgebra) -> la.Subspace:
     return dense_nullspace(la.RationalMatrix(len(rows), n * n, tuple(map(tuple, rows))))
 
 
+# -- Fraction point conditions ------------------------------------------------
+#
+# The package builds the almost inner condition D(x) in [x, L] once, as
+# integer rows, and restricts over ints.  These are the Fraction builders it
+# replaced, on the dense oracle above.
+
+
+def fraction_restrict(space: la.Subspace, constraint_rows) -> la.Subspace:
+    """{v in space : C v = 0}, solved as (C B^T) y = 0 over Fractions."""
+    rows = list(constraint_rows)
+    if not rows or space.dim == 0:
+        return space
+    basis = space.basis.entries
+    small = [
+        [sum((a * b for a, b in zip(c, brow) if a), Fraction(0)) for brow in basis]
+        for c in rows
+    ]
+    sol = dense_nullspace(la.RationalMatrix(len(small), space.dim, tuple(map(tuple, small))))
+    vectors = [
+        [sum((y * brow[k] for y, brow in zip(ys, basis)), Fraction(0))
+         for k in range(space.ambient_dim)]
+        for ys in sol.basis.entries
+    ]
+    return dense_subspace(space.ambient_dim, vectors)
+
+
+def fraction_restrict_at_point(alg: la.LeibnizAlgebra, space: la.Subspace, x) -> la.Subspace:
+    """The members D of space with D(x) in [x, L]: each functional f
+    vanishing on [x, L] gives the row f[m] * x[k] at entry (m, k)."""
+    n = alg.dim
+    xq = tuple(Fraction(v) for v in x)
+    image = dense_subspace(n, alg.left_mult(xq).transpose().entries)
+    functionals = dense_nullspace(image.basis).basis_vectors()
+    return fraction_restrict(space, [[fm * xk for fm in f for xk in xq] for f in functionals])
+
+
+def fraction_aid_basis_candidate(alg: la.LeibnizAlgebra, der: la.Subspace) -> la.Subspace:
+    """Derivations whose column i lies in [e_i, L], for every i."""
+    n = alg.dim
+    rows = []
+    for i in range(n):
+        image = dense_subspace(n, [alg.constants[i][j] for j in range(n)])
+        for f in dense_nullspace(image.basis).basis_vectors():
+            row = [Fraction(0)] * (n * n)
+            for m in range(n):
+                row[m * n + i] = f[m]
+            rows.append(row)
+    return fraction_restrict(der, rows)
+
+
 def fraction_central_series_terms(alg: la.LeibnizAlgebra) -> list[la.Subspace]:
     """L^1 = L, L^{k+1} = [L^k, L] with Fraction products, until it is
     zero or stops shrinking."""

@@ -47,7 +47,14 @@ from leibniz_aid.derivations import (
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, rref
 
-from conftest import CATALOG_BATTERY, dense_derivation_space, sympy_derivation_dim
+from conftest import (
+    CATALOG_BATTERY,
+    dense_derivation_space,
+    dense_subspace,
+    fraction_aid_basis_candidate,
+    fraction_restrict_at_point,
+    sympy_derivation_dim,
+)
 
 NF3 = make("catalog:NF:3")
 
@@ -132,6 +139,44 @@ def test_derivation_space_matches_the_dense_builder(ref):
     copies = [change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
     for a in [alg] + copies:
         assert derivation_space(a) == dense_derivation_space(a), ref
+
+
+def fuzz_copies(ref: str) -> list:
+    """The catalog algebra and two bases drawn as `fuzz` draws them."""
+    alg = make(ref)
+    rng = random.Random(DEFAULT_SEED)
+    return [alg] + [change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_inner_space_matches_the_right_multiplications(ref):
+    for alg in fuzz_copies(ref):
+        n = alg.dim
+        mults = [endo_to_vec(alg.right_mult(alg.basis_coords(j))) for j in range(n)]
+        assert inner_space(alg) == dense_subspace(n * n, mults), ref
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_aid_basis_candidate_matches_the_fraction_oracle(ref):
+    for alg in fuzz_copies(ref):
+        der = derivation_space(alg)
+        assert aid_basis_candidate(alg, der) == fraction_aid_basis_candidate(alg, der), ref
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_restrict_at_point_matches_the_fraction_oracle(ref):
+    rng = random.Random(7)
+    for alg in fuzz_copies(ref):
+        n = alg.dim
+        der = derivation_space(alg)
+        for space in (der, aid_basis_candidate(alg, der)):
+            for trial in range(4):
+                # integer points, then rational ones
+                x = [rng.randint(-3, 3) for _ in range(n)]
+                if trial >= 2:
+                    x = [Q(v, rng.randint(1, 5)) for v in x]
+                assert _restrict_at_point(alg, space, x) == \
+                    fraction_restrict_at_point(alg, space, x), (ref, x)
 
 
 @pytest.mark.parametrize("ref", ["catalog:G53", "catalog:F3:5:1,2,3", "catalog:D4:L9"])

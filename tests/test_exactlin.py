@@ -17,9 +17,12 @@ from leibniz_aid.exactlin import (
     RationalMatrix,
     Subspace,
     as_rational,
+    _add_pivot,
+    _int_rows,
     complement_in,
     format_rational,
     nullspace,
+    restrict,
     rref,
     solve_linear,
     subspace_intersect,
@@ -32,6 +35,7 @@ from conftest import (
     dense_solve_linear,
     dense_subspace,
     dense_subspace_intersect,
+    fraction_restrict,
     sympy_nullspace_dim,
 )
 
@@ -206,6 +210,11 @@ def test_complement_in_requires_containment():
     s2 = Subspace.from_vectors(2, [[0, 1]])
     with pytest.raises(NotASubspace):
         complement_in(s1, s2)
+    # a line of Q^3 outside a plane: dim s1 < dim s2, yet s1 is not inside
+    line = Subspace.from_vectors(3, [[1, 1, 1]])
+    plane = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(NotASubspace):
+        complement_in(line, plane)
 
 
 def test_ambient_mismatch_raises():
@@ -400,3 +409,48 @@ def test_sparse_kernel_matches_the_dense_oracle(m, data):
     s2 = Subspace.from_vectors(m.cols, other.entries)
     assert s1 == dense_subspace(m.cols, m.entries)
     assert subspace_intersect(s1, s2) == dense_subspace_intersect(s1, s2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_matrices())
+def test_add_pivot_reports_rank_growth(m):
+    # rows one at a time, zero rows and repeated spans included
+    pivots: dict = {}
+    rank = 0
+    for i, row in enumerate(m.entries):
+        grew = _add_pivot(pivots, (_int_rows([row]) or [{}])[0])
+        new_rank = len(dense_rref_rows([list(r) for r in m.entries[: i + 1]])[1])
+        assert grew == (new_rank > rank)
+        assert len(pivots) == new_rank
+        rank = new_rank
+
+
+@st.composite
+def constraint_rows(draw, space: Subspace):
+    """Rational rows on the ambient space of `space`: zero rows, dense rows,
+    rows with one or two nonzero entries, and rows vanishing on the space."""
+    n = space.ambient_dim
+    annihilator = dense_nullspace(space.basis).basis_vectors()
+    rows = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("zero", "dense", "sparse", "annihilating")))
+        row = [Q(0)] * n
+        if kind == "dense":
+            row = [draw(entries) for _ in range(n)]
+        elif kind == "sparse":
+            for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+                row[k] = draw(entries)
+        elif kind == "annihilating":
+            for f in annihilator:
+                a = draw(entries)
+                row = [r + a * v for r, v in zip(row, f)]
+        rows.append(row)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_matrices(), st.data())
+def test_restrict_matches_the_fraction_oracle(m, data):
+    space = Subspace.from_vectors(m.cols, m.entries)
+    rows = data.draw(constraint_rows(space))
+    assert restrict(space, rows) == fraction_restrict(space, rows)
