@@ -128,16 +128,6 @@ class Poly:
                 return k, coeff
         return None
 
-    def coeff_terms_of_var(self, k: int, power: int) -> "Poly":
-        """Coefficient of t_k**power as a polynomial in the other variables."""
-        terms = {}
-        for m, c in self.terms.items():
-            if m[k] == power:
-                terms[tuple(0 if i == k else e for i, e in enumerate(m))] = c
-        out = Poly(self.nvars)
-        out.terms = terms
-        return out
-
     def subs_var(self, k: int, replacement: "Poly") -> "Poly":
         """Substitute t_k := replacement (which must not involve t_k)."""
         if k in replacement.variables():

@@ -14,18 +14,19 @@ from typing import Mapping, Sequence
 
 from .exactlin import (
     Q,
+    QONE,
     QZERO,
     RationalMatrix,
     Subspace,
     as_rational,
     complement_in,
     format_rational,
-    solve_linear,
-    subspace_intersect,
+    _fraction_rows,
     _freeze,
     _int_matrix,
     _int_rows,
-    _rref_rows,
+    _nullspace_int,
+    _rref_int,
     _subspace_int,
 )
 
@@ -214,13 +215,6 @@ class LeibnizAlgebra:
         cols = [self.product(x, self.basis_coords(j)) for j in range(n)]
         return RationalMatrix(n, n, _freeze(zip(*cols)) if n else ())
 
-    def mult_matrix(self, x: Sequence, side: str) -> RationalMatrix:
-        if side == "right":
-            return self.right_mult(x)
-        if side == "left":
-            return self.left_mult(x)
-        raise ValueError(f"unknown side: {side!r}")
-
 
 # -- spans, series, annihilators --------------------------------------
 
@@ -299,19 +293,27 @@ class Annihilators:
 
 
 def annihilators(alg: LeibnizAlgebra) -> Annihilators:
-    """Right annihilator {x : [L,x]=0}, left {x : [x,L]=0}, and their meet."""
-    n = alg.dim
-    right_rows = []
-    left_rows = []
-    for i in range(n):
-        # [e_i, x] = left_mult(e_i) x and [x, e_i] = right_mult(e_i) x.
-        right_rows.extend(alg.left_mult(alg.basis_coords(i)).entries)
-        left_rows.extend(alg.right_mult(alg.basis_coords(i)).entries)
-    from .exactlin import nullspace
+    """Right annihilator {x : [L,x]=0}, left {x : [x,L]=0}, and their meet.
 
-    ann_r = nullspace(RationalMatrix(len(right_rows), n, _freeze(right_rows)))
-    ann_l = nullspace(RationalMatrix(len(left_rows), n, _freeze(left_rows)))
-    return Annihilators(ann_r, ann_l, subspace_intersect(ann_r, ann_l))
+    The rows are read off the integer constants: row (i, m) of [e_i, x] holds
+    c[i][j][m] at column j, and row (j, m) of [x, e_j] holds it at column i.
+    The center is the null space of both row sets together.
+    """
+    n = alg.dim
+    nz = alg.scaled_constants()[1]
+    right: dict[tuple[int, int], dict[int, int]] = {}
+    left: dict[tuple[int, int], dict[int, int]] = {}
+    for i in range(n):
+        for j in range(n):
+            for m, v in nz[i][j]:
+                right.setdefault((i, m), {})[j] = v
+                left.setdefault((j, m), {})[i] = v
+    right_rows, left_rows = list(right.values()), list(left.values())
+    return Annihilators(
+        _nullspace_int(right_rows, n),
+        _nullspace_int(left_rows, n),
+        _nullspace_int(right_rows + left_rows, n),
+    )
 
 
 # -- quotients, sums, base change, grading -----------------------------
@@ -319,12 +321,14 @@ def annihilators(alg: LeibnizAlgebra) -> Annihilators:
 
 def _transition_inverse(columns: Sequence[Sequence[Q]], n: int) -> RationalMatrix:
     """Inverse of the matrix whose columns are the given n vectors."""
-    rows = [[columns[j][i] for j in range(n)] for i in range(n)]
-    aug = [rows[i] + [Q(1) if k == i else QZERO for k in range(n)] for i in range(n)]
-    aug, pivots = _rref_rows(aug)
-    if len(pivots) < n or any(p >= n for p in pivots):
+    aug = [
+        [columns[j][i] for j in range(n)] + [QONE if k == i else QZERO for k in range(n)]
+        for i in range(n)
+    ]
+    reduced = _rref_int(_int_rows(aug))
+    if len(reduced) < n or any(c >= n for c, _ in reduced):
         raise SingularMatrix("transition matrix is singular")
-    return RationalMatrix(n, n, _freeze(row[n:] for row in aug))
+    return RationalMatrix(n, n, _freeze(row[n:] for row in _fraction_rows(reduced, 2 * n)))
 
 
 def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, RationalMatrix]:

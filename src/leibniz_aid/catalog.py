@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .algebra import IdentityViolation, LeibnizAlgebra
 from .derivations import (
+    Deviation,
     aid_certify,
     endo_actions,
     endo_to_vec,
@@ -539,8 +540,6 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
     AidResult and `ann_r` the right annihilator of `alg`; `_basis` is the
     series-adapted basis of the analysis, when the caller has it.
     """
-    from .derivations import Deviation
-
     out: list = []
     loc = algebra_id
     if expected.der is not None and der.dim != expected.der:

@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._poly import Poly
 from .algebra import (
-    Annihilators,
     LeibnizAlgebra,
     SeriesReport,
+    _coords_str,
     _series_columns,
     _transition_inverse,
     annihilators,
@@ -39,6 +39,7 @@ from .exactlin import (
     QZERO,
     RationalMatrix,
     Subspace,
+    as_rational,
     _freeze,
     _add_pivot,
     _int_matrix,
@@ -56,6 +57,14 @@ from .exactlin import (
 )
 
 DEFAULT_SEED = 3141592653
+# random sample points have entries in -RANDOM_BOUND..RANDOM_BOUND, and the
+# refinement stops after STALL_LIMIT of them in a row cut nothing
+RANDOM_BOUND = 10
+STALL_LIMIT = 25
+# refutation rounds before AID is reported `partial`
+MAX_ROUNDS = 60
+# certifier nodes per generator before it is `inconclusive`
+NODE_BUDGET = 4000
 
 
 class NotBracketClosed(ValueError):
@@ -92,8 +101,6 @@ def matrix_unit(n: int, row: int, col: int) -> RationalMatrix:
 
 def endo_actions(alg: LeibnizAlgebra, m: RationalMatrix) -> list[str]:
     """Readable per-basis-vector description, e.g. 'e2 -> e4'."""
-    from .algebra import _coords_str
-
     out = []
     for j in range(alg.dim):
         img = m.col(j)
@@ -209,11 +216,7 @@ def _point_conditions(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, i
 class AidConfig:
     seed: int = DEFAULT_SEED
     grid_radius: int | None = None
-    random_bound: int = 10
-    stall_limit: int = 25
     depth_limit: int | None = None
-    max_rounds: int = 60
-    node_budget: int = 4000
 
 
 def refinement_grid(n: int, radius: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -305,11 +308,12 @@ def aid_refine(
 ) -> tuple[Subspace, int]:
     """Intersect a candidate space with sampled almost-inner conditions.
 
-    Walks the deterministic grid, then seeded random points until
-    cfg.stall_limit consecutive samples fail to shrink the space.  `floor`
-    (normally dim Inner) allows an early exit: the result always contains
-    the inner derivations, so reaching the floor means no sample can cut
-    further.  Returns the refined space and the number of samples used.
+    Walks the deterministic grid, then random points seeded by cfg.seed, with
+    entries in -RANDOM_BOUND..RANDOM_BOUND, until STALL_LIMIT consecutive
+    samples fail to shrink the space.  `floor` (normally dim Inner) allows
+    an early exit: the result always contains the inner derivations, so
+    reaching the floor means no sample can cut further.  Returns the refined
+    space and the number of samples used.
     """
     n = alg.dim
     samples = 0
@@ -327,8 +331,8 @@ def aid_refine(
             view = _CutView(alg, space)
     rng = random.Random(cfg.seed)
     stall = 0
-    while stall < cfg.stall_limit and (floor is None or space.dim > floor):
-        point = tuple(rng.randint(-cfg.random_bound, cfg.random_bound) for _ in range(n))
+    while stall < STALL_LIMIT and (floor is None or space.dim > floor):
+        point = tuple(rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(n))
         if not any(point):
             continue
         samples += 1
@@ -751,7 +755,7 @@ def aid_certify(
     alg: LeibnizAlgebra,
     dmat: RationalMatrix,
     depth_limit: int | None = None,
-    node_budget: int = 4000,
+    node_budget: int = NODE_BUDGET,
     *,
     _basis: _AdaptedBasis | None = None,
 ) -> CertOutcome:
@@ -815,8 +819,6 @@ def aid_witness(
     alg: LeibnizAlgebra, dmat: RationalMatrix, x: Sequence
 ) -> tuple[Q, ...] | None:
     """A concrete a with [x, a] = D(x), or None when there is none."""
-    from .exactlin import as_rational
-
     xs = tuple(as_rational(v) for v in x)
     return solve_linear(alg.left_mult(xs), dmat.apply(xs))
 
@@ -880,12 +882,11 @@ def _der_inner_aid(
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
     inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
     proved_gens: list[tuple[RationalMatrix, CertOutcome]] = []
-    depth_limit = cfg.depth_limit if cfg.depth_limit is not None else 2 * n
     rounds = 0
     status = "certified_exact"
     while True:
         rounds += 1
-        if rounds > cfg.max_rounds:
+        if rounds > MAX_ROUNDS:
             status = "partial"
             break
         comp = complement_in(inner, space)
@@ -894,7 +895,7 @@ def _der_inner_aid(
         shrunk = False
         for gen_vec in comp.basis_vectors():
             gmat = vec_to_endo(gen_vec, n)
-            outcome = aid_certify(alg, gmat, depth_limit, cfg.node_budget, _basis=basis)
+            outcome = aid_certify(alg, gmat, cfg.depth_limit, _basis=basis)
             if outcome.kind == "proved":
                 proved_gens.append((gmat, outcome))
             elif outcome.kind == "refuted":
@@ -937,15 +938,10 @@ def _der_inner_aid(
 
 def _hom_into(n: int, target: Subspace) -> Subspace:
     """Endomorphisms whose image lies inside the target subspace of Q^n."""
-    vectors = []
-    for t in target.basis_vectors():
-        for col in range(n):
-            vec = [QZERO] * (n * n)
-            for k, v in enumerate(t):
-                if v:
-                    vec[k * n + col] = v
-            vectors.append(vec)
-    return Subspace.from_vectors(n * n, vectors)
+    rows = _int_rows(target.basis_vectors())
+    return _subspace_int(
+        n * n, ({k * n + col: v for k, v in t.items()} for t in rows for col in range(n))
+    )
 
 
 def rcaid_caid(alg: LeibnizAlgebra, target: str, aid: Subspace) -> Subspace:

@@ -6,13 +6,16 @@ elimination kernel, `_rref_int`, sparse and over Python ints: rows are
 {col: int} maps kept primitive, `_add_pivot` reduces each row against the
 pivot rows by its leading column (and says whether it left their span), a
 back-substitution pass clears the other pivot columns, and each pivot row
-is divided by its pivot only at the end.  Callers that build integer rows
-themselves (Der, Inner, product spans, point conditions) enter it through
-`_nullspace_int`, `_null_vectors_int`, `_subspace_int` and `_restrict_int`
-without a round trip through Fractions.  A subspace is represented by the
-reduced row echelon basis of its spanning set.  That form is unique, so it
-is canonical: two subspaces are equal iff their stored bases are equal
-entrywise, whatever order the kernel met the rows in.
+is divided by its pivot only at the end.  Every caller builds integer
+rows once, enters the kernel (or `_add_pivot`) once and reads its answer
+off the integer rows; no Fraction row is padded or eliminated a second
+time.  Callers outside this module (Der, Inner, the annihilators, product
+spans, point conditions) use `_rref_int`, `_nullspace_int`,
+`_null_vectors_int`, `_subspace_int` and `_restrict_int` directly.  A
+subspace is represented by the reduced row echelon basis of its spanning
+set.  That form is unique, so it is canonical: two subspaces are equal iff
+their stored bases are equal entrywise, whatever order the kernel met the
+rows in.
 """
 
 from __future__ import annotations
@@ -135,30 +138,12 @@ class RationalMatrix:
             raise DimensionMismatch("vector length mismatch")
         return tuple(sum((a * b for a, b in zip(row, v) if a), QZERO) for row in self.entries)
 
-    def to_lists(self) -> list[list[Q]]:
-        return [list(r) for r in self.entries]
-
 
 @dataclass(frozen=True)
 class RrefResult:
     matrix: RationalMatrix
     pivots: tuple[int, ...]
     rank: int
-
-
-def _rref_rows(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Reduced row echelon form of a list of equal-length Fraction rows;
-    returns (rows, pivot cols).
-
-    A thin adapter over the sparse integer kernel `_rref_int`.  The nonzero
-    rows of the reduced echelon form are unique; they come first, by pivot
-    column, and zero rows pad the result to the input's row count.
-    """
-    ncols = len(rows[0]) if rows else 0
-    reduced = _rref_int(_int_rows(rows))
-    out = _fraction_rows(reduced, ncols)
-    out.extend([QZERO] * ncols for _ in range(len(rows) - len(reduced)))
-    return out, [c for c, _ in reduced]
 
 
 def _int_rows(rows: Iterable[Sequence[Q]]) -> list[dict[int, int]]:
@@ -294,11 +279,19 @@ def _subspace_int(ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace
 
 
 def rref(matrix: RationalMatrix) -> RrefResult:
-    """Reduced row echelon form with the pivot columns and the rank."""
-    rows = [list(r) for r in matrix.entries]
-    rows, pivots = _rref_rows(rows)
+    """Reduced row echelon form with the pivot columns and the rank.
+
+    The nonzero rows of the reduced echelon form are unique; they come
+    first, by pivot column, and zero rows pad the result to the input's row
+    count.
+    """
+    reduced = _rref_int(_int_rows(matrix.entries))
+    rows = _fraction_rows(reduced, matrix.cols)
+    rows.extend([QZERO] * matrix.cols for _ in range(matrix.rows - len(reduced)))
     return RrefResult(
-        RationalMatrix(matrix.rows, matrix.cols, _freeze(rows)), tuple(pivots), len(pivots)
+        RationalMatrix(matrix.rows, matrix.cols, _freeze(rows)),
+        tuple(c for c, _ in reduced),
+        len(reduced),
     )
 
 
@@ -316,13 +309,13 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence) -> tuple[Q, ...] | None:
     b = [as_rational(v) for v in rhs]
     if len(b) != matrix.rows:
         raise DimensionMismatch("rhs length mismatch")
-    rows = [list(r) + [bv] for r, bv in zip(matrix.entries, b)]
-    rows, pivots = _rref_rows(rows)
-    if pivots and pivots[-1] == matrix.cols:
+    cols = matrix.cols
+    reduced = _rref_int(_int_rows([*r, bv] for r, bv in zip(matrix.entries, b)))
+    if reduced and reduced[-1][0] == cols:
         return None
-    x = [QZERO] * matrix.cols
-    for r, p in enumerate(pivots):
-        x[p] = rows[r][matrix.cols]
+    x = [QZERO] * cols
+    for c, row in reduced:
+        x[c] = Q(row.get(cols, 0), row[c])
     return tuple(x)
 
 
@@ -392,50 +385,40 @@ def _check_ambient(s1: Subspace, s2: Subspace) -> None:
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     _check_ambient(s1, s2)
-    return Subspace.from_vectors(
-        s1.ambient_dim, list(s1.basis.entries) + list(s2.basis.entries)
-    )
+    return _subspace_int(s1.ambient_dim, _int_rows(s1.basis.entries + s2.basis.entries))
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     """Zassenhaus: eliminate [B1|B1; B2|0], read the intersection off the
-    right block of rows whose left block became zero."""
+    right block of the rows whose pivot lies in it (their left block is
+    zero)."""
     _check_ambient(s1, s2)
     n = s1.ambient_dim
-    rows = []
-    for r in s1.basis.entries:
-        rows.append(list(r) + list(r))
-    for r in s2.basis.entries:
-        rows.append(list(r) + [QZERO] * n)
-    rows, pivots = _rref_rows(rows)
-    vectors = []
-    for row in rows:
-        left = row[:n]
-        if any(left):
-            continue
-        right = row[n:]
-        if any(right):
-            vectors.append(right)
-    return Subspace.from_vectors(n, vectors)
+    rows = [{**r, **{k + n: v for k, v in r.items()}} for r in _int_rows(s1.basis.entries)]
+    rows += _int_rows(s2.basis.entries)
+    return _subspace_int(
+        n, ({k - n: v for k, v in row.items()} for c, row in _rref_int(rows) if c >= n)
+    )
 
 
 def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
     """A deterministic T with s1 + T = s2 and s1 ∩ T = 0.
 
     Requires s1 ⊆ s2.  The basis rows of s2 are scanned in order and a row is
-    kept whenever it enlarges the span, which extends the RREF basis of s1 by
-    standard-order pivots.  A row enlarges the span exactly when it is not in
-    the span of s1 and the rows before it, so the kept rows are the pivot
-    columns past s1 of one elimination on the vectors of s1 and s2 as columns.
+    kept whenever it enlarges the span (`_add_pivot` accepts it), which
+    extends the RREF basis of s1 by standard-order pivots.
     """
     _check_ambient(s1, s2)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in _int_rows(s1.basis.entries):
+        _add_pivot(pivots, row)
     rows = s2.basis.entries
-    _, pivots = _rref_rows([list(c) for c in zip(*s1.basis.entries, *rows)])
+    # basis rows are nonzero, so the integer rows line up with them
+    taken = tuple(r for r, row in zip(rows, _int_rows(rows)) if _add_pivot(pivots, row))
     # the rank is dim(s1 + s2), which is dim s2 exactly when s1 ⊆ s2
     if len(pivots) != s2.dim:
         raise NotASubspace("first space is not contained in the second")
     # rows of a reduced echelon basis are one too: no elimination needed
-    taken = tuple(rows[p - s1.dim] for p in pivots if p >= s1.dim)
     return Subspace(s1.ambient_dim, RationalMatrix(len(taken), s1.ambient_dim, taken))
 
 

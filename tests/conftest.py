@@ -9,12 +9,14 @@ from __future__ import annotations
 import functools
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 
 import leibniz_aid as la
+from leibniz_aid.cli import _random_invertible
 
 
 def sympy_nullspace_dim(rows: list[list], cols: int) -> int:
@@ -136,6 +138,19 @@ def dense_subspace_intersect(s1: la.Subspace, s2: la.Subspace) -> la.Subspace:
     return dense_subspace(n, [r[n:] for r in rows if not any(r[:n]) and any(r[n:])])
 
 
+def dense_hom_into(n: int, target: la.Subspace) -> la.Subspace:
+    """Endomorphisms of Q^n with image in the target: for each basis vector
+    t of the target and each column, t placed in that column."""
+    vectors = []
+    for t in target.basis_vectors():
+        for col in range(n):
+            vec = [Fraction(0)] * (n * n)
+            for k, v in enumerate(t):
+                vec[k * n + col] = v
+            vectors.append(vec)
+    return dense_subspace(n * n, vectors)
+
+
 def dense_derivation_space(alg: la.LeibnizAlgebra) -> la.Subspace:
     """Der from the Leibniz rule written out as dense Fraction rows."""
     n = alg.dim
@@ -151,6 +166,47 @@ def dense_derivation_space(alg: la.LeibnizAlgebra) -> la.Subspace:
                     row[k * n + j] -= c[i][k][m]
                 rows.append(row)
     return dense_nullspace(la.RationalMatrix(len(rows), n * n, tuple(map(tuple, rows))))
+
+
+# -- Fraction multiplication matrices ----------------------------------------
+#
+# The package reads the annihilators and the transition inverse off integer
+# rows on the one kernel.  These are the Fraction bodies they replaced, on the
+# dense oracle above.
+
+
+def fraction_annihilators(alg: la.LeibnizAlgebra) -> la.Annihilators:
+    """Right and left annihilators as null spaces of the Fraction
+    multiplication matrices, and the center as their Zassenhaus meet."""
+    n = alg.dim
+    right_rows, left_rows = [], []
+    for i in range(n):
+        # [e_i, x] = left_mult(e_i) x and [x, e_i] = right_mult(e_i) x
+        right_rows += alg.left_mult(alg.basis_coords(i)).entries
+        left_rows += alg.right_mult(alg.basis_coords(i)).entries
+    ann_r = dense_nullspace(la.RationalMatrix(len(right_rows), n, tuple(right_rows)))
+    ann_l = dense_nullspace(la.RationalMatrix(len(left_rows), n, tuple(left_rows)))
+    return la.Annihilators(ann_r, ann_l, dense_subspace_intersect(ann_r, ann_l))
+
+
+def fraction_transition_inverse(columns, n: int) -> la.RationalMatrix:
+    """Inverse of the matrix with the given n columns, read off the dense
+    reduced form of [A | I]; SingularMatrix when A is singular."""
+    aug = [
+        [Fraction(columns[j][i]) for j in range(n)] + [Fraction(int(k == i)) for k in range(n)]
+        for i in range(n)
+    ]
+    rows, pivots = dense_rref_rows(aug)
+    if len(pivots) < n or any(p >= n for p in pivots):
+        raise la.SingularMatrix("transition matrix is singular")
+    return la.RationalMatrix(n, n, tuple(tuple(r[n:]) for r in rows))
+
+
+def fuzz_copies(ref: str) -> list[la.LeibnizAlgebra]:
+    """The catalog algebra and two bases drawn as `fuzz` draws them."""
+    alg = la.make(ref)
+    rng = random.Random(la.DEFAULT_SEED)
+    return [alg] + [la.change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
 
 
 # -- Fraction point conditions ------------------------------------------------

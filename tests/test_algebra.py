@@ -28,7 +28,13 @@ from leibniz_aid.algebra import (
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in
 
-from conftest import fraction_central_series_terms
+from conftest import (
+    CATALOG_BATTERY,
+    fraction_annihilators,
+    fraction_central_series_terms,
+    fraction_transition_inverse,
+    fuzz_copies,
+)
 
 NF3 = catalog.make(catalog.parse_ref("catalog:NF:3"))
 SOLVABLE = LeibnizAlgebra.build(2, {(2, 1): {2: 1}})  # [e2,e1]=e2, not nilpotent
@@ -151,9 +157,6 @@ def test_mult_matrix_column_convention():
     lm = NF3.left_mult(x)
     for j in range(3):
         assert lm.col(j) == NF3.product(x, NF3.basis_coords(j))
-    assert NF3.mult_matrix(x, "right").entries == rm.entries
-    with pytest.raises(ValueError):
-        NF3.mult_matrix(x, "both")
 
 
 # -- series and annihilators -------------------------------------------
@@ -205,6 +208,43 @@ def test_annihilators_solvable():
     assert ann.ann_l == Subspace.from_vectors(2, [[1, 0]])
     assert ann.ann_r == Subspace.from_vectors(2, [[0, 1]])
     assert ann.center.dim == 0
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_annihilators_match_the_fraction_oracle(ref):
+    for alg in fuzz_copies(ref):
+        assert annihilators(alg) == fraction_annihilators(alg), ref
+
+
+def test_annihilators_off_the_catalog_match_the_fraction_oracle():
+    abelian = LeibnizAlgebra.build(3, {})
+    solvable3 = LeibnizAlgebra.build(3, {(2, 1): {2: 1}, (3, 1): {3: 2}})
+    for alg in (abelian, SOLVABLE, solvable3):
+        assert annihilators(alg) == fraction_annihilators(alg)
+    assert annihilators(abelian).center == Subspace.full(3)
+
+
+def test_transition_inverse_matches_the_fraction_oracle():
+    rng = random.Random(29)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        while True:
+            cols = [[Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            try:
+                expected = fraction_transition_inverse(cols, n)
+                break
+            except SingularMatrix:
+                pass
+        assert _transition_inverse(cols, n) == expected
+        # the last column made a combination of the others: singular
+        coefs = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n - 1)]
+        last = [sum((a * col[i] for a, col in zip(coefs, cols)), Q(0)) for i in range(n)]
+        singular = cols[:-1] + [last]
+        with pytest.raises(SingularMatrix):
+            fraction_transition_inverse(singular, n)
+        with pytest.raises(SingularMatrix):
+            _transition_inverse(singular, n)
 
 
 def test_product_span():

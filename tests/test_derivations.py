@@ -40,7 +40,6 @@ from leibniz_aid.derivations import (
     restriction_witness,
     subalgebra_nilpotency,
     vec_to_endo,
-    DEFAULT_SEED,
     _CutView,
     _der_inner_aid,
     _restrict_at_point,
@@ -53,6 +52,7 @@ from conftest import (
     dense_subspace,
     fraction_aid_basis_candidate,
     fraction_restrict_at_point,
+    fuzz_copies,
     sympy_derivation_dim,
 )
 
@@ -133,19 +133,8 @@ def test_derivation_space_members_satisfy_the_product_rule():
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_derivation_space_matches_the_dense_builder(ref):
-    # the standard basis, then two bases drawn as `fuzz` draws them
-    alg = make(ref)
-    rng = random.Random(DEFAULT_SEED)
-    copies = [change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
-    for a in [alg] + copies:
+    for a in fuzz_copies(ref):
         assert derivation_space(a) == dense_derivation_space(a), ref
-
-
-def fuzz_copies(ref: str) -> list:
-    """The catalog algebra and two bases drawn as `fuzz` draws them."""
-    alg = make(ref)
-    rng = random.Random(DEFAULT_SEED)
-    return [alg] + [change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
 
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)

@@ -28,8 +28,10 @@ from leibniz_aid.exactlin import (
     subspace_intersect,
     subspace_sum,
 )
+from leibniz_aid.derivations import _hom_into
 
 from conftest import (
+    dense_hom_into,
     dense_nullspace,
     dense_rref_rows,
     dense_solve_linear,
@@ -105,7 +107,7 @@ def test_rank_nullity_against_sympy():
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         m = rand_matrix(rng, rows, cols)
         null_dim = nullspace(m).dim
-        assert null_dim == sympy_nullspace_dim(m.to_lists(), cols)
+        assert null_dim == sympy_nullspace_dim([list(r) for r in m.entries], cols)
         assert rref(m).rank + null_dim == cols
 
 
@@ -409,6 +411,8 @@ def test_sparse_kernel_matches_the_dense_oracle(m, data):
     s2 = Subspace.from_vectors(m.cols, other.entries)
     assert s1 == dense_subspace(m.cols, m.entries)
     assert subspace_intersect(s1, s2) == dense_subspace_intersect(s1, s2)
+    assert subspace_sum(s1, s2) == dense_subspace(m.cols, s1.basis.entries + s2.basis.entries)
+    assert _hom_into(m.cols, s1) == dense_hom_into(m.cols, s1)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,7 +84,6 @@ def test_degree_and_variable_queries():
     assert p.degree_in(0) == 2 and p.degree_in(1) == 1 and p.degree_in(2) == 1
     assert p.total_degree() == 3
     assert p.variables() == {0, 1, 2}
-    assert p.coeff_terms_of_var(0, 2) == t(1)
     assert not p.is_constant()
     assert p_const(5).is_constant() and p_const(5).constant_value() == 5
 
