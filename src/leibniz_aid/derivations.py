@@ -253,12 +253,15 @@ def _primitive(point: Sequence[int]) -> bool:
 
 
 class _CutView:
-    """A candidate space seen over the integers, for the cut test at integer x.
+    """A complement of Inner in a candidate space, seen over the integers,
+    for the cut test at integer x.
 
-    Each basis vector D_b of the space is scaled by its own denominator, so
-    at an integer x the images D_b(x) and the columns `_bracket_columns`
-    are integer vectors spanning the same lines as the rational ones.  x
-    cuts the space iff some D_b(x) leaves the span of the columns.
+    Inner never cuts: for D = R_a + C with C in the complement, D(x) =
+    [x, a] + C(x) and [x, a] lies in [x, L], so x cuts the candidate iff it
+    cuts the complement.  Each basis vector C_b is scaled by its own
+    denominator, so at an integer x the images C_b(x) and the columns
+    `_bracket_columns` are integer vectors spanning the same lines as the
+    rational ones.  x cuts iff some C_b(x) leaves the span of the columns.
     """
 
     __slots__ = ("alg", "images")
@@ -266,7 +269,7 @@ class _CutView:
     def __init__(self, alg: LeibnizAlgebra, space: Subspace):
         n = alg.dim
         self.alg = alg
-        # images[b]: {k: [(m, D_b[m][k] scaled)]} for the nonzero columns k
+        # images[b]: {k: [(m, C_b[m][k] scaled)]} for the nonzero columns k
         self.images = []
         for b in _int_rows(space.basis_vectors()):
             cols: dict[int, list[tuple[int, int]]] = {}
@@ -276,10 +279,8 @@ class _CutView:
             self.images.append(cols)
 
     def cuts(self, x: Sequence[int]) -> bool:
-        """Whether D(x) in [x, L] fails for some D of the space."""
-        pivots: dict[int, dict[int, int]] = {}
-        for col in _bracket_columns(self.alg, x):
-            _add_pivot(pivots, col)
+        """Whether C(x) in [x, L] fails for some C of the space."""
+        pivots: dict[int, dict[int, int]] | None = None
         for image in self.images:
             img: dict[int, int] = {}
             for k, col in image.items():
@@ -287,7 +288,16 @@ class _CutView:
                 if xk:
                     for m, v in col:
                         img[m] = img.get(m, 0) + xk * v
-            if _add_pivot(pivots, {m: v for m, v in img.items() if v}):
+            img = {m: v for m, v in img.items() if v}
+            # a zero image never cuts: [x, L] is eliminated only for the
+            # first nonzero one
+            if not img:
+                continue
+            if pivots is None:
+                pivots = {}
+                for col in _bracket_columns(self.alg, x):
+                    _add_pivot(pivots, col)
+            if _add_pivot(pivots, img):
                 return True
         return False
 
@@ -304,34 +314,37 @@ def aid_refine(
     alg: LeibnizAlgebra,
     space: Subspace,
     cfg: AidConfig = AidConfig(),
-    floor: int | None = None,
+    inner: Subspace | None = None,
 ) -> tuple[Subspace, int]:
     """Intersect a candidate space with sampled almost-inner conditions.
 
     Walks the deterministic grid, then random points seeded by cfg.seed, with
     entries in -RANDOM_BOUND..RANDOM_BOUND, until STALL_LIMIT consecutive
-    samples fail to shrink the space.  `floor` (normally dim Inner) allows
-    an early exit: the result always contains the inner derivations, so
-    reaching the floor means no sample can cut further.  Returns the refined
-    space and the number of samples used.
+    samples fail to shrink the space.  `inner` is Inner(L) (worked out here
+    when not given) and must lie inside space.  Inner never cuts, so each
+    point is tested on a complement of Inner only, and reaching dim Inner
+    ends the walk: the result always contains the inner derivations.
+    Returns the refined space and the number of samples used.
     """
     n = alg.dim
     samples = 0
     if n == 0 or space.dim == 0:
         return space, samples
+    if inner is None:
+        inner = inner_space(alg)
     # sample points are integers: the cut test runs on the integer view, and
     # only a point that cuts takes the exact restriction
-    view = _CutView(alg, space)
+    view = _CutView(alg, complement_in(inner, space))
     for point in refinement_grid(n, cfg.grid_radius):
-        if floor is not None and space.dim <= floor:
+        if space.dim <= inner.dim:
             break
         samples += 1
         if view.cuts(point):
             space = _restrict_at_point(alg, space, point)
-            view = _CutView(alg, space)
+            view = _CutView(alg, complement_in(inner, space))
     rng = random.Random(cfg.seed)
     stall = 0
-    while stall < STALL_LIMIT and (floor is None or space.dim > floor):
+    while stall < STALL_LIMIT and space.dim > inner.dim:
         point = tuple(rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(n))
         if not any(point):
             continue
@@ -339,7 +352,7 @@ def aid_refine(
         dim = space.dim
         if view.cuts(point):
             space = _restrict_at_point(alg, space, point)
-            view = _CutView(alg, space)
+            view = _CutView(alg, complement_in(inner, space))
         # the exact restriction, not the view, decides whether the stall ends
         stall = 0 if space.dim < dim else stall + 1
     return space, samples
@@ -849,10 +862,11 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
 
     Pipeline: linear candidate from basis conditions, grid/random sampling
     refinement, then certification of a deterministic complement of Inner
-    inside the refined space.  Refuted generators feed their refuting x back
-    into the refinement and the loop restarts; the loop ends when every
-    complement generator is proved (certified_exact) or some remain
-    inconclusive (probabilistic), or the round cap is hit (partial).
+    inside the refined space.  A refuted generator's refuting x restricts
+    the space at x (no sampling resumes) and the complement is certified
+    again; the loop ends when every complement generator is proved
+    (certified_exact) or some remain inconclusive (probabilistic), or the
+    round cap is hit (partial).
     """
     return _der_inner_aid(alg, cfg)[2]
 
@@ -878,7 +892,7 @@ def _der_inner_aid(
         der = _conjugated(derivation_space(basis.alg), basis)
     inner = inner_space(alg)
     cand = aid_basis_candidate(alg, der)
-    space, samples = aid_refine(alg, cand, cfg, floor=inner.dim)
+    space, samples = aid_refine(alg, cand, cfg, inner=inner)
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
     inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
     proved_gens: list[tuple[RationalMatrix, CertOutcome]] = []

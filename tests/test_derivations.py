@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from math import gcd, lcm
 
@@ -44,7 +45,7 @@ from leibniz_aid.derivations import (
     _der_inner_aid,
     _restrict_at_point,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, rref
+from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in, rref
 
 from conftest import (
     CATALOG_BATTERY,
@@ -237,7 +238,7 @@ def test_refinement_grid_radius_override():
 def test_aid_refine_respects_floor():
     inner = inner_space(NF3)
     cand = aid_basis_candidate(NF3)
-    space, samples = aid_refine(NF3, cand, floor=inner.dim)
+    space, samples = aid_refine(NF3, cand, inner=inner)
     assert space.contains_subspace(inner)
     if cand.dim == inner.dim:
         assert samples == 0
@@ -245,10 +246,18 @@ def test_aid_refine_respects_floor():
 
 def test_aid_refine_cuts_a_known_overestimate():
     alg = make("catalog:D4:L13:1")
+    inner = inner_space(alg)
     cand = aid_basis_candidate(alg)
-    refined, samples = aid_refine(alg, cand, floor=inner_space(alg).dim)
-    assert refined.dim <= cand.dim
-    assert refined.contains_subspace(inner_space(alg))
+    refined, samples = aid_refine(alg, cand, inner=inner)
+    assert refined.dim < cand.dim
+    assert refined.contains_subspace(inner)
+
+
+@pytest.mark.parametrize("ref", ["catalog:D4:L13:1", "catalog:G53", "catalog:F3:6:0,0,1"])
+def test_aid_refine_works_out_inner_by_default(ref):
+    alg = make(ref)
+    cand = aid_basis_candidate(alg)
+    assert aid_refine(alg, cand) == aid_refine(alg, cand, inner=inner_space(alg))
 
 
 @pytest.mark.parametrize(
@@ -263,36 +272,85 @@ def random_basis_copy(ref: str, seed: int):
     return change_basis(alg, _random_invertible(random.Random(seed), alg.dim))
 
 
+# a cut the view missed would leave the dimensions alone (certification
+# restricts at the refuting point) but would change the samples and witnesses
 @pytest.mark.parametrize(
-    "ref,seed", [("catalog:G53", 1), ("catalog:F1:7:0,0,0,1,0", 1)]
+    "ref,samples,witnesses",
+    [
+        ("catalog:G53", 146, 0),
+        ("catalog:F3:5:1,2,3", 146, 0),
+        ("catalog:F1:7:0,0,0,1,0", 9, 0),
+    ],
+)
+def test_refinement_sample_counts_are_pinned_off_the_standard_basis(
+    ref, samples, witnesses
+):
+    aid = aid_space(random_basis_copy(ref, 1))
+    assert aid.samples_used == samples
+    assert len(aid.witnesses) == witnesses
+    assert aid.status == "certified_exact"
+
+
+@pytest.mark.parametrize(
+    "ref,seed",
+    [
+        ("catalog:G53", 1),
+        ("catalog:F1:7:0,0,0,1,0", 1),
+        ("catalog:F3:8:0,0,1", None),
+        # at grid point 26 the first complement image of Der is zero and a
+        # later one cuts
+        ("catalog:G53", None),
+    ],
 )
 def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
-    alg = random_basis_copy(ref, seed)
+    alg = make(ref) if seed is None else random_basis_copy(ref, seed)
     n = alg.dim
     der = derivation_space(alg)
+    inner = inner_space(alg)
     refined = aid_space(alg).upper_bound
-    rng = random.Random(seed)
-    outcomes = {True: 0, False: 0}
-    for space in (der, aid_basis_candidate(alg, der), refined):
-        view = _CutView(alg, space)
-        basis = [vec_to_endo(b, n) for b in space.basis_vectors()]
+    rng = random.Random(0 if seed is None else seed)
+
+    def points():
+        # sparse and dense integer points, then rational ones
         for trial in range(100):
-            # sparse and dense integer points, then rational ones
             support = rng.sample(range(n), rng.randint(1, n))
             point = [0] * n
             for k in support:
                 point[k] = rng.choice([v for v in range(-4, 5) if v])
             if trial % 3 == 2:
                 point = [Q(v, rng.randint(1, 7)) for v in point]
+            yield point
+        # grid points, where the complement images can all vanish
+        yield from itertools.islice(refinement_grid(n), 40)
+
+    outcomes = {True: 0, False: 0}
+    lazy = 0
+    for space in (der, aid_basis_candidate(alg, der), refined):
+        comp = complement_in(inner, space)
+        full_view = _CutView(alg, space)
+        comp_view = _CutView(alg, comp)
+        basis = [vec_to_endo(b, n) for b in space.basis_vectors()]
+        comp_basis = [vec_to_endo(b, n) for b in comp.basis_vectors()]
+        for point in points():
             cut = _restrict_at_point(alg, space, point) != space
             # the exact rank test, generator by generator, is the oracle
             assert cut == any(aid_witness(alg, d, point) is None for d in basis)
+            # Inner never cuts: the complement cuts exactly when the space does
+            assert cut == any(aid_witness(alg, c, point) is None for c in comp_basis)
             # the condition is homogeneous in x: a rational x is tested at
             # an integer multiple
             scale = lcm(*(Q(v).denominator for v in point))
-            assert view.cuts([int(v * scale) for v in point]) == cut
+            x = [int(v * scale) for v in point]
+            assert full_view.cuts(x) == cut
+            assert comp_view.cuts(x) == cut
             outcomes[cut] += 1
+            if comp_basis and not any(any(c.apply(x)) for c in comp_basis):
+                lazy += 1
     assert outcomes[True] and outcomes[False]
+    if seed is None:
+        # in the standard basis some grid points give every complement
+        # generator a zero image: the view decides them without [x, L]
+        assert lazy
 
 
 def test_inconclusive_generator_reports_its_branch_log():
