@@ -133,17 +133,16 @@ class Poly:
         if k in replacement.variables():
             raise ValueError("replacement reuses the substituted variable")
         out = Poly.zero(self.nvars)
-        powers: dict[int, Poly] = {0: Poly.const(self.nvars, 1)}
-
-        def power(e: int) -> "Poly":
-            if e not in powers:
-                powers[e] = power(e - 1) * replacement
-            return powers[e]
-
+        # powers[e] = replacement**e, extended as needed; a plain list rather
+        # than a memoizing closure, whose self-reference would leave a cycle
+        # per call for the cyclic collector to free at some later time
+        powers = [Poly.const(self.nvars, 1)]
         for m, c in self.terms.items():
             e = m[k]
+            while len(powers) <= e:
+                powers.append(powers[-1] * replacement)
             rest = Poly(self.nvars, {tuple(0 if i == k else x for i, x in enumerate(m)): c})
-            out = out + (rest * power(e) if e else rest)
+            out = out + (rest * powers[e] if e else rest)
         return out
 
     def evaluate(self, point: Sequence[Q]) -> Q:

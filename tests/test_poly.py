@@ -67,6 +67,23 @@ def test_subs_var_rejects_self_reference():
         t(0).subs_var(0, t(0) + p_const(1))
 
 
+def test_subs_var_leaves_no_reference_cycle():
+    # its temporaries are freed by reference counting as the call returns,
+    # not whenever the cyclic collector next runs
+    import gc
+
+    p = t(0) * t(0) * t(0) + t(0) * t(1) + p_const(2)
+    gc.collect()
+    gc.disable()
+    try:
+        substituted = p.subs_var(0, t(1) + t(2, 3))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    pt = (Q(0), Q(2), Q(-1))
+    assert substituted.evaluate(pt) == p.evaluate((Q(-1),) + pt[1:])
+
+
 # -- structure queries ----------------------------------------------------
 
 
