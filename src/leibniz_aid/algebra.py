@@ -222,18 +222,19 @@ class LeibnizAlgebra:
 def product_span(alg: LeibnizAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
     """Span of [u, v] over basis vectors u of s1 and v of s2.
 
-    Each basis vector is scaled to integers and the products are taken with
-    the integer constants: the same lines, so the same span.
+    The products of the stored integer basis rows are taken with the integer
+    constants: the same lines, so the same span.
     """
     nz = alg.scaled_constants()[1]
-    left, right = _int_rows(s1.basis_vectors()), _int_rows(s2.basis_vectors())
+    left = [list(zip(*row)) for row in s1.echelon]
+    right = [list(zip(*row)) for row in s2.echelon]
     rows = []
     for u in left:
         for v in right:
             out: dict[int, int] = {}
-            for i, ui in u.items():
+            for i, ui in u:
                 plane = nz[i]
-                for j, vj in v.items():
+                for j, vj in v:
                     c = ui * vj
                     for k, w in plane[j]:
                         out[k] = out.get(k, 0) + c * w

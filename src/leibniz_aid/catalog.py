@@ -344,19 +344,15 @@ def make(ref: CatalogRef | str) -> LeibnizAlgebra:
 # expected dimension data
 
 
-def _e(n: int, row: int, col: int) -> RationalMatrix:
-    return matrix_unit(n, row, col)
-
-
 _D4_EXPECTED = {
-    "L4": ExpectedData(2, 2, 3, 4, _e(4, 4, 2), "E(4,2)"),
-    "L9": ExpectedData(3, 3, 4, 4, _e(4, 4, 2), "E(4,2)"),
-    "L10": ExpectedData(3, 3, 4, 4, _e(4, 4, 2), "E(4,2)"),
-    "L11": ExpectedData(2, 2, 3, 5, _e(4, 4, 2), "E(4,2)"),
-    "L12": ExpectedData(2, 2, 3, 5, _e(4, 4, 2), "E(4,2)"),
+    "L4": ExpectedData(2, 2, 3, 4, matrix_unit(4, 4, 2), "E(4,2)"),
+    "L9": ExpectedData(3, 3, 4, 4, matrix_unit(4, 4, 2), "E(4,2)"),
+    "L10": ExpectedData(3, 3, 4, 4, matrix_unit(4, 4, 2), "E(4,2)"),
+    "L11": ExpectedData(2, 2, 3, 5, matrix_unit(4, 4, 2), "E(4,2)"),
+    "L12": ExpectedData(2, 2, 3, 5, matrix_unit(4, 4, 2), "E(4,2)"),
     "L13": ExpectedData(2, 2, 4, 5,
-                        _e(4, 4, 2) + _e(4, 3, 2), "E(4,2)+E(3,2)"),
-    "L20": ExpectedData(2, 2, 3, 7, _e(4, 4, 2), "E(4,2)"),
+                        matrix_unit(4, 4, 2) + matrix_unit(4, 3, 2), "E(4,2)+E(3,2)"),
+    "L20": ExpectedData(2, 2, 3, 7, matrix_unit(4, 4, 2), "E(4,2)"),
 }
 
 _G53_EXPECTED = ExpectedData(inner=4, rcaid=None, aid=5, der=10)

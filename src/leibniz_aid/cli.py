@@ -247,8 +247,6 @@ def _config_from(args) -> AidConfig:
     kwargs = {}
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "grid_radius", None) is not None:
-        kwargs["grid_radius"] = args.grid_radius
     return AidConfig(**kwargs)
 
 
@@ -483,7 +481,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analyze one algebra")
     p.add_argument("source", help="algebra JSON file, - for stdin, or catalog:REF")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--grid-radius", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify-paper",

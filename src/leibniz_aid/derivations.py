@@ -42,14 +42,13 @@ from .exactlin import (
     as_rational,
     _freeze,
     _add_pivot,
+    _dict_rows,
     _int_matrix,
-    _int_rows,
     _null_vectors_int,
     _nullspace_int,
     _primitive_map,
     _restrict_int,
     _subspace_int,
-    nullspace,
     solve_linear,
     subspace_intersect,
     subspace_sum,
@@ -215,7 +214,6 @@ def _point_conditions(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, i
 @dataclass(frozen=True)
 class AidConfig:
     seed: int = DEFAULT_SEED
-    grid_radius: int | None = None
     depth_limit: int | None = None
 
 
@@ -258,10 +256,10 @@ class _CutView:
 
     Inner never cuts: for D = R_a + C with C in the complement, D(x) =
     [x, a] + C(x) and [x, a] lies in [x, L], so x cuts the candidate iff it
-    cuts the complement.  Each basis vector C_b is scaled by its own
-    denominator, so at an integer x the images C_b(x) and the columns
-    `_bracket_columns` are integer vectors spanning the same lines as the
-    rational ones.  x cuts iff some C_b(x) leaves the span of the columns.
+    cuts the complement.  The stored basis vectors C_b are integer vectors,
+    so at an integer x the images C_b(x) and the columns `_bracket_columns`
+    are integer vectors spanning the same lines as the rational ones.  x
+    cuts iff some C_b(x) leaves the span of the columns.
     """
 
     __slots__ = ("alg", "images")
@@ -269,11 +267,11 @@ class _CutView:
     def __init__(self, alg: LeibnizAlgebra, space: Subspace):
         n = alg.dim
         self.alg = alg
-        # images[b]: {k: [(m, C_b[m][k] scaled)]} for the nonzero columns k
+        # images[b]: {k: [(m, C_b[m][k])]} for the nonzero columns k
         self.images = []
-        for b in _int_rows(space.basis_vectors()):
+        for b in space.echelon:
             cols: dict[int, list[tuple[int, int]]] = {}
-            for idx, v in b.items():
+            for idx, v in zip(*b):
                 m, k = divmod(idx, n)
                 cols.setdefault(k, []).append((m, v))
             self.images.append(cols)
@@ -335,7 +333,7 @@ def aid_refine(
     # sample points are integers: the cut test runs on the integer view, and
     # only a point that cuts takes the exact restriction
     view = _CutView(alg, complement_in(inner, space))
-    for point in refinement_grid(n, cfg.grid_radius):
+    for point in refinement_grid(n):
         if space.dim <= inner.dim:
             break
         samples += 1
@@ -747,13 +745,16 @@ def _series_adapted_basis(alg: LeibnizAlgebra, series: SeriesReport) -> _Adapted
 
 def _conjugated(space: Subspace, basis: _AdaptedBasis) -> Subspace:
     """{P D P^-1 : D in space}, for a space of endomorphisms in the adapted
-    basis.  Each P D P^-1 is formed over the ints, up to a nonzero factor
-    that leaves the span alone."""
+    basis.  Each P D P^-1 is formed over the ints from the stored integer
+    basis, up to a nonzero factor that leaves the span alone."""
     n = basis.alg.dim
     p, pinv = _int_matrix(basis.p.entries)[1], _int_matrix(basis.pinv.entries)[1]
     rows = []
-    for v in space.basis_vectors():
-        d = _int_matrix(vec_to_endo(v, n).entries)[1]
+    for cols, vals in space.echelon:
+        d = [[0] * n for _ in range(n)]
+        for idx, v in zip(cols, vals):
+            r, c = divmod(idx, n)
+            d[r][c] = v
         m = _int_product(_int_product(p, d), pinv)
         rows.append({r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x})
     return _subspace_int(n * n, rows)
@@ -952,9 +953,9 @@ def _der_inner_aid(
 
 def _hom_into(n: int, target: Subspace) -> Subspace:
     """Endomorphisms whose image lies inside the target subspace of Q^n."""
-    rows = _int_rows(target.basis_vectors())
     return _subspace_int(
-        n * n, ({k * n + col: v for k, v in t.items()} for t in rows for col in range(n))
+        n * n,
+        ({k * n + col: v for k, v in zip(*t)} for t in target.echelon for col in range(n)),
     )
 
 
@@ -985,7 +986,7 @@ def restriction_witness(
 ) -> tuple[Q, ...] | None:
     """A global x with (D - R_x)(L) inside the target, if one exists."""
     n = alg.dim
-    functionals = nullspace(target.basis)
+    functionals = _nullspace_int(_dict_rows(target), n)
     rows: list[list[Q]] = []
     rhs: list[Q] = []
     for j in range(n):
@@ -1118,33 +1119,18 @@ def analysis_report(
         "outer": der.dim - inner.dim,
     }
     comp_info = []
-    for gmat, outcome in aid.proved_generators:
-        comp_info.append(
-            {
-                "matrix": gmat,
-                "actions": endo_actions(alg, gmat),
-                "outcome": "proved",
-                "branch_log": list(outcome.branch_log),
-            }
-        )
-    for gmat, outcome in aid.inconclusive_generators:
-        comp_info.append(
-            {
-                "matrix": gmat,
-                "actions": endo_actions(alg, gmat),
-                "outcome": "inconclusive",
-                "branch_log": list(outcome.branch_log),
-            }
-        )
-    for gmat, x in aid.witnesses:
-        comp_info.append(
-            {
-                "matrix": gmat,
-                "actions": endo_actions(alg, gmat),
-                "outcome": "refuted",
-                "refuting_x": list(x),
-            }
-        )
+    for kind, pairs in (
+        ("proved", aid.proved_generators),
+        ("inconclusive", aid.inconclusive_generators),
+        ("refuted", aid.witnesses),
+    ):
+        for gmat, detail in pairs:
+            info = {"matrix": gmat, "actions": endo_actions(alg, gmat), "outcome": kind}
+            if kind == "refuted":
+                info["refuting_x"] = list(detail)
+            else:
+                info["branch_log"] = list(detail.branch_log)
+            comp_info.append(info)
     deviations = ()
     if expected is not None:
         deviations = tuple(

@@ -12,15 +12,17 @@ off the integer rows; no Fraction row is padded or eliminated a second
 time.  Callers outside this module (Der, Inner, the annihilators, product
 spans, point conditions) use `_rref_int`, `_nullspace_int`,
 `_null_vectors_int`, `_subspace_int` and `_restrict_int` directly.  A
-subspace is represented by the reduced row echelon basis of its spanning
-set.  That form is unique, so it is canonical: two subspaces are equal iff
-their stored bases are equal entrywise, whatever order the kernel met the
-rows in.
+subspace stores what the kernel produces: its reduced row echelon rows,
+each scaled to primitive integers with a positive pivot.  That form is
+unique, so it is canonical: two subspaces are equal iff their stored rows
+are equal, whatever order the kernel met the rows in.  Every subspace
+operation reads those integer rows; the Fraction basis is only a view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -164,20 +166,14 @@ def _int_matrix(rows: Sequence[Sequence[Q]]) -> tuple[int, list[list[int]]]:
     return d, [[v.numerator * (d // v.denominator) for v in row] for row in rows]
 
 
-def _fraction_rows(reduced: list[tuple[int, dict[int, int]]], ncols: int) -> list[list[Q]]:
-    """Kernel output as dense Fraction rows, each divided by its pivot.
-
-    Equal entries share one Fraction object: callers keep many subspaces
-    alive (every AidResult holds its bounds), and most entries repeat.
-    """
+def _fraction_rows(reduced: Iterable[tuple[int, dict[int, int]]], ncols: int) -> list[list[Q]]:
+    """Kernel output as dense Fraction rows, each divided by its pivot."""
     out = []
-    shared: dict[tuple[int, int], Q] = {}
     for c, row in reduced:
         p = row[c]
         dense = [QZERO] * ncols
         for k, v in row.items():
-            f = Q(v, p)
-            dense[k] = shared.setdefault((f.numerator, f.denominator), f)
+            dense[k] = Q(v, p)
         out.append(dense)
     return out
 
@@ -274,8 +270,18 @@ def _null_vectors_int(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[i
 
 def _subspace_int(ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
     """The Subspace spanned by sparse integer rows."""
-    basis = _fraction_rows(_rref_int(row for row in rows if row), ambient_dim)
-    return Subspace(ambient_dim, RationalMatrix(len(basis), ambient_dim, _freeze(basis)))
+    echelon = []
+    # the kernel keeps its rows primitive; only the pivot's sign is free
+    for c, row in _rref_int(row for row in rows if row):
+        cols = tuple(sorted(row))
+        sign = 1 if row[c] > 0 else -1
+        echelon.append((cols, tuple(sign * row[k] for k in cols)))
+    return Subspace(ambient_dim, tuple(echelon))
+
+
+def _dict_rows(space: "Subspace") -> list[dict[int, int]]:
+    """The stored rows of a subspace as fresh {col: int} rows for the kernel."""
+    return [dict(zip(cols, vals)) for cols, vals in space.echelon]
 
 
 def rref(matrix: RationalMatrix) -> RrefResult:
@@ -321,14 +327,18 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence) -> tuple[Q, ...] | None:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^n held as its RREF basis (rows, no zero rows).
+    """A linear subspace of Q^n held as its reduced row echelon basis.
 
-    Construction always goes through elimination, so any two equal subspaces
-    carry the identical basis and dataclass equality is subspace equality.
+    `echelon` holds one (cols, values) pair per basis row, by pivot column:
+    the row's nonzero columns in increasing order and its entries scaled to
+    primitive integers, the first of them (the pivot) positive.  That form
+    is unique, so dataclass equality and hashing are subspace equality.
+    Build subspaces with `from_vectors`, `zero` or `full`; `basis` is the
+    reduced echelon basis over Fractions, worked out on first read.
     """
 
     ambient_dim: int
-    basis: RationalMatrix
+    echelon: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -342,15 +352,21 @@ class Subspace:
 
     @staticmethod
     def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RationalMatrix(0, ambient_dim, ()))
+        return Subspace(ambient_dim, ())
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, RationalMatrix.identity(ambient_dim))
+        return Subspace(ambient_dim, tuple(((i,), (1,)) for i in range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return self.basis.rows
+        return len(self.echelon)
+
+    @cached_property
+    def basis(self) -> RationalMatrix:
+        reduced = ((cols[0], dict(zip(cols, vals))) for cols, vals in self.echelon)
+        rows = _fraction_rows(reduced, self.ambient_dim)
+        return RationalMatrix(len(rows), self.ambient_dim, _freeze(rows))
 
     def basis_vectors(self) -> tuple[tuple[Q, ...], ...]:
         return self.basis.entries
@@ -385,7 +401,7 @@ def _check_ambient(s1: Subspace, s2: Subspace) -> None:
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     _check_ambient(s1, s2)
-    return _subspace_int(s1.ambient_dim, _int_rows(s1.basis.entries + s2.basis.entries))
+    return _subspace_int(s1.ambient_dim, _dict_rows(s1) + _dict_rows(s2))
 
 
 def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -394,8 +410,8 @@ def subspace_intersect(s1: Subspace, s2: Subspace) -> Subspace:
     zero)."""
     _check_ambient(s1, s2)
     n = s1.ambient_dim
-    rows = [{**r, **{k + n: v for k, v in r.items()}} for r in _int_rows(s1.basis.entries)]
-    rows += _int_rows(s2.basis.entries)
+    rows = [{**r, **{k + n: v for k, v in r.items()}} for r in _dict_rows(s1)]
+    rows += _dict_rows(s2)
     return _subspace_int(
         n, ({k - n: v for k, v in row.items()} for c, row in _rref_int(rows) if c >= n)
     )
@@ -406,20 +422,18 @@ def complement_in(s1: Subspace, s2: Subspace) -> Subspace:
 
     Requires s1 ⊆ s2.  The basis rows of s2 are scanned in order and a row is
     kept whenever it enlarges the span (`_add_pivot` accepts it), which
-    extends the RREF basis of s1 by standard-order pivots.
+    extends the reduced echelon basis of s1 by standard-order pivots.
     """
     _check_ambient(s1, s2)
     pivots: dict[int, dict[int, int]] = {}
-    for row in _int_rows(s1.basis.entries):
+    for row in _dict_rows(s1):
         _add_pivot(pivots, row)
-    rows = s2.basis.entries
-    # basis rows are nonzero, so the integer rows line up with them
-    taken = tuple(r for r, row in zip(rows, _int_rows(rows)) if _add_pivot(pivots, row))
+    taken = tuple(r for r in s2.echelon if _add_pivot(pivots, dict(zip(*r))))
     # the rank is dim(s1 + s2), which is dim s2 exactly when s1 ⊆ s2
     if len(pivots) != s2.dim:
         raise NotASubspace("first space is not contained in the second")
-    # rows of a reduced echelon basis are one too: no elimination needed
-    return Subspace(s1.ambient_dim, RationalMatrix(len(taken), s1.ambient_dim, taken))
+    # rows of a reduced echelon basis are one too, in the stored form already
+    return Subspace(s1.ambient_dim, taken)
 
 
 def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspace:
@@ -429,9 +443,8 @@ def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspac
 
 def _restrict_int(space: Subspace, rows: Iterable[dict[int, int]]) -> Subspace:
     """{v in space : C v = 0} for sparse integer rows C: the combinations
-    y B with (C B^T) y = 0, B the basis scaled row by row to integers (which
-    rescales the coordinates of y and leaves their span as it is)."""
-    basis = _int_rows(space.basis_vectors())
+    y B with (C B^T) y = 0, B the stored integer basis."""
+    basis = _dict_rows(space)
     small = []
     for row in rows:
         acc = {}

@@ -103,9 +103,15 @@ def _dense_primitive(row: list[int]) -> list[int]:
 
 
 def dense_subspace(n: int, vectors) -> la.Subspace:
+    """The span as a Subspace: each dense RREF row is scaled by the lcm of
+    its denominators, which is the stored (cols, values) form."""
     rows, pivots = dense_rref_rows([list(v) for v in vectors])
-    basis = tuple(tuple(r) for r in rows[: len(pivots)])
-    return la.Subspace(n, la.RationalMatrix(len(basis), n, basis))
+    echelon = []
+    for row in rows[: len(pivots)]:
+        den = math.lcm(*(v.denominator for v in row))
+        cols = tuple(c for c, v in enumerate(row) if v)
+        echelon.append((cols, tuple(row[c].numerator * (den // row[c].denominator) for c in cols)))
+    return la.Subspace(n, tuple(echelon))
 
 
 def dense_nullspace(m: la.RationalMatrix) -> la.Subspace:

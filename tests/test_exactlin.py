@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
@@ -224,22 +225,6 @@ def test_ambient_mismatch_raises():
         subspace_sum(Subspace.full(2), Subspace.full(3))
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(
-        st.lists(st.integers(-4, 4), min_size=3, max_size=3),
-        min_size=0,
-        max_size=4,
-    )
-)
-def test_from_vectors_canonical_under_shuffle(vectors):
-    s1 = Subspace.from_vectors(3, vectors)
-    s2 = Subspace.from_vectors(3, list(reversed(vectors)))
-    assert s1 == s2
-    doubled = [[2 * x for x in v] for v in vectors]
-    assert Subspace.from_vectors(3, doubled) == s1
-
-
 # -- the integer kernel against sympy ---------------------------------------
 
 # small values, zeros, and values with large numerators and denominators
@@ -394,6 +379,43 @@ def kernel_matrices(draw, cols=None):
         [v if draw(st.integers(0, 3)) == 0 else Q(0) for v in r] for r in m.entries
     ]
     return RationalMatrix(m.rows, m.cols, tuple(tuple(r) for r in rows))
+
+
+nonzero_scalars = st.one_of(
+    st.integers(1, 5), st.integers(-5, -1), rationals.filter(bool)
+).map(Q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_matrices(), st.data())
+def test_from_vectors_canonical_under_shuffle(m, data):
+    """Shuffled, rescaled and padded spanning sets of one space give one
+    stored form: the dense RREF with each row scaled to primitive integers
+    and a positive pivot."""
+    n = m.cols
+    vectors = [list(r) for r in m.entries if any(r)]
+    s1 = Subspace.from_vectors(n, vectors)
+    # rescale each vector by a nonzero rational of either sign, add
+    # redundant combinations, then shuffle
+    other = []
+    for r in vectors:
+        c = data.draw(nonzero_scalars)
+        other.append([c * v for v in r])
+    for _ in range(data.draw(st.integers(0, 3)) if vectors else 0):
+        a, b = data.draw(st.lists(st.sampled_from(vectors), min_size=2, max_size=2))
+        ca, cb = data.draw(entries), data.draw(entries)
+        other.append([ca * x + cb * y for x, y in zip(a, b)])
+    s2 = Subspace.from_vectors(n, data.draw(st.permutations(other)))
+    assert s1 == s2
+    assert hash(s1) == hash(s2)
+    for cols, vals in s1.echelon:
+        assert list(cols) == sorted(cols) and all(vals)
+        assert gcd(*vals) == 1 and vals[0] > 0
+    rows, pivots = dense_rref_rows(vectors)
+    assert s1.basis.entries == tuple(tuple(r) for r in rows[: len(pivots)])
+    # a complement is made of stored rows of the larger space, unchanged
+    whole = Subspace.from_vectors(n, vectors + list(data.draw(kernel_matrices(cols=n)).entries))
+    assert set(complement_in(s1, whole).echelon) <= set(whole.echelon)
 
 
 @settings(max_examples=200, deadline=None)
