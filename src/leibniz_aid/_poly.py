@@ -92,9 +92,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(not any(m) for m in self.terms)
 
-    def constant_value(self) -> Q:
-        return self.terms.get((0,) * self.nvars, QZERO)
-
     def degree_in(self, k: int) -> int:
         return max((m[k] for m in self.terms), default=0)
 

@@ -13,7 +13,9 @@ generator).  `build_deviations` compares a computed analysis against that
 data and attaches a machine-checkable certificate to every disagreement:
 either a concrete refuting x for a claimed generator, an explicit inner
 combination showing the generator adds nothing, or per-member global-x
-witnesses for a larger-than-expected restricted space.
+witnesses for a larger-than-expected restricted space.  A claimed generator
+that certification cannot decide is reported with an empty certificate,
+which `verify-paper --deviations-ok` does not excuse.
 
 `paper_claims` is the table of the paper's claims that `verify-paper`
 checks: one `Claim` row per check, naming the kind of claim, the algebra,
@@ -500,17 +502,19 @@ def inner_witness_certificate(alg: LeibnizAlgebra, gen: RationalMatrix,
     return cert
 
 
-def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
-                           inner, basis) -> tuple[str, dict]:
-    """Classify a claimed complement generator; returns (verdict, certificate).
+def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
+                       inner, basis) -> tuple[str, dict] | None:
+    """Why a claimed complement generator fails; None when it is proved almost
+    inner and lies outside Inner.
 
-    Verdicts: 'not_aid' (refuting x found), 'inner' (explicit combination,
-    so the generator cannot extend Inner), 'ok' (in AID, outside Inner).
-    `basis` is the analysis's series-adapted basis, or None.
+    Returns (computed, certificate): a refuting x, or the generator's
+    combination of right multiplications when it cannot extend Inner.  An
+    inconclusive certification has no certificate, so no `--deviations-ok`
+    run excuses it.  `basis` is the analysis's series-adapted basis, or None.
     """
     outcome = aid_certify(alg, gen, _basis=basis)
     if outcome.kind == "refuted":
-        return "not_aid", {
+        return "not an almost inner derivation", {
             "kind": "refuting_x",
             "generator": matrix_json(gen),
             "generator_label": label,
@@ -518,14 +522,10 @@ def _generator_certificate(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
             "expects_witness": False,
         }
     if inner.contains(endo_to_vec(gen)):
-        return "inner", inner_witness_certificate(alg, gen, label)
-    return "ok", {
-        "kind": "aid_member",
-        "generator": matrix_json(gen),
-        "generator_label": label,
-        "x": vec_json(alg.basis_coords(1 if alg.dim > 1 else 0)),
-        "expects_witness": True,
-    }
+        return "already an inner derivation", inner_witness_certificate(alg, gen, label)
+    if outcome.kind == "inconclusive":
+        return f"certification inconclusive: {outcome.branch_log[-1]}", {}
+    return None
 
 
 def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner,
@@ -547,33 +547,25 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
                  for j in range(alg.dim)]
         out.append(Deviation(f"{loc}:inner", str(expected.inner), str(inner.dim),
                              {"kind": "inner_basis", "basis": basis}))
-    gen_verdict = None
-    gen_cert = None
+    gen_computed, gen_cert = None, {}
     if expected.generator is not None:
-        gen_verdict, gen_cert = _generator_certificate(
-            alg, expected.generator, expected.generator_label, inner, _basis)
-    if expected.aid is not None and aid.upper_bound.dim != expected.aid:
-        if gen_cert is not None and gen_verdict != "ok":
-            cert = gen_cert
-        else:
-            cert = {
-                "kind": "aid_basis",
-                "basis": [matrix_json(vec_to_endo(v, alg.dim))
-                          for v in aid.upper_bound.basis_vectors()],
-                "status": aid.status,
-            }
+        gen_computed, gen_cert = _generator_failure(
+            alg, expected.generator, expected.generator_label, inner, _basis) or (None, {})
+    aid_differs = expected.aid is not None and aid.upper_bound.dim != expected.aid
+    if aid_differs:
+        # a failing generator's certificate explains the AID mismatch best
+        cert = gen_cert or {
+            "kind": "aid_basis",
+            "basis": [matrix_json(vec_to_endo(v, alg.dim))
+                      for v in aid.upper_bound.basis_vectors()],
+            "status": aid.status,
+        }
         out.append(Deviation(f"{loc}:aid", str(expected.aid),
                              str(aid.upper_bound.dim), cert))
-    elif gen_verdict == "not_aid":
+    if gen_computed is not None and not (aid_differs and gen_cert):
         out.append(Deviation(
             f"{loc}:generator",
-            f"{expected.generator_label} spans AID over Inner",
-            "not an almost inner derivation", gen_cert))
-    elif gen_verdict == "inner":
-        out.append(Deviation(
-            f"{loc}:generator",
-            f"{expected.generator_label} spans AID over Inner",
-            "already an inner derivation", gen_cert))
+            f"{expected.generator_label} spans AID over Inner", gen_computed, gen_cert))
     if expected.rcaid is not None and rcaid.dim != expected.rcaid:
         members = []
         for v in rcaid.basis_vectors():

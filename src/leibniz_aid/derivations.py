@@ -368,13 +368,12 @@ class CertOutcome:
 
 
 class _CertContext:
-    __slots__ = ("alg", "dmat", "n", "budget", "log", "depth_limit")
+    __slots__ = ("alg", "dmat", "budget", "log", "depth_limit")
 
-    def __init__(self, alg, dmat, depth_limit, budget):
+    def __init__(self, alg, dmat, depth_limit):
         self.alg = alg
         self.dmat = dmat
-        self.n = alg.dim
-        self.budget = budget
+        self.budget = NODE_BUDGET
         self.depth_limit = depth_limit
         self.log: list[str] = []
 
@@ -424,7 +423,7 @@ def _search_refutation(
     as a guide; each candidate is then verified with the exact rank test,
     which is the only thing that can declare a refutation.
     """
-    n = ctx.n
+    n = ctx.alg.dim
     free = sorted(residual.variables())
     for _, repl in subs:
         free = sorted(set(free) | repl.variables())
@@ -530,7 +529,7 @@ def _nonzero_vars(nonzero: list[Poly]) -> set[int]:
     return out
 
 
-def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly, int]:
+def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly]:
     """Pick the next pivot entry; smaller score first.
 
     Score class 0: nonzero constants (no case split at all), 1: polynomials
@@ -560,13 +559,15 @@ def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly, 
             if best is None or score < best[0]:
                 best = (score, i, c, p)
     _, i, c, p = best
-    return i, c, p, best[0][0]
+    return i, c, p
 
 
 def _eliminate(
-    rows: list[tuple[list[Poly], Poly]], pi: int, pc: int, pivot: Poly, constant: bool
+    rows: list[tuple[list[Poly], Poly]], pi: int, pc: int, pivot: Poly
 ) -> list[tuple[list[Poly], Poly]]:
-    """Consume the pivot row; fraction-free updates keep entries polynomial."""
+    """Consume the pivot row by the fraction-free update pivot*row - f*pivot_row,
+    which keeps entries polynomial.  A constant pivot leaves its factor on
+    each updated row; the next node's `_strip_row` divides it out."""
     pcoeffs, prhs = rows[pi]
     out = []
     for idx, (coeffs, rhs) in enumerate(rows):
@@ -576,13 +577,8 @@ def _eliminate(
         if f.is_zero():
             out.append((coeffs, rhs))
             continue
-        if constant:
-            scale = f.scale(Q(1) / pivot.constant_value())
-            newc = [a - scale * b for a, b in zip(coeffs, pcoeffs)]
-            newr = rhs - scale * prhs
-        else:
-            newc = [pivot * a - f * b for a, b in zip(coeffs, pcoeffs)]
-            newr = pivot * rhs - f * prhs
+        newc = [pivot * a - f * b for a, b in zip(coeffs, pcoeffs)]
+        newr = pivot * rhs - f * prhs
         newc[pc] = Poly.zero(pivot.nvars)
         out.append((newc, newr))
     return out
@@ -617,32 +613,23 @@ def _decide(
     rows = cleaned
     if not rows or all(rhs.is_zero() for _, rhs in rows):
         return CertOutcome("proved", branch_log=tuple(ctx.log))
-    pi, pc, pivot, cls = _pivot_choice(rows)
-    if cls == 0:
-        return _decide(ctx, _eliminate(rows, pi, pc, pivot, True), depth, nonzero, subs)
+    pi, pc, pivot = _pivot_choice(rows)
     if len(pivot.terms) == 1 and pivot.variables() <= nz_vars:
-        # the pivot is a monomial in variables the branch already forces
-        # nonzero, so it cannot vanish here: eliminate without a case split
-        return _decide(ctx, _eliminate(rows, pi, pc, pivot, False), depth, nonzero, subs)
+        # a nonzero constant, or a monomial in variables the branch already
+        # forces nonzero: the pivot cannot vanish here, so no case split
+        return _decide(ctx, _eliminate(rows, pi, pc, pivot), depth, nonzero, subs)
     if depth >= ctx.depth_limit:
         return CertOutcome(
             "inconclusive", branch_log=tuple(ctx.log) + (f"depth limit at pivot {pivot}",)
         )
-    # the zero branch solves split_poly = 0 for one variable; a pivot that is
-    # a power of a linear form splits on that form instead of itself
-    split_poly = pivot
-    split = pivot.linear_var_with_constant_coeff()
-    if split is None:
-        ell = _linear_power(pivot)
-        if ell is not None:
-            split_poly = ell
-            split = ell.linear_var_with_constant_coeff()
+    zero = _zero_branch(pivot, nz_vars, nonzero)
+    split_poly, cases = (pivot, None) if zero is None else zero
     # branch split_poly != 0 (the same region as pivot != 0)
     mark = len(ctx.log)
     ctx.log.append(f"case {split_poly} != 0")
     out_nz = _decide(
         ctx,
-        _eliminate(rows, pi, pc, pivot, False),
+        _eliminate(rows, pi, pc, pivot),
         depth + 1,
         nonzero + _stack_entries(split_poly),
         subs,
@@ -650,13 +637,6 @@ def _decide(
     del ctx.log[mark:]
     if out_nz.kind == "refuted":
         return out_nz
-    # branch split_poly == 0, as cases (label, k, t_k's replacement, nonzero)
-    if split is not None:
-        k, coeff = split
-        replacement = (split_poly - Poly.var(pivot.nvars, k, coeff)).scale(Q(-1) / coeff)
-        cases = [(f"{split_poly} = 0", k, replacement, nonzero)]
-    else:
-        cases = _factor_cases(pivot, nz_vars, nonzero)
     if cases is None:
         note = f"cannot solve {pivot} = 0 (nonlinear in every variable)"
         if out_nz.kind == "proved":
@@ -683,38 +663,54 @@ def _decide(
     return CertOutcome("inconclusive", branch_log=logs)
 
 
-def _factor_cases(
-    pivot: Poly, nz_vars: set[int], nonzero: list[Poly]
-) -> list[tuple[str, int, Poly, list[Poly]]] | None:
-    """Zero-branch cases of a pivot m * l, or None.
+def _solved_for(ell: Poly) -> tuple[int, Poly]:
+    """(k, r) with ell = 0 exactly where t_k = r, for ell linear in t_k with a
+    rational coefficient (the smallest such k)."""
+    k, coeff = ell.linear_var_with_constant_coeff()
+    return k, (ell - Poly.var(ell.nvars, k, coeff)).scale(Q(-1) / coeff)
 
-    m is the pivot's monomial gcd and l = pivot / m must be a constant, a
-    linear form or a power of one.  m * l = 0 splits into t_v = 0 for each
-    variable v of m the branch does not force nonzero, then all those t_v
-    nonzero and l = 0, solved for one variable of l.  Each case is
-    (label, k, replacement for t_k, nonzero stack of the case).
+
+def _zero_branch(
+    pivot: Poly, nz_vars: set[int], nonzero: list[Poly]
+) -> tuple[Poly, list[tuple[str, int, Poly, list[Poly]]]] | None:
+    """Split pivot = 0 into cases; None when it cannot be solved.
+
+    Returns (split, cases), where the branch pivot != 0 records split != 0,
+    the same region.  The pivot is read as m * l, m a monomial and l linear
+    in some variable with a rational coefficient, a power of such a form, or
+    a constant.  In order: the pivot itself is l (split is the pivot); the
+    pivot is a rational multiple of a power of a linear form l (split is l);
+    m is the pivot's monomial gcd (split is the pivot).  m * l = 0 splits
+    into t_v = 0 for each variable v of m the branch does not force nonzero,
+    then all those t_v nonzero and l = 0, solved for one variable of l.
+    Each case is (label, k, replacement for t_k, nonzero stack of the case).
     """
     nvars = pivot.nvars
-    mono = pivot.monomial_gcd()
-    if not any(mono):
-        return None
-    ell = pivot.divide_monomial(mono)
-    if ell.total_degree() > 1:
-        ell = _linear_power(ell)
-        if ell is None:
+    mono = (0,) * nvars
+    if pivot.linear_var_with_constant_coeff() is not None:
+        ell = pivot
+    else:
+        ell = _linear_power(pivot)
+    if ell is None:
+        mono = pivot.monomial_gcd()
+        if not any(mono):
             return None
+        ell = pivot.divide_monomial(mono)
+        if ell.total_degree() > 1:
+            ell = _linear_power(ell)
+            if ell is None:
+                return None
     zero = Poly.zero(nvars)
     mvars = [v for v, e in enumerate(mono) if e and v not in nz_vars]
     cases = [(f"t{v + 1} = 0", v, zero, nonzero) for v in mvars]
     if not ell.is_constant():
-        k, coeff = ell.linear_var_with_constant_coeff()
-        replacement = (ell - Poly.var(nvars, k, coeff)).scale(Q(-1) / coeff)
+        k, replacement = _solved_for(ell)
         stacked = list(nonzero)
         for v in mvars:
             stacked += _stack_entries(Poly.var(nvars, v).subs_var(k, replacement))
         label = "".join(f"t{v + 1} != 0, " for v in mvars) + f"{ell} = 0"
         cases.append((label, k, replacement, stacked))
-    return cases
+    return (pivot if any(mono) else ell), cases
 
 
 @dataclass(frozen=True)
@@ -769,7 +765,6 @@ def aid_certify(
     alg: LeibnizAlgebra,
     dmat: RationalMatrix,
     depth_limit: int | None = None,
-    node_budget: int = NODE_BUDGET,
     *,
     _basis: _AdaptedBasis | None = None,
 ) -> CertOutcome:
@@ -777,11 +772,10 @@ def aid_certify(
 
     The witness equation left_mult(x) w = D x is eliminated symbolically in
     the coordinates t of x, splitting into pivot = 0 / pivot != 0 cases when
-    a pivot polynomial can vanish.  A zero branch is entered by solving the
-    pivot for one of its variables, which needs the pivot linear in that
-    variable with a rational coefficient, or the pivot a rational multiple of
-    a power of such a form; otherwise that branch (and with it the whole
-    certificate) is inconclusive.
+    a pivot polynomial can vanish, within NODE_BUDGET nodes and depth_limit
+    nested splits.  `_zero_branch` solves pivot = 0 for one variable per
+    case; a pivot it cannot solve leaves that branch (and with it the whole
+    certificate) inconclusive.
 
     Almost-innerness does not depend on the basis, while elimination is very
     sensitive to it, so a nilpotent algebra is eliminated in a basis adapted
@@ -815,7 +809,7 @@ def aid_certify(
         )
         for m in range(n)
     ]
-    ctx = _CertContext(basis.alg, dm, depth_limit, node_budget)
+    ctx = _CertContext(basis.alg, dm, depth_limit)
     out = _decide(ctx, rows, 0, [], [])
     if basis.p is None:
         return out

@@ -90,17 +90,11 @@ class RationalMatrix:
             n, n, _freeze([QONE if i == j else QZERO for j in range(n)] for i in range(n))
         )
 
-    def row(self, i: int) -> tuple[Q, ...]:
-        return self.entries[i]
-
     def col(self, j: int) -> tuple[Q, ...]:
         return tuple(r[j] for r in self.entries)
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(self.cols, self.rows, _freeze(zip(*self.entries)) if self.entries else ())
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for r in self.entries for v in r)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

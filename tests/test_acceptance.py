@@ -92,10 +92,6 @@ def replay_certificate(alg, cert: dict) -> None:
             diff = m - alg.right_mult(x)
             for j in range(alg.dim):
                 assert target.contains(diff.col(j))
-    elif kind == "aid_member":
-        gen = parse_matrix(cert["generator"])
-        x = parse_vec(cert["x"])
-        assert aid_witness(alg, gen, x) is not None
     elif kind == "aid_basis":
         pass  # informational: the computed basis itself
     else:  # pragma: no cover - unknown kinds should not appear

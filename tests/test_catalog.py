@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
+from leibniz_aid import catalog
 from leibniz_aid.catalog import (
     ArityMismatch,
     ParameterInvalid,
@@ -18,7 +20,8 @@ from leibniz_aid.catalog import (
     parse_ref,
     vec_json,
 )
-from leibniz_aid.derivations import matrix_unit
+from leibniz_aid.cli import main
+from leibniz_aid.derivations import AidConfig, CertOutcome, analysis_report, matrix_unit
 from leibniz_aid.exactlin import Q, RationalMatrix
 
 
@@ -238,3 +241,37 @@ def test_inner_combination_recovers_the_multiplier():
 def test_inner_combination_none_for_non_inner():
     alg = make("catalog:NF:3")
     assert inner_combination(alg, matrix_unit(3, 1, 3)) is None
+
+
+def test_inconclusive_claimed_generator_is_an_unexcused_deviation(monkeypatch, capsys):
+    # a table claim whose generator certification cannot decide must not pass
+    l9 = make("catalog:D4:L9")
+    note = "depth limit at pivot t1*t2"
+    certify = catalog.aid_certify
+
+    def undecided_on_l9(alg, gen, **kwargs):
+        if alg.constants == l9.constants:
+            return CertOutcome("inconclusive", branch_log=("series-adapted basis", note))
+        return certify(alg, gen, **kwargs)
+
+    monkeypatch.setattr(catalog, "aid_certify", undecided_on_l9)
+    ref = parse_ref("catalog:D4:L9")
+    report = analysis_report(l9, AidConfig(), ref.ref_string(), expected_for(ref))
+    [dev] = [d for d in report.deviations if d.location.endswith(":generator")]
+    assert dev.location == "catalog:D4:L9:generator"
+    assert dev.expected == "E(4,2) spans AID over Inner"
+    assert dev.computed == f"certification inconclusive: {note}"
+    assert dev.certificate == {}
+    # verify-paper reports it as its one uncertified deviation, and
+    # --deviations-ok does not excuse it
+    assert main(["verify-paper", "--deviations-ok"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    uncertified = [
+        d for c in doc["checks"] for d in c["deviations"] if not d["certificate"]
+    ]
+    assert uncertified == [{
+        "location": "catalog:D4:L9:generator",
+        "expected": "E(4,2) spans AID over Inner",
+        "computed": f"certification inconclusive: {note}",
+        "certificate": {},
+    }]

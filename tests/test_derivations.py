@@ -44,6 +44,7 @@ from leibniz_aid.derivations import (
     _CutView,
     _der_inner_aid,
     _restrict_at_point,
+    _zero_branch,
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in, rref
 
@@ -482,6 +483,148 @@ def test_certify_reports_a_refutation_that_does_not_replay_as_inconclusive(monke
     assert out.kind == "inconclusive"
     assert out.refuting_x is None
     assert out.branch_log[-1] == "refuting point does not replay in the given basis"
+
+
+# -- the certifier's elimination step and zero branch --------------------
+
+
+def _t(k):
+    return Poly.var(4, k)
+
+
+def _c(v):
+    return Poly.const(4, v)
+
+
+_ELL = _t(0) - _t(2).scale(2)  # t1 - 2*t3
+_ML = _t(0) * _t(0) * _t(3).scale(2) + _t(0) * _t(1) * _t(3).scale(-6)  # t1*t4*(2*t1 - 6*t2)
+
+
+def test_constant_pivot_update_strips_to_the_divided_update():
+    # the fraction-free update leaves a constant pivot p on each updated row;
+    # the next node's _strip_row divides it out, so the rows are those of
+    # the update row - (f/p) * pivot_row
+    pivot = _c(-3)
+    rows = [
+        ([pivot, _t(0) + _t(1), _c(0)], _t(1).scale(2)),
+        ([_t(0).scale(Q(1, 2)), _c(5), _t(1)], _t(0) - _c(1)),
+        ([_c(0), _t(1), _t(0)], _c(7)),
+        ([_c(4), _c(0), _t(2).scale(-2)], _c(0)),
+    ]
+    pcoeffs, prhs = rows[0]
+    divided = []
+    for coeffs, rhs in rows[1:]:
+        f = coeffs[0].scale(Q(1) / -3)
+        new = [a - f * b for a, b in zip(coeffs, pcoeffs)]
+        new[0] = _c(0)
+        divided.append((new, rhs - f * prhs))
+    updated = derivations._eliminate(rows, 0, 0, pivot)
+    assert [derivations._strip_row(*row) for row in updated] == [
+        derivations._strip_row(*row) for row in divided
+    ]
+
+
+# shape -> (pivot, forced-nonzero variables, nonzero stack, expected), where
+# expected is the polynomial the != 0 branch records and the zero cases as
+# (label, k, replacement, nonzero stack)
+ZERO_BRANCH_SHAPES = {
+    "linear": (
+        _t(1) * _t(2) + _t(0).scale(2) - _c(3), set(), [],
+        ("2*t1 + t2*t3 - 3",
+         [("2*t1 + t2*t3 - 3 = 0", 0, "-1/2*t2*t3 + 3/2", [])]),
+    ),
+    "linear-in-a-later-variable": (
+        _t(0) * _t(0) + _t(1).scale(3), set(), [],
+        ("t1^2 + 3*t2", [("t1^2 + 3*t2 = 0", 1, "-1/3*t1^2", [])]),
+    ),
+    "c*l^k": (
+        (_ELL * _ELL).scale(-3), set(), [],
+        ("t1 - 2*t3", [("t1 - 2*t3 = 0", 0, "2*t3", [])]),
+    ),
+    "c*t_v^e": (
+        (_t(1) * _t(1) * _t(1)).scale(5), set(), [],
+        ("t2", [("t2 = 0", 1, "0", [])]),
+    ),
+    "m*l-none-forced": (
+        _ML, set(), [_t(2)],
+        ("2*t1^2*t4 - 6*t1*t2*t4",
+         [("t1 = 0", 0, "0", ["t3"]),
+          ("t4 = 0", 3, "0", ["t3"]),
+          # t1 != 0 becomes 3*t2 != 0 once t1 := 3*t2
+          ("t1 != 0, t4 != 0, 2*t1 - 6*t2 = 0", 0, "3*t2", ["t3", "t2", "t4"])]),
+    ),
+    "m*l-some-forced": (
+        _ML, {3}, [_t(3)],
+        ("2*t1^2*t4 - 6*t1*t2*t4",
+         [("t1 = 0", 0, "0", ["t4"]),
+          ("t1 != 0, 2*t1 - 6*t2 = 0", 0, "3*t2", ["t4", "t2"])]),
+    ),
+    "m*l-all-forced": (
+        _ML, {0, 3}, [_t(3), _t(0)],
+        ("2*t1^2*t4 - 6*t1*t2*t4",
+         [("2*t1 - 6*t2 = 0", 0, "3*t2", ["t4", "t1"])]),
+    ),
+    "m*l^k": (
+        _t(2) * (_t(0) - _t(1)) * (_t(0) - _t(1)), set(), [],
+        ("t1^2*t3 - 2*t1*t2*t3 + t2^2*t3",
+         [("t3 = 0", 2, "0", []), ("t3 != 0, t1 - t2 = 0", 0, "t2", ["t3"])]),
+    ),
+    "m*c": (
+        (_t(0) * _t(2)).scale(-2), {0}, [_t(0)],
+        ("-2*t1*t3", [("t3 = 0", 2, "0", ["t1"])]),
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(ZERO_BRANCH_SHAPES))
+def test_zero_branch_splits_each_solvable_shape(shape):
+    pivot, nz_vars, nonzero, (split, cases) = ZERO_BRANCH_SHAPES[shape]
+    got_split, got_cases = _zero_branch(pivot, nz_vars, nonzero)
+    assert str(got_split) == split
+    assert [
+        (label, k, str(replacement), [str(p) for p in stack])
+        for label, k, replacement, stack in got_cases
+    ] == cases
+    # each case lies in the zero set of the pivot
+    for _, k, replacement, _ in got_cases:
+        assert pivot.subs_var(k, replacement).is_zero()
+
+
+def test_zero_branch_of_a_monomial_pivot_keeps_its_variables_apart():
+    # the != 0 branch of c*t1*t3 stacks t1 and t3 one at a time
+    split, _ = _zero_branch((_t(0) * _t(2)).scale(-2), set(), [])
+    assert derivations._stack_entries(split) == [_t(0), _t(2)]
+
+
+@pytest.mark.parametrize(
+    "pivot",
+    [
+        _t(0) * _t(0) + _t(1) * _t(1),  # no monomial factor, not a power
+        _t(2) * (_t(0) * _t(0) + _t(1) * _t(1)),  # m times a nonlinear form
+    ],
+    ids=["binary-form", "monomial-times-binary-form"],
+)
+def test_zero_branch_of_an_unsolvable_pivot_is_none(pivot):
+    assert _zero_branch(pivot, set(), []) is None
+
+
+def test_depth_limited_branch_log_through_the_monomial_split_is_pinned():
+    # the second G53 copy that the `basis` workload draws from seed 1: with
+    # three nested splits allowed, its undecided generator meets the pivot
+    # t2*t3 - t3^2 = t3*(t2 - t3), and the monomial split's case t3 = 0
+    # stops at the depth limit
+    rng = random.Random(1)
+    _random_invertible(rng, 5)
+    alg = change_basis(make("catalog:G53"), _random_invertible(rng, 5))
+    aid = aid_space(alg, AidConfig(depth_limit=3))
+    assert aid.status == "probabilistic"
+    assert [out.branch_log for _, out in aid.inconclusive_generators] == [
+        (
+            "series-adapted basis",
+            "case t3 = 0, t3 := 0",
+            "depth limit at pivot t2^2",
+        )
+    ]
 
 
 def test_witness_solves_the_pointwise_equation():
