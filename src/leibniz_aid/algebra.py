@@ -481,8 +481,8 @@ def to_json_dict(alg: LeibnizAlgebra) -> dict:
     return doc
 
 
-def from_json_dict(doc: Mapping, check: str = "enforce") -> LeibnizAlgebra:
-    """Inverse of to_json_dict; validates shape and index ranges strictly."""
+def from_json_dict(doc: Mapping) -> LeibnizAlgebra:
+    """Inverse of to_json_dict; validates shape, index ranges and the identity."""
     if not isinstance(doc, Mapping) or "dim" not in doc:
         raise ValueError("algebra document must be an object with a 'dim' field")
     unknown = set(doc) - {"dim", "labels", "products"}
@@ -515,4 +515,4 @@ def from_json_dict(doc: Mapping, check: str = "enforce") -> LeibnizAlgebra:
         or not all(isinstance(s, str) for s in labels)
     ):
         raise ValueError("'labels' must be a list of strings")
-    return LeibnizAlgebra.build(dim, products, check=check, labels=labels)
+    return LeibnizAlgebra.build(dim, products, labels=labels)

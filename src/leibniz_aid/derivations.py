@@ -214,31 +214,27 @@ def _point_conditions(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, i
 @dataclass(frozen=True)
 class AidConfig:
     seed: int = DEFAULT_SEED
-    depth_limit: int | None = None
 
 
-def refinement_grid(n: int, radius: int | None = None) -> Iterator[tuple[int, ...]]:
+def refinement_grid(n: int) -> Iterator[tuple[int, ...]]:
     """Deterministic sample points for the almost inner condition.
 
     Dimensions up to 5 get the full integer grid (radius 2 up to dimension 4,
     radius 1 at dimension 5); above that, all vectors supported on at most 3
-    coordinates with entries in {-radius..radius}\\{0}.  Points that are
-    scalar multiples of earlier ones impose the same constraint and are
-    skipped.
+    coordinates with entries in {-2, -1, 1, 2}.  Points that are scalar
+    multiples of earlier ones impose the same constraint and are skipped.
     """
     if n == 0:
         return
     if n <= 5:
-        r = radius if radius is not None else (2 if n <= 4 else 1)
+        r = 2 if n <= 4 else 1
         for point in itertools.product(range(-r, r + 1), repeat=n):
             if _primitive(point):
                 yield point
     else:
-        r = radius if radius is not None else 2
-        values = [v for v in range(-r, r + 1) if v]
         for size in (1, 2, 3):
             for support in itertools.combinations(range(n), size):
-                for vals in itertools.product(values, repeat=size):
+                for vals in itertools.product((-2, -1, 1, 2), repeat=size):
                     point = [0] * n
                     for pos, v in zip(support, vals):
                         point[pos] = v
@@ -368,13 +364,12 @@ class CertOutcome:
 
 
 class _CertContext:
-    __slots__ = ("alg", "dmat", "budget", "log", "depth_limit")
+    __slots__ = ("alg", "dmat", "budget", "log")
 
-    def __init__(self, alg, dmat, depth_limit):
+    def __init__(self, alg, dmat):
         self.alg = alg
         self.dmat = dmat
         self.budget = NODE_BUDGET
-        self.depth_limit = depth_limit
         self.log: list[str] = []
 
 
@@ -587,7 +582,6 @@ def _eliminate(
 def _decide(
     ctx: _CertContext,
     rows: list[tuple[list[Poly], Poly]],
-    depth: int,
     nonzero: list[Poly],
     subs: list[tuple[int, Poly]],
 ) -> CertOutcome:
@@ -617,22 +611,14 @@ def _decide(
     if len(pivot.terms) == 1 and pivot.variables() <= nz_vars:
         # a nonzero constant, or a monomial in variables the branch already
         # forces nonzero: the pivot cannot vanish here, so no case split
-        return _decide(ctx, _eliminate(rows, pi, pc, pivot), depth, nonzero, subs)
-    if depth >= ctx.depth_limit:
-        return CertOutcome(
-            "inconclusive", branch_log=tuple(ctx.log) + (f"depth limit at pivot {pivot}",)
-        )
+        return _decide(ctx, _eliminate(rows, pi, pc, pivot), nonzero, subs)
     zero = _zero_branch(pivot, nz_vars, nonzero)
     split_poly, cases = (pivot, None) if zero is None else zero
     # branch split_poly != 0 (the same region as pivot != 0)
     mark = len(ctx.log)
     ctx.log.append(f"case {split_poly} != 0")
     out_nz = _decide(
-        ctx,
-        _eliminate(rows, pi, pc, pivot),
-        depth + 1,
-        nonzero + _stack_entries(split_poly),
-        subs,
+        ctx, _eliminate(rows, pi, pc, pivot), nonzero + _stack_entries(split_poly), subs
     )
     del ctx.log[mark:]
     if out_nz.kind == "refuted":
@@ -649,7 +635,7 @@ def _decide(
             ([p.subs_var(k, replacement) for p in coeffs], rhs.subs_var(k, replacement))
             for coeffs, rhs in rows
         ]
-        out = _decide(ctx, zero_rows, depth + 1, case_nonzero, subs + [(k, replacement)])
+        out = _decide(ctx, zero_rows, case_nonzero, subs + [(k, replacement)])
         del ctx.log[mark:]
         if out.kind == "refuted":
             return out
@@ -764,7 +750,6 @@ def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 def aid_certify(
     alg: LeibnizAlgebra,
     dmat: RationalMatrix,
-    depth_limit: int | None = None,
     *,
     _basis: _AdaptedBasis | None = None,
 ) -> CertOutcome:
@@ -772,10 +757,11 @@ def aid_certify(
 
     The witness equation left_mult(x) w = D x is eliminated symbolically in
     the coordinates t of x, splitting into pivot = 0 / pivot != 0 cases when
-    a pivot polynomial can vanish, within NODE_BUDGET nodes and depth_limit
-    nested splits.  `_zero_branch` solves pivot = 0 for one variable per
-    case; a pivot it cannot solve leaves that branch (and with it the whole
-    certificate) inconclusive.
+    a pivot polynomial can vanish, within NODE_BUDGET nodes.  Every split
+    removes a row (pivot != 0) or a variable (each zero case), so no branch
+    nests more than 2n splits.  `_zero_branch` solves pivot = 0 for one
+    variable per case; a pivot it cannot solve leaves that branch (and with
+    it the whole certificate) inconclusive.
 
     Almost-innerness does not depend on the basis, while elimination is very
     sensitive to it, so a nilpotent algebra is eliminated in a basis adapted
@@ -787,8 +773,6 @@ def aid_certify(
     certificate inconclusive.
     """
     n = alg.dim
-    if depth_limit is None:
-        depth_limit = 2 * n
     if n == 0:
         return CertOutcome("proved")
     # Constant witness shortcut: D = R_w for a single w solving all layers.
@@ -809,8 +793,8 @@ def aid_certify(
         )
         for m in range(n)
     ]
-    ctx = _CertContext(basis.alg, dm, depth_limit)
-    out = _decide(ctx, rows, 0, [], [])
+    ctx = _CertContext(basis.alg, dm)
+    out = _decide(ctx, rows, [], [])
     if basis.p is None:
         return out
     log = ("series-adapted basis",) + out.branch_log
@@ -843,7 +827,6 @@ class AidResult:
     samples_used: int
     seed: int
     witnesses: tuple[tuple[RationalMatrix, tuple[Q, ...]], ...]
-    inconclusive: tuple[RationalMatrix, ...]
     proved_generators: tuple[tuple[RationalMatrix, CertOutcome], ...] = ()
     inconclusive_generators: tuple[tuple[RationalMatrix, CertOutcome], ...] = ()
 
@@ -889,44 +872,35 @@ def _der_inner_aid(
     cand = aid_basis_candidate(alg, der)
     space, samples = aid_refine(alg, cand, cfg, inner=inner)
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
-    inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
     proved_gens: list[tuple[RationalMatrix, CertOutcome]] = []
-    rounds = 0
-    status = "certified_exact"
-    while True:
-        rounds += 1
-        if rounds > MAX_ROUNDS:
-            status = "partial"
-            break
-        comp = complement_in(inner, space)
-        inconclusive = []
-        proved_gens = []
-        shrunk = False
-        for gen_vec in comp.basis_vectors():
+    inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
+    status = "partial"
+    for _ in range(MAX_ROUNDS):
+        proved_gens, inconclusive = [], []
+        for gen_vec in complement_in(inner, space).basis_vectors():
             gmat = vec_to_endo(gen_vec, n)
-            outcome = aid_certify(alg, gmat, cfg.depth_limit, _basis=basis)
-            if outcome.kind == "proved":
-                proved_gens.append((gmat, outcome))
-            elif outcome.kind == "refuted":
+            outcome = aid_certify(alg, gmat, _basis=basis)
+            if outcome.kind == "refuted":
                 refutations.append((gmat, outcome.refuting_x))
                 space = _restrict_at_point(alg, space, outcome.refuting_x)
                 samples += 1
-                shrunk = True
                 break
+            if outcome.kind == "proved":
+                proved_gens.append((gmat, outcome))
             else:
                 inconclusive.append((gmat, outcome))
-        if shrunk:
-            continue
-        break
-    proved = subspace_sum(
-        inner,
-        Subspace.from_vectors(n * n, [endo_to_vec(g) for g, _ in proved_gens]),
-    )
-    if proved == space:
-        # one object for both bounds: callers may keep many results alive
+        else:
+            status = "probabilistic" if inconclusive else "certified_exact"
+            break
+    if status == "certified_exact":
+        # Inner plus a proved complement is the whole space; one object for
+        # both bounds, since callers may keep many results alive
         proved = space
-    if status != "partial":
-        status = "certified_exact" if proved is space else "probabilistic"
+    else:
+        proved = subspace_sum(
+            inner,
+            Subspace.from_vectors(n * n, [endo_to_vec(g) for g, _ in proved_gens]),
+        )
     aid = AidResult(
         upper_bound=space,
         proved=proved,
@@ -934,7 +908,6 @@ def _der_inner_aid(
         samples_used=samples,
         seed=cfg.seed,
         witnesses=tuple(refutations),
-        inconclusive=tuple(g for g, _ in inconclusive),
         proved_generators=tuple(proved_gens),
         inconclusive_generators=tuple(inconclusive),
     )

@@ -246,7 +246,7 @@ def test_inner_combination_none_for_non_inner():
 def test_inconclusive_claimed_generator_is_an_unexcused_deviation(monkeypatch, capsys):
     # a table claim whose generator certification cannot decide must not pass
     l9 = make("catalog:D4:L9")
-    note = "depth limit at pivot t1*t2"
+    note = "node budget exhausted"
     certify = catalog.aid_certify
 
     def undecided_on_l9(alg, gen, **kwargs):

@@ -230,12 +230,6 @@ def test_refinement_grid_high_dim_limits_support():
         assert all(abs(v) <= 2 for v in p)
 
 
-def test_refinement_grid_radius_override():
-    assert all(
-        max(abs(v) for v in p) <= 1 for p in refinement_grid(3, radius=1)
-    )
-
-
 def test_aid_refine_respects_floor():
     inner = inner_space(NF3)
     cand = aid_basis_candidate(NF3)
@@ -354,23 +348,22 @@ def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
         assert lazy
 
 
-def test_inconclusive_generator_reports_its_branch_log():
-    # with the case-split depth capped at 1, G53 in this basis stops at the
-    # depth limit with one complement generator left undecided
+def test_inconclusive_generator_reports_its_branch_log(monkeypatch):
+    # with a budget of one node per generator, G53 in this basis leaves its
+    # complement generators undecided, and the report says why
+    monkeypatch.setattr(derivations, "NODE_BUDGET", 1)
     alg = random_basis_copy("catalog:G53", 1)
-    report = analysis_report(alg, AidConfig(depth_limit=1))
+    report = analysis_report(alg)
     aid = report.aid
     assert aid.status == "probabilistic"
-    assert aid.inconclusive
-    assert tuple(g for g, _ in aid.inconclusive_generators) == aid.inconclusive
+    assert aid.inconclusive_generators
     gens = [
         g for g in report_json(report)["complement_generators"]
         if g["outcome"] == "inconclusive"
     ]
-    assert len(gens) == len(aid.inconclusive)
+    assert len(gens) == len(aid.inconclusive_generators)
     for g in gens:
-        assert g["branch_log"]
-        assert g["branch_log"][-1].startswith("depth limit at pivot ")
+        assert g["branch_log"][-1] == "node budget exhausted"
 
 
 # -- certification --------------------------------------------------------
@@ -608,22 +601,31 @@ def test_zero_branch_of_an_unsolvable_pivot_is_none(pivot):
     assert _zero_branch(pivot, set(), []) is None
 
 
-def test_depth_limited_branch_log_through_the_monomial_split_is_pinned():
-    # the second G53 copy that the `basis` workload draws from seed 1: with
-    # three nested splits allowed, its undecided generator meets the pivot
-    # t2*t3 - t3^2 = t3*(t2 - t3), and the monomial split's case t3 = 0
-    # stops at the depth limit
+def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
+    # the second G53 copy that the `basis` workload draws from seed 1: its
+    # certification meets the pivot t2*t3 - t3^2 = t3*(t2 - t3), which the
+    # monomial split solves as t3 = 0 or t3 != 0, t2 - t3 = 0, and the power
+    # t2^2, which splits on t2
+    splits = []
+    zero_branch = derivations._zero_branch
+
+    def recording(pivot, nz_vars, nonzero):
+        split, cases = zero_branch(pivot, nz_vars, nonzero)
+        splits.append((str(pivot), str(split), [label for label, *_ in cases]))
+        return split, cases
+
+    monkeypatch.setattr(derivations, "_zero_branch", recording)
     rng = random.Random(1)
     _random_invertible(rng, 5)
     alg = change_basis(make("catalog:G53"), _random_invertible(rng, 5))
-    aid = aid_space(alg, AidConfig(depth_limit=3))
-    assert aid.status == "probabilistic"
-    assert [out.branch_log for _, out in aid.inconclusive_generators] == [
-        (
-            "series-adapted basis",
-            "case t3 = 0, t3 := 0",
-            "depth limit at pivot t2^2",
-        )
+    assert aid_space(alg).status == "certified_exact"
+    assert splits == [
+        ("6*t1 - 6*t2 + 6*t3", "6*t1 - 6*t2 + 6*t3", ["6*t1 - 6*t2 + 6*t3 = 0"]),
+        ("-t1", "-t1", ["-t1 = 0"]),
+        ("t2 - t3", "t2 - t3", ["t2 - t3 = 0"]),
+        ("t2 - t3", "t2 - t3", ["t2 - t3 = 0"]),
+        ("t2*t3 - t3^2", "t2*t3 - t3^2", ["t3 = 0", "t3 != 0, t2 - t3 = 0"]),
+        ("t2^2", "t2", ["t2 = 0"]),
     ]
 
 
@@ -646,7 +648,7 @@ def test_aid_space_null_filiform_is_exactly_inner():
     assert res.status == "certified_exact"
     assert res.upper_bound == res.proved
     assert res.dim == 1
-    assert not res.inconclusive
+    assert not res.inconclusive_generators
 
 
 def test_aid_space_l9_finds_one_extra_generator():
@@ -657,14 +659,27 @@ def test_aid_space_l9_finds_one_extra_generator():
     assert res.seed == AidConfig().seed
 
 
-def test_aid_space_records_refutations():
-    res = aid_space(make("catalog:D4:L4:1"))
+def test_aid_space_records_refutations(monkeypatch):
+    # with sampling skipped, certification itself must cut the linear
+    # candidate of D4:L4:1 down to Inner, by a refuting point that replays
+    alg = make("catalog:D4:L4:1")
+    sampled = aid_space(alg)
+    assert sampled.status == "certified_exact"
+    assert sampled.dim == inner_space(alg).dim
+    monkeypatch.setattr(derivations, "aid_refine", lambda alg, space, cfg, inner: (space, 0))
+    res = aid_space(alg)
     assert res.status == "certified_exact"
-    assert res.dim == inner_space(make("catalog:D4:L4:1")).dim
-    # the candidate was cut down by at least one certified refutation
-    # (sampling may already catch it; both ways the result is exact)
-    for gmat, x in res.witnesses:
-        assert aid_witness(make("catalog:D4:L4:1"), gmat, x) is None
+    assert res.upper_bound == sampled.upper_bound
+    [(gmat, x)] = res.witnesses
+    assert aid_witness(alg, gmat, x) is None
+    assert res.samples_used == 1
+    # one round only: the refutation cuts, and no round is left to certify
+    # what remains
+    monkeypatch.setattr(derivations, "MAX_ROUNDS", 1)
+    res = aid_space(alg)
+    assert res.status == "partial"
+    assert len(res.witnesses) == 1
+    assert res.upper_bound == res.proved == inner_space(alg)
 
 
 def test_aid_space_g53():
