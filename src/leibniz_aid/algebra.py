@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
     Q,
@@ -187,33 +187,57 @@ class LeibnizAlgebra:
     # -- multiplication -----------------------------------------------
 
     def product(self, x: Sequence, y: Sequence) -> Vector:
-        """[x, y] by bilinear extension of the structure constants."""
-        n = self.dim
-        out = [QZERO] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            plane = self.constants[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                for k, v in enumerate(plane[j]):
-                    if v:
-                        out[k] += c * v
-        return tuple(out)
+        """[x, y] by bilinear extension of the structure constants, over
+        ints: x and y scaled by one denominator d give [x, y] times den d^2."""
+        d, (xs, ys) = _int_matrix([x, y])
+        den = self.scaled_constants()[0]
+        w = _combine(_bracket_columns(self, _pairs(xs)), _pairs(ys))
+        return tuple(Q(w.get(k, 0), den * d * d) for k in range(self.dim))
 
     def right_mult(self, x: Sequence) -> RationalMatrix:
         """Matrix of y -> [y, x]; column j holds the coordinates of [e_j, x]."""
-        n = self.dim
-        cols = [self.product(self.basis_coords(j), x) for j in range(n)]
-        return RationalMatrix(n, n, _freeze(zip(*cols)) if n else ())
+        d, (xs,) = _int_matrix([x])
+        pairs = _pairs(xs)
+        return _column_matrix(self, [_combine(_bracket_columns(self, ((j, 1),)), pairs)
+                                     for j in range(self.dim)], d)
 
     def left_mult(self, x: Sequence) -> RationalMatrix:
         """Matrix of y -> [x, y]; column j holds the coordinates of [x, e_j]."""
-        n = self.dim
-        cols = [self.product(x, self.basis_coords(j)) for j in range(n)]
-        return RationalMatrix(n, n, _freeze(zip(*cols)) if n else ())
+        d, (xs,) = _int_matrix([x])
+        return _column_matrix(self, _bracket_columns(self, _pairs(xs)), d)
+
+
+def _pairs(x: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero coordinates of an integer vector as (index, value) pairs."""
+    return [(i, v) for i, v in enumerate(x) if v]
+
+
+def _bracket_columns(alg: LeibnizAlgebra, x: Iterable[tuple[int, int]]) -> list[dict[int, int]]:
+    """The one bracket routine: the integer vectors [x, e_j] for integer
+    coordinates x given as (i, x_i) pairs, read off the integer constants,
+    so each is scaled by their common denominator; they span [x, L]."""
+    nz = alg.scaled_constants()[1]
+    cols: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    for i, xi in x:
+        for col, entries in zip(cols, nz[i]):
+            for k, v in entries:
+                col[k] = col.get(k, 0) + xi * v
+    return [col if all(col.values()) else {k: v for k, v in col.items() if v} for col in cols]
+
+
+def _combine(cols: Sequence[dict[int, int]], y: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """sum_j y_j cols[j] for y as (j, y_j) pairs: [x, y] from the columns of x."""
+    out: dict[int, int] = {}
+    for j, yj in y:
+        for k, v in cols[j].items():
+            out[k] = out.get(k, 0) + yj * v
+    return out if all(out.values()) else {k: v for k, v in out.items() if v}
+
+
+def _column_matrix(alg: LeibnizAlgebra, cols: Sequence[dict[int, int]], d: int) -> RationalMatrix:
+    """The Fraction matrix of the integer columns of an x scaled by d."""
+    n, scale = alg.dim, alg.scaled_constants()[0] * d
+    return RationalMatrix(n, n, _freeze([Q(col.get(k, 0), scale) for col in cols] for k in range(n)))
 
 
 # -- spans, series, annihilators --------------------------------------
@@ -225,20 +249,10 @@ def product_span(alg: LeibnizAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
     The products of the stored integer basis rows are taken with the integer
     constants: the same lines, so the same span.
     """
-    nz = alg.scaled_constants()[1]
-    left = [list(zip(*row)) for row in s1.echelon]
-    right = [list(zip(*row)) for row in s2.echelon]
     rows = []
-    for u in left:
-        for v in right:
-            out: dict[int, int] = {}
-            for i, ui in u:
-                plane = nz[i]
-                for j, vj in v:
-                    c = ui * vj
-                    for k, w in plane[j]:
-                        out[k] = out.get(k, 0) + c * w
-            rows.append({k: w for k, w in out.items() if w})
+    for u in s1.echelon:
+        cols = _bracket_columns(alg, zip(*u))
+        rows.extend(_combine(cols, zip(*v)) for v in s2.echelon)
     return _subspace_int(alg.dim, rows)
 
 
@@ -345,18 +359,16 @@ def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, Rati
     if not ideal.contains_subspace(product_span(alg, ideal, full)):
         raise NotAnIdeal("[I, L] is not contained in I")
     comp = complement_in(ideal, full)
-    m = comp.dim
+    a, m, n = ideal.dim, comp.dim, alg.dim
     columns = list(ideal.basis_vectors()) + list(comp.basis_vectors())
-    inv = _transition_inverse(columns, alg.dim)
-    proj = RationalMatrix(m, alg.dim, inv.entries[ideal.dim :])
-    products: dict[tuple[int, int], dict[int, Q]] = {}
-    cb = comp.basis_vectors()
-    for i in range(m):
-        for j in range(m):
-            w = proj.apply(alg.product(cb[i], cb[j]))
-            coeffs = {k + 1: v for k, v in enumerate(w) if v}
-            if coeffs:
-                products[(i + 1, j + 1)] = coeffs
+    proj = RationalMatrix(m, n, _transition_inverse(columns, n).entries[a:])
+    # in the basis of these columns the projection keeps the last m coordinates
+    c = change_basis(alg, RationalMatrix(n, n, _freeze(zip(*columns)))).constants
+    products = {
+        (i + 1, j + 1): {k + 1: v for k, v in enumerate(c[a + i][a + j][a:]) if v}
+        for i in range(m)
+        for j in range(m)
+    }
     return LeibnizAlgebra.build(m, products, check="enforce"), proj
 
 
@@ -395,29 +407,19 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     inv = _transition_inverse([p.col(j) for j in range(n)], n)
     # over ints: U = s P, Z = d P^-1 and the constants scaled by den, so
     # Z [u_i, u_j] is the coordinate vector of [f_i, f_j] times d den s^2
-    den, nz = alg.scaled_constants()
+    den = alg.scaled_constants()[0]
     s, u = _int_matrix(p.entries)
     d, z = _int_matrix(inv.entries)
     scale = d * den * s * s
-    ucols = [[(a, u[a][j]) for a in range(n) if u[a][j]] for j in range(n)]
+    ucols = [_pairs(col) for col in zip(*u)]
     products: dict[tuple[int, int], dict[int, Q]] = {}
     for i in range(n):
+        cols = _bracket_columns(alg, ucols[i])
         for j in range(n):
-            w = [0] * n
-            for a, ua in ucols[i]:
-                plane = nz[a]
-                for b, ub in ucols[j]:
-                    c = ua * ub
-                    for k, v in plane[b]:
-                        w[k] += c * v
-            coeffs = {}
-            if any(w):
-                for k, row in enumerate(z):
-                    t = sum(x * y for x, y in zip(row, w) if y)
-                    if t:
-                        coeffs[k + 1] = Q(t, scale)
-            if coeffs:
-                products[(i + 1, j + 1)] = coeffs
+            w = _combine(cols, ucols[j])
+            if w:
+                zw = (sum(row[m] * v for m, v in w.items()) for row in z)
+                products[(i + 1, j + 1)] = {k + 1: Q(t, scale) for k, t in enumerate(zw) if t}
     return LeibnizAlgebra.build(n, products, check="enforce")
 
 
@@ -491,8 +493,11 @@ def from_json_dict(doc: Mapping) -> LeibnizAlgebra:
     dim = doc["dim"]
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise ValueError("'dim' must be a nonnegative integer")
+    items = doc.get("products", [])
+    if not isinstance(items, list):
+        raise ValueError(f"'products' must be a list of product entries, not {items!r}")
     products: dict[tuple[int, int], dict[int, Q]] = {}
-    for item in doc.get("products", []):
+    for item in items:
         if not isinstance(item, Mapping) or set(item) != {"i", "j", "c"}:
             raise ValueError(f"product entries need exactly the fields i, j, c: {item!r}")
         i, j = item["i"], item["j"]
@@ -504,6 +509,8 @@ def from_json_dict(doc: Mapping) -> LeibnizAlgebra:
             coeffs = {int(k): as_rational(v) for k, v in item["c"].items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad coefficient map in product ({i},{j}): {exc}") from exc
+        if len(coeffs) != len(item["c"]):
+            raise ValueError(f"a target index appears twice in product ({i},{j}): {item['c']!r}")
         key = (i, j)
         if key in products:
             raise ValueError(f"duplicate product entry for ({i},{j})")

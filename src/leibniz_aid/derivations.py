@@ -28,6 +28,8 @@ from .algebra import (
     LeibnizAlgebra,
     SeriesReport,
     _coords_str,
+    _bracket_columns,
+    _pairs,
     _series_columns,
     _transition_inverse,
     annihilators,
@@ -48,6 +50,7 @@ from .exactlin import (
     _nullspace_int,
     _primitive_map,
     _restrict_int,
+    _solve_int,
     _subspace_int,
     solve_linear,
     subspace_intersect,
@@ -160,12 +163,8 @@ def inner_space(alg: LeibnizAlgebra) -> Subspace:
 
 
 def inner_combination(alg: LeibnizAlgebra, m: RationalMatrix) -> tuple[Q, ...] | None:
-    """Coefficients a with R_a = m, or None when m is not inner."""
-    n = alg.dim
-    c = alg.constants
-    # entry (r, i) of R_a is [e_i, a]_r = sum_j c[i][j][r] a_j
-    rows = _freeze([c[i][j][r] for j in range(n)] for r in range(n) for i in range(n))
-    return solve_linear(RationalMatrix(n * n, n, rows), endo_to_vec(m))
+    """Coefficients a with R_a = m, or None: the global witness for target 0."""
+    return restriction_witness(alg, m, Subspace.zero(alg.dim))
 
 
 def aid_basis_candidate(alg: LeibnizAlgebra, der: Subspace | None = None) -> Subspace:
@@ -183,27 +182,15 @@ def aid_basis_candidate(alg: LeibnizAlgebra, der: Subspace | None = None) -> Sub
     return _restrict_int(der, rows)
 
 
-def _bracket_columns(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, int]]:
-    """The integer vectors [x, e_j] for an integer x, each scaled by the
-    common denominator of the constants; together they span [x, L]."""
-    nz = alg.scaled_constants()[1]
-    cols: list[dict[int, int]] = [{} for _ in range(alg.dim)]
-    for i, xi in enumerate(x):
-        if xi:
-            for col, entries in zip(cols, nz[i]):
-                for k, v in entries:
-                    col[k] = col.get(k, 0) + xi * v
-    return [{k: v for k, v in col.items() if v} for col in cols]
-
-
 def _point_conditions(alg: LeibnizAlgebra, x: Sequence[int]) -> list[dict[int, int]]:
     """Integer rows, linear in D, that all vanish iff D(x) in [x, L], for an
     integer x: each integer functional f vanishing on [x, L] gives f(D x) = 0,
     the row f[m] * x[k] at entry (m, k)."""
     n = alg.dim
+    xs = _pairs(x)
     return [
-        {m * n + k: fm * xk for m, fm in f.items() for k, xk in enumerate(x) if xk}
-        for f in _null_vectors_int(_bracket_columns(alg, x), n)
+        {m * n + k: fm * xk for m, fm in f.items() for k, xk in xs}
+        for f in _null_vectors_int(_bracket_columns(alg, xs), n)
     ]
 
 
@@ -253,7 +240,7 @@ class _CutView:
     Inner never cuts: for D = R_a + C with C in the complement, D(x) =
     [x, a] + C(x) and [x, a] lies in [x, L], so x cuts the candidate iff it
     cuts the complement.  The stored basis vectors C_b are integer vectors,
-    so at an integer x the images C_b(x) and the columns `_bracket_columns`
+    so at an integer x the images C_b(x) and the bracket columns [x, e_j]
     are integer vectors spanning the same lines as the rational ones.  x
     cuts iff some C_b(x) leaves the span of the columns.
     """
@@ -289,7 +276,7 @@ class _CutView:
                 continue
             if pivots is None:
                 pivots = {}
-                for col in _bracket_columns(self.alg, x):
+                for col in _bracket_columns(self.alg, _pairs(x)):
                     _add_pivot(pivots, col)
             if _add_pivot(pivots, img):
                 return True
@@ -951,23 +938,22 @@ def _envelope_meet(aid: Subspace, inner: Subspace, target: Subspace) -> Subspace
 def restriction_witness(
     alg: LeibnizAlgebra, dmat: RationalMatrix, target: Subspace
 ) -> tuple[Q, ...] | None:
-    """A global x with (D - R_x)(L) inside the target, if one exists."""
+    """A global x with (D - R_x)(L) inside the target, if one exists: for
+    each integer functional f vanishing on the target and each j, the row
+    f . [e_j, x] = f . D e_j over ints, times den (constants) and d (D)."""
     n = alg.dim
-    functionals = _nullspace_int(_dict_rows(target), n)
-    rows: list[list[Q]] = []
-    rhs: list[Q] = []
+    den, nz = alg.scaled_constants()
+    d, dint = _int_matrix(dmat.entries)
+    functionals = _null_vectors_int(_dict_rows(target), n)
+    rows = []
     for j in range(n):
-        dcol = dmat.col(j)
-        for f in functionals.basis_vectors():
-            # f . [e_j, x] = sum_i x_i f . c[j][i]
-            rows.append(
-                [
-                    sum((fm * alg.constants[j][i][m] for m, fm in enumerate(f) if fm), QZERO)
-                    for i in range(n)
-                ]
-            )
-            rhs.append(sum((fm * dcol[m] for m, fm in enumerate(f) if fm), QZERO))
-    return solve_linear(RationalMatrix(len(rows), n, _freeze(rows)), rhs)
+        for f in functionals:
+            # nz[j][i] holds [e_j, e_i] times den
+            row = {i: d * sum(f.get(m, 0) * v for m, v in entries)
+                   for i, entries in enumerate(nz[j])}
+            row[n] = den * sum(fm * dint[m][j] for m, fm in f.items())
+            rows.append({k: v for k, v in row.items() if v})
+    return _solve_int(rows, n)
 
 
 def caid_restriction_witness(alg: LeibnizAlgebra, dmat: RationalMatrix) -> tuple[Q, ...]:

@@ -10,8 +10,9 @@ is divided by its pivot only at the end.  Every caller builds integer
 rows once, enters the kernel (or `_add_pivot`) once and reads its answer
 off the integer rows; no Fraction row is padded or eliminated a second
 time.  Callers outside this module (Der, Inner, the annihilators, product
-spans, point conditions) use `_rref_int`, `_nullspace_int`,
-`_null_vectors_int`, `_subspace_int` and `_restrict_int` directly.  A
+spans, point conditions, global witnesses) use `_rref_int`,
+`_nullspace_int`, `_null_vectors_int`, `_subspace_int`, `_restrict_int`
+and `_solve_int` directly.  A
 subspace stores what the kernel produces: its reduced row echelon rows,
 each scaled to primitive integers with a positive pivot.  That form is
 unique, so it is canonical: two subspaces are equal iff their stored rows
@@ -309,8 +310,13 @@ def solve_linear(matrix: RationalMatrix, rhs: Sequence) -> tuple[Q, ...] | None:
     b = [as_rational(v) for v in rhs]
     if len(b) != matrix.rows:
         raise DimensionMismatch("rhs length mismatch")
-    cols = matrix.cols
-    reduced = _rref_int(_int_rows([*r, bv] for r, bv in zip(matrix.entries, b)))
+    return _solve_int(_int_rows([*r, bv] for r, bv in zip(matrix.entries, b)), matrix.cols)
+
+
+def _solve_int(rows: Iterable[dict[int, int]], cols: int) -> tuple[Q, ...] | None:
+    """solve_linear over sparse integer rows [M | b], b held at column cols:
+    the solution with every free variable zero, or None."""
+    reduced = _rref_int(rows)
     if reduced and reduced[-1][0] == cols:
         return None
     x = [QZERO] * cols

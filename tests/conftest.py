@@ -174,11 +174,42 @@ def dense_derivation_space(alg: la.LeibnizAlgebra) -> la.Subspace:
     return dense_nullspace(la.RationalMatrix(len(rows), n * n, tuple(map(tuple, rows))))
 
 
-# -- Fraction multiplication matrices ----------------------------------------
+# -- Fraction products and multiplication matrices ---------------------------
 #
-# The package reads the annihilators and the transition inverse off integer
-# rows on the one kernel.  These are the Fraction bodies they replaced, on the
-# dense oracle above.
+# The package multiplies over ints with one bracket routine, reads the
+# annihilators and the transition inverse off integer rows on the one kernel,
+# and solves for a global witness over ints.  These are the Fraction bodies
+# they replaced, on the dense oracle above.
+
+
+def dense_product(alg: la.LeibnizAlgebra, x, y) -> tuple:
+    """[x, y] by the dense triple loop over the Fraction constants."""
+    n = alg.dim
+    out = [Fraction(0)] * n
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            for k, v in enumerate(alg.constants[i][j]):
+                out[k] += xi * yj * v
+    return tuple(out)
+
+
+def dense_mult(alg: la.LeibnizAlgebra, x, side: str) -> la.RationalMatrix:
+    """left_mult (column j is [x, e_j]) or right_mult (column j is [e_j, x])
+    from dense products."""
+    n = alg.dim
+    units = [alg.basis_coords(j) for j in range(n)]
+    cols = [dense_product(alg, x, e) if side == "left" else dense_product(alg, e, x) for e in units]
+    return la.RationalMatrix(n, n, tuple(zip(*cols)) if n else ())
+
+
+def dense_inner_combination(alg: la.LeibnizAlgebra, m: la.RationalMatrix) -> tuple | None:
+    """Coefficients a with R_a = m from the n^2 x n Fraction system: entry
+    (r, i) of R_a is sum_j c[i][j][r] a_j."""
+    n = alg.dim
+    c = alg.constants
+    rows = tuple(tuple(c[i][j][r] for j in range(n)) for r in range(n) for i in range(n))
+    rhs = [v for row in m.entries for v in row]
+    return dense_solve_linear(la.RationalMatrix(n * n, n, rows), rhs)
 
 
 def fraction_annihilators(alg: la.LeibnizAlgebra) -> la.Annihilators:
@@ -188,8 +219,8 @@ def fraction_annihilators(alg: la.LeibnizAlgebra) -> la.Annihilators:
     right_rows, left_rows = [], []
     for i in range(n):
         # [e_i, x] = left_mult(e_i) x and [x, e_i] = right_mult(e_i) x
-        right_rows += alg.left_mult(alg.basis_coords(i)).entries
-        left_rows += alg.right_mult(alg.basis_coords(i)).entries
+        right_rows += dense_mult(alg, alg.basis_coords(i), "left").entries
+        left_rows += dense_mult(alg, alg.basis_coords(i), "right").entries
     ann_r = dense_nullspace(la.RationalMatrix(len(right_rows), n, tuple(right_rows)))
     ann_l = dense_nullspace(la.RationalMatrix(len(left_rows), n, tuple(left_rows)))
     return la.Annihilators(ann_r, ann_l, dense_subspace_intersect(ann_r, ann_l))
@@ -246,7 +277,7 @@ def fraction_restrict_at_point(alg: la.LeibnizAlgebra, space: la.Subspace, x) ->
     vanishing on [x, L] gives the row f[m] * x[k] at entry (m, k)."""
     n = alg.dim
     xq = tuple(Fraction(v) for v in x)
-    image = dense_subspace(n, alg.left_mult(xq).transpose().entries)
+    image = dense_subspace(n, dense_mult(alg, xq, "left").transpose().entries)
     functionals = dense_nullspace(image.basis).basis_vectors()
     return fraction_restrict(space, [[fm * xk for fm in f for xk in xq] for f in functionals])
 
@@ -272,7 +303,7 @@ def fraction_central_series_terms(alg: la.LeibnizAlgebra) -> list[la.Subspace]:
     full = la.Subspace.full(n)
     terms = [full]
     while True:
-        products = [alg.product(u, e) for u in terms[-1].basis_vectors()
+        products = [dense_product(alg, u, e) for u in terms[-1].basis_vectors()
                     for e in full.basis_vectors()]
         nxt = dense_subspace(n, products)
         stalled = nxt.dim == terms[-1].dim

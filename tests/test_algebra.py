@@ -30,6 +30,8 @@ from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in
 
 from conftest import (
     CATALOG_BATTERY,
+    dense_mult,
+    dense_product,
     fraction_annihilators,
     fraction_central_series_terms,
     fraction_transition_inverse,
@@ -157,6 +159,18 @@ def test_mult_matrix_column_convention():
     lm = NF3.left_mult(x)
     for j in range(3):
         assert lm.col(j) == NF3.product(x, NF3.basis_coords(j))
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_products_match_the_fraction_oracle(ref):
+    rng = random.Random(31)
+    for alg in fuzz_copies(ref):
+        for _ in range(3):
+            x, y = ([Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(alg.dim)]
+                    for _ in range(2))
+            assert alg.product(x, y) == dense_product(alg, x, y), ref
+            assert alg.left_mult(x) == dense_mult(alg, x, "left"), ref
+            assert alg.right_mult(x) == dense_mult(alg, x, "right"), ref
 
 
 # -- series and annihilators -------------------------------------------
@@ -287,6 +301,18 @@ def test_quotient_by_center():
     assert proj.apply((0, 0, 1)) == (0, 0)
 
 
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_quotient_matches_the_fraction_oracle(ref):
+    for alg in fuzz_copies(ref):
+        # the center and L^2 are two-sided ideals
+        for ideal in (annihilators(alg).center, *central_series(alg).terms[1:2]):
+            q, proj = quotient(alg, ideal)
+            comp = complement_in(ideal, Subspace.full(alg.dim)).basis_vectors()
+            for i, u in enumerate(comp):
+                for j, v in enumerate(comp):
+                    assert q.constants[i][j] == proj.apply(dense_product(alg, u, v)), ref
+
+
 def test_quotient_rejects_non_ideal():
     with pytest.raises(NotAnIdeal):
         quotient(NF3, Subspace.from_vectors(3, [[1, 0, 0]]))
@@ -414,6 +440,13 @@ def test_from_json_rejects_malformed_documents():
         from_json_dict({"dim": 2, "labels": "xy"})
     with pytest.raises(ValueError):
         from_json_dict({"dim": 1, "products": [{"i": 1, "j": 1, "c": {"1": "x"}}]})
+    # products must be a list: null, an object or a string is not iterated
+    for products in (None, {"i": 1}, "ij"):
+        with pytest.raises(ValueError, match="'products' must be a list"):
+            from_json_dict({"dim": 2, "products": products})
+    # "2" and "02" name the same target; neither coefficient may win
+    with pytest.raises(ValueError, match=r"target index appears twice in product \(1,1\)"):
+        from_json_dict({"dim": 2, "products": [{"i": 1, "j": 1, "c": {"2": "1", "02": "5"}}]})
 
 
 def test_from_json_enforces_identity_by_default():

@@ -34,6 +34,7 @@ from leibniz_aid.derivations import (
     derivation_space,
     endo_actions,
     endo_to_vec,
+    inner_combination,
     inner_space,
     matrix_unit,
     rcaid_caid,
@@ -51,6 +52,7 @@ from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in, rre
 from conftest import (
     CATALOG_BATTERY,
     dense_derivation_space,
+    dense_inner_combination,
     dense_subspace,
     fraction_aid_basis_candidate,
     fraction_restrict_at_point,
@@ -185,6 +187,21 @@ def test_der_of_a_non_nilpotent_algebra_stays_in_the_given_basis():
     der, _, _, basis = _der_inner_aid(alg, AidConfig())
     assert basis.p is None and basis.alg is alg
     assert der == derivation_space(alg) == dense_derivation_space(alg)
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_inner_combination_matches_the_fraction_oracle(ref):
+    rng = random.Random(37)
+    for alg in fuzz_copies(ref):
+        n = alg.dim
+        a = tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))
+        m = alg.right_mult(a)
+        combo = inner_combination(alg, m)
+        assert combo is not None and combo == dense_inner_combination(alg, m), ref
+        # the algebra is nilpotent, so every R_a is and the identity is not inner
+        ident = RationalMatrix.identity(n)
+        assert inner_combination(alg, ident) is None, ref
+        assert dense_inner_combination(alg, ident) is None, ref
 
 
 def test_inner_space_spans_right_multiplications():
@@ -599,6 +616,18 @@ def test_zero_branch_of_a_monomial_pivot_keeps_its_variables_apart():
 )
 def test_zero_branch_of_an_unsolvable_pivot_is_none(pivot):
     assert _zero_branch(pivot, set(), []) is None
+
+
+def test_unsolvable_pivot_leaves_the_certificate_inconclusive():
+    # t1^2 + t2*t3 is linear in no variable with a rational coefficient, is
+    # no power of a linear form and has no monomial factor; a form in three
+    # variables, so splitting binary forms leaves it unsolved too
+    t1, t2, t3 = (Poly.var(3, k) for k in range(3))
+    zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
+    ctx = derivations._CertContext(make("catalog:NF:3"), zero)
+    out = derivations._decide(ctx, [([t1 * t1 + t2 * t3], t1)], [], [])
+    note = "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)"
+    assert out == derivations.CertOutcome("inconclusive", branch_log=(note,))
 
 
 def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
