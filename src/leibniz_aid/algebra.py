@@ -505,6 +505,10 @@ def from_json_dict(doc: Mapping) -> LeibnizAlgebra:
             raise ValueError("product indices must be integers")
         if not isinstance(item["c"], Mapping):
             raise ValueError(f"coefficient map of product ({i},{j}) must be an object")
+        for k in item["c"]:
+            if not (isinstance(k, str) and k.isascii() and k.isdigit()):
+                raise ValueError(f"target index {k!r} in product ({i},{j}) "
+                                 "is not a string of decimal digits")
         try:
             coeffs = {int(k): as_rational(v) for k, v in item["c"].items()}
         except (TypeError, ValueError, ZeroDivisionError) as exc:

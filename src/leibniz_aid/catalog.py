@@ -7,6 +7,10 @@ fixed-dimension example lists it is the entry label (``catalog:D4:L9``,
 ``catalog:D3:L1:1/2``); G53 stands alone.  Parameters are rationals in p/q
 form.
 
+Each fixed-dimension family is one table (`_EXAMPLES`) of entries holding
+their products, checked alpha values and recorded data; parsing, building,
+listing, `expected_for` and `paper_claims` all read it.
+
 Seven of the four-dimensional entries and the five-dimensional Lie example
 carry expected dimension data (Inner/RCAID/AID/Der and a claimed complement
 generator).  `build_deviations` compares a computed analysis against that
@@ -25,6 +29,7 @@ the check reports.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .algebra import IdentityViolation, LeibnizAlgebra
@@ -47,9 +52,6 @@ from .exactlin import (
 )
 
 FAMILIES = ("NF", "F1", "F2", "F3", "D3", "D4", "G53")
-
-D3_ENTRIES = ("L1", "L2", "L3", "L4", "L5", "L6")
-D4_ENTRIES = ("L4", "L9", "L10", "L11", "L12", "L13", "L20")
 
 
 class UnknownCatalogRef(ValueError):
@@ -127,12 +129,11 @@ def parse_ref(text: str) -> CatalogRef:
             params = tuple(as_rational(p.strip()) for p in parts[3].split(","))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise UnknownCatalogRef(f"bad parameter list in {text!r}: {exc}") from exc
-    if family in ("D3", "D4"):
+    if family in _EXAMPLES:
         entry = parts[2]
-        allowed = D3_ENTRIES if family == "D3" else D4_ENTRIES
-        if entry not in allowed:
+        if entry not in _EXAMPLES[family].entries:
             raise UnknownCatalogRef(f"unknown {family} entry {entry!r}")
-        return CatalogRef(family, 3 if family == "D3" else 4, entry, params)
+        return CatalogRef(family, _EXAMPLES[family].dim, entry, params)
     try:
         n = int(parts[2])
     except ValueError as exc:
@@ -144,9 +145,9 @@ def parse_ref(text: str) -> CatalogRef:
 # family builders
 
 
-def _build(dim: int, products, labels=None) -> LeibnizAlgebra:
+def _build(dim: int, products) -> LeibnizAlgebra:
     try:
-        return LeibnizAlgebra.build(dim, products, check="enforce", labels=labels)
+        return LeibnizAlgebra.build(dim, products, check="enforce")
     except IdentityViolation as exc:
         raise ParameterInvalid(str(exc), triple=(exc.i, exc.j, exc.k)) from exc
 
@@ -243,70 +244,78 @@ def _f3(n: int, params: tuple[Q, ...]) -> LeibnizAlgebra:
     return _build(n, products)
 
 
-def _d3(entry: str, params: tuple[Q, ...]) -> LeibnizAlgebra:
-    if entry == "L1":
-        if len(params) != 1:
-            raise ArityMismatch("D3 L1 expects one parameter (alpha)")
-        alpha = params[0]
-        products = {(2, 2): {1: Q(1)}, (2, 3): {1: Q(1)}}
-        if alpha:
-            products[(3, 3)] = {1: alpha}
-        return _build(3, products)
-    if params:
-        raise ArityMismatch(f"D3 {entry} takes no parameters")
-    tables = {
-        "L2": {(2, 2): {1: 1}, (3, 2): {1: 1}, (2, 3): {1: 1}},
-        "L3": {(2, 2): {1: 1}, (3, 3): {1: 1}, (3, 2): {1: 1}, (2, 3): {1: 1}},
-        "L4": {(3, 3): {1: 1}},
-        "L5": {(2, 3): {1: 1}, (3, 3): {1: 1}},
-        "L6": {(3, 3): {1: 1}, (1, 3): {2: 1}},
-    }
-    return _build(3, tables[entry])
+@dataclass(frozen=True)
+class _Example:
+    """A fixed-dimension entry: its products, or a function of alpha giving
+    them, the alpha values the paper checks, its recorded data and note."""
+
+    products: dict | Callable[[Q], dict]
+    alphas: tuple[str, ...] = ()
+    expected: ExpectedData | None = None
+    note: str | None = None
 
 
-def _d4(entry: str, params: tuple[Q, ...]) -> LeibnizAlgebra:
-    def one_param(name: str) -> Q:
-        if len(params) != 1:
-            raise ArityMismatch(f"D4 {name} expects one parameter (alpha)")
-        return params[0]
+@dataclass(frozen=True)
+class _Examples:  # a fixed-dimension family, its entries in report order
+    dim: int
+    source: str
+    entries: dict[str, _Example]
 
-    if entry == "L4":
-        alpha = one_param("L4")
-        products = {(1, 1): {3: 1}, (2, 1): {3: 1}, (2, 2): {4: 1}, (3, 1): {4: 1}}
-        if alpha:
-            products[(1, 2)] = {4: alpha}
-        return _build(4, products)
-    if entry == "L13":
-        alpha = one_param("L13")
-        products = {(1, 1): {3: 1}, (1, 2): {4: 1}, (2, 2): {4: -1}}
-        if alpha:
-            products[(2, 1)] = {3: -alpha}
-        return _build(4, products)
-    if entry == "L20":
-        alpha = one_param("L20")
-        if alpha == 1:
-            raise ParameterInvalid("L20 is undefined at alpha = 1 "
-                                   "(coefficient (1+alpha)/(1-alpha) has a pole)")
-        coeff = (1 + alpha) / (1 - alpha)
-        products = {(1, 2): {4: 1}, (2, 2): {3: 1}}
-        if coeff:
-            products[(2, 1)] = {4: coeff}
-        return _build(4, products)
-    if params:
-        raise ArityMismatch(f"D4 {entry} takes no parameters")
-    tables = {
-        "L9": {
-            (1, 1): {4: 1}, (2, 1): {3: 1}, (2, 2): {4: 1},
-            (1, 2): {3: -1, 4: 2}, (3, 1): {4: 1}, (1, 3): {4: -1},
-        },
-        "L10": {
-            (1, 1): {4: 1}, (2, 1): {3: 1}, (2, 2): {4: 1},
-            (3, 1): {4: 1}, (1, 2): {3: -1}, (1, 3): {4: -1},
-        },
-        "L11": {(1, 1): {4: 1}, (1, 2): {3: 1}, (2, 1): {3: -1}, (2, 2): {3: -2, 4: 1}},
-        "L12": {(1, 1): {3: 1}, (2, 1): {4: 1}, (2, 2): {3: -1}},
-    }
-    return _build(4, tables[entry])
+
+def _l20(alpha: Q) -> dict:
+    if alpha == 1:
+        raise ParameterInvalid("L20 is undefined at alpha = 1 "
+                               "(coefficient (1+alpha)/(1-alpha) has a pole)")
+    return {(1, 2): {4: 1}, (2, 2): {3: 1}, (2, 1): {4: (1 + alpha) / (1 - alpha)}}
+
+
+_E42 = matrix_unit(4, 4, 2)
+
+_EXAMPLES = {
+    "D3": _Examples(3, "three-dimensional nilpotent examples", {
+        "L1": _Example(lambda alpha: {(2, 2): {1: 1}, (2, 3): {1: 1}, (3, 3): {1: alpha}},
+                       alphas=("0", "1", "-1", "2")),
+        "L2": _Example({(2, 2): {1: 1}, (3, 2): {1: 1}, (2, 3): {1: 1}}),
+        "L3": _Example({(2, 2): {1: 1}, (3, 3): {1: 1}, (3, 2): {1: 1}, (2, 3): {1: 1}}),
+        "L4": _Example({(3, 3): {1: 1}}),
+        "L5": _Example({(2, 3): {1: 1}, (3, 3): {1: 1}}),
+        "L6": _Example({(3, 3): {1: 1}, (1, 3): {2: 1}}),
+    }),
+    "D4": _Examples(4, "four-dimensional nilpotent classification (seven of 28 entries)", {
+        "L4": _Example(lambda alpha: {(1, 1): {3: 1}, (2, 1): {3: 1}, (2, 2): {4: 1},
+                                      (3, 1): {4: 1}, (1, 2): {4: alpha}},
+                       alphas=("0", "1"), expected=ExpectedData(2, 2, 3, 4, _E42, "E(4,2)")),
+        "L9": _Example({(1, 1): {4: 1}, (2, 1): {3: 1}, (2, 2): {4: 1},
+                        (1, 2): {3: -1, 4: 2}, (3, 1): {4: 1}, (1, 3): {4: -1}},
+                       expected=ExpectedData(3, 3, 4, 4, _E42, "E(4,2)")),
+        "L10": _Example({(1, 1): {4: 1}, (2, 1): {3: 1}, (2, 2): {4: 1},
+                         (3, 1): {4: 1}, (1, 2): {3: -1}, (1, 3): {4: -1}},
+                        expected=ExpectedData(3, 3, 4, 4, _E42, "E(4,2)")),
+        "L11": _Example({(1, 1): {4: 1}, (1, 2): {3: 1}, (2, 1): {3: -1}, (2, 2): {3: -2, 4: 1}},
+                        expected=ExpectedData(2, 2, 3, 5, _E42, "E(4,2)")),
+        "L12": _Example({(1, 1): {3: 1}, (2, 1): {4: 1}, (2, 2): {3: -1}},
+                        expected=ExpectedData(2, 2, 3, 5, _E42, "E(4,2)")),
+        "L13": _Example(lambda alpha: {(1, 1): {3: 1}, (1, 2): {4: 1}, (2, 2): {4: -1},
+                                       (2, 1): {3: -alpha}},
+                        alphas=("0", "1", "2"),
+                        expected=ExpectedData(2, 2, 4, 5, _E42 + matrix_unit(4, 3, 2),
+                                              "E(4,2)+E(3,2)")),
+        "L20": _Example(_l20, alphas=("0", "2"),
+                        expected=ExpectedData(2, 2, 3, 7, _E42, "E(4,2)"), note="alpha != 1"),
+    }),
+}
+
+
+def _example(ref: CatalogRef) -> LeibnizAlgebra:
+    examples = _EXAMPLES[ref.family]
+    products = examples.entries[ref.entry].products
+    if callable(products):
+        if len(ref.params) != 1:
+            raise ArityMismatch(f"{ref.family} {ref.entry} expects one parameter (alpha)")
+        products = products(ref.params[0])
+    elif ref.params:
+        raise ArityMismatch(f"{ref.family} {ref.entry} takes no parameters")
+    return _build(examples.dim, products)
 
 
 def _g53() -> LeibnizAlgebra:
@@ -331,10 +340,8 @@ def make(ref: CatalogRef | str) -> LeibnizAlgebra:
         return _f2(ref.n, ref.params)
     if ref.family == "F3":
         return _f3(ref.n, ref.params)
-    if ref.family == "D3":
-        return _d3(ref.entry, ref.params)
-    if ref.family == "D4":
-        return _d4(ref.entry, ref.params)
+    if ref.family in _EXAMPLES:
+        return _example(ref)
     if ref.family == "G53":
         if ref.params:
             raise ArityMismatch("G53 takes no parameters")
@@ -346,23 +353,13 @@ def make(ref: CatalogRef | str) -> LeibnizAlgebra:
 # expected dimension data
 
 
-_D4_EXPECTED = {
-    "L4": ExpectedData(2, 2, 3, 4, matrix_unit(4, 4, 2), "E(4,2)"),
-    "L9": ExpectedData(3, 3, 4, 4, matrix_unit(4, 4, 2), "E(4,2)"),
-    "L10": ExpectedData(3, 3, 4, 4, matrix_unit(4, 4, 2), "E(4,2)"),
-    "L11": ExpectedData(2, 2, 3, 5, matrix_unit(4, 4, 2), "E(4,2)"),
-    "L12": ExpectedData(2, 2, 3, 5, matrix_unit(4, 4, 2), "E(4,2)"),
-    "L13": ExpectedData(2, 2, 4, 5,
-                        matrix_unit(4, 4, 2) + matrix_unit(4, 3, 2), "E(4,2)+E(3,2)"),
-    "L20": ExpectedData(2, 2, 3, 7, matrix_unit(4, 4, 2), "E(4,2)"),
-}
-
 _G53_EXPECTED = ExpectedData(inner=4, rcaid=None, aid=5, der=10)
 
 
 def expected_for(ref: CatalogRef) -> ExpectedData | None:
-    if ref.family == "D4":
-        return _D4_EXPECTED.get(ref.entry)
+    if ref.family in _EXAMPLES:
+        example = _EXAMPLES[ref.family].entries.get(ref.entry)
+        return example.expected if example else None
     if ref.family == "G53":
         return _G53_EXPECTED
     return None
@@ -398,22 +395,27 @@ class Claim:
 
 _SUM_FIELDS = ("sum_matches", "generator_certified", "status")
 _REFUTED_FIELDS = ("status", "generator_outcome", "refuting_x")
-_D3_CLAIMED = ("L1:0", "L1:1", "L1:-1", "L1:2", "L2", "L3", "L4", "L5", "L6")
-_D4_CLAIMED = ("L4:0", "L4:1", "L9", "L10", "L11", "L12",
-               "L13:0", "L13:1", "L13:2", "L20:0", "L20:2")
+
+
+def _checked_refs(family: str) -> list[str]:
+    """The references the paper checks in a fixed-dimension family, in table
+    order: an entry at each of its checked alphas, or once if it has none."""
+    refs = []
+    for label, example in _EXAMPLES[family].entries.items():
+        ref = f"catalog:{family}:{label}"
+        refs += [f"{ref}:{alpha}" for alpha in example.alphas] or [ref]
+    return refs
 
 
 def paper_claims(nmax: int) -> tuple[Claim, ...]:
     """The claims `verify-paper` checks, in report order; the null-filiform
     algebras run up to dimension `nmax`."""
-    claims = [Claim("table", f"catalog:D4:{e}", ("tower", "status"))
-              for e in _D4_CLAIMED]
+    claims = [Claim("table", ref, ("tower", "status")) for ref in _checked_refs("D4")]
     claims += [Claim("inner-equality", f"catalog:NF:{n}",
                      ("status", "aid_dim", "inner_dim"))
                for n in range(2, nmax + 1)]
-    claims += [Claim("inner-equality", f"catalog:D3:{e}",
-                     ("status", "aid_dim", "rcaid_dim", "inner_dim"))
-               for e in _D3_CLAIMED]
+    claims += [Claim("inner-equality", ref, ("status", "aid_dim", "rcaid_dim", "inner_dim"))
+               for ref in _checked_refs("D3")]
     for n in (4, 5, 6, 7):  # F1(a4..an, theta): a_n alone, then theta too
         gen = matrix_unit(n, n, 2)
         zeros = "0," * (n - 4)
@@ -459,18 +461,11 @@ def list_entries() -> tuple[CatalogEntry, ...]:
         CatalogEntry("F3:n", None, "theta1..theta3 [, b5..bn]",
                      "filiform family containing a filiform Lie algebra"),
     ]
-    for entry in D3_ENTRIES:
-        arity = "alpha" if entry == "L1" else "none"
-        rows.append(CatalogEntry(f"D3:{entry}", 3, arity,
-                                 "three-dimensional nilpotent examples"))
-    for entry in D4_ENTRIES:
-        arity = "alpha" if entry in ("L4", "L13", "L20") else "none"
-        note = "alpha != 1" if entry == "L20" else None
-        rows.append(CatalogEntry(
-            f"D4:{entry}", 4, arity,
-            "four-dimensional nilpotent classification (seven of 28 entries)",
-            expected=_D4_EXPECTED[entry], note=note,
-        ))
+    for family, examples in _EXAMPLES.items():
+        rows += [CatalogEntry(f"{family}:{label}", examples.dim,
+                              "alpha" if callable(example.products) else "none",
+                              examples.source, expected=example.expected, note=example.note)
+                 for label, example in examples.entries.items()]
     rows.append(CatalogEntry("G53", 5, "none",
                              "five-dimensional nilpotent Lie example",
                              expected=_G53_EXPECTED))

@@ -382,8 +382,8 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
     # computed only for the claims that report it
     rcaid = None
     if "rcaid_dim" in claim.fields:
-        rcaid = der_mod._envelope_meet(aid.upper_bound if exact else aid.proved,
-                                       inner, alg_mod.annihilators(algebra).ann_r)
+        rcaid = der_mod._envelope_meet(aid.proved, inner,
+                                       alg_mod.annihilators(algebra).ann_r)
         values["rcaid_dim"] = rcaid.dim
     collapses = exact and aid.upper_bound == inner
     gen = claim.generator

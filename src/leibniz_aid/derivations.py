@@ -983,24 +983,21 @@ def subalgebra_nilpotency(space: Subspace) -> tuple[tuple[int, ...], bool]:
     if n * n != nsq:
         raise ValueError("ambient dimension is not a square")
     mats = [vec_to_endo(v, n) for v in space.basis_vectors()]
-    for a in mats:
-        for b in mats:
-            if not space.contains(endo_to_vec(bracket(a, b))):
-                raise NotBracketClosed(
-                    "commutator of basis elements leaves the space"
-                )
+
+    def commutators(left: list[RationalMatrix]) -> Subspace:
+        return Subspace.from_vectors(
+            nsq, [endo_to_vec(bracket(a, b)) for a in left for b in mats])
+
+    # the first term [S, S] is also the closure test
+    term = commutators(mats)
+    if not space.contains_subspace(term):
+        raise NotBracketClosed("commutator of basis elements leaves the space")
     dims = [space.dim]
-    current = space
     while True:
-        cmats = [vec_to_endo(v, n) for v in current.basis_vectors()]
-        vectors = [endo_to_vec(bracket(a, b)) for a in cmats for b in mats]
-        nxt = Subspace.from_vectors(nsq, vectors)
-        if nxt.dim == current.dim:
-            return tuple(dims + [nxt.dim]), nxt.dim == 0
-        dims.append(nxt.dim)
-        current = nxt
-        if nxt.dim == 0:
-            return tuple(dims), True
+        dims.append(term.dim)
+        if term.dim in (0, dims[-2]):
+            return tuple(dims), term.dim == 0
+        term = commutators([vec_to_endo(v, n) for v in term.basis_vectors()])
 
 
 # ---------------------------------------------------------------------------
@@ -1053,15 +1050,13 @@ def analysis_report(
         "matrix convention: column j is the image of e_j; transposed "
         "presentations of the same generator are treated as the same object",
     ]
-    if aid.status == "certified_exact":
-        aid_sub = aid.upper_bound
-    else:
-        aid_sub = aid.proved
+    if aid.status != "certified_exact":
         notes.append(
             "aid not certified exact; rcaid/caid computed from the proved lower bound"
         )
-    rcaid = _envelope_meet(aid_sub, inner, ann.ann_r)
-    caid = _envelope_meet(aid_sub, inner, ann.center)
+    # certified exact, the proved bound is the upper bound
+    rcaid = _envelope_meet(aid.proved, inner, ann.ann_r)
+    caid = _envelope_meet(aid.proved, inner, ann.center)
     tower = {
         "der": der.dim,
         "inner": inner.dim,

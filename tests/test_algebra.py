@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
@@ -447,6 +448,14 @@ def test_from_json_rejects_malformed_documents():
     # "2" and "02" name the same target; neither coefficient may win
     with pytest.raises(ValueError, match=r"target index appears twice in product \(1,1\)"):
         from_json_dict({"dim": 2, "products": [{"i": 1, "j": 1, "c": {"2": "1", "02": "5"}}]})
+    # a target index is ASCII digits only: no separator, sign, padding or
+    # other script's digit, although int() reads each of these
+    for key in ("1_0", " +2 ", "+2", "\u0662", ""):
+        with pytest.raises(ValueError, match=re.escape(f"target index {key!r} in product (1,1)")):
+            from_json_dict({"dim": 10, "products": [{"i": 1, "j": 1, "c": {key: "1"}}]})
+    # a leading zero is still allowed: "02" is index 2
+    padded = from_json_dict({"dim": 2, "products": [{"i": 1, "j": 1, "c": {"02": "1"}}]})
+    assert padded.product((1, 0), (1, 0)) == (0, 1)
 
 
 def test_from_json_enforces_identity_by_default():

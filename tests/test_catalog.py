@@ -146,11 +146,34 @@ def test_d4_l20_pole_and_coefficient():
     assert alg.product((0, 1, 0, 0), (1, 0, 0, 0)) == (0, 0, 0, -2)
 
 
-def test_d4_arity_checks():
-    with pytest.raises(ArityMismatch):
-        make("catalog:D4:L4")
-    with pytest.raises(ArityMismatch):
-        make("catalog:D4:L9:1")
+FIXED_ENTRIES = ("D3:L1", "D3:L2", "D3:L3", "D3:L4", "D3:L5", "D3:L6",
+                 "D4:L4", "D4:L9", "D4:L10", "D4:L11", "D4:L12", "D4:L13", "D4:L20")
+ALPHA_ENTRIES = ("D3:L1", "D4:L4", "D4:L13", "D4:L20")
+
+
+def _bad_parameter_cases():
+    """make(ref) raises error(message): every fixed-dimension entry with a
+    wrong parameter count, and L20 at its pole."""
+    cases = []
+    for entry in FIXED_ENTRIES:
+        family, label = entry.split(":")
+        if entry in ALPHA_ENTRIES:
+            message = f"{family} {label} expects one parameter (alpha)"
+            cases += [(f"catalog:{entry}", ArityMismatch, message),
+                      (f"catalog:{entry}:1,2", ArityMismatch, message)]
+        else:
+            cases.append((f"catalog:{entry}:1", ArityMismatch,
+                          f"{family} {label} takes no parameters"))
+    cases.append(("catalog:D4:L20:1", ParameterInvalid,
+                  "L20 is undefined at alpha = 1 (coefficient (1+alpha)/(1-alpha) has a pole)"))
+    return [pytest.param(*case, id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("ref, error, message", _bad_parameter_cases())
+def test_fixed_entry_rejects_bad_parameters(ref, error, message):
+    with pytest.raises(error) as info:
+        make(ref)
+    assert str(info.value) == message
 
 
 def test_g53_is_antisymmetric():

@@ -6,6 +6,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,9 @@ NONNILPOTENT = {
 }
 
 
+CATALOG_LISTING = Path(__file__).parent / "data" / "catalog_listing.txt"
+
+
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -32,10 +36,10 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 
 def test_catalog_lists_every_entry(capsys):
+    # byte for byte: every entry, its arity, recorded data and note
     code, out, _ = run(capsys, "catalog")
     assert code == 0
-    for needle in ("NF:n", "D4:L9", "G53", "expected: Inner 3, RCAID 3, AID 4, Der 4"):
-        assert needle in out
+    assert out == CATALOG_LISTING.read_text()
 
 
 # -- analyze ---------------------------------------------------------------
@@ -115,8 +119,9 @@ def test_analyze_rejects_unknown_refs_and_bad_files(capsys, tmp_path):
         {"i": 1, "j": 1, "c": [1]},  # coefficient map not an object
         {"i": True, "j": 1, "c": {"2": "1"}},  # bool index
         {"i": 1, "j": 1, "c": {"2": True}},  # bool coefficient
+        {"i": 1, "j": 1, "c": {" +2 ": "1"}},  # target index not plain digits
     ],
-    ids=["list-coefficients", "bool-index", "bool-coefficient"],
+    ids=["list-coefficients", "bool-index", "bool-coefficient", "padded-target-index"],
 )
 def test_analyze_rejects_malformed_products(capsys, write_algebra, product):
     path = write_algebra("malformed.json", {"dim": 2, "products": [product]})

@@ -801,3 +801,18 @@ def test_subalgebra_nilpotency_cases():
         subalgebra_nilpotency(Subspace.from_vectors(4, [[0, 1, 0, 0], [0, 0, 1, 0]]))
     with pytest.raises(ValueError):
         subalgebra_nilpotency(Subspace.full(3))
+
+
+def test_aid_series_forms_each_commutator_once(monkeypatch):
+    # G53's AID has series 5, 1, 0: [S, S] takes 25 commutators, and they are
+    # the closure test too; [[S, S], S] takes 5 more
+    aid = aid_space(make("catalog:G53")).upper_bound
+    calls = []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(derivations, "bracket", counted)
+    assert subalgebra_nilpotency(aid) == ((5, 1, 0), True)
+    assert len(calls) == 30
