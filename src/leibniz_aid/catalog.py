@@ -37,7 +37,6 @@ from .derivations import (
     Deviation,
     aid_certify,
     endo_actions,
-    endo_to_vec,
     inner_combination,
     matrix_unit,
     restriction_witness,
@@ -485,20 +484,20 @@ def vec_json(v) -> list[str]:
 
 
 def inner_witness_certificate(alg: LeibnizAlgebra, gen: RationalMatrix,
-                              label: str | None = None) -> dict:
+                              combination, label: str | None = None) -> dict:
     """Certificate that `gen` is inner: its combination of right
-    multiplications, to be replayed at a basis vector x."""
+    multiplications (`inner_combination`), to be replayed at a basis vector x."""
     cert = {"kind": "inner_witness", "generator": matrix_json(gen)}
     if label is not None:
         cert["generator_label"] = label
-    cert["combination"] = vec_json(inner_combination(alg, gen))
+    cert["combination"] = vec_json(combination)
     cert["x"] = vec_json(alg.basis_coords(1 if alg.dim > 1 else 0))
     cert["expects_witness"] = True
     return cert
 
 
 def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
-                       inner, basis) -> tuple[str, dict] | None:
+                       basis) -> tuple[str, dict] | None:
     """Why a claimed complement generator fails; None when it is proved almost
     inner and lies outside Inner.
 
@@ -516,8 +515,10 @@ def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
             "x": vec_json(outcome.refuting_x),
             "expects_witness": False,
         }
-    if inner.contains(endo_to_vec(gen)):
-        return "already an inner derivation", inner_witness_certificate(alg, gen, label)
+    combination = inner_combination(alg, gen)
+    if combination is not None:
+        return "already an inner derivation", inner_witness_certificate(
+            alg, gen, combination, label)
     if outcome.kind == "inconclusive":
         return f"certification inconclusive: {outcome.branch_log[-1]}", {}
     return None
@@ -545,7 +546,7 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
     gen_computed, gen_cert = None, {}
     if expected.generator is not None:
         gen_computed, gen_cert = _generator_failure(
-            alg, expected.generator, expected.generator_label, inner, _basis) or (None, {})
+            alg, expected.generator, expected.generator_label, _basis) or (None, {})
     aid_differs = expected.aid is not None and aid.upper_bound.dim != expected.aid
     if aid_differs:
         # a failing generator's certificate explains the AID mismatch best

@@ -404,13 +404,14 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
             e2_scaled = [v / claim.scale for v in algebra.basis_coords(1)]
             sum_ok = sum_ok and algebra.right_mult(e2_scaled) == gen
         values["sum_matches"] = sum_ok
-        direct = not inner.contains(gen_vec)
+        combination = der_mod.inner_combination(algebra, gen)
+        direct = combination is None
         if not direct:
             deviations.append(Deviation(
                 f"{claim.ref}:decomposition",
                 "generator independent of Inner (direct sum)",
                 "generator already inner",
-                cat_mod.inner_witness_certificate(algebra, gen),
+                cat_mod.inner_witness_certificate(algebra, gen, combination),
             ))
         passed = sum_ok and direct
     elif claim.kind == "refutation":

@@ -361,7 +361,7 @@ class _CertContext:
 
 
 def _strip_row(
-    coeffs: list[Poly], rhs: Poly, nz_vars: set[int] = frozenset()
+    coeffs: list[Poly], rhs: Poly, nz: frozenset[int] = frozenset()
 ) -> tuple[list[Poly], Poly]:
     """Remove a safe common monomial and the rational content of a row.
 
@@ -379,7 +379,7 @@ def _strip_row(
     mono = polys[0].monomial_gcd()
     for p in polys[1:]:
         mono = tuple(min(a, b) for a, b in zip(mono, p.monomial_gcd()))
-    mono = tuple(e if i in nz_vars else 0 for i, e in enumerate(mono))
+    mono = tuple(e if i in nz else 0 for i, e in enumerate(mono))
     if any(mono):
         coeffs = [p.divide_monomial(mono) if not p.is_zero() else p for p in coeffs]
         rhs = rhs.divide_monomial(mono) if not rhs.is_zero() else rhs
@@ -396,23 +396,22 @@ def _strip_row(
 def _search_refutation(
     ctx: _CertContext,
     residual: Poly,
-    nonzero: list[Poly],
+    nz: frozenset[int],
+    polys: tuple[Poly, ...],
     subs: list[tuple[int, Poly]],
 ) -> tuple[Q, ...] | None:
     """Look for a small rational point where the branch residual is nonzero.
 
-    Candidate points satisfy the branch conditions (recorded pivots nonzero)
-    as a guide; each candidate is then verified with the exact rank test,
-    which is the only thing that can declare a refutation.
+    Candidate points keep the branch's nonzero conditions (nz and polys) as
+    a guide; each candidate is then verified with the exact rank test, which
+    is the only thing that can declare a refutation.
     """
     n = ctx.alg.dim
-    free = sorted(residual.variables())
-    for _, repl in subs:
-        free = sorted(set(free) | repl.variables())
-    for p in nonzero:
-        free = sorted(set(free) | p.variables())
     substituted = {k for k, _ in subs}
-    free = [v for v in free if v not in substituted]
+    free = sorted(nz.union(
+        residual.variables(), *(r.variables() for _, r in subs),
+        *(p.variables() for p in polys),
+    ) - substituted)
     if not free:
         free = [v for v in range(n) if v not in substituted][:1]
     checks = 0
@@ -432,7 +431,9 @@ def _search_refutation(
                 point[var] = repl.evaluate(point)
             if residual.evaluate(point) == 0:
                 continue
-            if any(p.evaluate(point) == 0 for p in nonzero):
+            if any(point[v] == 0 for v in nz) or any(
+                p.evaluate(point) == 0 for p in polys
+            ):
                 continue
             checks += 1
             if aid_witness(ctx.alg, ctx.dmat, point) is None:
@@ -485,30 +486,20 @@ def _linear_power(p: Poly) -> Poly | None:
     return ell if power.scale(c) == p else None
 
 
-def _stack_entries(pivot: Poly) -> list[Poly]:
-    """Branch conditions implied by pivot != 0, split as finely as possible.
+# a branch state: the variables and the other polynomials it holds nonzero
+_Held = tuple[frozenset[int], tuple[Poly, ...]]
 
-    A nonzero monomial forces every variable in it to be nonzero, which later
-    pivots can exploit one variable at a time.
+
+def _held_nonzero(nz: frozenset[int], polys: tuple[Poly, ...], p: Poly) -> _Held:
+    """The branch state (nz, polys) that also holds p != 0.
+
+    A nonzero monomial holds every variable in it nonzero, and those join the
+    set nz, which later pivots can exploit one variable at a time; a nonzero
+    constant adds nothing, and any other polynomial joins polys.
     """
-    if len(pivot.terms) == 1:
-        (mono, _), = pivot.terms.items()
-        entries = [Poly.var(pivot.nvars, i) for i, e in enumerate(mono) if e]
-        if entries:
-            return entries
-    return [pivot]
-
-
-def _nonzero_vars(nonzero: list[Poly]) -> set[int]:
-    """Variables forced nonzero by some single-variable entry of the stack."""
-    out: set[int] = set()
-    for p in nonzero:
-        if len(p.terms) == 1:
-            (mono, _), = p.terms.items()
-            support = [i for i, e in enumerate(mono) if e]
-            if len(support) == 1:
-                out.add(support[0])
-    return out
+    if len(p.terms) == 1:
+        return nz | p.variables(), polys
+    return nz, polys + (p,)
 
 
 def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly]:
@@ -569,21 +560,22 @@ def _eliminate(
 def _decide(
     ctx: _CertContext,
     rows: list[tuple[list[Poly], Poly]],
-    nonzero: list[Poly],
+    nz: frozenset[int],
+    polys: tuple[Poly, ...],
     subs: list[tuple[int, Poly]],
 ) -> CertOutcome:
+    """Eliminate rows on the branch that holds nz and polys nonzero, after subs."""
     ctx.budget -= 1
     if ctx.budget <= 0:
         return CertOutcome("inconclusive", branch_log=tuple(ctx.log) + ("node budget exhausted",))
     # normalize and triage
-    nz_vars = _nonzero_vars(nonzero)
     cleaned: list[tuple[list[Poly], Poly]] = []
     for coeffs, rhs in rows:
-        coeffs, rhs = _strip_row(coeffs, rhs, nz_vars)
+        coeffs, rhs = _strip_row(coeffs, rhs, nz)
         if all(p.is_zero() for p in coeffs):
             if rhs.is_zero():
                 continue
-            x = _search_refutation(ctx, rhs, nonzero, subs)
+            x = _search_refutation(ctx, rhs, nz, polys, subs)
             if x is not None:
                 return CertOutcome("refuted", refuting_x=x, branch_log=tuple(ctx.log))
             return CertOutcome(
@@ -595,17 +587,17 @@ def _decide(
     if not rows or all(rhs.is_zero() for _, rhs in rows):
         return CertOutcome("proved", branch_log=tuple(ctx.log))
     pi, pc, pivot = _pivot_choice(rows)
-    if len(pivot.terms) == 1 and pivot.variables() <= nz_vars:
+    if len(pivot.terms) == 1 and pivot.variables() <= nz:
         # a nonzero constant, or a monomial in variables the branch already
         # forces nonzero: the pivot cannot vanish here, so no case split
-        return _decide(ctx, _eliminate(rows, pi, pc, pivot), nonzero, subs)
-    zero = _zero_branch(pivot, nz_vars, nonzero)
+        return _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs)
+    zero = _zero_branch(pivot, nz, polys)
     split_poly, cases = (pivot, None) if zero is None else zero
     # branch split_poly != 0 (the same region as pivot != 0)
     mark = len(ctx.log)
     ctx.log.append(f"case {split_poly} != 0")
     out_nz = _decide(
-        ctx, _eliminate(rows, pi, pc, pivot), nonzero + _stack_entries(split_poly), subs
+        ctx, _eliminate(rows, pi, pc, pivot), *_held_nonzero(nz, polys, split_poly), subs
     )
     del ctx.log[mark:]
     if out_nz.kind == "refuted":
@@ -616,13 +608,13 @@ def _decide(
             return CertOutcome("inconclusive", branch_log=tuple(ctx.log) + (note,))
         return CertOutcome("inconclusive", branch_log=out_nz.branch_log + (note,))
     outs = [out_nz]
-    for label, k, replacement, case_nonzero in cases:
+    for label, k, replacement, state in cases:
         ctx.log.append(f"case {label}, t{k + 1} := {replacement}")
         zero_rows = [
             ([p.subs_var(k, replacement) for p in coeffs], rhs.subs_var(k, replacement))
             for coeffs, rhs in rows
         ]
-        out = _decide(ctx, zero_rows, case_nonzero, subs + [(k, replacement)])
+        out = _decide(ctx, zero_rows, *state, subs + [(k, replacement)])
         del ctx.log[mark:]
         if out.kind == "refuted":
             return out
@@ -643,9 +635,17 @@ def _solved_for(ell: Poly) -> tuple[int, Poly]:
     return k, (ell - Poly.var(ell.nvars, k, coeff)).scale(Q(-1) / coeff)
 
 
+def _linear_reading(p: Poly) -> Poly | None:
+    """p itself when it is a constant or linear in some variable with a
+    rational coefficient, else the l of p = c * l**k, else None."""
+    if p.is_constant() or p.linear_var_with_constant_coeff() is not None:
+        return p
+    return _linear_power(p)
+
+
 def _zero_branch(
-    pivot: Poly, nz_vars: set[int], nonzero: list[Poly]
-) -> tuple[Poly, list[tuple[str, int, Poly, list[Poly]]]] | None:
+    pivot: Poly, nz: frozenset[int], polys: tuple[Poly, ...]
+) -> tuple[Poly, list[tuple[str, int, Poly, _Held]]] | None:
     """Split pivot = 0 into cases; None when it cannot be solved.
 
     Returns (split, cases), where the branch pivot != 0 records split != 0,
@@ -653,36 +653,29 @@ def _zero_branch(
     in some variable with a rational coefficient, a power of such a form, or
     a constant.  In order: the pivot itself is l (split is the pivot); the
     pivot is a rational multiple of a power of a linear form l (split is l);
-    m is the pivot's monomial gcd (split is the pivot).  m * l = 0 splits
-    into t_v = 0 for each variable v of m the branch does not force nonzero,
-    then all those t_v nonzero and l = 0, solved for one variable of l.
-    Each case is (label, k, replacement for t_k, nonzero stack of the case).
+    m is the pivot's monomial gcd, and the quotient is read the same way
+    (split is the pivot).  m * l = 0 splits into t_v = 0 for each variable v
+    of m outside nz, the variables the branch holds nonzero, then all those
+    t_v nonzero and l = 0, solved for one variable of l.  Each case is
+    (label, k, replacement for t_k, the branch state (nz, polys) of the case).
     """
     nvars = pivot.nvars
     mono = (0,) * nvars
-    if pivot.linear_var_with_constant_coeff() is not None:
-        ell = pivot
-    else:
-        ell = _linear_power(pivot)
+    ell = _linear_reading(pivot)
+    if ell is None and any(mono := pivot.monomial_gcd()):
+        ell = _linear_reading(pivot.divide_monomial(mono))
     if ell is None:
-        mono = pivot.monomial_gcd()
-        if not any(mono):
-            return None
-        ell = pivot.divide_monomial(mono)
-        if ell.total_degree() > 1:
-            ell = _linear_power(ell)
-            if ell is None:
-                return None
+        return None
     zero = Poly.zero(nvars)
-    mvars = [v for v, e in enumerate(mono) if e and v not in nz_vars]
-    cases = [(f"t{v + 1} = 0", v, zero, nonzero) for v in mvars]
+    mvars = [v for v, e in enumerate(mono) if e and v not in nz]
+    cases = [(f"t{v + 1} = 0", v, zero, (nz, polys)) for v in mvars]
     if not ell.is_constant():
         k, replacement = _solved_for(ell)
-        stacked = list(nonzero)
+        state = nz, polys
         for v in mvars:
-            stacked += _stack_entries(Poly.var(nvars, v).subs_var(k, replacement))
+            state = _held_nonzero(*state, Poly.var(nvars, v).subs_var(k, replacement))
         label = "".join(f"t{v + 1} != 0, " for v in mvars) + f"{ell} = 0"
-        cases.append((label, k, replacement, stacked))
+        cases.append((label, k, replacement, state))
     return (pivot if any(mono) else ell), cases
 
 
@@ -781,7 +774,7 @@ def aid_certify(
         for m in range(n)
     ]
     ctx = _CertContext(basis.alg, dm)
-    out = _decide(ctx, rows, [], [])
+    out = _decide(ctx, rows, frozenset(), (), [])
     if basis.p is None:
         return out
     log = ("series-adapted basis",) + out.branch_log

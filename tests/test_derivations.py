@@ -44,6 +44,7 @@ from leibniz_aid.derivations import (
     vec_to_endo,
     _CutView,
     _der_inner_aid,
+    _held_nonzero,
     _restrict_at_point,
     _zero_branch,
 )
@@ -534,66 +535,93 @@ def test_constant_pivot_update_strips_to_the_divided_update():
     ]
 
 
-# shape -> (pivot, forced-nonzero variables, nonzero stack, expected), where
-# expected is the polynomial the != 0 branch records and the zero cases as
-# (label, k, replacement, nonzero stack)
+def _held(*nz, polys=()):
+    return frozenset(nz), tuple(polys)
+
+
+# shape -> (pivot, branch state, expected), where the branch state is the
+# set of variables held nonzero and the tuple of other polynomials held
+# nonzero, and expected is the polynomial the != 0 branch records and the
+# zero cases as (label, k, replacement, branch state)
 ZERO_BRANCH_SHAPES = {
     "linear": (
-        _t(1) * _t(2) + _t(0).scale(2) - _c(3), set(), [],
+        _t(1) * _t(2) + _t(0).scale(2) - _c(3), _held(),
         ("2*t1 + t2*t3 - 3",
-         [("2*t1 + t2*t3 - 3 = 0", 0, "-1/2*t2*t3 + 3/2", [])]),
+         [("2*t1 + t2*t3 - 3 = 0", 0, "-1/2*t2*t3 + 3/2", _held())]),
     ),
     "linear-in-a-later-variable": (
-        _t(0) * _t(0) + _t(1).scale(3), set(), [],
-        ("t1^2 + 3*t2", [("t1^2 + 3*t2 = 0", 1, "-1/3*t1^2", [])]),
+        _t(0) * _t(0) + _t(1).scale(3), _held(),
+        ("t1^2 + 3*t2", [("t1^2 + 3*t2 = 0", 1, "-1/3*t1^2", _held())]),
     ),
     "c*l^k": (
-        (_ELL * _ELL).scale(-3), set(), [],
-        ("t1 - 2*t3", [("t1 - 2*t3 = 0", 0, "2*t3", [])]),
+        (_ELL * _ELL).scale(-3), _held(),
+        ("t1 - 2*t3", [("t1 - 2*t3 = 0", 0, "2*t3", _held())]),
     ),
     "c*t_v^e": (
-        (_t(1) * _t(1) * _t(1)).scale(5), set(), [],
-        ("t2", [("t2 = 0", 1, "0", [])]),
+        (_t(1) * _t(1) * _t(1)).scale(5), _held(),
+        ("t2", [("t2 = 0", 1, "0", _held())]),
     ),
     "m*l-none-forced": (
-        _ML, set(), [_t(2)],
+        _ML, _held(2),
         ("2*t1^2*t4 - 6*t1*t2*t4",
-         [("t1 = 0", 0, "0", ["t3"]),
-          ("t4 = 0", 3, "0", ["t3"]),
+         [("t1 = 0", 0, "0", _held(2)),
+          ("t4 = 0", 3, "0", _held(2)),
           # t1 != 0 becomes 3*t2 != 0 once t1 := 3*t2
-          ("t1 != 0, t4 != 0, 2*t1 - 6*t2 = 0", 0, "3*t2", ["t3", "t2", "t4"])]),
+          ("t1 != 0, t4 != 0, 2*t1 - 6*t2 = 0", 0, "3*t2", _held(1, 2, 3))]),
     ),
     "m*l-some-forced": (
-        _ML, {3}, [_t(3)],
+        _ML, _held(3),
         ("2*t1^2*t4 - 6*t1*t2*t4",
-         [("t1 = 0", 0, "0", ["t4"]),
-          ("t1 != 0, 2*t1 - 6*t2 = 0", 0, "3*t2", ["t4", "t2"])]),
+         [("t1 = 0", 0, "0", _held(3)),
+          ("t1 != 0, 2*t1 - 6*t2 = 0", 0, "3*t2", _held(1, 3))]),
     ),
     "m*l-all-forced": (
-        _ML, {0, 3}, [_t(3), _t(0)],
+        _ML, _held(0, 3),
         ("2*t1^2*t4 - 6*t1*t2*t4",
-         [("2*t1 - 6*t2 = 0", 0, "3*t2", ["t4", "t1"])]),
+         [("2*t1 - 6*t2 = 0", 0, "3*t2", _held(0, 3))]),
     ),
     "m*l^k": (
-        _t(2) * (_t(0) - _t(1)) * (_t(0) - _t(1)), set(), [],
+        _t(2) * (_t(0) - _t(1)) * (_t(0) - _t(1)), _held(),
         ("t1^2*t3 - 2*t1*t2*t3 + t2^2*t3",
-         [("t3 = 0", 2, "0", []), ("t3 != 0, t1 - t2 = 0", 0, "t2", ["t3"])]),
+         [("t3 = 0", 2, "0", _held()), ("t3 != 0, t1 - t2 = 0", 0, "t2", _held(2))]),
     ),
     "m*c": (
-        (_t(0) * _t(2)).scale(-2), {0}, [_t(0)],
-        ("-2*t1*t3", [("t3 = 0", 2, "0", ["t1"])]),
+        (_t(0) * _t(2)).scale(-2), _held(0),
+        ("-2*t1*t3", [("t3 = 0", 2, "0", _held(0))]),
+    ),
+    # l = t1 + t2*t3 has total degree 2, but is linear in t1
+    "m*l-nonlinear-l": (
+        _t(0) * _t(3) + _t(1) * _t(2) * _t(3), _held(),
+        ("t1*t4 + t2*t3*t4",
+         [("t4 = 0", 3, "0", _held()),
+          ("t4 != 0, t1 + t2*t3 = 0", 0, "-t2*t3", _held(3))]),
+    ),
+    # t1 != 0 becomes -t2 - t3 != 0 once t1 := -t2 - t3, which is held as
+    # a polynomial; the polynomials the branch held already stay
+    "m*l-solved-for-a-variable-of-m": (
+        _t(0) * (_t(0) + _t(1) + _t(2)), _held(polys=[_t(1) + _t(3)]),
+        ("t1^2 + t1*t2 + t1*t3",
+         [("t1 = 0", 0, "0", _held(polys=[_t(1) + _t(3)])),
+          ("t1 != 0, t1 + t2 + t3 = 0", 0, "-t2 - t3",
+           _held(polys=[_t(1) + _t(3), -_t(1) - _t(2)]))]),
+    ),
+    # t1 != 0 becomes -1 != 0 once t1 := -1, which holds nothing new
+    "m*l-solved-to-a-constant": (
+        _t(0) * (_t(0) + _c(1)), _held(3),
+        ("t1^2 + t1",
+         [("t1 = 0", 0, "0", _held(3)), ("t1 != 0, t1 + 1 = 0", 0, "-1", _held(3))]),
     ),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(ZERO_BRANCH_SHAPES))
 def test_zero_branch_splits_each_solvable_shape(shape):
-    pivot, nz_vars, nonzero, (split, cases) = ZERO_BRANCH_SHAPES[shape]
-    got_split, got_cases = _zero_branch(pivot, nz_vars, nonzero)
+    pivot, held, (split, cases) = ZERO_BRANCH_SHAPES[shape]
+    got_split, got_cases = _zero_branch(pivot, *held)
     assert str(got_split) == split
     assert [
-        (label, k, str(replacement), [str(p) for p in stack])
-        for label, k, replacement, stack in got_cases
+        (label, k, str(replacement), state)
+        for label, k, replacement, state in got_cases
     ] == cases
     # each case lies in the zero set of the pivot
     for _, k, replacement, _ in got_cases:
@@ -601,9 +629,9 @@ def test_zero_branch_splits_each_solvable_shape(shape):
 
 
 def test_zero_branch_of_a_monomial_pivot_keeps_its_variables_apart():
-    # the != 0 branch of c*t1*t3 stacks t1 and t3 one at a time
-    split, _ = _zero_branch((_t(0) * _t(2)).scale(-2), set(), [])
-    assert derivations._stack_entries(split) == [_t(0), _t(2)]
+    # the != 0 branch of c*t1*t3 holds t1 and t3 nonzero one at a time
+    split, _ = _zero_branch((_t(0) * _t(2)).scale(-2), *_held())
+    assert _held_nonzero(*_held(), split) == _held(0, 2)
 
 
 @pytest.mark.parametrize(
@@ -615,7 +643,7 @@ def test_zero_branch_of_a_monomial_pivot_keeps_its_variables_apart():
     ids=["binary-form", "monomial-times-binary-form"],
 )
 def test_zero_branch_of_an_unsolvable_pivot_is_none(pivot):
-    assert _zero_branch(pivot, set(), []) is None
+    assert _zero_branch(pivot, *_held()) is None
 
 
 def test_unsolvable_pivot_leaves_the_certificate_inconclusive():
@@ -625,9 +653,26 @@ def test_unsolvable_pivot_leaves_the_certificate_inconclusive():
     t1, t2, t3 = (Poly.var(3, k) for k in range(3))
     zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
     ctx = derivations._CertContext(make("catalog:NF:3"), zero)
-    out = derivations._decide(ctx, [([t1 * t1 + t2 * t3], t1)], [], [])
+    out = derivations._decide(ctx, [([t1 * t1 + t2 * t3], t1)], frozenset(), (), [])
     note = "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)"
     assert out == derivations.CertOutcome("inconclusive", branch_log=(note,))
+
+
+def test_search_refutation_holds_the_branch_conditions():
+    # D4:L4:1 with its non-AID derivation E(4,2), and the residual t1
+    alg = make("catalog:D4:L4:1")
+    dmat = matrix_unit(4, 4, 2)
+    ctx = derivations._CertContext(alg, dmat)
+    search = derivations._search_refutation
+    # t1 alone is free, and no point on the t1 axis refutes
+    assert search(ctx, _t(0), *_held(), []) is None
+    # holding t2 nonzero frees t2 too, and every candidate keeps x2 != 0
+    x = search(ctx, _t(0), *_held(1), [])
+    assert x == (-1, 1, 0, 0)
+    assert aid_witness(alg, dmat, x) is None
+    # every point that refutes E(4,2) has x1 + x2 = 0, so holding t1 + t2
+    # nonzero as well leaves none
+    assert search(ctx, _t(0), *_held(1, polys=[_t(0) + _t(1)]), []) is None
 
 
 def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
@@ -638,8 +683,8 @@ def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
     splits = []
     zero_branch = derivations._zero_branch
 
-    def recording(pivot, nz_vars, nonzero):
-        split, cases = zero_branch(pivot, nz_vars, nonzero)
+    def recording(pivot, nz, polys):
+        split, cases = zero_branch(pivot, nz, polys)
         splits.append((str(pivot), str(split), [label for label, *_ in cases]))
         return split, cases
 
