@@ -351,46 +351,42 @@ class CertOutcome:
 
 
 class _CertContext:
-    __slots__ = ("alg", "dmat", "budget", "log")
+    """What every branch of one certification shares: the algebra, the
+    derivation and the node budget left."""
+
+    __slots__ = ("alg", "dmat", "budget")
 
     def __init__(self, alg, dmat):
         self.alg = alg
         self.dmat = dmat
         self.budget = NODE_BUDGET
-        self.log: list[str] = []
 
 
-def _strip_row(
-    coeffs: list[Poly], rhs: Poly, nz: frozenset[int] = frozenset()
-) -> tuple[list[Poly], Poly]:
-    """Remove a safe common monomial and the rational content of a row.
+def _strip_row(row: list[Poly], nz: frozenset[int]) -> list[Poly]:
+    """Remove a safe common monomial and the rational content of a row, its
+    coefficients followed by its right-hand side.
 
     Dividing a whole row by a shared monomial is an equivalence only where
     the monomial cannot vanish, so only variables the current branch forces
     nonzero are divided out.  (Dividing by anything else can overconstrain a
     shared unknown on the vanishing locus: t2*w1 = 0 does not force w1 = 0 at
-    t2 = 0.)  Rational content removal is always exact.
+    t2 = 0.)  Rational content removal is always exact; it is read off the
+    first nonzero entry, to keep coefficients small, and dividing by a
+    monomial leaves it alone.
     """
-    polys = [p for p in coeffs if not p.is_zero()]
-    if not rhs.is_zero():
-        polys.append(rhs)
+    polys = [p for p in row if not p.is_zero()]
     if not polys:
-        return coeffs, rhs
+        return row
+    c = polys[0].rational_content()
     mono = polys[0].monomial_gcd()
     for p in polys[1:]:
         mono = tuple(min(a, b) for a, b in zip(mono, p.monomial_gcd()))
     mono = tuple(e if i in nz else 0 for i, e in enumerate(mono))
     if any(mono):
-        coeffs = [p.divide_monomial(mono) if not p.is_zero() else p for p in coeffs]
-        rhs = rhs.divide_monomial(mono) if not rhs.is_zero() else rhs
-    # divide by the first nonzero entry's content to keep coefficients small
-    first = next((p for p in coeffs + [rhs] if not p.is_zero()), None)
-    if first is not None:
-        c = first.rational_content()
-        if c != 1:
-            coeffs = [p.scale(Q(1) / c) for p in coeffs]
-            rhs = rhs.scale(Q(1) / c)
-    return coeffs, rhs
+        row = [p.divide_monomial(mono) if not p.is_zero() else p for p in row]
+    if c != 1:
+        row = [p.scale(Q(1) / c) for p in row]
+    return row
 
 
 def _search_refutation(
@@ -456,8 +452,6 @@ def _linear_power(p: Poly) -> Poly | None:
     if k < 2:
         return None
     variables = sorted(p.variables())
-    if not variables:
-        return None
     # every variable of c*l**k reaches the full degree k
     if any(p.degree_in(v) != k for v in variables):
         return None
@@ -502,7 +496,7 @@ def _held_nonzero(nz: frozenset[int], polys: tuple[Poly, ...], p: Poly) -> _Held
     return nz, polys + (p,)
 
 
-def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly]:
+def _pivot_choice(rows: list[list[Poly]]) -> tuple[int, int, Poly]:
     """Pick the next pivot entry; smaller score first.
 
     Score class 0: nonzero constants (no case split at all), 1: polynomials
@@ -510,14 +504,14 @@ def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly]:
     resolvable), 2: anything else.  Ties prefer sparse columns, then sparse
     rows, low degree, and finally position, which keeps runs deterministic.
     """
-    ncols = len(rows[0][0])
-    col_fill = [0] * ncols
-    for coeffs, _ in rows:
-        for c, p in enumerate(coeffs):
+    col_fill = [0] * (len(rows[0]) - 1)
+    for row in rows:
+        for c, p in enumerate(row[:-1]):
             if not p.is_zero():
                 col_fill[c] += 1
     best = None
-    for i, (coeffs, _) in enumerate(rows):
+    for i, row in enumerate(rows):
+        coeffs = row[:-1]
         row_fill = sum(1 for p in coeffs if not p.is_zero())
         for c, p in enumerate(coeffs):
             if p.is_zero():
@@ -536,92 +530,90 @@ def _pivot_choice(rows: list[tuple[list[Poly], Poly]]) -> tuple[int, int, Poly]:
 
 
 def _eliminate(
-    rows: list[tuple[list[Poly], Poly]], pi: int, pc: int, pivot: Poly
-) -> list[tuple[list[Poly], Poly]]:
+    rows: list[list[Poly]], pi: int, pc: int, pivot: Poly
+) -> list[list[Poly]]:
     """Consume the pivot row by the fraction-free update pivot*row - f*pivot_row,
     which keeps entries polynomial.  A constant pivot leaves its factor on
     each updated row; the next node's `_strip_row` divides it out."""
-    pcoeffs, prhs = rows[pi]
+    prow = rows[pi]
     out = []
-    for idx, (coeffs, rhs) in enumerate(rows):
+    for idx, row in enumerate(rows):
         if idx == pi:
             continue
-        f = coeffs[pc]
+        f = row[pc]
         if f.is_zero():
-            out.append((coeffs, rhs))
+            out.append(row)
             continue
-        newc = [pivot * a - f * b for a, b in zip(coeffs, pcoeffs)]
-        newr = pivot * rhs - f * prhs
-        newc[pc] = Poly.zero(pivot.nvars)
-        out.append((newc, newr))
+        new = [pivot * a - f * b for a, b in zip(row, prow)]
+        new[pc] = Poly.zero(pivot.nvars)
+        out.append(new)
     return out
 
 
 def _decide(
     ctx: _CertContext,
-    rows: list[tuple[list[Poly], Poly]],
+    rows: list[list[Poly]],
     nz: frozenset[int],
     polys: tuple[Poly, ...],
     subs: list[tuple[int, Poly]],
+    path: tuple[str, ...],
 ) -> CertOutcome:
-    """Eliminate rows on the branch that holds nz and polys nonzero, after subs."""
+    """Eliminate rows, each its coefficients then its right-hand side, on the
+    branch that holds nz and polys nonzero, after subs; path is the branch's
+    case labels, the start of every log this branch returns."""
     ctx.budget -= 1
     if ctx.budget <= 0:
-        return CertOutcome("inconclusive", branch_log=tuple(ctx.log) + ("node budget exhausted",))
+        return CertOutcome("inconclusive", branch_log=path + ("node budget exhausted",))
     # normalize and triage
-    cleaned: list[tuple[list[Poly], Poly]] = []
-    for coeffs, rhs in rows:
-        coeffs, rhs = _strip_row(coeffs, rhs, nz)
-        if all(p.is_zero() for p in coeffs):
+    cleaned = []
+    for row in rows:
+        row = _strip_row(row, nz)
+        if all(p.is_zero() for p in row[:-1]):
+            rhs = row[-1]
             if rhs.is_zero():
                 continue
             x = _search_refutation(ctx, rhs, nz, polys, subs)
             if x is not None:
-                return CertOutcome("refuted", refuting_x=x, branch_log=tuple(ctx.log))
+                return CertOutcome("refuted", refuting_x=x, branch_log=path)
             return CertOutcome(
-                "inconclusive",
-                branch_log=tuple(ctx.log) + (f"unverified residual {rhs}",),
+                "inconclusive", branch_log=path + (f"unverified residual {rhs}",)
             )
-        cleaned.append((coeffs, rhs))
+        cleaned.append(row)
     rows = cleaned
-    if not rows or all(rhs.is_zero() for _, rhs in rows):
-        return CertOutcome("proved", branch_log=tuple(ctx.log))
+    if all(row[-1].is_zero() for row in rows):
+        return CertOutcome("proved", branch_log=path)
     pi, pc, pivot = _pivot_choice(rows)
     if len(pivot.terms) == 1 and pivot.variables() <= nz:
         # a nonzero constant, or a monomial in variables the branch already
         # forces nonzero: the pivot cannot vanish here, so no case split
-        return _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs)
+        return _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs, path)
     zero = _zero_branch(pivot, nz, polys)
     split_poly, cases = (pivot, None) if zero is None else zero
     # branch split_poly != 0 (the same region as pivot != 0)
-    mark = len(ctx.log)
-    ctx.log.append(f"case {split_poly} != 0")
     out_nz = _decide(
-        ctx, _eliminate(rows, pi, pc, pivot), *_held_nonzero(nz, polys, split_poly), subs
+        ctx, _eliminate(rows, pi, pc, pivot), *_held_nonzero(nz, polys, split_poly),
+        subs, path + (f"case {split_poly} != 0",),
     )
-    del ctx.log[mark:]
     if out_nz.kind == "refuted":
         return out_nz
     if cases is None:
         note = f"cannot solve {pivot} = 0 (nonlinear in every variable)"
         if out_nz.kind == "proved":
-            return CertOutcome("inconclusive", branch_log=tuple(ctx.log) + (note,))
+            return CertOutcome("inconclusive", branch_log=path + (note,))
         return CertOutcome("inconclusive", branch_log=out_nz.branch_log + (note,))
     outs = [out_nz]
     for label, k, replacement, state in cases:
-        ctx.log.append(f"case {label}, t{k + 1} := {replacement}")
-        zero_rows = [
-            ([p.subs_var(k, replacement) for p in coeffs], rhs.subs_var(k, replacement))
-            for coeffs, rhs in rows
-        ]
-        out = _decide(ctx, zero_rows, *state, subs + [(k, replacement)])
-        del ctx.log[mark:]
+        zero_rows = [[p.subs_var(k, replacement) for p in row] for row in rows]
+        out = _decide(
+            ctx, zero_rows, *state, subs + [(k, replacement)],
+            path + (f"case {label}, t{k + 1} := {replacement}",),
+        )
         if out.kind == "refuted":
             return out
         outs.append(out)
     if all(out.kind == "proved" for out in outs):
-        return CertOutcome("proved", branch_log=tuple(ctx.log))
-    logs = tuple(ctx.log)
+        return CertOutcome("proved", branch_log=path)
+    logs = path
     for out in outs:
         if out.kind == "inconclusive":
             logs = logs + out.branch_log[-2:]
@@ -762,19 +754,16 @@ def aid_certify(
     if basis is None:
         basis = _series_adapted_basis(alg, central_series(alg))
     dm = dmat if basis.p is None else basis.pinv @ dmat @ basis.p
-    # row m of the witness equation, linear forms in t:
+    # row m of the witness equation, linear forms in t, as [M | b]:
     # sum_j (sum_i c[i][j][m] t_i) w_j = sum_k D[m][k] t_k
     c = basis.alg.constants
     unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
     rows = [
-        (
-            [Poly(n, {unit[i]: c[i][j][m] for i in range(n)}) for j in range(n)],
-            Poly(n, dict(zip(unit, dm.entries[m]))),
-        )
+        [Poly(n, {unit[i]: c[i][j][m] for i in range(n)}) for j in range(n)]
+        + [Poly(n, dict(zip(unit, dm.entries[m])))]
         for m in range(n)
     ]
-    ctx = _CertContext(basis.alg, dm)
-    out = _decide(ctx, rows, frozenset(), (), [])
+    out = _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ())
     if basis.p is None:
         return out
     log = ("series-adapted basis",) + out.branch_log

@@ -457,7 +457,7 @@ def test_certify_eliminates_only_in_the_series_adapted_basis(monkeypatch):
     # one elimination, and not on the moved constants: the raw-basis attempt
     # on this presentation exhausts itself without deciding anything
     [(root_alg, rows)] = roots.values()
-    root_coeffs = [coeffs for coeffs, _ in rows]
+    root_coeffs = [row[:-1] for row in rows]
     assert root_coeffs == _witness_equation_coeffs(root_alg)
     assert root_coeffs != _witness_equation_coeffs(moved)
     assert derivations._series_adapted_basis(root_alg, central_series(root_alg)).p is None
@@ -516,23 +516,51 @@ def test_constant_pivot_update_strips_to_the_divided_update():
     # the next node's _strip_row divides it out, so the rows are those of
     # the update row - (f/p) * pivot_row
     pivot = _c(-3)
+    # each row is its coefficients, then its right-hand side
     rows = [
-        ([pivot, _t(0) + _t(1), _c(0)], _t(1).scale(2)),
-        ([_t(0).scale(Q(1, 2)), _c(5), _t(1)], _t(0) - _c(1)),
-        ([_c(0), _t(1), _t(0)], _c(7)),
-        ([_c(4), _c(0), _t(2).scale(-2)], _c(0)),
+        [pivot, _t(0) + _t(1), _c(0), _t(1).scale(2)],
+        [_t(0).scale(Q(1, 2)), _c(5), _t(1), _t(0) - _c(1)],
+        [_c(0), _t(1), _t(0), _c(7)],
+        [_c(4), _c(0), _t(2).scale(-2), _c(0)],
     ]
-    pcoeffs, prhs = rows[0]
+    prow = rows[0]
     divided = []
-    for coeffs, rhs in rows[1:]:
-        f = coeffs[0].scale(Q(1) / -3)
-        new = [a - f * b for a, b in zip(coeffs, pcoeffs)]
+    for row in rows[1:]:
+        f = row[0].scale(Q(1) / -3)
+        new = [a - f * b for a, b in zip(row, prow)]
         new[0] = _c(0)
-        divided.append((new, rhs - f * prhs))
+        divided.append(new)
     updated = derivations._eliminate(rows, 0, 0, pivot)
-    assert [derivations._strip_row(*row) for row in updated] == [
-        derivations._strip_row(*row) for row in divided
+    none_held = frozenset()
+    assert [derivations._strip_row(row, none_held) for row in updated] == [
+        derivations._strip_row(row, none_held) for row in divided
     ]
+
+
+_T1, _T2, _T3 = (Poly.var(3, k) for k in range(3))
+_ZERO3 = Poly.zero(3)
+
+# (row, variables held nonzero, the stripped row as printed)
+STRIP_ROW_CASES = [
+    # t1 is held nonzero, so the common t1 goes
+    ([_T1 * _T2, _ZERO3, (_T1 * _T3).scale(2)], {0}, ["t2", "0", "2*t3"]),
+    # t1 may vanish: t1*t2*w1 = 2*t1*t3 does not force t2*w1 = 2*t3 at t1 = 0
+    ([_T1 * _T2, _ZERO3, (_T1 * _T3).scale(2)], set(), ["t1*t2", "0", "2*t1*t3"]),
+    # a residual row: the monomial and the content -6 both go
+    ([_ZERO3, _ZERO3, (_T1 * _T2).scale(-6)], {0}, ["0", "0", "t2"]),
+    # only t1 is common, and the content is the first entry's, 4
+    ([(_T1 * _T2).scale(4), _T1.scale(6), (_T1 * _T3).scale(2)], {0, 1},
+     ["t2", "3/2", "1/2*t3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "row, nz, stripped", STRIP_ROW_CASES,
+    ids=["held", "not-held", "residual", "content-of-the-first-entry"],
+)
+def test_strip_row_divides_out_only_held_variables(row, nz, stripped):
+    got = derivations._strip_row(row, frozenset(nz))
+    assert [str(p) for p in got] == stripped
 
 
 def _held(*nz, polys=()):
@@ -653,9 +681,30 @@ def test_unsolvable_pivot_leaves_the_certificate_inconclusive():
     t1, t2, t3 = (Poly.var(3, k) for k in range(3))
     zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
     ctx = derivations._CertContext(make("catalog:NF:3"), zero)
-    out = derivations._decide(ctx, [([t1 * t1 + t2 * t3], t1)], frozenset(), (), [])
+    out = derivations._decide(ctx, [[t1 * t1 + t2 * t3, t1]], frozenset(), (), [], ())
     note = "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)"
     assert out == derivations.CertOutcome("inconclusive", branch_log=(note,))
+
+
+def test_nested_inconclusive_certification_log_is_pinned():
+    # t1*t2 w1 = 0 and (t1^2 + t2*t3) w2 = t3 with D = 0: the t1*t2 != 0
+    # branch meets the unsolvable pivot, each zero case leaves the residual
+    # t3, which no point refutes, and each inconclusive case passes up the
+    # last two entries of its log, so the t1 = 0 case's nested t2 = 0 case
+    # comes up without its parent's label
+    zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
+    ctx = derivations._CertContext(make("catalog:NF:3"), zero)
+    rows = [[_T1 * _T2, _ZERO3, _ZERO3], [_ZERO3, _T1 * _T1 + _T2 * _T3, _T3]]
+    out = derivations._decide(ctx, rows, frozenset(), (), [], ())
+    assert out == derivations.CertOutcome("inconclusive", branch_log=(
+        "case t1*t2 != 0",
+        "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)",
+        "case t2 = 0, t2 := 0",
+        "unverified residual t3",
+        "case t1 = 0, t1 := 0",
+        "unverified residual t3",
+    ))
+    assert derivations.NODE_BUDGET - ctx.budget == 10
 
 
 def test_search_refutation_holds_the_branch_conditions():
