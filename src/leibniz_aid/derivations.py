@@ -8,11 +8,14 @@ coordinate space of matrices, vectorized row major; column j of a matrix is
 the image of e_j.
 
 Membership of a candidate D in AID is decided in three stages: a linear
-upper bound from the per-basis-vector conditions, exact sampling refinement
-over a deterministic grid plus seeded random points, and a symbolic
-certificate pass that either proves D(x) in [x,L] for every rational x by
-case-split elimination, or returns a concrete refuting x (verified by an
-exact rank test), or gives up with an explicit inconclusive verdict.
+upper bound from the per-basis-vector conditions, a symbolic certificate
+pass that either proves D(x) in [x,L] for every rational x by case-split
+elimination, or returns a concrete refuting x (verified by an exact rank
+test), or gives up with an explicit inconclusive verdict, and exact
+sampling refinement over a deterministic grid plus seeded random points.
+The certificate pass runs on the linear bound before sampling, which then
+tests its points only against the generators not proved, and once more,
+reusing each outcome, on the generators the refined space adds.
 """
 
 from __future__ import annotations
@@ -234,15 +237,17 @@ def _primitive(point: Sequence[int]) -> bool:
 
 
 class _CutView:
-    """A complement of Inner in a candidate space, seen over the integers,
-    for the cut test at integer x.
+    """A complement in a candidate space of a part P that never cuts, seen
+    over the integers, for the cut test at integer x.
 
-    Inner never cuts: for D = R_a + C with C in the complement, D(x) =
-    [x, a] + C(x) and [x, a] lies in [x, L], so x cuts the candidate iff it
-    cuts the complement.  The stored basis vectors C_b are integer vectors,
-    so at an integer x the images C_b(x) and the bracket columns [x, e_j]
-    are integer vectors spanning the same lines as the rational ones.  x
-    cuts iff some C_b(x) leaves the span of the columns.
+    P is Inner plus the generators the certifier proved before the walk.
+    No member of AID cuts: for D = E + C with E in P and C in the
+    complement, E(x) lies in [x, L] at every x (for E = R_a it is [x, a]),
+    so x cuts the candidate iff it cuts the complement.  The stored basis
+    vectors C_b are integer vectors, so at an integer x the images C_b(x)
+    and the bracket columns [x, e_j] are integer vectors spanning the same
+    lines as the rational ones.  x cuts iff some C_b(x) leaves the span of
+    the columns.
     """
 
     __slots__ = ("alg", "images")
@@ -296,16 +301,22 @@ def aid_refine(
     space: Subspace,
     cfg: AidConfig = AidConfig(),
     inner: Subspace | None = None,
+    *,
+    _proved: Subspace | None = None,
 ) -> tuple[Subspace, int]:
     """Intersect a candidate space with sampled almost-inner conditions.
 
     Walks the deterministic grid, then random points seeded by cfg.seed, with
     entries in -RANDOM_BOUND..RANDOM_BOUND, until STALL_LIMIT consecutive
     samples fail to shrink the space.  `inner` is Inner(L) (worked out here
-    when not given) and must lie inside space.  Inner never cuts, so each
-    point is tested on a complement of Inner only, and reaching dim Inner
-    ends the walk: the result always contains the inner derivations.
-    Returns the refined space and the number of samples used.
+    when not given) and must lie inside space.  `_proved` is Inner plus the
+    generators the certifier has proved (Inner when not given): no member
+    of AID cuts, so each point is tested on a complement of `_proved` only.
+    It lies in every restriction of the space, and if a point ever cut one
+    of its generators, `complement_in` would raise.  The points visited do
+    not depend on `_proved`, and reaching dim Inner ends the walk: the
+    result always contains the inner derivations.  Returns the refined
+    space and the number of samples used.
     """
     n = alg.dim
     samples = 0
@@ -313,16 +324,17 @@ def aid_refine(
         return space, samples
     if inner is None:
         inner = inner_space(alg)
+    proved = inner if _proved is None else _proved
     # sample points are integers: the cut test runs on the integer view, and
     # only a point that cuts takes the exact restriction
-    view = _CutView(alg, complement_in(inner, space))
+    view = _CutView(alg, complement_in(proved, space))
     for point in refinement_grid(n):
         if space.dim <= inner.dim:
             break
         samples += 1
         if view.cuts(point):
             space = _restrict_at_point(alg, space, point)
-            view = _CutView(alg, complement_in(inner, space))
+            view = _CutView(alg, complement_in(proved, space))
     rng = random.Random(cfg.seed)
     stall = 0
     while stall < STALL_LIMIT and space.dim > inner.dim:
@@ -333,7 +345,7 @@ def aid_refine(
         dim = space.dim
         if view.cuts(point):
             space = _restrict_at_point(alg, space, point)
-            view = _CutView(alg, complement_in(inner, space))
+            view = _CutView(alg, complement_in(proved, space))
         # the exact restriction, not the view, decides whether the stall ends
         stall = 0 if space.dim < dim else stall + 1
     return space, samples
@@ -807,9 +819,12 @@ class AidResult:
 def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     """Compute AID(L) with certificates.
 
-    Pipeline: linear candidate from basis conditions, grid/random sampling
-    refinement, then certification of a deterministic complement of Inner
-    inside the refined space.  A refuted generator's refuting x restricts
+    Pipeline: linear candidate from basis conditions, certification of a
+    deterministic complement of Inner in it, grid/random sampling refinement
+    that tests its points only against the generators not proved (a proved
+    one never cuts), then certification of a deterministic complement of
+    Inner inside the refined space, reusing the outcome of each generator
+    certified before.  A refuted generator's refuting x restricts
     the space at x (no sampling resumes) and the complement is certified
     again; the loop ends when every complement generator is proved
     (certified_exact) or some remain inconclusive (probabilistic), or the
@@ -839,7 +854,21 @@ def _der_inner_aid(
         der = _conjugated(derivation_space(basis.alg), basis)
     inner = inner_space(alg)
     cand = aid_basis_candidate(alg, der)
-    space, samples = aid_refine(alg, cand, cfg, inner=inner)
+    # each generator is certified once, keyed by its vector: the candidate's
+    # generators before the walk, and any new ones the walk leaves after it
+    outcomes: dict[tuple[Q, ...], CertOutcome] = {}
+
+    def certified(gen_vec: tuple[Q, ...]) -> CertOutcome:
+        if gen_vec not in outcomes:
+            outcomes[gen_vec] = aid_certify(alg, vec_to_endo(gen_vec, n), _basis=basis)
+        return outcomes[gen_vec]
+
+    # a proved generator never cuts, so the walk tests its points only
+    # against the generators left open
+    gens = complement_in(inner, cand).basis_vectors()
+    first = [v for v in gens if certified(v).kind == "proved"]
+    first_proved = subspace_sum(inner, Subspace.from_vectors(n * n, first)) if first else inner
+    space, samples = aid_refine(alg, cand, cfg, inner=inner, _proved=first_proved)
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
     proved_gens: list[tuple[RationalMatrix, CertOutcome]] = []
     inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
@@ -848,7 +877,7 @@ def _der_inner_aid(
         proved_gens, inconclusive = [], []
         for gen_vec in complement_in(inner, space).basis_vectors():
             gmat = vec_to_endo(gen_vec, n)
-            outcome = aid_certify(alg, gmat, _basis=basis)
+            outcome = certified(gen_vec)
             if outcome.kind == "refuted":
                 refutations.append((gmat, outcome.refuting_x))
                 space = _restrict_at_point(alg, space, outcome.refuting_x)

@@ -48,7 +48,7 @@ from leibniz_aid.derivations import (
     _restrict_at_point,
     _zero_branch,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in, rref
+from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in, rref, subspace_sum
 
 from conftest import (
     CATALOG_BATTERY,
@@ -270,7 +270,11 @@ def test_aid_refine_cuts_a_known_overestimate():
 def test_aid_refine_works_out_inner_by_default(ref):
     alg = make(ref)
     cand = aid_basis_candidate(alg)
-    assert aid_refine(alg, cand) == aid_refine(alg, cand, inner=inner_space(alg))
+    inner = inner_space(alg)
+    full = aid_refine(alg, cand, inner=inner)
+    assert aid_refine(alg, cand) == full
+    # `_proved` defaults to Inner
+    assert aid_refine(alg, cand, inner=inner, _proved=inner) == full
 
 
 @pytest.mark.parametrize(
@@ -302,6 +306,59 @@ def test_refinement_sample_counts_are_pinned_off_the_standard_basis(
     assert aid.samples_used == samples
     assert len(aid.witnesses) == witnesses
     assert aid.status == "certified_exact"
+
+
+@pytest.mark.parametrize(
+    "ref,seed",
+    [(ref, None) for ref in CATALOG_BATTERY]
+    + [("catalog:G53", 1), ("catalog:F3:5:1,2,3", 1), ("catalog:D4:L13:1", 1)],
+)
+def test_walk_with_the_proved_view_equals_the_full_walk(ref, seed):
+    alg = make(ref) if seed is None else random_basis_copy(ref, seed)
+    n = alg.dim
+    inner = inner_space(alg)
+    cand = aid_basis_candidate(alg)
+    gens = complement_in(inner, cand).basis_vectors()
+    sure = [v for v in gens if aid_certify(alg, vec_to_endo(v, n)).kind == "proved"]
+    proved = subspace_sum(inner, Subspace.from_vectors(n * n, sure))
+    full = aid_refine(alg, cand, inner=inner)
+    # the full walk tests every proved generator at every point: none cuts
+    assert full[0].contains_subspace(proved)
+    assert aid_refine(alg, cand, inner=inner, _proved=proved) == full
+
+
+def test_walk_with_everything_proved_visits_every_point():
+    # the candidate of F3:8:0,0,1 is AID: the full walk cuts nothing, and
+    # with the whole space proved the view is empty but the walk the same
+    alg = make("catalog:F3:8:0,0,1")
+    inner = inner_space(alg)
+    cand = aid_basis_candidate(alg)
+    assert cand.dim > inner.dim
+    walked = len(list(refinement_grid(alg.dim))) + derivations.STALL_LIMIT
+    assert aid_refine(alg, cand, inner=inner) == (cand, walked)
+    assert aid_refine(alg, cand, inner=inner, _proved=cand) == (cand, walked)
+
+
+# on D4:L13:1 the certifier refutes both generators before the walk and the
+# walk cuts them; on F3:6:0,0,1 it proves the one generator
+@pytest.mark.parametrize("ref", ["catalog:F3:6:0,0,1", "catalog:D4:L13:1"])
+def test_each_generator_is_certified_once_per_analysis(monkeypatch, ref):
+    certify = derivations.aid_certify
+    seen = []
+
+    def spy(alg, dmat, **kw):
+        seen.append(endo_to_vec(dmat))
+        return certify(alg, dmat, **kw)
+
+    monkeypatch.setattr(derivations, "aid_certify", spy)
+    alg = make(ref)
+    res = aid_space(alg)
+    assert res.status == "certified_exact"
+    assert seen
+    assert len(set(seen)) == len(seen)
+    # a kept outcome changes no cut of the walk
+    assert not res.witnesses
+    assert res.samples_used == aid_refine(alg, aid_basis_candidate(alg))[1]
 
 
 @pytest.mark.parametrize(
@@ -789,7 +846,7 @@ def test_aid_space_records_refutations(monkeypatch):
     sampled = aid_space(alg)
     assert sampled.status == "certified_exact"
     assert sampled.dim == inner_space(alg).dim
-    monkeypatch.setattr(derivations, "aid_refine", lambda alg, space, cfg, inner: (space, 0))
+    monkeypatch.setattr(derivations, "aid_refine", lambda alg, space, cfg, inner, **_: (space, 0))
     res = aid_space(alg)
     assert res.status == "certified_exact"
     assert res.upper_bound == sampled.upper_bound
