@@ -15,7 +15,9 @@ test), or gives up with an explicit inconclusive verdict, and exact
 sampling refinement over a deterministic grid plus seeded random points.
 The certificate pass runs on the linear bound before sampling, which then
 tests its points only against the generators not proved, and once more,
-reusing each outcome, on the generators the refined space adds.
+reusing each outcome, on the generators the refined space adds.  Once
+nothing outside the proved part is left to cut, the walk stops testing
+points; the sample count it reports is still that of the full walk.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import comb, gcd, isqrt
 from typing import Iterator, Sequence
 
 from ._poly import Poly
@@ -213,6 +215,8 @@ def refinement_grid(n: int) -> Iterator[tuple[int, ...]]:
     radius 1 at dimension 5); above that, all vectors supported on at most 3
     coordinates with entries in {-2, -1, 1, 2}.  Points that are scalar
     multiples of earlier ones impose the same constraint and are skipped.
+    `_grid_length(n)` is the number of points, so a walk that stops
+    testing them early still counts the whole grid.
     """
     if n == 0:
         return
@@ -230,6 +234,28 @@ def refinement_grid(n: int) -> Iterator[tuple[int, ...]]:
                         point[pos] = v
                     if _primitive(point):
                         yield tuple(point)
+
+
+def _grid_length(n: int) -> int:
+    """The number of points `refinement_grid(n)` yields, in closed form.
+
+    A point is kept when its entries have gcd 1 and its first nonzero
+    entry is positive, so of the nonzero vectors with gcd 1 exactly half
+    are kept (x and -x pair off).  For n <= 4 the nonzero vectors of
+    {-2..2}^n number 5^n - 1, and those with gcd 2 are the 3^n - 1 nonzero
+    vectors of {-2, 0, 2}^n: (5^n - 3^n)/2.  For n = 5 every nonzero
+    vector of {-1, 0, 1}^5 has gcd 1: (3^5 - 1)/2 = 121.  For n >= 6 a
+    support of size s carries 4^s value tuples, half with a positive first
+    entry, less the 2^(s-1) of those made of +-2 only: 1 for s = 1, 6 for
+    s = 2 and 28 for s = 3, so n + 6 C(n,2) + 28 C(n,3).
+    """
+    if n == 0:
+        return 0
+    if n <= 4:
+        return (5**n - 3**n) // 2
+    if n == 5:
+        return (3**5 - 1) // 2
+    return n + 6 * comb(n, 2) + 28 * comb(n, 3)
 
 
 def _primitive(point: Sequence[int]) -> bool:
@@ -313,10 +339,13 @@ def aid_refine(
     generators the certifier has proved (Inner when not given): no member
     of AID cuts, so each point is tested on a complement of `_proved` only.
     It lies in every restriction of the space, and if a point ever cut one
-    of its generators, `complement_in` would raise.  The points visited do
-    not depend on `_proved`, and reaching dim Inner ends the walk: the
-    result always contains the inner derivations.  Returns the refined
-    space and the number of samples used.
+    of its generators, `complement_in` would raise.  Once the space is
+    `_proved` no point can cut, so the walk stops testing points and counts
+    the ones left: the rest of the grid, and the STALL_LIMIT - stall
+    nonzero random points that would end it.  The samples counted do not
+    depend on `_proved`, and reaching dim Inner ends the walk: the result
+    always contains the inner derivations.  Returns the refined space and
+    the number of samples the full walk uses.
     """
     n = alg.dim
     samples = 0
@@ -331,6 +360,11 @@ def aid_refine(
     for point in refinement_grid(n):
         if space.dim <= inner.dim:
             break
+        if not view.images:
+            # nothing outside P is left to cut, and the space no longer
+            # moves: the rest of the grid is counted, not walked
+            samples = _grid_length(n)
+            break
         samples += 1
         if view.cuts(point):
             space = _restrict_at_point(alg, space, point)
@@ -338,6 +372,10 @@ def aid_refine(
     rng = random.Random(cfg.seed)
     stall = 0
     while stall < STALL_LIMIT and space.dim > inner.dim:
+        if not view.images:
+            # every remaining nonzero point would stall: count them
+            samples += STALL_LIMIT - stall
+            break
         point = tuple(rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(n))
         if not any(point):
             continue

@@ -44,6 +44,7 @@ from leibniz_aid.derivations import (
     vec_to_endo,
     _CutView,
     _der_inner_aid,
+    _grid_length,
     _held_nonzero,
     _restrict_at_point,
     _zero_branch,
@@ -240,6 +241,11 @@ def test_refinement_grid_is_primitive_and_duplicate_free():
         seen.add(p)
 
 
+@pytest.mark.parametrize("n", range(21))
+def test_grid_length_counts_the_grid(n):
+    assert _grid_length(n) == sum(1 for _ in refinement_grid(n))
+
+
 def test_refinement_grid_high_dim_limits_support():
     pts = list(refinement_grid(7))
     assert pts
@@ -277,8 +283,15 @@ def test_aid_refine_works_out_inner_by_default(ref):
     assert aid_refine(alg, cand, inner=inner, _proved=inner) == full
 
 
+# every entry of the `sweep` benchmark workload, whose gate checks only the
+# tower dimensions
 @pytest.mark.parametrize(
-    "ref,samples", [("catalog:F3:10:0,0,1", 3665), ("catalog:F3:12:0,0,1", 6593)]
+    "ref,samples",
+    [(f"catalog:NF:{n}", 0) for n in range(2, 17)]
+    + [
+        (f"catalog:F3:{n}:0,0,1", samples)
+        for n, samples in zip(range(5, 13), (146, 681, 1138, 1769, 2602, 3665, 4986, 6593))
+    ],
 )
 def test_refinement_sample_counts_are_pinned(ref, samples):
     assert aid_space(make(ref)).samples_used == samples
@@ -328,15 +341,64 @@ def test_walk_with_the_proved_view_equals_the_full_walk(ref, seed):
 
 
 def test_walk_with_everything_proved_visits_every_point():
-    # the candidate of F3:8:0,0,1 is AID: the full walk cuts nothing, and
-    # with the whole space proved the view is empty but the walk the same
-    alg = make("catalog:F3:8:0,0,1")
+    # the full walk ends neither early nor after a random cut, so it visits
+    # every grid point and STALL_LIMIT random points; with the whole space
+    # proved the view is empty and those points are counted, not tested.
+    # n = 4, 5 and 8 reach each branch of `_grid_length`
+    for ref in ("catalog:D4:L11", "catalog:F3:5:0,0,1", "catalog:F3:8:0,0,1"):
+        alg = make(ref)
+        inner = inner_space(alg)
+        cand = aid_basis_candidate(alg)
+        assert cand.dim > inner.dim
+        walked = len(list(refinement_grid(alg.dim))) + derivations.STALL_LIMIT
+        assert aid_refine(alg, cand, inner=inner) == (aid_space(alg).upper_bound, walked)
+        assert aid_refine(alg, cand, inner=inner, _proved=cand) == (cand, walked)
+
+
+def counted_cut_tests(monkeypatch) -> list:
+    cuts = _CutView.cuts
+    tested = []
+
+    def spy(self, x):
+        tested.append(tuple(x))
+        return cuts(self, x)
+
+    monkeypatch.setattr(_CutView, "cuts", spy)
+    return tested
+
+
+def test_walk_counts_the_rest_once_a_cut_empties_the_view(monkeypatch):
+    # in the standard basis D4:L11 has candidate 4 > AID 3 > Inner 2; the
+    # full walk cuts once, at grid point 124 (counting from 0) of 272
+    alg = make("catalog:D4:L11")
     inner = inner_space(alg)
     cand = aid_basis_candidate(alg)
-    assert cand.dim > inner.dim
-    walked = len(list(refinement_grid(alg.dim))) + derivations.STALL_LIMIT
-    assert aid_refine(alg, cand, inner=inner) == (cand, walked)
-    assert aid_refine(alg, cand, inner=inner, _proved=cand) == (cand, walked)
+    aid = aid_space(alg).upper_bound
+    assert (cand.dim, aid.dim, inner.dim) == (4, 3, 2)
+    full = aid_refine(alg, cand, inner=inner)
+    assert full == (aid, 297)
+    tested = counted_cut_tests(monkeypatch)
+    assert aid_refine(alg, cand, inner=inner, _proved=aid) == full
+    # with AID proved that cut empties the view: the other 148 grid points
+    # and the 25 random ones are counted, not tested
+    assert len(tested) == 125 and tested[-1] == (1, 1, -2, -2)
+
+
+def test_walk_counts_the_stall_once_a_random_cut_empties_the_view(monkeypatch):
+    # no battery entry cuts in the random phase, so the grid is taken away:
+    # the first random point cuts F1:5:0,1,1 + F3:5:0,0,1 from its candidate
+    # (dimension 8) down to AID (7), which lies above Inner (6)
+    alg = direct_sum(make("catalog:F1:5:0,1,1"), make("catalog:F3:5:0,0,1"))
+    inner = inner_space(alg)
+    cand = aid_basis_candidate(alg)
+    aid = aid_space(alg).upper_bound
+    assert (cand.dim, aid.dim, inner.dim) == (8, 7, 6)
+    monkeypatch.setattr(derivations, "refinement_grid", lambda n: iter(()))
+    full = aid_refine(alg, cand, inner=inner)
+    assert full == (aid, 1 + derivations.STALL_LIMIT)
+    tested = counted_cut_tests(monkeypatch)
+    assert aid_refine(alg, cand, inner=inner, _proved=aid) == full
+    assert len(tested) == 1
 
 
 # on D4:L13:1 the certifier refutes both generators before the walk and the
