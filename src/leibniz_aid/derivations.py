@@ -395,6 +395,11 @@ def aid_refine(
 
 @dataclass(frozen=True)
 class CertOutcome:
+    """branch_log, after a "series-adapted basis" line when elimination ran
+    there: if proved, nothing (or "inner: constant witness"); if refuted, the
+    refuting leaf's case path; if inconclusive, each undecided leaf in walk
+    order, its case path and then its reason."""
+
     kind: str  # 'proved' | 'refuted' | 'inconclusive'
     refuting_x: tuple[Q, ...] | None = None
     branch_log: tuple[str, ...] = ()
@@ -607,13 +612,16 @@ def _decide(
     polys: tuple[Poly, ...],
     subs: list[tuple[int, Poly]],
     path: tuple[str, ...],
-) -> CertOutcome:
+) -> Iterator[CertOutcome]:
     """Eliminate rows, each its coefficients then its right-hand side, on the
-    branch that holds nz and polys nonzero, after subs; path is the branch's
-    case labels, the start of every log this branch returns."""
+    branch that holds nz and polys nonzero, after subs, and yield the leaves
+    of its case tree that are not proved, in walk order, each log starting
+    with path, the branch's case labels (see `CertOutcome`); a branch that
+    yields nothing is proved."""
     ctx.budget -= 1
     if ctx.budget <= 0:
-        return CertOutcome("inconclusive", branch_log=path + ("node budget exhausted",))
+        yield CertOutcome("inconclusive", branch_log=path + ("node budget exhausted",))
+        return
     # normalize and triage
     cleaned = []
     for row in rows:
@@ -623,51 +631,38 @@ def _decide(
             if rhs.is_zero():
                 continue
             x = _search_refutation(ctx, rhs, nz, polys, subs)
-            if x is not None:
-                return CertOutcome("refuted", refuting_x=x, branch_log=path)
-            return CertOutcome(
-                "inconclusive", branch_log=path + (f"unverified residual {rhs}",)
-            )
+            if x is None:
+                reason = f"unverified residual {rhs}"
+                yield CertOutcome("inconclusive", branch_log=path + (reason,))
+            else:
+                yield CertOutcome("refuted", refuting_x=x, branch_log=path)
+            return
         cleaned.append(row)
     rows = cleaned
     if all(row[-1].is_zero() for row in rows):
-        return CertOutcome("proved", branch_log=path)
+        return
     pi, pc, pivot = _pivot_choice(rows)
     if len(pivot.terms) == 1 and pivot.variables() <= nz:
         # a nonzero constant, or a monomial in variables the branch already
         # forces nonzero: the pivot cannot vanish here, so no case split
-        return _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs, path)
+        yield from _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs, path)
+        return
     zero = _zero_branch(pivot, nz, polys)
-    split_poly, cases = (pivot, None) if zero is None else zero
+    split_poly, cases = (pivot, []) if zero is None else zero
     # branch split_poly != 0 (the same region as pivot != 0)
-    out_nz = _decide(
+    yield from _decide(
         ctx, _eliminate(rows, pi, pc, pivot), *_held_nonzero(nz, polys, split_poly),
         subs, path + (f"case {split_poly} != 0",),
     )
-    if out_nz.kind == "refuted":
-        return out_nz
-    if cases is None:
+    if zero is None:
         note = f"cannot solve {pivot} = 0 (nonlinear in every variable)"
-        if out_nz.kind == "proved":
-            return CertOutcome("inconclusive", branch_log=path + (note,))
-        return CertOutcome("inconclusive", branch_log=out_nz.branch_log + (note,))
-    outs = [out_nz]
+        yield CertOutcome("inconclusive", branch_log=path + (note,))
     for label, k, replacement, state in cases:
         zero_rows = [[p.subs_var(k, replacement) for p in row] for row in rows]
-        out = _decide(
+        yield from _decide(
             ctx, zero_rows, *state, subs + [(k, replacement)],
             path + (f"case {label}, t{k + 1} := {replacement}",),
         )
-        if out.kind == "refuted":
-            return out
-        outs.append(out)
-    if all(out.kind == "proved" for out in outs):
-        return CertOutcome("proved", branch_log=path)
-    logs = path
-    for out in outs:
-        if out.kind == "inconclusive":
-            logs = logs + out.branch_log[-2:]
-    return CertOutcome("inconclusive", branch_log=logs)
 
 
 def _solved_for(ell: Poly) -> tuple[int, Poly]:
@@ -785,19 +780,22 @@ def aid_certify(
     variable per case; a pivot it cannot solve leaves that branch (and with
     it the whole certificate) inconclusive.
 
+    An inner D is proved first by its constant witness, D = R_w: elimination
+    alone leaves some inner D inconclusive (R_e2 on D4:L13:0 in some random
+    bases).
+
     Almost-innerness does not depend on the basis, while elimination is very
     sensitive to it, so a nilpotent algebra is eliminated in a basis adapted
-    to its lower central series, where the constants are triangular by layer
-    (the branch log then starts with "series-adapted basis").  `_basis` is
-    that basis when the caller has computed it already.  Refutations are
-    concrete rational points in the given basis, always re-verified there
-    with an exact rank comparison; one that does not replay leaves the
-    certificate inconclusive.
+    to its lower central series, where the constants are triangular by layer;
+    `_basis` is that basis when the caller has computed it already.  The
+    leaves `_decide` yields are read up to the first refuted one, a concrete
+    rational point mapped back to the given basis and re-verified there with
+    an exact rank comparison; one that does not replay ends an inconclusive
+    log.  The log of each outcome is as `CertOutcome` says.
     """
     n = alg.dim
     if n == 0:
         return CertOutcome("proved")
-    # Constant witness shortcut: D = R_w for a single w solving all layers.
     if inner_combination(alg, dmat) is not None:
         return CertOutcome("proved", branch_log=("inner: constant witness",))
     basis = _basis
@@ -813,17 +811,18 @@ def aid_certify(
         + [Poly(n, dict(zip(unit, dm.entries[m])))]
         for m in range(n)
     ]
-    out = _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ())
-    if basis.p is None:
-        return out
-    log = ("series-adapted basis",) + out.branch_log
-    if out.kind != "refuted":
-        return CertOutcome(out.kind, branch_log=log)
-    x = basis.p.apply(out.refuting_x)
-    if aid_witness(alg, dmat, x) is None:
-        return CertOutcome("refuted", refuting_x=x, branch_log=log)
-    note = "refuting point does not replay in the given basis"
-    return CertOutcome("inconclusive", branch_log=log + (note,))
+    log = prefix = () if basis.p is None else ("series-adapted basis",)
+    for leaf in _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ()):
+        if leaf.kind == "refuted":
+            if basis.p is None:
+                return leaf
+            x = basis.p.apply(leaf.refuting_x)
+            if aid_witness(alg, dmat, x) is None:
+                return CertOutcome("refuted", refuting_x=x, branch_log=prefix + leaf.branch_log)
+            note = "refuting point does not replay in the given basis"
+            return CertOutcome("inconclusive", branch_log=log + leaf.branch_log + (note,))
+        log += leaf.branch_log
+    return CertOutcome("proved" if log == prefix else "inconclusive", branch_log=log)
 
 
 def aid_witness(

@@ -9,6 +9,7 @@ replayed here rather than trusted.
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -420,3 +421,18 @@ def test_criterion_9_property_suite():
     test_properties.test_direct_sum_additivity("catalog:NF:2", "catalog:NF:2")
     test_properties.test_direct_sum_additivity("catalog:D4:L9", "catalog:NF:3")
     test_properties.test_basis_change_equivariance_hundred_draws()
+
+
+# -- the README's library example -----------------------------------------------
+
+
+def test_readme_library_use_block_runs():
+    # the one `python` block of README.md runs as written, with the tower
+    # of D4:L9 that its sample report prints
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    names: dict = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["res"].status == "certified_exact"
+    assert (names["inner"].dim, names["rcaid"].dim, names["res"].upper_bound.dim) == (3, 4, 4)
+    assert names["report"].aid.status == "certified_exact"

@@ -800,30 +800,88 @@ def test_unsolvable_pivot_leaves_the_certificate_inconclusive():
     t1, t2, t3 = (Poly.var(3, k) for k in range(3))
     zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
     ctx = derivations._CertContext(make("catalog:NF:3"), zero)
-    out = derivations._decide(ctx, [[t1 * t1 + t2 * t3, t1]], frozenset(), (), [], ())
+    leaves = derivations._decide(ctx, [[t1 * t1 + t2 * t3, t1]], frozenset(), (), [], ())
     note = "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)"
-    assert out == derivations.CertOutcome("inconclusive", branch_log=(note,))
+    assert list(leaves) == [derivations.CertOutcome("inconclusive", branch_log=(note,))]
 
 
 def test_nested_inconclusive_certification_log_is_pinned():
     # t1*t2 w1 = 0 and (t1^2 + t2*t3) w2 = t3 with D = 0: the t1*t2 != 0
     # branch meets the unsolvable pivot, each zero case leaves the residual
-    # t3, which no point refutes, and each inconclusive case passes up the
-    # last two entries of its log, so the t1 = 0 case's nested t2 = 0 case
-    # comes up without its parent's label
+    # t3, which no point refutes, and each undecided leaf keeps its full
+    # case path, so the t1 = 0 case's nested t2 = 0 case keeps its parent
     zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
     ctx = derivations._CertContext(make("catalog:NF:3"), zero)
     rows = [[_T1 * _T2, _ZERO3, _ZERO3], [_ZERO3, _T1 * _T1 + _T2 * _T3, _T3]]
-    out = derivations._decide(ctx, rows, frozenset(), (), [], ())
-    assert out == derivations.CertOutcome("inconclusive", branch_log=(
-        "case t1*t2 != 0",
-        "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)",
-        "case t2 = 0, t2 := 0",
-        "unverified residual t3",
-        "case t1 = 0, t1 := 0",
-        "unverified residual t3",
-    ))
+    leaves = list(derivations._decide(ctx, rows, frozenset(), (), [], ()))
+    assert {leaf.kind for leaf in leaves} == {"inconclusive"}
+    assert [leaf.branch_log for leaf in leaves] == [
+        ("case t1*t2 != 0",
+         "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)"),
+        ("case t1 = 0, t1 := 0", "case t2 = 0, t2 := 0", "unverified residual t3"),
+        ("case t2 = 0, t2 := 0", "case t1 = 0, t1 := 0", "unverified residual t3"),
+    ]
     assert derivations.NODE_BUDGET - ctx.budget == 10
+
+
+def _certify_counting_nodes(monkeypatch, alg, dmat, drain=False):
+    """aid_certify's outcome and the elimination nodes it used; with drain,
+    every branch walks all its leaves before its parent sees the first."""
+    contexts = []
+
+    class Counted(derivations._CertContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    decide = derivations._decide
+    with monkeypatch.context() as m:
+        m.setattr(derivations, "_CertContext", Counted)
+        if drain:
+            m.setattr(derivations, "_decide", lambda *a: iter(list(decide(*a))))
+        out = aid_certify(alg, dmat)
+    return out, sum(derivations.NODE_BUDGET - ctx.budget for ctx in contexts)
+
+
+@pytest.mark.parametrize(
+    "ref, images, refuting_x, lazy, drained",
+    [
+        # the candidate generator e1 -> e4, e3 -> e5, e4 -> e6
+        ("catalog:F2:6:1,0,0,1", [(4, 1), (5, 3), (6, 4)], (-1, -1, 0, 0, 0, 0), 3, 11),
+        ("catalog:D4:L11", [(3, 1)], (-1, -1, 0, 0), 4, 7),
+    ],
+    ids=["F2:6:1,0,0,1", "D4:L11"],
+)
+def test_certification_stops_at_the_first_refuted_leaf(
+    monkeypatch, ref, images, refuting_x, lazy, drained
+):
+    alg = make(ref)
+    n = alg.dim
+    dmat = RationalMatrix(n, n, ((Q(0),) * n,) * n)
+    for row, col in images:
+        dmat = dmat + matrix_unit(n, row, col)
+    out, nodes = _certify_counting_nodes(monkeypatch, alg, dmat)
+    assert out.kind == "refuted" and out.refuting_x == refuting_x
+    assert nodes == lazy
+    # walking the leaves after the refuted one finds the same point, later
+    out, nodes = _certify_counting_nodes(monkeypatch, alg, dmat, drain=True)
+    assert out.refuting_x == refuting_x
+    assert nodes == drained
+
+
+def test_constant_witness_shortcut_proves_what_elimination_cannot(monkeypatch):
+    # R_e2 on D4:L13:0 in this random basis is inner, yet elimination in the
+    # series-adapted basis stops at a binary form it cannot solve
+    alg = change_basis(make("catalog:D4:L13:0"), _random_invertible(random.Random(1), 4))
+    r_e2 = alg.right_mult((0, 1, 0, 0))
+    out = aid_certify(alg, r_e2)
+    assert out == derivations.CertOutcome("proved", branch_log=("inner: constant witness",))
+    monkeypatch.setattr(derivations, "inner_combination", lambda *a: None)
+    out = aid_certify(alg, r_e2)
+    assert out.kind == "inconclusive"
+    assert out.branch_log[-1] == (
+        "cannot solve t1^2 - t1*t2 - 2*t2^2 = 0 (nonlinear in every variable)"
+    )
 
 
 def test_search_refutation_holds_the_branch_conditions():
