@@ -35,9 +35,8 @@ from dataclasses import dataclass
 from .algebra import IdentityViolation, LeibnizAlgebra
 from .derivations import (
     Deviation,
-    aid_certify,
+    _judged,
     endo_actions,
-    inner_combination,
     matrix_unit,
     restriction_witness,
     vec_to_endo,
@@ -133,11 +132,10 @@ def parse_ref(text: str) -> CatalogRef:
         if entry not in _EXAMPLES[family].entries:
             raise UnknownCatalogRef(f"unknown {family} entry {entry!r}")
         return CatalogRef(family, _EXAMPLES[family].dim, entry, params)
-    try:
-        n = int(parts[2])
-    except ValueError as exc:
-        raise UnknownCatalogRef(f"bad dimension in {text!r}") from exc
-    return CatalogRef(family, n, None, params)
+    # only plain decimal digits: int() would also read "1_0", "+5", " 5"
+    if not (parts[2].isascii() and parts[2].isdigit()):
+        raise UnknownCatalogRef(f"bad dimension in {text!r}")
+    return CatalogRef(family, int(parts[2]), None, params)
 
 
 # ---------------------------------------------------------------------------
@@ -504,9 +502,9 @@ def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
     Returns (computed, certificate): a refuting x, or the generator's
     combination of right multiplications when it cannot extend Inner.  An
     inconclusive certification has no certificate, so no `--deviations-ok`
-    run excuses it.  `basis` is the analysis's series-adapted basis, or None.
+    run excuses it.  `basis` is the analysis's series-adapted basis.
     """
-    outcome = aid_certify(alg, gen, _basis=basis)
+    outcome, combination = _judged(alg, gen, basis)
     if outcome.kind == "refuted":
         return "not an almost inner derivation", {
             "kind": "refuting_x",
@@ -515,7 +513,6 @@ def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
             "x": vec_json(outcome.refuting_x),
             "expects_witness": False,
         }
-    combination = inner_combination(alg, gen)
     if combination is not None:
         return "already an inner derivation", inner_witness_certificate(
             alg, gen, combination, label)
@@ -525,12 +522,12 @@ def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
 
 
 def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner,
-                     aid, rcaid, ann_r, _basis=None) -> list:
+                     aid, rcaid, ann_r, adapted) -> list:
     """Compare an analysis against the recorded expected values.
 
     `der`, `inner` and `rcaid` are the analysis's spaces, `aid` its
-    AidResult and `ann_r` the right annihilator of `alg`; `_basis` is the
-    series-adapted basis of the analysis, when the caller has it.
+    AidResult, `ann_r` the right annihilator of `alg` and `adapted` the
+    analysis's series-adapted basis.
     """
     out: list = []
     loc = algebra_id
@@ -546,7 +543,7 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
     gen_computed, gen_cert = None, {}
     if expected.generator is not None:
         gen_computed, gen_cert = _generator_failure(
-            alg, expected.generator, expected.generator_label, _basis) or (None, {})
+            alg, expected.generator, expected.generator_label, adapted) or (None, {})
     aid_differs = expected.aid is not None and aid.upper_bound.dim != expected.aid
     if aid_differs:
         # a failing generator's certificate explains the AID mismatch best

@@ -289,6 +289,8 @@ def _cmd_witness(args) -> int:
 def _cmd_fuzz(args) -> int:
     import random
 
+    if args.basis_changes < 0:
+        raise InputError(f"--basis-changes must be nonnegative, not {args.basis_changes}")
     algebra, algebra_id, _ = _load_algebra(args.source)
     cfg = AidConfig()
     base, base_status = _tower_dims(algebra, cfg)
@@ -388,7 +390,7 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
     collapses = exact and aid.upper_bound == inner
     gen = claim.generator
     if gen is not None:
-        outcome = der_mod.aid_certify(algebra, gen, _basis=basis)
+        outcome, combination = der_mod._judged(algebra, gen, basis)
         values["generator_certified"] = values["generator_outcome"] = outcome.kind
         if outcome.kind == "refuted":
             values["refuting_x"] = cat_mod.vec_json(outcome.refuting_x)
@@ -404,7 +406,6 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
             e2_scaled = [v / claim.scale for v in algebra.basis_coords(1)]
             sum_ok = sum_ok and algebra.right_mult(e2_scaled) == gen
         values["sum_matches"] = sum_ok
-        combination = der_mod.inner_combination(algebra, gen)
         direct = combination is None
         if not direct:
             deviations.append(Deviation(

@@ -15,7 +15,8 @@ test), or gives up with an explicit inconclusive verdict, and exact
 sampling refinement over a deterministic grid plus seeded random points.
 The certificate pass runs on the linear bound before sampling, which then
 tests its points only against the generators not proved, and once more,
-reusing each outcome, on the generators the refined space adds.  Once
+reusing each outcome, on the generators the refined space adds; these
+span a complement of Inner, so elimination alone decides them.  Once
 nothing outside the proved part is left to cut, the walk stops testing
 points; the sample count it reports is still that of the full walk.
 """
@@ -262,56 +263,39 @@ def _primitive(point: Sequence[int]) -> bool:
     return gcd(*point) == 1 and next(v for v in point if v) > 0
 
 
-class _CutView:
-    """A complement in a candidate space of a part P that never cuts, seen
-    over the integers, for the cut test at integer x.
+def _cuts(alg: LeibnizAlgebra, part: Subspace, x: Sequence[int]) -> bool:
+    """Whether C(x) in [x, L] fails for some C of part, at an integer x.
 
-    P is Inner plus the generators the certifier proved before the walk.
-    No member of AID cuts: for D = E + C with E in P and C in the
-    complement, E(x) lies in [x, L] at every x (for E = R_a it is [x, a]),
-    so x cuts the candidate iff it cuts the complement.  The stored basis
-    vectors C_b are integer vectors, so at an integer x the images C_b(x)
-    and the bracket columns [x, e_j] are integer vectors spanning the same
-    lines as the rational ones.  x cuts iff some C_b(x) leaves the span of
-    the columns.
+    part is a complement in a candidate space of a part P that never cuts:
+    Inner plus the generators the certifier proved before the walk.  No
+    member of AID cuts: for D = E + C with E in P and C in the complement,
+    E(x) lies in [x, L] at every x (for E = R_a it is [x, a]), so x cuts the
+    candidate iff it cuts the complement.  The echelon rows C_b of part are
+    integer vectors, so at an integer x the images C_b(x) and the bracket
+    columns [x, e_j] are integer vectors spanning the same lines as the
+    rational ones, and x cuts iff some C_b(x) leaves the span of the columns.
     """
-
-    __slots__ = ("alg", "images")
-
-    def __init__(self, alg: LeibnizAlgebra, space: Subspace):
-        n = alg.dim
-        self.alg = alg
-        # images[b]: {k: [(m, C_b[m][k])]} for the nonzero columns k
-        self.images = []
-        for b in space.echelon:
-            cols: dict[int, list[tuple[int, int]]] = {}
-            for idx, v in zip(*b):
-                m, k = divmod(idx, n)
-                cols.setdefault(k, []).append((m, v))
-            self.images.append(cols)
-
-    def cuts(self, x: Sequence[int]) -> bool:
-        """Whether C(x) in [x, L] fails for some C of the space."""
-        pivots: dict[int, dict[int, int]] | None = None
-        for image in self.images:
-            img: dict[int, int] = {}
-            for k, col in image.items():
-                xk = x[k]
-                if xk:
-                    for m, v in col:
-                        img[m] = img.get(m, 0) + xk * v
-            img = {m: v for m, v in img.items() if v}
-            # a zero image never cuts: [x, L] is eliminated only for the
-            # first nonzero one
-            if not img:
-                continue
-            if pivots is None:
-                pivots = {}
-                for col in _bracket_columns(self.alg, _pairs(x)):
-                    _add_pivot(pivots, col)
-            if _add_pivot(pivots, img):
-                return True
-        return False
+    n = alg.dim
+    pivots: dict[int, dict[int, int]] | None = None
+    for cols, vals in part.echelon:
+        img: dict[int, int] = {}
+        for idx, v in zip(cols, vals):
+            m, k = divmod(idx, n)
+            xk = x[k]
+            if xk:
+                img[m] = img.get(m, 0) + xk * v
+        img = {m: v for m, v in img.items() if v}
+        # a zero image never cuts: [x, L] is eliminated only for the first
+        # nonzero one
+        if not img:
+            continue
+        if pivots is None:
+            pivots = {}
+            for col in _bracket_columns(alg, _pairs(x)):
+                _add_pivot(pivots, col)
+        if _add_pivot(pivots, img):
+            return True
+    return False
 
 
 def _restrict_at_point(alg: LeibnizAlgebra, space: Subspace, x: Sequence) -> Subspace:
@@ -334,18 +318,19 @@ def aid_refine(
 
     Walks the deterministic grid, then random points seeded by cfg.seed, with
     entries in -RANDOM_BOUND..RANDOM_BOUND, until STALL_LIMIT consecutive
-    samples fail to shrink the space.  `inner` is Inner(L) (worked out here
-    when not given) and must lie inside space.  `_proved` is Inner plus the
-    generators the certifier has proved (Inner when not given): no member
-    of AID cuts, so each point is tested on a complement of `_proved` only.
-    It lies in every restriction of the space, and if a point ever cut one
-    of its generators, `complement_in` would raise.  Once the space is
-    `_proved` no point can cut, so the walk stops testing points and counts
-    the ones left: the rest of the grid, and the STALL_LIMIT - stall
-    nonzero random points that would end it.  The samples counted do not
-    depend on `_proved`, and reaching dim Inner ends the walk: the result
-    always contains the inner derivations.  Returns the refined space and
-    the number of samples the full walk uses.
+    random points fail to shrink the space.  `inner` is Inner(L) (worked out
+    here when not given) and must lie inside space.  `_proved` is Inner plus
+    the generators the certifier has proved (Inner when not given): no member
+    of AID cuts, so each point is tested (`_cuts`) on a complement of
+    `_proved` only, and only a point that cuts takes the exact restriction.
+    `_proved` lies in every restriction of the space, and if a point ever cut
+    one of its generators, `complement_in` would raise.  Once that complement
+    is zero no point can cut, so the walk stops testing points and counts the
+    ones left: the rest of the grid, and the STALL_LIMIT - stall nonzero
+    random points that would end it.  The samples counted do not depend on
+    `_proved`, and reaching dim Inner ends the walk: the result always
+    contains the inner derivations.  Returns the refined space and the number
+    of samples the full walk uses.
     """
     n = alg.dim
     samples = 0
@@ -354,39 +339,36 @@ def aid_refine(
     if inner is None:
         inner = inner_space(alg)
     proved = inner if _proved is None else _proved
-    # sample points are integers: the cut test runs on the integer view, and
-    # only a point that cuts takes the exact restriction
-    view = _CutView(alg, complement_in(proved, space))
-    for point in refinement_grid(n):
-        if space.dim <= inner.dim:
-            break
-        if not view.images:
-            # nothing outside P is left to cut, and the space no longer
-            # moves: the rest of the grid is counted, not walked
-            samples = _grid_length(n)
-            break
-        samples += 1
-        if view.cuts(point):
-            space = _restrict_at_point(alg, space, point)
-            view = _CutView(alg, complement_in(proved, space))
-    rng = random.Random(cfg.seed)
+    part = complement_in(proved, space)
     stall = 0
-    while stall < STALL_LIMIT and space.dim > inner.dim:
-        if not view.images:
-            # every remaining nonzero point would stall: count them
-            samples += STALL_LIMIT - stall
+    for point, drawn in _sample_points(n, cfg.seed):
+        if stall >= STALL_LIMIT or space.dim <= inner.dim:
             break
-        point = tuple(rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(n))
-        if not any(point):
-            continue
+        if not part.dim:
+            # nothing outside P is left to cut, and the space no longer
+            # moves: the rest of the walk is counted, not walked
+            samples = (samples if drawn else _grid_length(n)) + STALL_LIMIT - stall
+            break
         samples += 1
-        dim = space.dim
-        if view.cuts(point):
+        if _cuts(alg, part, point):
             space = _restrict_at_point(alg, space, point)
-            view = _CutView(alg, complement_in(proved, space))
-        # the exact restriction, not the view, decides whether the stall ends
-        stall = 0 if space.dim < dim else stall + 1
+            part = complement_in(proved, space)
+            stall = 0
+        elif drawn:
+            stall += 1
     return space, samples
+
+
+def _sample_points(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], bool]]:
+    """The walk's points, each with whether it was drawn at random: the
+    grid, then nonzero random points seeded by seed, without end."""
+    for point in refinement_grid(n):
+        yield point, False
+    rng = random.Random(seed)
+    while True:
+        point = tuple(rng.randint(-RANDOM_BOUND, RANDOM_BOUND) for _ in range(n))
+        if any(point):
+            yield point, True
 
 
 # ---------------------------------------------------------------------------
@@ -764,13 +746,32 @@ def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
 
 
-def aid_certify(
-    alg: LeibnizAlgebra,
-    dmat: RationalMatrix,
-    *,
-    _basis: _AdaptedBasis | None = None,
-) -> CertOutcome:
-    """Decide whether D(x) lies in [x, L] for every rational x.
+def aid_certify(alg: LeibnizAlgebra, dmat: RationalMatrix) -> CertOutcome:
+    """Decide whether D(x) lies in [x, L] for every rational x: `_judged`
+    in the series-adapted basis of alg, worked out here."""
+    if alg.dim == 0:
+        return CertOutcome("proved")
+    return _judged(alg, dmat, _series_adapted_basis(alg, central_series(alg)))[0]
+
+
+def _judged(
+    alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis
+) -> tuple[CertOutcome, tuple[Q, ...] | None]:
+    """The outcome for a claimed generator D and `inner_combination(alg, D)`.
+
+    An inner D is proved by that constant witness D = R_w, and only a D that
+    is not inner is eliminated in `basis`, the series-adapted basis of alg:
+    elimination alone leaves some inner D inconclusive (R_e2 on D4:L13:0 in
+    some random bases).
+    """
+    combination = inner_combination(alg, dmat)
+    if combination is not None:
+        return CertOutcome("proved", branch_log=("inner: constant witness",)), combination
+    return _eliminated(alg, dmat, basis), None
+
+
+def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis) -> CertOutcome:
+    """Decide D(x) in [x, L] for every rational x by elimination alone.
 
     The witness equation left_mult(x) w = D x is eliminated symbolically in
     the coordinates t of x, splitting into pivot = 0 / pivot != 0 cases when
@@ -780,27 +781,15 @@ def aid_certify(
     variable per case; a pivot it cannot solve leaves that branch (and with
     it the whole certificate) inconclusive.
 
-    An inner D is proved first by its constant witness, D = R_w: elimination
-    alone leaves some inner D inconclusive (R_e2 on D4:L13:0 in some random
-    bases).
-
     Almost-innerness does not depend on the basis, while elimination is very
-    sensitive to it, so a nilpotent algebra is eliminated in a basis adapted
-    to its lower central series, where the constants are triangular by layer;
-    `_basis` is that basis when the caller has computed it already.  The
-    leaves `_decide` yields are read up to the first refuted one, a concrete
-    rational point mapped back to the given basis and re-verified there with
-    an exact rank comparison; one that does not replay ends an inconclusive
-    log.  The log of each outcome is as `CertOutcome` says.
+    sensitive to it, so a nilpotent algebra is eliminated in `basis`, adapted
+    to its lower central series, where the constants are triangular by
+    layer.  The leaves `_decide` yields are read up to the first refuted one,
+    a concrete rational point mapped back to the given basis and re-verified
+    there with an exact rank comparison; one that does not replay ends an
+    inconclusive log.  The log of the outcome is as `CertOutcome` says.
     """
     n = alg.dim
-    if n == 0:
-        return CertOutcome("proved")
-    if inner_combination(alg, dmat) is not None:
-        return CertOutcome("proved", branch_log=("inner: constant witness",))
-    basis = _basis
-    if basis is None:
-        basis = _series_adapted_basis(alg, central_series(alg))
     dm = dmat if basis.p is None else basis.pinv @ dmat @ basis.p
     # row m of the witness equation, linear forms in t, as [M | b]:
     # sum_j (sum_i c[i][j][m] t_i) w_j = sum_k D[m][k] t_k
@@ -892,12 +881,14 @@ def _der_inner_aid(
     inner = inner_space(alg)
     cand = aid_basis_candidate(alg, der)
     # each generator is certified once, keyed by its vector: the candidate's
-    # generators before the walk, and any new ones the walk leaves after it
+    # generators before the walk, and any new ones the walk leaves after it;
+    # they span a complement of Inner, so none is inner and elimination
+    # alone decides them
     outcomes: dict[tuple[Q, ...], CertOutcome] = {}
 
     def certified(gen_vec: tuple[Q, ...]) -> CertOutcome:
         if gen_vec not in outcomes:
-            outcomes[gen_vec] = aid_certify(alg, vec_to_endo(gen_vec, n), _basis=basis)
+            outcomes[gen_vec] = _eliminated(alg, vec_to_endo(gen_vec, n), basis)
         return outcomes[gen_vec]
 
     # a proved generator never cuts, so the walk tests its points only
@@ -1131,7 +1122,7 @@ def analysis_report(
     if expected is not None:
         deviations = tuple(
             build_deviations(alg, expected, algebra_id, der=der, inner=inner,
-                             aid=aid, rcaid=rcaid, ann_r=ann.ann_r, _basis=basis)
+                             aid=aid, rcaid=rcaid, ann_r=ann.ann_r, adapted=basis)
         )
     return AnalysisReport(
         algebra_id=algebra_id,

@@ -13,7 +13,6 @@ from leibniz_aid.catalog import (
     ParameterInvalid,
     UnknownCatalogRef,
     expected_for,
-    inner_combination,
     list_entries,
     make,
     matrix_json,
@@ -21,7 +20,13 @@ from leibniz_aid.catalog import (
     vec_json,
 )
 from leibniz_aid.cli import main
-from leibniz_aid.derivations import AidConfig, CertOutcome, analysis_report, matrix_unit
+from leibniz_aid.derivations import (
+    AidConfig,
+    CertOutcome,
+    analysis_report,
+    inner_combination,
+    matrix_unit,
+)
 from leibniz_aid.exactlin import Q, RationalMatrix
 
 
@@ -64,6 +69,11 @@ def test_parse_ref_roundtrips_through_ref_string():
         "catalog:D4:L99",
         "catalog:D3:L1:a",
         "catalog:D4:L9:1:2",
+        # a dimension is plain ASCII decimal digits, which int() is not
+        "catalog:NF:1_0",
+        "catalog:NF:+5",
+        "catalog:NF: 5",
+        "catalog:NF:\u0665",  # ARABIC-INDIC DIGIT FIVE
     ],
 )
 def test_parse_ref_rejects_malformed(bad):
@@ -270,14 +280,14 @@ def test_inconclusive_claimed_generator_is_an_unexcused_deviation(monkeypatch, c
     # a table claim whose generator certification cannot decide must not pass
     l9 = make("catalog:D4:L9")
     note = "node budget exhausted"
-    certify = catalog.aid_certify
+    judged = catalog._judged
 
-    def undecided_on_l9(alg, gen, **kwargs):
+    def undecided_on_l9(alg, gen, basis):
         if alg.constants == l9.constants:
-            return CertOutcome("inconclusive", branch_log=("series-adapted basis", note))
-        return certify(alg, gen, **kwargs)
+            return CertOutcome("inconclusive", branch_log=("series-adapted basis", note)), None
+        return judged(alg, gen, basis)
 
-    monkeypatch.setattr(catalog, "aid_certify", undecided_on_l9)
+    monkeypatch.setattr(catalog, "_judged", undecided_on_l9)
     ref = parse_ref("catalog:D4:L9")
     report = analysis_report(l9, AidConfig(), ref.ref_string(), expected_for(ref))
     [dev] = [d for d in report.deviations if d.location.endswith(":generator")]

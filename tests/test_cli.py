@@ -105,6 +105,9 @@ def test_analyze_reads_stdin_with_dash(capsys, monkeypatch):
 def test_analyze_rejects_unknown_refs_and_bad_files(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", "catalog:D4:L99")
     assert code == 2 and "error:" in err
+    # int() would read this dimension as 10
+    code, out, err = run(capsys, "analyze", "catalog:NF:1_0")
+    assert code == 2 and out == "" and err.startswith("error: ")
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.json"))
     assert code == 2
     p = tmp_path / "garbage.json"
@@ -203,6 +206,13 @@ def test_fuzz_reports_invariant_towers(capsys):
     assert sum(doc["statuses"].values()) == 4  # reference + three trials
 
 
+def test_fuzz_rejects_a_negative_count(capsys):
+    code, out, err = run(capsys, "fuzz", "catalog:NF:3", "--basis-changes", "-2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("ref", ["catalog:D4:L9", "catalog:G53"])
 def test_fuzz_reference_dims_match_the_analyzed_tower(capsys, ref):
     code, out, _ = run(capsys, "fuzz", ref, "--basis-changes", "1")
@@ -285,6 +295,27 @@ def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
     # one analysis_report per table row, one RCAID per row that reports it
     reporting = [c for c in claims if c.kind == "table" or "rcaid_dim" in c.fields]
     assert calls["annihilators"] == len(reporting)
+
+
+def test_verify_solves_each_constant_witness_once(capsys, monkeypatch):
+    import leibniz_aid.derivations as der_mod
+
+    combination = der_mod.inner_combination
+    algebras, solved = [], []
+
+    def spy(alg, m):
+        algebras.append(alg)  # keeps each id() unique
+        solved.append((id(alg), der_mod.endo_to_vec(m)))
+        return combination(alg, m)
+
+    monkeypatch.setattr(der_mod, "inner_combination", spy)
+    assert main(["verify-paper", "--deviations-ok"]) == 0
+    capsys.readouterr()
+    # each claim's generator is judged once on the claim's algebra, outcome
+    # and combination from one solve.  The key is the algebra object, not
+    # its constants: D4:L4:t and F1:4:1,t are one algebra in two claims
+    assert solved
+    assert len(set(solved)) == len(solved)
 
 
 def test_verify_every_check_has_a_verdict(verify_runs):

@@ -42,7 +42,7 @@ from leibniz_aid.derivations import (
     restriction_witness,
     subalgebra_nilpotency,
     vec_to_endo,
-    _CutView,
+    _cuts,
     _der_inner_aid,
     _grid_length,
     _held_nonzero,
@@ -302,7 +302,7 @@ def random_basis_copy(ref: str, seed: int):
     return change_basis(alg, _random_invertible(random.Random(seed), alg.dim))
 
 
-# a cut the view missed would leave the dimensions alone (certification
+# a cut the cut test missed would leave the dimensions alone (certification
 # restricts at the refuting point) but would change the samples and witnesses
 @pytest.mark.parametrize(
     "ref,samples,witnesses",
@@ -343,7 +343,7 @@ def test_walk_with_the_proved_view_equals_the_full_walk(ref, seed):
 def test_walk_with_everything_proved_visits_every_point():
     # the full walk ends neither early nor after a random cut, so it visits
     # every grid point and STALL_LIMIT random points; with the whole space
-    # proved the view is empty and those points are counted, not tested.
+    # proved the part left open is zero and those points are counted, not tested.
     # n = 4, 5 and 8 reach each branch of `_grid_length`
     for ref in ("catalog:D4:L11", "catalog:F3:5:0,0,1", "catalog:F3:8:0,0,1"):
         alg = make(ref)
@@ -356,14 +356,13 @@ def test_walk_with_everything_proved_visits_every_point():
 
 
 def counted_cut_tests(monkeypatch) -> list:
-    cuts = _CutView.cuts
     tested = []
 
-    def spy(self, x):
+    def spy(alg, part, x):
         tested.append(tuple(x))
-        return cuts(self, x)
+        return _cuts(alg, part, x)
 
-    monkeypatch.setattr(_CutView, "cuts", spy)
+    monkeypatch.setattr(derivations, "_cuts", spy)
     return tested
 
 
@@ -379,7 +378,7 @@ def test_walk_counts_the_rest_once_a_cut_empties_the_view(monkeypatch):
     assert full == (aid, 297)
     tested = counted_cut_tests(monkeypatch)
     assert aid_refine(alg, cand, inner=inner, _proved=aid) == full
-    # with AID proved that cut empties the view: the other 148 grid points
+    # with AID proved that cut leaves nothing open: the other 148 grid points
     # and the 25 random ones are counted, not tested
     assert len(tested) == 125 and tested[-1] == (1, 1, -2, -2)
 
@@ -405,14 +404,14 @@ def test_walk_counts_the_stall_once_a_random_cut_empties_the_view(monkeypatch):
 # walk cuts them; on F3:6:0,0,1 it proves the one generator
 @pytest.mark.parametrize("ref", ["catalog:F3:6:0,0,1", "catalog:D4:L13:1"])
 def test_each_generator_is_certified_once_per_analysis(monkeypatch, ref):
-    certify = derivations.aid_certify
+    eliminated = derivations._eliminated
     seen = []
 
-    def spy(alg, dmat, **kw):
+    def spy(alg, dmat, basis):
         seen.append(endo_to_vec(dmat))
-        return certify(alg, dmat, **kw)
+        return eliminated(alg, dmat, basis)
 
-    monkeypatch.setattr(derivations, "aid_certify", spy)
+    monkeypatch.setattr(derivations, "_eliminated", spy)
     alg = make(ref)
     res = aid_space(alg)
     assert res.status == "certified_exact"
@@ -421,6 +420,22 @@ def test_each_generator_is_certified_once_per_analysis(monkeypatch, ref):
     # a kept outcome changes no cut of the walk
     assert not res.witnesses
     assert res.samples_used == aid_refine(alg, aid_basis_candidate(alg))[1]
+
+
+def test_aid_space_solves_for_no_constant_witness(monkeypatch):
+    # the generators an analysis certifies span a complement of Inner, so
+    # none of them is inner and elimination alone decides each
+    combination = derivations.inner_combination
+    solved = []
+
+    def spy(alg, m):
+        solved.append(m)
+        return combination(alg, m)
+
+    monkeypatch.setattr(derivations, "inner_combination", spy)
+    for ref in CATALOG_BATTERY:
+        aid_space(make(ref))
+    assert solved == []
 
 
 @pytest.mark.parametrize(
@@ -459,8 +474,6 @@ def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
     lazy = 0
     for space in (der, aid_basis_candidate(alg, der), refined):
         comp = complement_in(inner, space)
-        full_view = _CutView(alg, space)
-        comp_view = _CutView(alg, comp)
         basis = [vec_to_endo(b, n) for b in space.basis_vectors()]
         comp_basis = [vec_to_endo(b, n) for b in comp.basis_vectors()]
         for point in points():
@@ -473,15 +486,15 @@ def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
             # an integer multiple
             scale = lcm(*(Q(v).denominator for v in point))
             x = [int(v * scale) for v in point]
-            assert full_view.cuts(x) == cut
-            assert comp_view.cuts(x) == cut
+            assert _cuts(alg, space, x) == cut
+            assert _cuts(alg, comp, x) == cut
             outcomes[cut] += 1
             if comp_basis and not any(any(c.apply(x)) for c in comp_basis):
                 lazy += 1
     assert outcomes[True] and outcomes[False]
     if seed is None:
         # in the standard basis some grid points give every complement
-        # generator a zero image: the view decides them without [x, L]
+        # generator a zero image: the cut test decides them without [x, L]
         assert lazy
 
 
