@@ -292,8 +292,7 @@ def _cmd_fuzz(args) -> int:
     if args.basis_changes < 0:
         raise InputError(f"--basis-changes must be nonnegative, not {args.basis_changes}")
     algebra, algebra_id, _ = _load_algebra(args.source)
-    cfg = AidConfig()
-    base, base_status = _tower_dims(algebra, cfg)
+    base, base_status = _tower_dims(algebra)
     rng = random.Random(args.seed)
     n = algebra.dim
     failures = []
@@ -301,7 +300,7 @@ def _cmd_fuzz(args) -> int:
     for trial in range(args.basis_changes):
         p = _random_invertible(rng, n)
         changed = alg_mod.change_basis(algebra, p)
-        dims, status = _tower_dims(changed, cfg)
+        dims, status = _tower_dims(changed)
         statuses[status] = statuses.get(status, 0) + 1
         if dims != base:
             failures.append({
@@ -325,7 +324,7 @@ def _cmd_fuzz(args) -> int:
     return 0 if not failures else 1
 
 
-def _tower_dims(algebra, cfg) -> tuple[dict, str]:
+def _tower_dims(algebra) -> tuple[dict, str]:
     """Five tower dimensions, all built on the sampling upper bound.
 
     The upper bound always contains the true AID space, so when its dimension
@@ -333,7 +332,7 @@ def _tower_dims(algebra, cfg) -> tuple[dict, str]:
     symbolic certification succeeds in one basis and not another; the
     certification status is returned separately as data.
     """
-    der, inner, aid, _ = der_mod._der_inner_aid(algebra, cfg)
+    der, inner, aid, _ = der_mod._der_inner_aid(algebra, AidConfig())
     ann = alg_mod.annihilators(algebra)
     dims = {
         "der": der.dim, "inner": inner.dim, "aid": aid.upper_bound.dim,
@@ -363,7 +362,7 @@ def _claim_algebra(ref: str):
     return cat_mod.make(ref)
 
 
-def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
+def _evaluate(claim: cat_mod.Claim) -> dict:
     """One check of the claims table, on one analysis of its algebra."""
     table = claim.kind == "table"
     print(f"verify: {'table ' if table else ''}{claim.ref}", file=sys.stderr)
@@ -371,12 +370,12 @@ def _evaluate(claim: cat_mod.Claim, cfg: AidConfig) -> dict:
     if table:
         ref = cat_mod.parse_ref(claim.ref)
         report = der_mod.analysis_report(
-            algebra, cfg, ref.ref_string(), cat_mod.expected_for(ref)
+            algebra, algebra_id=ref.ref_string(), expected=cat_mod.expected_for(ref)
         )
         return _check(claim, not report.deviations, report.deviations,
                       {"tower": dict(report.tower), "status": report.aid.status})
     deviations = []
-    der, inner, aid, basis = der_mod._der_inner_aid(algebra, cfg)
+    der, inner, aid, basis = der_mod._der_inner_aid(algebra, AidConfig())
     exact = aid.status == "certified_exact"
     values = {"status": aid.status, "der_dim": der.dim,
               "aid_dim": aid.upper_bound.dim, "inner_dim": inner.dim}
@@ -440,9 +439,10 @@ def _check(claim: cat_mod.Claim, passed: bool, deviations, values: dict) -> dict
 
 
 def _cmd_verify(args) -> int:
-    cfg = AidConfig()
     nmax = args.nmax
-    checks = [_evaluate(claim, cfg) for claim in cat_mod.paper_claims(nmax)]
+    if nmax < 0:
+        raise InputError(f"--nmax must be nonnegative, not {nmax}")
+    checks = [_evaluate(claim) for claim in cat_mod.paper_claims(nmax)]
     all_passed = all(c["passed"] for c in checks)
     deviations = [d for c in checks for d in c["deviations"]]
     certified = all(d["certificate"] for d in deviations)

@@ -18,7 +18,9 @@ tests its points only against the generators not proved, and once more,
 reusing each outcome, on the generators the refined space adds; these
 span a complement of Inner, so elimination alone decides them.  Once
 nothing outside the proved part is left to cut, the walk stops testing
-points; the sample count it reports is still that of the full walk.
+points; the sample count it reports is still that of the full walk.  A
+refuted generator's point cuts the space and the complement is certified
+again, until a round refutes nothing; each such cut lowers the dimension.
 """
 
 from __future__ import annotations
@@ -69,8 +71,6 @@ DEFAULT_SEED = 3141592653
 # refinement stops after STALL_LIMIT of them in a row cut nothing
 RANDOM_BOUND = 10
 STALL_LIMIT = 25
-# refutation rounds before AID is reported `partial`
-MAX_ROUNDS = 60
 # certifier nodes per generator before it is `inconclusive`
 NODE_BUDGET = 4000
 
@@ -219,8 +219,6 @@ def refinement_grid(n: int) -> Iterator[tuple[int, ...]]:
     `_grid_length(n)` is the number of points, so a walk that stops
     testing them early still counts the whole grid.
     """
-    if n == 0:
-        return
     if n <= 5:
         r = 2 if n <= 4 else 1
         for point in itertools.product(range(-r, r + 1), repeat=n):
@@ -250,8 +248,6 @@ def _grid_length(n: int) -> int:
     entry, less the 2^(s-1) of those made of +-2 only: 1 for s = 1, 6 for
     s = 2 and 28 for s = 3, so n + 6 C(n,2) + 28 C(n,3).
     """
-    if n == 0:
-        return 0
     if n <= 4:
         return (5**n - 3**n) // 2
     if n == 5:
@@ -830,7 +826,7 @@ def aid_witness(
 class AidResult:
     upper_bound: Subspace
     proved: Subspace
-    status: str  # 'certified_exact' | 'probabilistic' | 'partial'
+    status: str  # 'certified_exact' | 'probabilistic'
     samples_used: int
     seed: int
     witnesses: tuple[tuple[RationalMatrix, tuple[Q, ...]], ...]
@@ -852,9 +848,10 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     Inner inside the refined space, reusing the outcome of each generator
     certified before.  A refuted generator's refuting x restricts
     the space at x (no sampling resumes) and the complement is certified
-    again; the loop ends when every complement generator is proved
-    (certified_exact) or some remain inconclusive (probabilistic), or the
-    round cap is hit (partial).
+    again.  The refutation replays, so each such round lowers the dimension,
+    and the loop ends at a round that refutes nothing: certified_exact when
+    every complement generator is proved, probabilistic when some remain
+    inconclusive.
     """
     return _der_inner_aid(alg, cfg)[2]
 
@@ -897,27 +894,27 @@ def _der_inner_aid(
     first = [v for v in gens if certified(v).kind == "proved"]
     first_proved = subspace_sum(inner, Subspace.from_vectors(n * n, first)) if first else inner
     space, samples = aid_refine(alg, cand, cfg, inner=inner, _proved=first_proved)
+    # each round walks a complement of Inner in the space up to its first
+    # refuted generator; the exact rank test replayed its refuting x, so the
+    # restriction at x drops that generator and keeps Inner (R_a(x) = [x, a]):
+    # the dimension falls every round, and a round that refutes nothing ends
+    # the loop within dim(space) - dim(Inner) + 1 rounds
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
-    proved_gens: list[tuple[RationalMatrix, CertOutcome]] = []
-    inconclusive: list[tuple[RationalMatrix, CertOutcome]] = []
-    status = "partial"
-    for _ in range(MAX_ROUNDS):
-        proved_gens, inconclusive = [], []
+    while True:
+        judged: list[tuple[RationalMatrix, CertOutcome]] = []
         for gen_vec in complement_in(inner, space).basis_vectors():
-            gmat = vec_to_endo(gen_vec, n)
             outcome = certified(gen_vec)
             if outcome.kind == "refuted":
-                refutations.append((gmat, outcome.refuting_x))
-                space = _restrict_at_point(alg, space, outcome.refuting_x)
-                samples += 1
                 break
-            if outcome.kind == "proved":
-                proved_gens.append((gmat, outcome))
-            else:
-                inconclusive.append((gmat, outcome))
+            judged.append((vec_to_endo(gen_vec, n), outcome))
         else:
-            status = "probabilistic" if inconclusive else "certified_exact"
             break
+        refutations.append((vec_to_endo(gen_vec, n), outcome.refuting_x))
+        space = _restrict_at_point(alg, space, outcome.refuting_x)
+        samples += 1
+    proved_gens = [(g, o) for g, o in judged if o.kind == "proved"]
+    inconclusive = [(g, o) for g, o in judged if o.kind != "proved"]
+    status = "probabilistic" if inconclusive else "certified_exact"
     if status == "certified_exact":
         # Inner plus a proved complement is the whole space; one object for
         # both bounds, since callers may keep many results alive

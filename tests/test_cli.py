@@ -213,6 +213,13 @@ def test_fuzz_rejects_a_negative_count(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_verify_rejects_a_negative_nmax(capsys):
+    code, out, err = run(capsys, "verify-paper", "--nmax", "-1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("ref", ["catalog:D4:L9", "catalog:G53"])
 def test_fuzz_reference_dims_match_the_analyzed_tower(capsys, ref):
     code, out, _ = run(capsys, "fuzz", ref, "--basis-changes", "1")

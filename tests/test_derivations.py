@@ -986,13 +986,45 @@ def test_aid_space_records_refutations(monkeypatch):
     [(gmat, x)] = res.witnesses
     assert aid_witness(alg, gmat, x) is None
     assert res.samples_used == 1
-    # one round only: the refutation cuts, and no round is left to certify
-    # what remains
-    monkeypatch.setattr(derivations, "MAX_ROUNDS", 1)
-    res = aid_space(alg)
-    assert res.status == "partial"
-    assert len(res.witnesses) == 1
-    assert res.upper_bound == res.proved == inner_space(alg)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_refutation_loop_ends_by_dimension(monkeypatch, seed):
+    # with sampling skipped, the rounds alone cut the linear candidate: each
+    # refutation replays, so it drops at least one dimension, and the loop
+    # ends at a round that refutes nothing
+    algebras = {ref: make(ref) if seed is None else random_basis_copy(ref, seed)
+                for ref in CATALOG_BATTERY}
+    if seed is None:
+        walked = {ref: aid_space(alg).upper_bound for ref, alg in algebras.items()}
+    monkeypatch.setattr(derivations, "aid_refine", lambda alg, space, cfg, inner, **_: (space, 0))
+    complements = []
+
+    def counted_complement(sub, space):
+        complements.append(space)
+        return complement_in(sub, space)
+
+    monkeypatch.setattr(derivations, "complement_in", counted_complement)
+    refuted = {}
+    for ref, alg in algebras.items():
+        complements.clear()
+        res = aid_space(alg)
+        # one complement of the candidate before the walk, then one per round
+        assert len(complements) == len(res.witnesses) + 2, ref
+        assert res.status in ("certified_exact", "probabilistic"), ref
+        assert all(aid_witness(alg, g, x) is None for g, x in res.witnesses), ref
+        cand = aid_basis_candidate(alg)
+        assert len(res.witnesses) <= cand.dim - res.upper_bound.dim, ref
+        assert res.samples_used == len(res.witnesses)
+        if seed is None:
+            # in the standard basis the rounds reach the walk's bound
+            assert res.status == "certified_exact", ref
+            assert res.upper_bound == walked[ref], ref
+        refuted[ref] = len(res.witnesses)
+    if seed is None:
+        # D4:L13:2 refutes in two rounds, so a third one ends the loop
+        assert refuted["catalog:D4:L13:2"] == 2
+        assert sum(refuted.values()) == 10
 
 
 def test_aid_space_g53():
