@@ -511,7 +511,7 @@ def from_json_dict(doc: Mapping) -> LeibnizAlgebra:
                                  "is not a string of decimal digits")
         try:
             coeffs = {int(k): as_rational(v) for k, v in item["c"].items()}
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
+        except (TypeError, ValueError) as exc:
             raise ValueError(f"bad coefficient map in product ({i},{j}): {exc}") from exc
         if len(coeffs) != len(item["c"]):
             raise ValueError(f"a target index appears twice in product ({i},{j}): {item['c']!r}")

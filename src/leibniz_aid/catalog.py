@@ -125,7 +125,7 @@ def parse_ref(text: str) -> CatalogRef:
     if len(parts) == 4:
         try:
             params = tuple(as_rational(p.strip()) for p in parts[3].split(","))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, TypeError) as exc:
             raise UnknownCatalogRef(f"bad parameter list in {text!r}: {exc}") from exc
     if family in _EXAMPLES:
         entry = parts[2]

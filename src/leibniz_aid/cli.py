@@ -8,7 +8,8 @@ Commands:
   (`catalog.paper_claims`); disagreements are reported as deviations with
   machine-checkable certificates.
 * ``witness <ref> <endo.json> <x1> ... <xn>`` — replay a certificate: find
-  (or fail to find) an element a with D(x) = [x, a].
+  (or fail to find) an element a with D(x) = [x, a].  Either JSON argument
+  may be ``-`` for stdin.
 * ``fuzz <ref> --basis-changes N --seed S`` — random basis changes, checking
   that every tower dimension is invariant.
 
@@ -40,6 +41,19 @@ class InputError(Exception):
 # loading
 
 
+def _read_json(source: str):
+    """The JSON document in the UTF-8 file `source`, or on stdin for `-`."""
+    try:
+        if source == "-":
+            return json.load(sys.stdin)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"cannot read {source}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source} is not valid JSON: {exc}") from exc
+
+
 def _load_algebra(source: str):
     """Returns (algebra, algebra_id, expected-or-None)."""
     if source.startswith("catalog:"):
@@ -55,17 +69,7 @@ def _load_algebra(source: str):
             raise InputError(msg) from exc
         return algebra, ref.ref_string(), cat_mod.expected_for(ref)
     try:
-        if source == "-":
-            doc = json.load(sys.stdin)
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {source}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{source} is not valid JSON: {exc}") from exc
-    try:
-        algebra = alg_mod.from_json_dict(doc)
+        algebra = alg_mod.from_json_dict(_read_json(source))
     except alg_mod.IdentityViolation as exc:
         raise InputError(
             f"violation ({exc.i},{exc.j},{exc.k}): {exc}"
@@ -76,26 +80,20 @@ def _load_algebra(source: str):
     return algebra, f"file:{name}", None
 
 
-def _load_endo(path: str, n: int) -> RationalMatrix:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+def _load_endo(source: str, n: int) -> RationalMatrix:
+    doc = _read_json(source)
     if isinstance(doc, dict):
         doc = doc.get("matrix")
     if not isinstance(doc, list) or len(doc) != n:
-        raise InputError(f"{path}: expected an {n}x{n} matrix")
+        raise InputError(f"{source}: expected an {n}x{n} matrix")
     rows = []
     for row in doc:
         if not isinstance(row, list) or len(row) != n:
-            raise InputError(f"{path}: expected an {n}x{n} matrix")
+            raise InputError(f"{source}: expected an {n}x{n} matrix")
         try:
             rows.append([as_rational(v) for v in row])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise InputError(f"{path}: bad entry: {exc}") from exc
+        except (ValueError, TypeError) as exc:
+            raise InputError(f"{source}: bad entry: {exc}") from exc
     return RationalMatrix.from_rows(rows)
 
 
@@ -243,16 +241,9 @@ def _cmd_catalog(_args) -> int:
     return 0
 
 
-def _config_from(args) -> AidConfig:
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    return AidConfig(**kwargs)
-
-
 def _cmd_analyze(args) -> int:
     algebra, algebra_id, expected = _load_algebra(args.source)
-    cfg = _config_from(args)
+    cfg = AidConfig() if args.seed is None else AidConfig(seed=args.seed)
     print(f"analyzing {algebra_id} ...", file=sys.stderr)
     report = der_mod.analysis_report(algebra, cfg, algebra_id, expected)
     if args.format == "json":
@@ -271,7 +262,7 @@ def _cmd_witness(args) -> int:
         )
     try:
         x = tuple(as_rational(c) for c in args.coords)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError) as exc:
         raise InputError(f"bad coordinate: {exc}") from exc
     witness = der_mod.aid_witness(algebra, endo, x)
     doc = {
@@ -478,40 +469,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("catalog", help="list built-in algebras")
+    p = sub.add_parser("catalog", help="list built-in algebras")
+    p.set_defaults(run=_cmd_catalog)
 
     p = sub.add_parser("analyze", help="analyze one algebra")
+    p.set_defaults(run=_cmd_analyze)
     p.add_argument("source", help="algebra JSON file, - for stdin, or catalog:REF")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify-paper",
                        help="check the published dimension claims")
+    p.set_defaults(run=_cmd_verify)
     p.add_argument("--deviations-ok", action="store_true",
                    help="exit 0 when every mismatch carries a certificate")
     p.add_argument("--nmax", type=int, default=8,
                    help="largest null-filiform dimension to check")
 
     p = sub.add_parser("witness", help="replay a membership certificate")
+    p.set_defaults(run=_cmd_witness)
     p.add_argument("source", help="algebra JSON file, - for stdin, or catalog:REF")
-    p.add_argument("endo", help="JSON file with the endomorphism matrix")
+    p.add_argument("endo", help="JSON file with the endomorphism matrix, - for stdin")
     p.add_argument("coords", nargs="+", help="coordinates of x")
 
     p = sub.add_parser("fuzz", help="random basis-change invariance checks")
+    p.set_defaults(run=_cmd_fuzz)
     p.add_argument("source", help="algebra JSON file, - for stdin, or catalog:REF")
     p.add_argument("--basis-changes", type=int, default=20)
     p.add_argument("--seed", type=int, default=der_mod.DEFAULT_SEED)
 
     return parser
-
-
-_COMMANDS = {
-    "catalog": _cmd_catalog,
-    "analyze": _cmd_analyze,
-    "verify-paper": _cmd_verify,
-    "witness": _cmd_witness,
-    "fuzz": _cmd_fuzz,
-}
 
 
 def main(argv=None) -> int:
@@ -522,7 +509,7 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ operation reads those integer rows; the Fraction basis is only a view.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -46,14 +47,21 @@ class NotASubspace(ValueError):
     """Raised by complement_in when the first space is not inside the second."""
 
 
+# format_rational's output; Fraction() alone would also read "1_0", " 3", "0.5"
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def as_rational(value) -> Q:
     """Coerce an int, Fraction or 'p/q' string to a Fraction; bools are
-    rejected, although Python counts them as ints."""
+    rejected, although Python counts them as ints, and a string must match
+    `-?[0-9]+(/[0-9]+)?` with a nonzero denominator."""
     if isinstance(value, Q):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Q(value)
     if isinstance(value, str):
+        if _RATIONAL.fullmatch(value) is None:
+            raise ValueError(f"not a rational p/q: {value!r}")
         return Q(value)
     raise TypeError(f"not a rational value: {value!r}")
 

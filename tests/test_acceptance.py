@@ -18,6 +18,7 @@ import pytest
 
 import leibniz_aid as la
 from leibniz_aid.algebra import LeibnizAlgebra
+from leibniz_aid.cli import main
 from leibniz_aid.derivations import (
     aid_certify,
     aid_space,
@@ -424,6 +425,16 @@ def test_criterion_9_property_suite():
 
 
 # -- the README's library example -----------------------------------------------
+
+
+def test_readme_sample_report_is_the_real_output(capsys):
+    # the README block headed by `leibniz-aid analyze catalog:D4:L9` is
+    # what that command prints, byte for byte
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    [block] = re.findall(r"`leibniz-aid analyze catalog:D4:L9`\):\n\n```\n(.*?)```",
+                         readme.read_text(encoding="utf-8"), re.S)
+    assert main(["analyze", "catalog:D4:L9"]) == 0
+    assert capsys.readouterr().out == block
 
 
 def test_readme_library_use_block_runs():

@@ -177,6 +177,20 @@ def test_witness_reports_refutations_as_null(capsys, tmp_path):
     assert "reproduces" not in doc
 
 
+def test_witness_reads_the_endomorphism_from_stdin_with_dash(capsys, monkeypatch, tmp_path):
+    # the refuting point of E(4,2) on D4:L11, as verify-paper reports it
+    generator = [["0"] * 4] * 3 + [["0", "1", "0", "0"]]
+    endo = tmp_path / "endo.json"
+    endo.write_text(json.dumps(generator))
+    argv = ("witness", "catalog:D4:L11", str(endo), "-1", "-1", "0", "0")
+    code, from_file, _ = run(capsys, *argv)
+    assert code == 0 and json.loads(from_file)["witness"] is None
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(generator)))
+    code, from_stdin, _ = run(capsys, *argv[:2], "-", *argv[3:])
+    assert code == 0
+    assert from_stdin == from_file
+
+
 def test_witness_validates_input_shapes(capsys, tmp_path):
     endo = tmp_path / "endo.json"
     endo.write_text(json.dumps([["0", "0"], ["1", "0"]]))  # bare matrix form
@@ -187,6 +201,32 @@ def test_witness_validates_input_shapes(capsys, tmp_path):
     assert code == 2 and "coordinates" in err
     code, _, err = run(capsys, "witness", "catalog:NF:3", str(endo), "1", "0", "x")
     assert code == 2
+
+
+@pytest.mark.parametrize("case", ["catalog-parameter", "coefficient", "coordinate", "endo-entry"])
+def test_rationals_outside_the_p_q_grammar_exit_2(capsys, write_algebra, case):
+    # Fraction() would read each of these: "1_0" as 10 and "0.5" as 1/2
+    endo = write_algebra("endo.json", [["0"] * 3] * 3)
+    argv = {
+        "catalog-parameter": ["analyze", "catalog:D3:L1:1_0"],
+        "coefficient": ["analyze", write_algebra(
+            "alg.json", {"dim": 2, "products": [{"i": 1, "j": 1, "c": {"2": "1_0"}}]})],
+        "coordinate": ["witness", "catalog:NF:3", endo, "1", "1_0", "0"],
+        "endo-entry": ["witness", "catalog:NF:3", write_algebra(
+            "half.json", [["0", "0", "0"], ["0.5", "0", "0"], ["0", "0", "0"]]), "1", "0", "0"],
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_a_file_that_is_not_utf8_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"dim": 1, "products": [], "labels": ["\xe9"]}')
+    code, out, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot read ")
 
 
 # -- fuzz --------------------------------------------------------------------

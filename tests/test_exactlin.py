@@ -62,6 +62,9 @@ def rand_matrix(rng: random.Random, rows: int, cols: int) -> RationalMatrix:
 def test_as_rational_accepts_int_str_fraction():
     assert as_rational(3) == Q(3)
     assert as_rational("-7/2") == Q(-7, 2)
+    assert as_rational("007") == Q(7)
+    assert as_rational("-0") == Q(0)
+    assert as_rational("4/06") == Q(2, 3)
     assert as_rational(Q(5, 3)) == Q(5, 3)
 
 
@@ -70,6 +73,16 @@ def test_as_rational_rejects_floats_and_garbage():
         as_rational(0.5)
     with pytest.raises(ValueError):
         as_rational("one half")
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\u0663", " 1", "0.5", "1e3", "+2", "1/0", "1/00", "3/-4", "1\n", ""]
+)
+def test_as_rational_reads_only_what_format_rational_writes(text):
+    # Fraction() alone reads "1_0" as 10, the Arabic-Indic digit three as 3,
+    # and raises ZeroDivisionError for "1/0"
+    with pytest.raises(ValueError):
+        as_rational(text)
 
 
 @given(rationals)
