@@ -37,15 +37,7 @@ class IndexOutOfRange(ValueError):
     """A 1-based basis index in a product list falls outside 1..dim."""
 
 
-class NotAnIdeal(ValueError):
-    pass
-
-
 class SingularMatrix(ValueError):
-    pass
-
-
-class NotNilpotent(ValueError):
     pass
 
 
@@ -90,27 +82,19 @@ class LeibnizAlgebra:
     @staticmethod
     def build(
         dim: int,
-        products: Mapping[tuple[int, int], Mapping[int, object]] | Sequence,
-        check: str = "enforce",
+        products: Mapping[tuple[int, int], Mapping[int, object]],
         labels: Sequence[str] | None = None,
     ) -> "LeibnizAlgebra":
-        """Build from a sparse list of basis products, 1-based indices.
+        """Build from a sparse map of basis products, 1-based indices.
 
         `products` maps (i, j) to {k: coefficient}; omitted pairs multiply to
-        zero.  A sequence of (i, j, {k: coeff}) triples is also accepted.
-        With check='enforce' the Leibniz identity is verified on every basis
-        triple and IdentityViolation raised on the first failure; 'skip'
-        trusts the caller.
+        zero.  The Leibniz identity is verified on every basis triple and
+        IdentityViolation raised on the first failure.
         """
-        if check not in ("enforce", "skip"):
-            raise ValueError(f"unknown check mode: {check!r}")
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
         table = [[[QZERO] * dim for _ in range(dim)] for _ in range(dim)]
-        items = products.items() if isinstance(products, Mapping) else (
-            ((i, j), c) for i, j, c in products
-        )
-        for (i, j), coeffs in items:
+        for (i, j), coeffs in products.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise IndexOutOfRange(f"product index ({i},{j}) outside 1..{dim}")
             for k, v in coeffs.items():
@@ -123,8 +107,7 @@ class LeibnizAlgebra:
             if len(labels) != dim:
                 raise ValueError("label count differs from dimension")
         alg = LeibnizAlgebra(dim, constants, labels)
-        if check == "enforce":
-            alg.check_identity()
+        alg.check_identity()
         return alg
 
     def check_identity(self) -> None:
@@ -331,7 +314,7 @@ def annihilators(alg: LeibnizAlgebra) -> Annihilators:
     )
 
 
-# -- quotients, sums, base change, grading -----------------------------
+# -- sums and base change -----------------------------------------------
 
 
 def _transition_inverse(columns: Sequence[Sequence[Q]], n: int) -> RationalMatrix:
@@ -344,32 +327,6 @@ def _transition_inverse(columns: Sequence[Sequence[Q]], n: int) -> RationalMatri
     if len(reduced) < n or any(c >= n for c, _ in reduced):
         raise SingularMatrix("transition matrix is singular")
     return RationalMatrix(n, n, _freeze(row[n:] for row in _fraction_rows(reduced, 2 * n)))
-
-
-def quotient(alg: LeibnizAlgebra, ideal: Subspace) -> tuple[LeibnizAlgebra, RationalMatrix]:
-    """Quotient by a two-sided ideal, with the projection matrix.
-
-    The quotient basis is the deterministic complement of the ideal inside L;
-    the projection maps old coordinates to quotient coordinates.  Raises
-    NotAnIdeal when [L,I] or [I,L] leaves I.
-    """
-    full = Subspace.full(alg.dim)
-    if not ideal.contains_subspace(product_span(alg, full, ideal)):
-        raise NotAnIdeal("[L, I] is not contained in I")
-    if not ideal.contains_subspace(product_span(alg, ideal, full)):
-        raise NotAnIdeal("[I, L] is not contained in I")
-    comp = complement_in(ideal, full)
-    a, m, n = ideal.dim, comp.dim, alg.dim
-    columns = list(ideal.basis_vectors()) + list(comp.basis_vectors())
-    proj = RationalMatrix(m, n, _transition_inverse(columns, n).entries[a:])
-    # in the basis of these columns the projection keeps the last m coordinates
-    c = change_basis(alg, RationalMatrix(n, n, _freeze(zip(*columns)))).constants
-    products = {
-        (i + 1, j + 1): {k + 1: v for k, v in enumerate(c[a + i][a + j][a:]) if v}
-        for i in range(m)
-        for j in range(m)
-    }
-    return LeibnizAlgebra.build(m, products, check="enforce"), proj
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -391,7 +348,7 @@ def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
         labels = tuple(
             (a.labels[i] if a.labels else f"e{i + 1}") for i in range(n)
         ) + tuple((b.labels[i] if b.labels else f"e{i + 1}") + "'" for i in range(m))
-    return LeibnizAlgebra.build(n + m, products, check="skip", labels=labels)
+    return LeibnizAlgebra.build(n + m, products, labels=labels)
 
 
 def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
@@ -420,46 +377,17 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
             if w:
                 zw = (sum(row[m] * v for m, v in w.items()) for row in z)
                 products[(i + 1, j + 1)] = {k + 1: Q(t, scale) for k, t in enumerate(zw) if t}
-    return LeibnizAlgebra.build(n, products, check="enforce")
+    return LeibnizAlgebra.build(n, products)
 
 
-def _series_columns(series: SeriesReport) -> tuple[list[Vector], list[int]]:
-    """A basis adapted to the lower central series of a nilpotent algebra,
-    with the degree of each vector: degree i spans a deterministic complement
-    of L^{i+1} inside L^i."""
+def _series_columns(series: SeriesReport) -> list[Vector]:
+    """A basis adapted to the lower central series of a nilpotent algebra:
+    for each i in turn, a deterministic complement of L^{i+1} inside L^i."""
     columns: list[Vector] = []
-    degrees: list[int] = []
     terms = series.terms
     for i in range(len(terms) - 1):
-        comp = complement_in(terms[i + 1], terms[i]).basis_vectors()
-        columns.extend(comp)
-        degrees.extend([i + 1] * len(comp))
-    return columns, degrees
-
-
-def graded(alg: LeibnizAlgebra) -> LeibnizAlgebra:
-    """Associated graded algebra of the lower central series filtration.
-
-    The basis is adapted to the series (see _series_columns); products are
-    projected onto the component of the matching total degree.  Requires a
-    nilpotent input.
-    """
-    series = central_series(alg)
-    if not series.nilpotent:
-        raise NotNilpotent("the lower central series does not reach zero")
-    columns, degrees = _series_columns(series)
-    n = alg.dim
-    c = change_basis(alg, RationalMatrix(n, n, _freeze(zip(*columns)))).constants
-    products = {
-        (i + 1, j + 1): {
-            k + 1: v
-            for k, v in enumerate(c[i][j])
-            if v and degrees[k] == degrees[i] + degrees[j]
-        }
-        for i in range(n)
-        for j in range(n)
-    }
-    return LeibnizAlgebra.build(n, products, check="enforce")
+        columns.extend(complement_in(terms[i + 1], terms[i]).basis_vectors())
+    return columns
 
 
 # -- JSON document form ------------------------------------------------

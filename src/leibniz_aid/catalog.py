@@ -144,7 +144,7 @@ def parse_ref(text: str) -> CatalogRef:
 
 def _build(dim: int, products) -> LeibnizAlgebra:
     try:
-        return LeibnizAlgebra.build(dim, products, check="enforce")
+        return LeibnizAlgebra.build(dim, products)
     except IdentityViolation as exc:
         raise ParameterInvalid(str(exc), triple=(exc.i, exc.j, exc.k)) from exc
 

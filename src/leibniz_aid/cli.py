@@ -490,7 +490,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_witness)
     p.add_argument("source", help="algebra JSON file, - for stdin, or catalog:REF")
     p.add_argument("endo", help="JSON file with the endomorphism matrix, - for stdin")
-    p.add_argument("coords", nargs="+", help="coordinates of x")
+    p.add_argument("coords", nargs="*", help="coordinates of x")
 
     p = sub.add_parser("fuzz", help="random basis-change invariance checks")
     p.set_defaults(run=_cmd_fuzz)

@@ -7,18 +7,18 @@ for all x.  Subspaces of endomorphisms live in the n^2-dimensional
 coordinate space of matrices, vectorized row major; column j of a matrix is
 the image of e_j.
 
-Membership of a candidate D in AID is decided in three stages: a linear
-upper bound from the per-basis-vector conditions, a symbolic certificate
-pass that either proves D(x) in [x,L] for every rational x by case-split
-elimination, or returns a concrete refuting x (verified by an exact rank
-test), or gives up with an explicit inconclusive verdict, and exact
-sampling refinement over a deterministic grid plus seeded random points.
-The certificate pass runs on the linear bound before sampling, which then
-tests its points only against the generators not proved, and once more,
-reusing each outcome, on the generators the refined space adds; these
-span a complement of Inner, so elimination alone decides them.  Once
-nothing outside the proved part is left to cut, the walk stops testing
-points; the sample count it reports is still that of the full walk.  A
+Membership of a candidate D in AID is decided in four steps.  First, a
+linear upper bound from the per-basis-vector conditions.  Second, a
+symbolic certificate pass over the generators of a complement of Inner in
+it: each is proved, D(x) in [x,L] for every rational x by case-split
+elimination, or refuted by a concrete x (verified by an exact rank test),
+or given up with an explicit inconclusive verdict.  Third, exact sampling
+refinement over a deterministic grid plus seeded random points, tested
+only against the generators not proved.  Once nothing outside the proved
+part is left to cut, the walk stops testing points; the sample count it
+reports is still that of the full walk.  Fourth, the certificate pass once
+more, reusing each outcome, on the generators the refined space adds;
+these span a complement of Inner, so elimination alone decides them.  A
 refuted generator's point cuts the space and the complement is certified
 again, until a round refutes nothing; each such cut lowers the dimension.
 """
@@ -712,7 +712,7 @@ def _series_adapted_basis(alg: LeibnizAlgebra, series: SeriesReport) -> _Adapted
     """
     if not series.nilpotent:
         return _AdaptedBasis(alg)
-    columns, _ = _series_columns(series)
+    columns = _series_columns(series)
     n = alg.dim
     p = RationalMatrix(n, n, _freeze(zip(*columns)))
     if p == RationalMatrix.identity(n):

@@ -1,4 +1,4 @@
-"""Structure-constant algebras: building, series, quotients, base change."""
+"""Structure-constant algebras: building, series, sums, base change."""
 
 from __future__ import annotations
 
@@ -13,21 +13,17 @@ from leibniz_aid.algebra import (
     IdentityViolation,
     IndexOutOfRange,
     LeibnizAlgebra,
-    NotAnIdeal,
-    NotNilpotent,
     SingularMatrix,
     annihilators,
     central_series,
     change_basis,
     direct_sum,
     from_json_dict,
-    graded,
     product_span,
-    quotient,
     to_json_dict,
     _transition_inverse,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in
+from leibniz_aid.exactlin import Q, RationalMatrix, Subspace
 
 from conftest import (
     CATALOG_BATTERY,
@@ -65,11 +61,6 @@ def test_build_sparse_products_and_product_values():
     assert lhs == manual
 
 
-def test_build_accepts_triple_sequence():
-    alg = LeibnizAlgebra.build(2, [(1, 1, {2: "1/2"})])
-    assert alg.product((1, 0), (1, 0)) == (0, Q(1, 2))
-
-
 def test_build_rejects_out_of_range_indices():
     with pytest.raises(IndexOutOfRange):
         LeibnizAlgebra.build(2, {(3, 1): {2: 1}})
@@ -86,10 +77,12 @@ def test_identity_violation_reports_1_based_triple():
     assert "e1" in str(exc)
 
 
-def test_check_skip_trusts_the_caller():
-    alg = LeibnizAlgebra.build(1, {(1, 1): {1: 1}}, check="skip")
-    with pytest.raises(IdentityViolation):
+def test_check_identity_catches_an_unchecked_algebra():
+    # the dataclass constructor checks nothing: [e1,e1]=e1 gets through it
+    alg = LeibnizAlgebra(1, (((Q(1),),),))
+    with pytest.raises(IdentityViolation) as info:
         alg.check_identity()
+    assert (info.value.i, info.value.j, info.value.k) == (1, 1, 1)
 
 
 def reference_identity_failure(alg):
@@ -289,34 +282,7 @@ def test_scaled_constants_are_computed_once_and_immutable():
     assert hash(alg) == hash(LeibnizAlgebra(alg.dim, alg.constants))
 
 
-# -- quotient, direct sum, base change ----------------------------------
-
-
-def test_quotient_by_center():
-    ideal = Subspace.from_vectors(3, [[0, 0, 1]])
-    q, proj = quotient(NF3, ideal)
-    assert q.dim == 2
-    # the image of [e1,e1]=e2 survives
-    assert q.product((1, 0), (1, 0)) == (0, 1)
-    assert proj.rows == 2 and proj.cols == 3
-    assert proj.apply((0, 0, 1)) == (0, 0)
-
-
-@pytest.mark.parametrize("ref", CATALOG_BATTERY)
-def test_quotient_matches_the_fraction_oracle(ref):
-    for alg in fuzz_copies(ref):
-        # the center and L^2 are two-sided ideals
-        for ideal in (annihilators(alg).center, *central_series(alg).terms[1:2]):
-            q, proj = quotient(alg, ideal)
-            comp = complement_in(ideal, Subspace.full(alg.dim)).basis_vectors()
-            for i, u in enumerate(comp):
-                for j, v in enumerate(comp):
-                    assert q.constants[i][j] == proj.apply(dense_product(alg, u, v)), ref
-
-
-def test_quotient_rejects_non_ideal():
-    with pytest.raises(NotAnIdeal):
-        quotient(NF3, Subspace.from_vectors(3, [[1, 0, 0]]))
+# -- direct sum, base change --------------------------------------------
 
 
 def test_direct_sum_blocks_do_not_interact():
@@ -361,49 +327,6 @@ def test_change_basis_rejects_singular():
         change_basis(NF3, p)
     with pytest.raises(SingularMatrix):
         change_basis(NF3, RationalMatrix.identity(2))
-
-
-def test_graded_of_graded_algebra_is_itself():
-    g = graded(NF3)
-    assert g.constants == NF3.constants
-
-
-def reference_graded(alg):
-    """Products of the series-adapted basis vectors, expanded in that basis
-    and cut to the component of matching total degree."""
-    terms = central_series(alg).terms
-    columns, degrees = [], []
-    for i in range(len(terms) - 1):
-        comp = complement_in(terms[i + 1], terms[i]).basis_vectors()
-        columns += comp
-        degrees += [i + 1] * len(comp)
-    n = alg.dim
-    inv = _transition_inverse(columns, n)
-    products = {}
-    for i in range(n):
-        for j in range(n):
-            w = inv.apply(alg.product(columns[i], columns[j]))
-            products[(i + 1, j + 1)] = {
-                k + 1: v for k, v in enumerate(w)
-                if v and degrees[k] == degrees[i] + degrees[j]
-            }
-    return LeibnizAlgebra.build(n, products)
-
-
-@pytest.mark.parametrize(
-    "ref", ["catalog:D4:L9", "catalog:F1:6:0,0,-3/2,0", "catalog:F3:5:1,2,3", "catalog:G53"]
-)
-def test_graded_matches_the_reference_in_random_bases(ref):
-    rng = random.Random(11)
-    base = catalog.make(catalog.parse_ref(ref))
-    for _ in range(3):
-        moved = change_basis(base, _random_invertible(rng, base.dim))
-        assert graded(moved).constants == reference_graded(moved).constants, ref
-
-
-def test_graded_rejects_non_nilpotent():
-    with pytest.raises(NotNilpotent):
-        graded(SOLVABLE)
 
 
 # -- JSON ----------------------------------------------------------------

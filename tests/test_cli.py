@@ -203,6 +203,17 @@ def test_witness_validates_input_shapes(capsys, tmp_path):
     assert code == 2
 
 
+def test_witness_takes_no_coordinates_exactly_at_dimension_0(capsys, write_algebra):
+    # x in a 0-dimensional algebra has no coordinates; the count check, not
+    # the argument parser, decides whether none is right
+    zero, empty = write_algebra("zero.json", {"dim": 0}), write_algebra("empty.json", [])
+    code, out, _ = run(capsys, "witness", zero, empty)
+    assert code == 0 and '"witness": []' in out
+    endo = write_algebra("endo.json", [["0"] * 3] * 3)
+    code, _, err = run(capsys, "witness", "catalog:NF:3", endo)
+    assert code == 2 and "need 3 coordinates" in err
+
+
 @pytest.mark.parametrize("case", ["catalog-parameter", "coefficient", "coordinate", "endo-entry"])
 def test_rationals_outside_the_p_q_grammar_exit_2(capsys, write_algebra, case):
     # Fraction() would read each of these: "1_0" as 10 and "0.5" as 1/2

@@ -3,16 +3,25 @@
 Every module of the package is parsed; a float or complex literal, a call
 to `float` or `complex`, or an import of anything but the standard library
 and the package itself is reported with its line.  So is a name that a
-module other than `__init__.py` imports and never uses.
+module other than `__init__.py` imports and never uses, and a module-level
+function or class that `__all__` does not export and the package never reads.
+Every function the benchmark's tracer wraps must still be there to wrap.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leibniz_aid"
+import leibniz_aid
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "leibniz_aid"
+# public names that only callers outside the package read: the benchmark's
+# tracer wraps `restrict` by attribute, and README documents it
+READ_OUTSIDE = {"restrict"}
 
 
 def violations(tree: ast.AST) -> list[str]:
@@ -46,6 +55,26 @@ def unused_imports(tree: ast.AST) -> list[str]:
             imported += [(node.lineno, a.asname or a.name) for a in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: unused import {name}" for line, name in imported if name not in used]
+
+
+def orphans(trees: dict[str, ast.AST], kept: set[str]) -> list[str]:
+    """The module-level functions and classes, outside `__init__.py`, that
+    are not in `kept` and that no Name or Attribute node of any of the
+    modules reads."""
+    known = set(kept)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                known.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                known.add(node.attr)
+    return [
+        f"{module} line {node.lineno}: orphan {node.name}"
+        for module, tree in trees.items() if module != "__init__.py"
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in known
+    ]
 
 
 def test_runtime_has_no_floats_and_imports_only_the_standard_library():
@@ -91,3 +120,39 @@ def test_the_unused_import_check_sees_each_kind_of_import():
         "line 4: unused import lcm",
         "line 7: unused import Q",
     ]
+
+
+def test_every_function_and_class_is_exported_or_read():
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 7
+    assert orphans(trees, set(leibniz_aid.__all__) | READ_OUTSIDE) == []
+
+
+def test_the_orphan_check_sees_each_kind_of_read():
+    trees = {
+        "__init__.py": ast.parse("from .m import public\n"),
+        "m.py": ast.parse(
+            "import mod\n"
+            "class Kept: pass\n"
+            "def public(): return _by_name() + mod._by_attribute\n"
+            "def _by_name(): return 1\n"
+            "def _by_attribute(): return 2\n"
+            "def _helper(): return 3\n"
+            "class _Orphan: pass\n"
+        ),
+    }
+    assert orphans(trees, {"public", "Kept"}) == [
+        "m.py line 6: orphan _helper",
+        "m.py line 7: orphan _Orphan",
+    ]
+
+
+def test_every_traced_function_resolves():
+    # perfbench/tracer.py wraps each `module.name` of TRACED by attribute
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"leibniz_aid.{module}"), name)]
+    assert tracer.TRACED and missing == []
