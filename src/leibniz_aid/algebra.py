@@ -9,7 +9,7 @@ c[i][j][k] is the coefficient of e_{k+1} in [e_{i+1}, e_{j+1}] (indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
@@ -21,6 +21,7 @@ from .exactlin import (
     as_rational,
     complement_in,
     format_rational,
+    _add_pivot,
     _fraction_rows,
     _freeze,
     _int_matrix,
@@ -380,14 +381,46 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     return LeibnizAlgebra.build(n, products)
 
 
-def _series_columns(series: SeriesReport) -> list[Vector]:
-    """A basis adapted to the lower central series of a nilpotent algebra:
-    for each i in turn, a deterministic complement of L^{i+1} inside L^i."""
-    columns: list[Vector] = []
+def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> RationalMatrix:
+    """The columns of a basis adapted to the lower central series of a
+    nilpotent algebra, built from brackets, degree by degree.
+
+    Degree 1 is `complement_in(L^2, L)`; degree i+1 takes the exact products
+    [u, g], u a chosen degree-i vector and g a degree-1 vector, in order,
+    keeping each one independent of L^{i+2} and of those kept before it.
+    The count dim L^{i+1} - dim L^{i+2} is always reached: L^i = U_i +
+    L^{i+1} and L = G + L^2 give L^{i+1} = [L^i, L] = [U_i, G] + [U_i, L^2]
+    + L^{i+2}, and the Leibniz identity [x, [y, z]] = [[x, y], z] -
+    [[x, z], y] puts [L^i, L^2] in L^{i+2}.  A layer that still comes up
+    short raises AssertionError.
+    """
+    n = alg.dim
     terms = series.terms
-    for i in range(len(terms) - 1):
-        columns.extend(complement_in(terms[i + 1], terms[i]).basis_vectors())
-    return columns
+    # a chosen vector is (w, s), the exact vector w / s with w an integer map
+    gens = [(dict(zip(*row)), 1) for row in complement_in(terms[1], terms[0]).echelon]
+    den = alg.scaled_constants()[0]
+    columns, layer = list(gens), gens
+    for i in range(1, len(terms) - 1):
+        # degree i+1: a complement of terms[i+1] = L^{i+2} in terms[i] = L^{i+1}
+        pivots = {row[0][0]: dict(zip(*row)) for row in terms[i + 1].echelon}
+        want = terms[i].dim - terms[i + 1].dim
+        kept: list[tuple[dict[int, int], int]] = []
+        for u, s in layer:
+            if len(kept) == want:
+                break
+            cols = _bracket_columns(alg, u.items())
+            for g, _ in gens:
+                # the integer columns are scaled by den, so [u/s, g] = w / (den s)
+                w = _combine(cols, g.items())
+                if _add_pivot(pivots, w):
+                    c = gcd(den * s, *w.values())
+                    kept.append(({k: v // c for k, v in w.items()}, den * s // c))
+        if len(kept) != want:
+            raise AssertionError(f"series layer {i + 1} is short of {want} brackets")
+        columns += kept
+        layer = kept
+    return RationalMatrix(n, n, _freeze(
+        [Q(w.get(r, 0), s) for w, s in columns] for r in range(n)))
 
 
 # -- JSON document form ------------------------------------------------

@@ -21,6 +21,7 @@ JSON output is deterministic byte for byte for a fixed command line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -461,6 +462,8 @@ def _cmd_verify(args) -> int:
 # entry point
 
 
+# built on the first call to main and shared by every later one
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="leibniz-aid",

@@ -36,9 +36,9 @@ from .algebra import (
     LeibnizAlgebra,
     SeriesReport,
     _coords_str,
+    _bracket_basis,
     _bracket_columns,
     _pairs,
-    _series_columns,
     _transition_inverse,
     annihilators,
     central_series,
@@ -595,7 +595,10 @@ def _decide(
     branch that holds nz and polys nonzero, after subs, and yield the leaves
     of its case tree that are not proved, in walk order, each log starting
     with path, the branch's case labels (see `CertOutcome`); a branch that
-    yields nothing is proved."""
+    yields nothing is proved.  A zero case whose substitutions make a
+    condition the branch holds nonzero vanish identically (`_emptied`) has
+    no point, so it is skipped: a refuting point would have to lie in it,
+    and its residuals could only end unverified."""
     ctx.budget -= 1
     if ctx.budget <= 0:
         yield CertOutcome("inconclusive", branch_log=path + ("node budget exhausted",))
@@ -636,11 +639,28 @@ def _decide(
         note = f"cannot solve {pivot} = 0 (nonlinear in every variable)"
         yield CertOutcome("inconclusive", branch_log=path + (note,))
     for label, k, replacement, state in cases:
+        case_subs = subs + [(k, replacement)]
+        if _emptied(state, case_subs):
+            continue
         zero_rows = [[p.subs_var(k, replacement) for p in row] for row in rows]
         yield from _decide(
-            ctx, zero_rows, *state, subs + [(k, replacement)],
+            ctx, zero_rows, *state, case_subs,
             path + (f"case {label}, t{k + 1} := {replacement}",),
         )
+
+
+def _emptied(state: _Held, subs: list[tuple[int, Poly]]) -> bool:
+    """Whether subs, applied in order, make a variable or a polynomial the
+    branch state holds nonzero vanish identically: such a case has no point."""
+    nz, polys = state
+    nvars = subs[0][1].nvars
+    for p in itertools.chain((Poly.var(nvars, v) for v in nz), polys):
+        for k, replacement in subs:
+            if p.degree_in(k):
+                p = p.subs_var(k, replacement)
+        if p.is_zero():
+            return True
+    return False
 
 
 def _solved_for(ell: Poly) -> tuple[int, Poly]:
@@ -697,27 +717,39 @@ def _zero_branch(
 @dataclass(frozen=True)
 class _AdaptedBasis:
     """`alg` in the basis f_j = sum_i p[i][j] e_i; p is None when the given
-    basis is adapted already or the algebra is not nilpotent."""
+    basis is adapted already or the algebra is not nilpotent.  Over the
+    ints, p_int and pinv_int are P and P^-1 each scaled by the least
+    positive integer that clears its denominators, and den is the product
+    of the two scales."""
 
     alg: LeibnizAlgebra
     p: RationalMatrix | None = None
-    pinv: RationalMatrix | None = None
+    p_int: Sequence[Sequence[int]] = ()
+    pinv_int: Sequence[Sequence[int]] = ()
+    den: int = 1
 
 
 def _series_adapted_basis(alg: LeibnizAlgebra, series: SeriesReport) -> _AdaptedBasis:
-    """The algebra in a basis adapted to its lower central series.
+    """The algebra in a basis adapted to its lower central series, the
+    one `algebra._bracket_basis` builds from brackets.
 
     In such a basis the structure constants of a nilpotent algebra only push
-    into strictly deeper series layers, which keeps elimination pivots sparse.
+    into strictly deeper series layers, which keeps elimination pivots
+    sparse.  When every series term is spanned by the trailing unit vectors
+    the given basis is adapted already and p is None.
     """
-    if not series.nilpotent:
-        return _AdaptedBasis(alg)
-    columns = _series_columns(series)
     n = alg.dim
-    p = RationalMatrix(n, n, _freeze(zip(*columns)))
-    if p == RationalMatrix.identity(n):
+    # a term of dimension d is spanned by the last d unit vectors exactly
+    # when its first echelon pivot is column n - d
+    if not series.nilpotent or all(
+        t.dim == 0 or t.echelon[0][0][0] == n - t.dim for t in series.terms
+    ):
         return _AdaptedBasis(alg)
-    return _AdaptedBasis(change_basis(alg, p), p, _transition_inverse(columns, n))
+    p = _bracket_basis(alg, series)
+    p_den, p_int = _int_matrix(p.entries)
+    pinv_den, pinv_int = _int_matrix(
+        _transition_inverse([p.col(j) for j in range(n)], n).entries)
+    return _AdaptedBasis(change_basis(alg, p), p, p_int, pinv_int, p_den * pinv_den)
 
 
 def _conjugated(space: Subspace, basis: _AdaptedBasis) -> Subspace:
@@ -725,19 +757,18 @@ def _conjugated(space: Subspace, basis: _AdaptedBasis) -> Subspace:
     basis.  Each P D P^-1 is formed over the ints from the stored integer
     basis, up to a nonzero factor that leaves the span alone."""
     n = basis.alg.dim
-    p, pinv = _int_matrix(basis.p.entries)[1], _int_matrix(basis.pinv.entries)[1]
     rows = []
     for cols, vals in space.echelon:
         d = [[0] * n for _ in range(n)]
         for idx, v in zip(cols, vals):
             r, c = divmod(idx, n)
             d[r][c] = v
-        m = _int_product(_int_product(p, d), pinv)
+        m = _int_product(_int_product(basis.p_int, d), basis.pinv_int)
         rows.append({r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x})
     return _subspace_int(n * n, rows)
 
 
-def _int_product(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
 
@@ -757,7 +788,7 @@ def _judged(
 
     An inner D is proved by that constant witness D = R_w, and only a D that
     is not inner is eliminated in `basis`, the series-adapted basis of alg:
-    elimination alone leaves some inner D inconclusive (R_e2 on D4:L13:0 in
+    elimination alone leaves some inner D inconclusive (R_e1 on D4:L13:0 in
     some random bases).
     """
     combination = inner_combination(alg, dmat)
@@ -779,14 +810,24 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
 
     Almost-innerness does not depend on the basis, while elimination is very
     sensitive to it, so a nilpotent algebra is eliminated in `basis`, adapted
-    to its lower central series, where the constants are triangular by
-    layer.  The leaves `_decide` yields are read up to the first refuted one,
-    a concrete rational point mapped back to the given basis and re-verified
-    there with an exact rank comparison; one that does not replay ends an
-    inconclusive log.  The log of the outcome is as `CertOutcome` says.
+    to its lower central series and built from brackets, where the
+    constants are triangular by layer, sparse and small.  D is carried
+    there as P^-1 D P, formed over the ints from the stored P and P^-1 and
+    divided by the common denominator once.  The leaves `_decide` yields
+    are read up to the first refuted one, a concrete rational point mapped
+    back to the given basis and re-verified there with an exact rank
+    comparison; one that does not replay ends an inconclusive log.  The log of the outcome is as `CertOutcome` says.
     """
     n = alg.dim
-    dm = dmat if basis.p is None else basis.pinv @ dmat @ basis.p
+    if basis.p is None:
+        dm = dmat
+    else:
+        # P^-1 D P over the ints: pinv_int D_int P, divided by both scales
+        d, dint = _int_matrix(dmat.entries)
+        scale = d * basis.den
+        dm = RationalMatrix(n, n, _freeze(
+            (Q(v, scale) for v in row)
+            for row in _int_product(_int_product(basis.pinv_int, dint), basis.p_int)))
     # row m of the witness equation, linear forms in t, as [M | b]:
     # sum_j (sum_i c[i][j][m] t_i) w_j = sum_k D[m][k] t_k
     c = basis.alg.constants
