@@ -14,7 +14,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
     Q,
-    QONE,
     QZERO,
     RationalMatrix,
     Subspace,
@@ -22,10 +21,8 @@ from .exactlin import (
     complement_in,
     format_rational,
     _add_pivot,
-    _fraction_rows,
     _freeze,
     _int_matrix,
-    _int_rows,
     _nullspace_int,
     _rref_int,
     _subspace_int,
@@ -318,16 +315,18 @@ def annihilators(alg: LeibnizAlgebra) -> Annihilators:
 # -- sums and base change -----------------------------------------------
 
 
-def _transition_inverse(columns: Sequence[Sequence[Q]], n: int) -> RationalMatrix:
-    """Inverse of the matrix whose columns are the given n vectors."""
-    aug = [
-        [columns[j][i] for j in range(n)] + [QONE if k == i else QZERO for k in range(n)]
-        for i in range(n)
-    ]
-    reduced = _rref_int(_int_rows(aug))
+def _int_inverse(u: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, Z): the least positive d with Z = d U^-1 an integer matrix, for a
+    square integer matrix U, read off the reduced form [I | U^-1] of [U | I]
+    (each kernel row divided by its pivot, which may be negative).  Raises
+    SingularMatrix when U is not invertible."""
+    n = len(u)
+    reduced = _rref_int({**{j: v for j, v in enumerate(row) if v}, n + i: 1}
+                        for i, row in enumerate(u))
     if len(reduced) < n or any(c >= n for c, _ in reduced):
         raise SingularMatrix("transition matrix is singular")
-    return RationalMatrix(n, n, _freeze(row[n:] for row in _fraction_rows(reduced, 2 * n)))
+    d = lcm(*(row[c] for c, row in reduced))
+    return d, [[row.get(n + k, 0) * (d // row[c]) for k in range(n)] for c, row in reduced]
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
@@ -356,19 +355,28 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     """Structure constants in the basis f_j = sum_i P[i][j] e_i.
 
     Raises SingularMatrix when P is not invertible.  The result is re-checked
-    against the Leibniz identity (cheap insurance, the identity is basis
-    independent).
+    against the Leibniz identity (`_constants_in`).
     """
     n = alg.dim
     if (p.rows, p.cols) != (n, n):
         raise SingularMatrix("base change matrix has the wrong shape")
-    inv = _transition_inverse([p.col(j) for j in range(n)], n)
-    # over ints: U = s P, Z = d P^-1 and the constants scaled by den, so
-    # Z [u_i, u_j] is the coordinate vector of [f_i, f_j] times d den s^2
-    den = alg.scaled_constants()[0]
     s, u = _int_matrix(p.entries)
-    d, z = _int_matrix(inv.entries)
-    scale = d * den * s * s
+    d, z = _int_inverse(u)
+    return _constants_in(alg, u, z, s * d)
+
+
+def _constants_in(alg: LeibnizAlgebra, u: Sequence[Sequence[int]],
+                  z: Sequence[Sequence[int]], scale: int) -> LeibnizAlgebra:
+    """The one conjugation of the structure constants: alg in the basis
+    f_j = U e_j / s, for an integer matrix U, Z = d U^-1 and scale = s d.
+
+    Over ints, with the constants scaled by den, Z [u_i, u_j] is the
+    coordinate vector of [f_i, f_j] times scale * den.  The result is
+    re-checked against the Leibniz identity (cheap insurance, the identity
+    is basis independent).
+    """
+    n = alg.dim
+    scale *= alg.scaled_constants()[0]
     ucols = [_pairs(col) for col in zip(*u)]
     products: dict[tuple[int, int], dict[int, Q]] = {}
     for i in range(n):
@@ -381,9 +389,10 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     return LeibnizAlgebra.build(n, products)
 
 
-def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> RationalMatrix:
-    """The columns of a basis adapted to the lower central series of a
-    nilpotent algebra, built from brackets, degree by degree.
+def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> tuple[int, list[list[int]]]:
+    """(s, U): a basis adapted to the lower central series of a nilpotent
+    algebra, built from brackets, degree by degree, as the columns of the
+    integer matrix U divided by the scale s.
 
     Degree 1 is `complement_in(L^2, L)`; degree i+1 takes the exact products
     [u, g], u a chosen degree-i vector and g a degree-1 vector, in order,
@@ -419,8 +428,8 @@ def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> RationalMatrix:
             raise AssertionError(f"series layer {i + 1} is short of {want} brackets")
         columns += kept
         layer = kept
-    return RationalMatrix(n, n, _freeze(
-        [Q(w.get(r, 0), s) for w, s in columns] for r in range(n)))
+    scale = lcm(*(s for _, s in columns))
+    return scale, [[w.get(r, 0) * (scale // s) for w, s in columns] for r in range(n)]
 
 
 # -- JSON document form ------------------------------------------------

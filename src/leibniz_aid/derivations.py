@@ -38,13 +38,14 @@ from .algebra import (
     _coords_str,
     _bracket_basis,
     _bracket_columns,
+    _constants_in,
+    _int_inverse,
     _pairs,
-    _transition_inverse,
     annihilators,
     central_series,
-    change_basis,
 )
 from .exactlin import (
+    DimensionMismatch,
     Q,
     QZERO,
     RationalMatrix,
@@ -716,69 +717,82 @@ def _zero_branch(
 
 @dataclass(frozen=True)
 class _AdaptedBasis:
-    """`alg` in the basis f_j = sum_i p[i][j] e_i; p is None when the given
-    basis is adapted already or the algebra is not nilpotent.  Over the
-    ints, p_int and pinv_int are P and P^-1 each scaled by the least
-    positive integer that clears its denominators, and den is the product
-    of the two scales."""
+    """A basis adapted to the lower central series of an algebra: `alg` is
+    the algebra in the basis f_j = sum_i P[i][j] e_i and `series` the
+    central series of the given algebra.  P is held over the ints only:
+    P = U / s and P^-1 = s Z / d, with Z = d U^-1 from the one inversion.
+    U is None when the given basis is adapted already or the algebra is not
+    nilpotent; then P = I and each move returns its input.
+    """
 
     alg: LeibnizAlgebra
-    p: RationalMatrix | None = None
-    p_int: Sequence[Sequence[int]] = ()
-    pinv_int: Sequence[Sequence[int]] = ()
-    den: int = 1
+    series: SeriesReport
+    u: Sequence[Sequence[int]] | None = None
+    s: int = 1
+    z: Sequence[Sequence[int]] = ()
+    d: int = 1
 
+    @staticmethod
+    def of(alg: LeibnizAlgebra) -> "_AdaptedBasis":
+        """The basis `algebra._bracket_basis` builds from brackets, in which
+        the constants of a nilpotent algebra only push into strictly deeper
+        series layers, which keeps elimination pivots sparse.  The given
+        basis is adapted already when every series term is spanned by the
+        trailing unit vectors."""
+        series = central_series(alg)
+        # a term of dimension d is spanned by the last d unit vectors exactly
+        # when its first echelon pivot is column dim - d
+        if not series.nilpotent or all(
+            t.dim == 0 or t.echelon[0][0][0] == alg.dim - t.dim for t in series.terms
+        ):
+            return _AdaptedBasis(alg, series)
+        s, u = _bracket_basis(alg, series)
+        d, z = _int_inverse(u)
+        return _AdaptedBasis(_constants_in(alg, u, z, s * d), series, u, s, z, d)
 
-def _series_adapted_basis(alg: LeibnizAlgebra, series: SeriesReport) -> _AdaptedBasis:
-    """The algebra in a basis adapted to its lower central series, the
-    one `algebra._bracket_basis` builds from brackets.
+    def conjugate(self, dmat: RationalMatrix) -> RationalMatrix:
+        """P^-1 D P, an endomorphism of the given basis carried into this
+        one: Z D U over the ints, divided by d and D's own scale once."""
+        if self.u is None:
+            return dmat
+        e, dint = _int_matrix(dmat.entries)
+        m = self._times(self._times(self.z, dint), self.u)
+        return vec_to_endo([Q(v, e * self.d) for v in itertools.chain(*m)], dmat.rows)
 
-    In such a basis the structure constants of a nilpotent algebra only push
-    into strictly deeper series layers, which keeps elimination pivots
-    sparse.  When every series term is spanned by the trailing unit vectors
-    the given basis is adapted already and p is None.
-    """
-    n = alg.dim
-    # a term of dimension d is spanned by the last d unit vectors exactly
-    # when its first echelon pivot is column n - d
-    if not series.nilpotent or all(
-        t.dim == 0 or t.echelon[0][0][0] == n - t.dim for t in series.terms
-    ):
-        return _AdaptedBasis(alg)
-    p = _bracket_basis(alg, series)
-    p_den, p_int = _int_matrix(p.entries)
-    pinv_den, pinv_int = _int_matrix(
-        _transition_inverse([p.col(j) for j in range(n)], n).entries)
-    return _AdaptedBasis(change_basis(alg, p), p, p_int, pinv_int, p_den * pinv_den)
+    def space_back(self, space: Subspace) -> Subspace:
+        """{P D P^-1 : D in space}, for a space of endomorphisms in this
+        basis: U D Z for each stored integer basis row D, up to the factor
+        d / s that leaves the span alone."""
+        if self.u is None:
+            return space
+        n = self.alg.dim
+        rows = []
+        for row in _dict_rows(space):
+            m = [[row.get(r * n + c, 0) for c in range(n)] for r in range(n)]
+            m = self._times(self._times(self.u, m), self.z)
+            rows.append({k: v for k, v in enumerate(itertools.chain(*m)) if v})
+        return _subspace_int(n * n, rows)
 
+    def point_back(self, x: Sequence[Q]) -> tuple[Q, ...]:
+        """P x, a point of this basis in the coordinates of the given one."""
+        if self.u is None:
+            return tuple(x)
+        return tuple(sum((xi * w for xi, w in zip(x, row)), QZERO) / self.s for row in self.u)
 
-def _conjugated(space: Subspace, basis: _AdaptedBasis) -> Subspace:
-    """{P D P^-1 : D in space}, for a space of endomorphisms in the adapted
-    basis.  Each P D P^-1 is formed over the ints from the stored integer
-    basis, up to a nonzero factor that leaves the span alone."""
-    n = basis.alg.dim
-    rows = []
-    for cols, vals in space.echelon:
-        d = [[0] * n for _ in range(n)]
-        for idx, v in zip(cols, vals):
-            r, c = divmod(idx, n)
-            d[r][c] = v
-        m = _int_product(_int_product(basis.p_int, d), basis.pinv_int)
-        rows.append({r * n + c: x for r, row in enumerate(m) for c, x in enumerate(row) if x})
-    return _subspace_int(n * n, rows)
-
-
-def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+    @staticmethod
+    def _times(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+        """The product of two integer matrices given by their rows."""
+        cols = list(zip(*b))
+        return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
 
 
 def aid_certify(alg: LeibnizAlgebra, dmat: RationalMatrix) -> CertOutcome:
     """Decide whether D(x) lies in [x, L] for every rational x: `_judged`
-    in the series-adapted basis of alg, worked out here."""
-    if alg.dim == 0:
+    in the series-adapted basis of alg, worked out here.  A D that does not
+    fit alg raises DimensionMismatch (`restriction_witness`)."""
+    if alg.dim == dmat.rows == dmat.cols == 0:
         return CertOutcome("proved")
-    return _judged(alg, dmat, _series_adapted_basis(alg, central_series(alg)))[0]
+    return _judged(alg, dmat, _AdaptedBasis.of(alg))[0]
 
 
 def _judged(
@@ -812,22 +826,15 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
     sensitive to it, so a nilpotent algebra is eliminated in `basis`, adapted
     to its lower central series and built from brackets, where the
     constants are triangular by layer, sparse and small.  D is carried
-    there as P^-1 D P, formed over the ints from the stored P and P^-1 and
-    divided by the common denominator once.  The leaves `_decide` yields
-    are read up to the first refuted one, a concrete rational point mapped
-    back to the given basis and re-verified there with an exact rank
-    comparison; one that does not replay ends an inconclusive log.  The log of the outcome is as `CertOutcome` says.
+    there as P^-1 D P (`_AdaptedBasis.conjugate`).  The leaves `_decide`
+    yields are read up to the first refuted one, a concrete rational point
+    mapped back to the given basis by P (`point_back`) and re-verified there
+    with an exact rank comparison (`aid_witness`), in every basis; one that
+    does not replay ends an inconclusive log.  The log of the outcome is as
+    `CertOutcome` says.
     """
     n = alg.dim
-    if basis.p is None:
-        dm = dmat
-    else:
-        # P^-1 D P over the ints: pinv_int D_int P, divided by both scales
-        d, dint = _int_matrix(dmat.entries)
-        scale = d * basis.den
-        dm = RationalMatrix(n, n, _freeze(
-            (Q(v, scale) for v in row)
-            for row in _int_product(_int_product(basis.pinv_int, dint), basis.p_int)))
+    dm = basis.conjugate(dmat)
     # row m of the witness equation, linear forms in t, as [M | b]:
     # sum_j (sum_i c[i][j][m] t_i) w_j = sum_k D[m][k] t_k
     c = basis.alg.constants
@@ -837,12 +844,10 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
         + [Poly(n, dict(zip(unit, dm.entries[m])))]
         for m in range(n)
     ]
-    log = prefix = () if basis.p is None else ("series-adapted basis",)
+    log = prefix = () if basis.u is None else ("series-adapted basis",)
     for leaf in _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ()):
         if leaf.kind == "refuted":
-            if basis.p is None:
-                return leaf
-            x = basis.p.apply(leaf.refuting_x)
+            x = basis.point_back(leaf.refuting_x)
             if aid_witness(alg, dmat, x) is None:
                 return CertOutcome("refuted", refuting_x=x, branch_log=prefix + leaf.branch_log)
             note = "refuting point does not replay in the given basis"
@@ -854,8 +859,12 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
 def aid_witness(
     alg: LeibnizAlgebra, dmat: RationalMatrix, x: Sequence
 ) -> tuple[Q, ...] | None:
-    """A concrete a with [x, a] = D(x), or None when there is none."""
+    """A concrete a with [x, a] = D(x), or None when there is none.
+
+    Raises DimensionMismatch unless D is n x n and x has n coordinates."""
     xs = tuple(as_rational(v) for v in x)
+    if (dmat.rows, dmat.cols, len(xs)) != (alg.dim,) * 3:
+        raise DimensionMismatch("D and x must have the algebra's dimension")
     return solve_linear(alg.left_mult(xs), dmat.apply(xs))
 
 
@@ -898,24 +907,23 @@ def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
 
 
 def _der_inner_aid(
-    alg: LeibnizAlgebra, cfg: AidConfig, series: SeriesReport | None = None
+    alg: LeibnizAlgebra, cfg: AidConfig
 ) -> tuple[Subspace, Subspace, AidResult, _AdaptedBasis]:
     """Der, Inner and AID of one algebra, each computed once, and the
-    series-adapted basis they used; `series` is the central series when the
-    caller has it already.
+    series-adapted basis they used, which carries the central series.
 
     Der is solved in the series-adapted basis, where the Leibniz-rule system
-    is sparse, and each basis vector is mapped back by D -> P D P^-1.  Inner,
-    the linear candidate and the sampling refinement stay in the given basis:
+    is sparse, and mapped back by D -> P D P^-1 (`space_back`).  Inner, the
+    linear candidate and the sampling refinement stay in the given basis:
     the basis-vector slice D e_i in [e_i, L] and the sample grid depend on
-    the basis, and so do the samples and witnesses reported.
+    the basis, and so do the samples and witnesses reported.  The proved
+    parts are Inner plus the stored echelon rows of the proved complement
+    generators, a subset of a reduced echelon basis and so canonical as it
+    stands.
     """
     n = alg.dim
-    basis = _series_adapted_basis(alg, series if series is not None else central_series(alg))
-    if basis.p is None:
-        der = derivation_space(alg)
-    else:
-        der = _conjugated(derivation_space(basis.alg), basis)
+    basis = _AdaptedBasis.of(alg)
+    der = basis.space_back(derivation_space(basis.alg))
     inner = inner_space(alg)
     cand = aid_basis_candidate(alg, der)
     # each generator is certified once, keyed by its vector: the candidate's
@@ -931,9 +939,10 @@ def _der_inner_aid(
 
     # a proved generator never cuts, so the walk tests its points only
     # against the generators left open
-    gens = complement_in(inner, cand).basis_vectors()
-    first = [v for v in gens if certified(v).kind == "proved"]
-    first_proved = subspace_sum(inner, Subspace.from_vectors(n * n, first)) if first else inner
+    comp = complement_in(inner, cand)
+    first = tuple(row for row, v in zip(comp.echelon, comp.basis_vectors())
+                  if certified(v).kind == "proved")
+    first_proved = subspace_sum(inner, Subspace(n * n, first)) if first else inner
     space, samples = aid_refine(alg, cand, cfg, inner=inner, _proved=first_proved)
     # each round walks a complement of Inner in the space up to its first
     # refuted generator; the exact rank test replayed its refuting x, so the
@@ -942,19 +951,21 @@ def _der_inner_aid(
     # the loop within dim(space) - dim(Inner) + 1 rounds
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
     while True:
-        judged: list[tuple[RationalMatrix, CertOutcome]] = []
-        for gen_vec in complement_in(inner, space).basis_vectors():
+        comp = complement_in(inner, space)
+        # (stored echelon row, matrix, outcome) of each generator judged
+        judged = []
+        for row, gen_vec in zip(comp.echelon, comp.basis_vectors()):
             outcome = certified(gen_vec)
             if outcome.kind == "refuted":
                 break
-            judged.append((vec_to_endo(gen_vec, n), outcome))
+            judged.append((row, vec_to_endo(gen_vec, n), outcome))
         else:
             break
         refutations.append((vec_to_endo(gen_vec, n), outcome.refuting_x))
         space = _restrict_at_point(alg, space, outcome.refuting_x)
         samples += 1
-    proved_gens = [(g, o) for g, o in judged if o.kind == "proved"]
-    inconclusive = [(g, o) for g, o in judged if o.kind != "proved"]
+    proved_gens = [(g, o) for _, g, o in judged if o.kind == "proved"]
+    inconclusive = [(g, o) for _, g, o in judged if o.kind != "proved"]
     status = "probabilistic" if inconclusive else "certified_exact"
     if status == "certified_exact":
         # Inner plus a proved complement is the whole space; one object for
@@ -962,9 +973,7 @@ def _der_inner_aid(
         proved = space
     else:
         proved = subspace_sum(
-            inner,
-            Subspace.from_vectors(n * n, [endo_to_vec(g) for g, _ in proved_gens]),
-        )
+            inner, Subspace(n * n, tuple(r for r, _, o in judged if o.kind == "proved")))
     aid = AidResult(
         upper_bound=space,
         proved=proved,
@@ -1017,8 +1026,11 @@ def restriction_witness(
 ) -> tuple[Q, ...] | None:
     """A global x with (D - R_x)(L) inside the target, if one exists: for
     each integer functional f vanishing on the target and each j, the row
-    f . [e_j, x] = f . D e_j over ints, times den (constants) and d (D)."""
+    f . [e_j, x] = f . D e_j over ints, times den (constants) and d (D).
+    Raises DimensionMismatch unless D is n x n and T lies in Q^n."""
     n = alg.dim
+    if (dmat.rows, dmat.cols, target.ambient_dim) != (n, n, n):
+        raise DimensionMismatch("D and the target must have the algebra's dimension")
     den, nz = alg.scaled_constants()
     d, dint = _int_matrix(dmat.entries)
     functionals = _null_vectors_int(_dict_rows(target), n)
@@ -1119,9 +1131,8 @@ def analysis_report(
     """
     from .catalog import build_deviations  # local import to avoid a cycle
 
-    series = central_series(alg)
     ann = annihilators(alg)
-    der, inner, aid, basis = _der_inner_aid(alg, cfg, series)
+    der, inner, aid, basis = _der_inner_aid(alg, cfg)
     notes = [
         "field: Q; sampling and certificates range over rational points only",
         "matrix convention: column j is the image of e_j; transposed "
@@ -1166,7 +1177,7 @@ def analysis_report(
         algebra_id=algebra_id,
         dim=alg.dim,
         labels=alg.labels,
-        series=series,
+        series=basis.series,
         annihilator_dims={
             "right": ann.ann_r.dim,
             "left": ann.ann_l.dim,

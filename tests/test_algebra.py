@@ -21,9 +21,9 @@ from leibniz_aid.algebra import (
     from_json_dict,
     product_span,
     to_json_dict,
-    _transition_inverse,
+    _int_inverse,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace
+from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, _int_matrix
 
 from conftest import (
     CATALOG_BATTERY,
@@ -232,6 +232,14 @@ def test_annihilators_off_the_catalog_match_the_fraction_oracle():
     assert annihilators(abelian).center == Subspace.full(3)
 
 
+def _transition_inverse(columns, n):
+    """P^-1 for the matrix P with the given n columns, through the integer
+    inverse: P = U / s and P^-1 = s Z / d for (d, Z) = _int_inverse(U)."""
+    s, u = _int_matrix([[columns[j][i] for j in range(n)] for i in range(n)])
+    d, z = _int_inverse(u)
+    return RationalMatrix(n, n, tuple(tuple(Q(s * v, d) for v in row) for row in z))
+
+
 def test_transition_inverse_matches_the_fraction_oracle():
     rng = random.Random(29)
     for _ in range(60):
@@ -253,6 +261,25 @@ def test_transition_inverse_matches_the_fraction_oracle():
             fraction_transition_inverse(singular, n)
         with pytest.raises(SingularMatrix):
             _transition_inverse(singular, n)
+
+
+def test_int_inverse_on_the_empty_matrix_negative_pivots_and_singular_input():
+    assert _int_inverse([]) == (1, [])
+    # n = 0, then matrices where the kernel leaves some pivot negative;
+    # d stays positive
+    for u in ([], [[-2]], [[0, -3], [5, 0]], [[-1, 2, 0], [0, -4, 1], [3, 0, -2]]):
+        n = len(u)
+        d, z = _int_inverse(u)
+        assert d > 0
+        assert _transition_inverse([[Q(u[i][j]) for i in range(n)] for j in range(n)], n) \
+            == fraction_transition_inverse([[u[i][j] for i in range(n)] for j in range(n)], n)
+        # U Z = d I over the ints
+        assert [[sum(u[r][k] * z[k][c] for k in range(n)) for c in range(n)] for r in range(n)] \
+            == [[d * int(r == c) for c in range(n)] for r in range(n)]
+    assert _int_inverse([[-2]]) == (2, [[-1]])
+    for singular in ([[0]], [[1, 2], [2, 4]], [[1, 0, 1], [0, 1, 1], [1, 1, 2]]):
+        with pytest.raises(SingularMatrix):
+            _int_inverse(singular)
 
 
 def test_product_span():

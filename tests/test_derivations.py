@@ -12,7 +12,7 @@ from leibniz_aid import derivations
 from leibniz_aid._poly import Poly
 from leibniz_aid.algebra import (
     LeibnizAlgebra,
-    _transition_inverse,
+    annihilators,
     central_series,
     change_basis,
     direct_sum,
@@ -49,7 +49,15 @@ from leibniz_aid.derivations import (
     _restrict_at_point,
     _zero_branch,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, complement_in, rref, subspace_sum
+from leibniz_aid.exactlin import (
+    DimensionMismatch,
+    Q,
+    RationalMatrix,
+    Subspace,
+    complement_in,
+    rref,
+    subspace_sum,
+)
 
 from conftest import (
     CATALOG_BATTERY,
@@ -58,6 +66,7 @@ from conftest import (
     dense_subspace,
     fraction_aid_basis_candidate,
     fraction_restrict_at_point,
+    fraction_transition_inverse,
     fuzz_copies,
     sympy_derivation_dim,
 )
@@ -178,7 +187,7 @@ def test_restrict_at_point_matches_the_fraction_oracle(ref):
 def test_der_in_the_adapted_basis_maps_back_to_der(ref):
     alg = random_basis_copy(ref, 3)
     der, _, _, basis = _der_inner_aid(alg, AidConfig())
-    assert basis.p is not None  # Der was solved in the series-adapted basis
+    assert basis.u is not None  # Der was solved in the series-adapted basis
     assert der == derivation_space(alg)
 
 
@@ -187,7 +196,7 @@ def test_der_of_a_non_nilpotent_algebra_stays_in_the_given_basis():
     alg = change_basis(direct_sum(solvable, make("catalog:NF:3")),
                        _random_invertible(random.Random(4), 5))
     der, _, _, basis = _der_inner_aid(alg, AidConfig())
-    assert basis.p is None and basis.alg is alg
+    assert basis.u is None and basis.alg is alg
     assert der == derivation_space(alg) == dense_derivation_space(alg)
 
 
@@ -210,8 +219,8 @@ def test_bracket_basis_is_adapted_and_keeps_der_and_aid(ref):
     for seed in (1, 2, 3):
         alg = random_basis_copy(ref, seed)
         n = alg.dim
-        series = central_series(alg)
-        basis = derivations._series_adapted_basis(alg, series)
+        basis = derivations._AdaptedBasis.of(alg)
+        series = basis.series
         layer = _layer_of(series, n)
         c = basis.alg.constants
         # [L^a, L^b] lies in L^{a+b}
@@ -219,9 +228,10 @@ def test_bracket_basis_is_adapted_and_keeps_der_and_aid(ref):
             layer[k] >= layer[i] + layer[j]
             for i in range(n) for j in range(n) for k in range(n) if c[i][j][k]
         ), (ref, seed)
-        if basis.p is not None:
-            identity = [[basis.den * int(r == k) for k in range(n)] for r in range(n)]
-            assert derivations._int_product(basis.p_int, basis.pinv_int) == identity
+        if basis.u is not None:
+            # P P^-1 = (U / s)(s Z / d) = I: U Z = d I over the ints
+            identity = [[basis.d * int(r == k) for k in range(n)] for r in range(n)]
+            assert basis._times(basis.u, basis.z) == identity
         moved_der, _, moved_aid, _ = _der_inner_aid(alg, AidConfig())
         assert (moved_der.dim, moved_aid.dim) == (der.dim, aid.dim), (ref, seed)
 
@@ -233,10 +243,10 @@ def test_adapted_basis_is_the_given_one_exactly_when_the_terms_are_trailing_unit
     lower = RationalMatrix.from_rows([[int(r >= k) for k in range(base.dim)] for r in range(base.dim)])
     for alg in fuzz_copies(ref) + [change_basis(base, lower)]:
         n = alg.dim
-        series = central_series(alg)
-        basis = derivations._series_adapted_basis(alg, series)
-        assert (basis.p is None) == _trailing_units(series, n), ref
-        if basis.p is None:
+        basis = derivations._AdaptedBasis.of(alg)
+        series = basis.series
+        assert (basis.u is None) == _trailing_units(series, n), ref
+        if basis.u is None:
             assert basis.alg is alg
         else:
             # the bracket basis is adapted: its terms are trailing units
@@ -245,11 +255,99 @@ def test_adapted_basis_is_the_given_one_exactly_when_the_terms_are_trailing_unit
 
 def test_bracket_basis_of_a_random_f3_12_copy_is_sparse():
     alg = random_basis_copy("catalog:F3:12:0,0,1", 1)
-    basis = derivations._series_adapted_basis(alg, central_series(alg))
+    basis = derivations._AdaptedBasis.of(alg)
     c = basis.alg.constants
     assert sum(1 for plane in c for row in plane for v in row if v) <= 41
     der, _, aid, _ = _der_inner_aid(alg, AidConfig())
     assert (der.dim, aid.dim, aid.status) == (21, 12, "certified_exact")
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_adapted_basis_moves_der_and_refutations_back_to_the_given_basis(ref):
+    for seed in (1, 2):
+        alg = random_basis_copy(ref, seed)
+        n = alg.dim
+        basis = derivations._AdaptedBasis.of(alg)
+        der = derivation_space(alg)
+        # the P^-1 D P images of a Der basis span Der of the adapted algebra,
+        # and the space method maps them back onto Der
+        gens = [vec_to_endo(v, n) for v in der.basis_vectors()]
+        moved = [basis.conjugate(g) for g in gens]
+        images = Subspace.from_vectors(n * n, [endo_to_vec(m) for m in moved])
+        assert images == derivation_space(basis.alg), (ref, seed)
+        assert basis.space_back(images) == der, (ref, seed)
+        # x refutes P^-1 D P in the adapted basis exactly when P x refutes D
+        # in the given one, so a refutation found there replays here
+        aid = aid_space(alg).upper_bound
+        own = derivations._AdaptedBasis.of(basis.alg)
+        assert own.u is None  # the adapted algebra is its own adapted basis
+        refuted = 0
+        for v in complement_in(aid, der).basis_vectors():
+            dmat = vec_to_endo(v, n)
+            dm = basis.conjugate(dmat)
+            # the certifier's refutation in the adapted basis, if any, then grid points
+            outcome = derivations._eliminated(basis.alg, dm, own)
+            points = [outcome.refuting_x] if outcome.kind == "refuted" else []
+            points += [tuple(map(Q, x)) for x in itertools.islice(refinement_grid(n), 300)]
+            for x in points:
+                there = aid_witness(basis.alg, dm, x) is None
+                assert (aid_witness(alg, dmat, basis.point_back(x)) is None) == there, (ref, x)
+                if there:
+                    refuted += 1
+                    break
+        assert refuted == der.dim - aid.dim, (ref, seed)
+
+
+def test_an_analysis_inverts_its_adapted_basis_once(monkeypatch):
+    import leibniz_aid.algebra as alg_mod
+
+    calls = []
+    invert = alg_mod._int_inverse
+
+    def spy(u):
+        calls.append(len(u))
+        return invert(u)
+
+    monkeypatch.setattr(alg_mod, "_int_inverse", spy)
+    monkeypatch.setattr(derivations, "_int_inverse", spy)
+    alg = random_basis_copy("catalog:G53", 1)
+    calls.clear()
+    report = analysis_report(alg)
+    assert calls == [alg.dim]
+    assert report.aid.status == "certified_exact"
+    # in an adapted basis already, nothing is inverted
+    calls.clear()
+    analysis_report(make("catalog:G53"))
+    assert calls == []
+
+
+def test_mis_shaped_endomorphisms_and_points_are_rejected():
+    alg = make("catalog:D4:L9")
+    center = annihilators(alg).center
+    for dmat in (matrix_unit(5, 5, 2), matrix_unit(3, 3, 2), RationalMatrix.from_rows([[0] * 4] * 3)):
+        with pytest.raises(DimensionMismatch):
+            aid_certify(alg, dmat)
+        with pytest.raises(DimensionMismatch):
+            caid_restriction_witness(alg, dmat)
+        with pytest.raises(DimensionMismatch):
+            restriction_witness(alg, dmat, center)
+        with pytest.raises(DimensionMismatch):
+            inner_combination(alg, dmat)
+        for x in ((1, 0, 0, 0), (1, 0, 0, 0, 0)):
+            with pytest.raises(DimensionMismatch):
+                aid_witness(alg, dmat, x)
+    gen = matrix_unit(4, 4, 2)
+    with pytest.raises(DimensionMismatch):
+        aid_witness(alg, gen, (1, 0, 0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        restriction_witness(alg, gen, Subspace.zero(5))
+    # nor is a 0-dimensional algebra spared the check
+    with pytest.raises(DimensionMismatch):
+        aid_certify(LeibnizAlgebra.build(0, {}), matrix_unit(5, 5, 2))
+    assert aid_certify(LeibnizAlgebra.build(0, {}), matrix_unit(0, 0, 0)).kind == "proved"
+    # the right shapes still go through
+    assert aid_witness(alg, gen, (1, 0, 0, 0)) is not None
+    assert restriction_witness(alg, gen, center) is not None
 
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
@@ -635,7 +733,7 @@ def test_certify_eliminates_only_in_the_series_adapted_basis(monkeypatch):
     )
     cols = [p.col(j) for j in range(4)]
     moved = change_basis(l9, p)
-    gm = _transition_inverse(cols, 4) @ gen @ p
+    gm = fraction_transition_inverse(cols, 4) @ gen @ p
     roots = {}  # elimination context -> the rows it started from
 
     def spy(ctx, rows, *args):
@@ -653,7 +751,7 @@ def test_certify_eliminates_only_in_the_series_adapted_basis(monkeypatch):
     root_coeffs = [row[:-1] for row in rows]
     assert root_coeffs == _witness_equation_coeffs(root_alg)
     assert root_coeffs != _witness_equation_coeffs(moved)
-    assert derivations._series_adapted_basis(root_alg, central_series(root_alg)).p is None
+    assert derivations._AdaptedBasis.of(root_alg).u is None
 
 
 def _moved_d4_l4_1():
@@ -662,7 +760,7 @@ def _moved_d4_l4_1():
     p = RationalMatrix.from_rows(
         [[1, 1, -2, 0], [2, 1, 1, 0], [1, 0, 2, -1], [2, -1, 0, -1]]
     )
-    gm = _transition_inverse([p.col(j) for j in range(4)], 4) @ matrix_unit(4, 4, 2) @ p
+    gm = fraction_transition_inverse([p.col(j) for j in range(4)], 4) @ matrix_unit(4, 4, 2) @ p
     return change_basis(alg, p), gm
 
 

@@ -20,7 +20,6 @@ from leibniz_aid.algebra import (
     central_series,
     change_basis,
     direct_sum,
-    _transition_inverse,
 )
 from leibniz_aid.derivations import (
     DEFAULT_SEED,
@@ -37,7 +36,7 @@ from leibniz_aid.derivations import (
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, rref
 
-from conftest import CATALOG_BATTERY, analyze
+from conftest import CATALOG_BATTERY, analyze, fraction_transition_inverse
 
 
 def spaces_of(ref: str):
@@ -239,7 +238,7 @@ def test_basis_change_equivariance_hundred_draws():
             moved = change_basis(alg, p)
             assert _tower(moved) == base, (ref, p.entries)
             # the derivation space moves by conjugation, elementwise
-            pinv = _transition_inverse([p.col(j) for j in range(n)], n)
+            pinv = fraction_transition_inverse([p.col(j) for j in range(n)], n)
             conjugated = Subspace.from_vectors(
                 n * n,
                 [
