@@ -9,6 +9,7 @@ Monomials are exponent tuples; absent monomials are zero.
 from __future__ import annotations
 
 from math import gcd
+from operator import add, sub
 from typing import Mapping, Sequence
 
 from .exactlin import Q, QZERO, format_rational
@@ -43,10 +44,11 @@ class Poly:
 
     # -- ring operations --------------------------------------------------
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def __add__(self, other: "Poly", op=add) -> "Poly":
+        """self op other, op add or sub, into one copy of self's terms."""
         terms = dict(self.terms)
         for m, c in other.terms.items():
-            s = terms.get(m, QZERO) + c
+            s = op(terms.get(m, QZERO), c)
             if s:
                 terms[m] = s
             else:
@@ -56,7 +58,7 @@ class Poly:
         return out
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + other.__neg__()
+        return self.__add__(other, sub)
 
     def __neg__(self) -> "Poly":
         out = Poly(self.nvars)
@@ -129,18 +131,21 @@ class Poly:
         """Substitute t_k := replacement (which must not involve t_k)."""
         if k in replacement.variables():
             raise ValueError("replacement reuses the substituted variable")
-        out = Poly.zero(self.nvars)
-        # powers[e] = replacement**e, extended as needed; a plain list rather
+        # each term c * m adds c * rest * replacement**e, e the power of t_k in
+        # m, into one dict; powers[e] = replacement**e is a plain list rather
         # than a memoizing closure, whose self-reference would leave a cycle
         # per call for the cyclic collector to free at some later time
+        terms: dict[tuple[int, ...], Q] = {}
         powers = [Poly.const(self.nvars, 1)]
         for m, c in self.terms.items():
             e = m[k]
             while len(powers) <= e:
                 powers.append(powers[-1] * replacement)
-            rest = Poly(self.nvars, {tuple(0 if i == k else x for i, x in enumerate(m)): c})
-            out = out + (rest * powers[e] if e else rest)
-        return out
+            rest = m[:k] + (0,) + m[k + 1:]
+            for pm, pc in powers[e].terms.items():
+                mono = tuple(map(add, rest, pm))
+                terms[mono] = terms.get(mono, QZERO) + (c * pc if e else c)
+        return Poly(self.nvars, terms)
 
     def evaluate(self, point: Sequence[Q]) -> Q:
         total = QZERO

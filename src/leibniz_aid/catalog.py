@@ -527,12 +527,14 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
 
     `der`, `inner` and `rcaid` are the analysis's spaces, `aid` its
     AidResult, `ann_r` the right annihilator of `alg` and `adapted` the
-    analysis's series-adapted basis.
+    analysis's series-adapted basis, where `der` lies; the other spaces lie
+    in the given basis.
     """
     out: list = []
     loc = algebra_id
     if expected.der is not None and der.dim != expected.der:
-        basis = [matrix_json(vec_to_endo(v, alg.dim)) for v in der.basis_vectors()]
+        basis = [matrix_json(vec_to_endo(v, alg.dim))
+                 for v in adapted.space_back(der).basis_vectors()]
         out.append(Deviation(f"{loc}:der", str(expected.der), str(der.dim),
                              {"kind": "derivation_basis", "basis": basis}))
     if expected.inner is not None and inner.dim != expected.inner:

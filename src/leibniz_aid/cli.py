@@ -224,15 +224,8 @@ def _cmd_catalog(_args) -> int:
         bits.append(entry.source)
         if entry.expected is not None:
             e = entry.expected
-            exp = []
-            if e.inner is not None:
-                exp.append(f"Inner {e.inner}")
-            if e.rcaid is not None:
-                exp.append(f"RCAID {e.rcaid}")
-            if e.aid is not None:
-                exp.append(f"AID {e.aid}")
-            if e.der is not None:
-                exp.append(f"Der {e.der}")
+            dims = ("Inner", e.inner), ("RCAID", e.rcaid), ("AID", e.aid), ("Der", e.der)
+            exp = [f"{name} {v}" for name, v in dims if v is not None]
             if e.generator_label:
                 exp.append(f"D={e.generator_label}")
             bits.append(f"expected: {', '.join(exp)}")

@@ -21,6 +21,13 @@ more, reusing each outcome, on the generators the refined space adds;
 these span a complement of Inner, so elimination alone decides them.  A
 refuted generator's point cuts the space and the complement is certified
 again, until a round refutes nothing; each such cut lowers the dimension.
+
+The steps share one basis, `_AdaptedBasis`, adapted to the lower central
+series, where the constants of a nilpotent algebra are sparse: Der, the
+candidate, the walk (each point x of the given basis taken as P^-1 x) and
+the elimination run there.  Inner, the complements of Inner, the refutation
+rounds and all that is reported are in the given basis, and only the
+candidate and a walk that cut it move back.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import comb, gcd, isqrt
+from operator import mul
 from typing import Iterator, Sequence
 
 from ._poly import Poly
@@ -98,14 +106,8 @@ def vec_to_endo(vec: Sequence[Q], n: int) -> RationalMatrix:
 
 def matrix_unit(n: int, row: int, col: int) -> RationalMatrix:
     """The endomorphism sending e_col to e_row (1-based), all else to zero."""
-    return RationalMatrix(
-        n,
-        n,
-        _freeze(
-            tuple(Q(1) if (r + 1 == row and c + 1 == col) else QZERO for c in range(n))
-            for r in range(n)
-        ),
-    )
+    return RationalMatrix.from_rows([[int((r, c) == (row, col)) for c in range(1, n + 1)]
+                                     for r in range(1, n + 1)])
 
 
 def endo_actions(alg: LeibnizAlgebra, m: RationalMatrix) -> list[str]:
@@ -174,18 +176,22 @@ def inner_combination(alg: LeibnizAlgebra, m: RationalMatrix) -> tuple[Q, ...] |
     return restriction_witness(alg, m, Subspace.zero(alg.dim))
 
 
-def aid_basis_candidate(alg: LeibnizAlgebra, der: Subspace | None = None) -> Subspace:
+def aid_basis_candidate(alg: LeibnizAlgebra, der: Subspace | None = None, *,
+                        _into=None) -> Subspace:
     """Derivations whose column i lies in [e_i, L], for every i.
 
     This is only the basis-vector slice of the almost inner condition, hence
-    an upper bound for AID that the sampling refinement then tightens.
+    an upper bound for AID that the sampling refinement then tightens.  With
+    `_into` (`_AdaptedBasis.point_in`), alg is the given algebra in its
+    series-adapted basis, and each e_i is taken there first.
     """
     n = alg.dim
     if der is None:
         der = derivation_space(alg)
     rows = []
     for i in range(n):
-        rows.extend(_point_conditions(alg, [1 if k == i else 0 for k in range(n)]))
+        e = [1 if k == i else 0 for k in range(n)]
+        rows.extend(_point_conditions(alg, e if _into is None else _into(e)))
     return _restrict_int(der, rows)
 
 
@@ -267,10 +273,9 @@ def _cuts(alg: LeibnizAlgebra, part: Subspace, x: Sequence[int]) -> bool:
     Inner plus the generators the certifier proved before the walk.  No
     member of AID cuts: for D = E + C with E in P and C in the complement,
     E(x) lies in [x, L] at every x (for E = R_a it is [x, a]), so x cuts the
-    candidate iff it cuts the complement.  The echelon rows C_b of part are
-    integer vectors, so at an integer x the images C_b(x) and the bracket
-    columns [x, e_j] are integer vectors spanning the same lines as the
-    rational ones, and x cuts iff some C_b(x) leaves the span of the columns.
+    candidate iff it cuts the complement.  At an integer x the images C_b(x)
+    of the integer echelon rows of part and the bracket columns [x, e_j] are
+    integer vectors, and x cuts iff some C_b(x) leaves the columns' span.
     """
     n = alg.dim
     pivots: dict[int, dict[int, int]] | None = None
@@ -303,14 +308,9 @@ def _restrict_at_point(alg: LeibnizAlgebra, space: Subspace, x: Sequence) -> Sub
     return _restrict_int(space, _point_conditions(alg, _int_matrix([x])[1][0]))
 
 
-def aid_refine(
-    alg: LeibnizAlgebra,
-    space: Subspace,
-    cfg: AidConfig = AidConfig(),
-    inner: Subspace | None = None,
-    *,
-    _proved: Subspace | None = None,
-) -> tuple[Subspace, int]:
+def aid_refine(alg: LeibnizAlgebra, space: Subspace, cfg: AidConfig = AidConfig(),
+               inner: Subspace | None = None, *, _proved: Subspace | None = None,
+               _into=None) -> tuple[Subspace, int]:
     """Intersect a candidate space with sampled almost-inner conditions.
 
     Walks the deterministic grid, then random points seeded by cfg.seed, with
@@ -319,15 +319,16 @@ def aid_refine(
     here when not given) and must lie inside space.  `_proved` is Inner plus
     the generators the certifier has proved (Inner when not given): no member
     of AID cuts, so each point is tested (`_cuts`) on a complement of
-    `_proved` only, and only a point that cuts takes the exact restriction.
-    `_proved` lies in every restriction of the space, and if a point ever cut
-    one of its generators, `complement_in` would raise.  Once that complement
-    is zero no point can cut, so the walk stops testing points and counts the
-    ones left: the rest of the grid, and the STALL_LIMIT - stall nonzero
-    random points that would end it.  The samples counted do not depend on
-    `_proved`, and reaching dim Inner ends the walk: the result always
-    contains the inner derivations.  Returns the refined space and the number
-    of samples the full walk uses.
+    `_proved` only, and only a point that cuts takes the exact restriction
+    (were a generator of `_proved` ever cut, `complement_in` would raise).
+    Once that complement is zero the walk stops testing points and counts
+    the ones left: the rest of the grid, and the STALL_LIMIT - stall random
+    points that would end it; so the samples do not depend on `_proved`.
+    Reaching dim Inner ends the walk.  With `_into`, as in
+    `aid_basis_candidate`, each point is taken into alg's basis first: x
+    cuts D iff P^-1 x cuts P^-1 D P, so the samples are those of the given
+    basis; `_proved` is then required and only dim `inner` is read.  Returns
+    the refined space and the number of samples the full walk uses.
     """
     n = alg.dim
     samples = 0
@@ -347,6 +348,8 @@ def aid_refine(
             samples = (samples if drawn else _grid_length(n)) + STALL_LIMIT - stall
             break
         samples += 1
+        if _into is not None:
+            point = _into(point)
         if _cuts(alg, part, point):
             space = _restrict_at_point(alg, space, point)
             part = complement_in(proved, space)
@@ -550,12 +553,8 @@ def _pivot_choice(rows: list[list[Poly]]) -> tuple[int, int, Poly]:
         for c, p in enumerate(coeffs):
             if p.is_zero():
                 continue
-            if p.is_constant():
-                cls = 0
-            elif p.linear_var_with_constant_coeff() is not None:
-                cls = 1
-            else:
-                cls = 2
+            cls = (0 if p.is_constant()
+                   else 1 if p.linear_var_with_constant_coeff() is not None else 2)
             score = (cls, col_fill[c], row_fill, p.total_degree(), len(p.terms), i, c)
             if best is None or score < best[0]:
                 best = (score, i, c, p)
@@ -760,16 +759,22 @@ class _AdaptedBasis:
         return vec_to_endo([Q(v, e * self.d) for v in itertools.chain(*m)], dmat.rows)
 
     def space_back(self, space: Subspace) -> Subspace:
-        """{P D P^-1 : D in space}, for a space of endomorphisms in this
-        basis: U D Z for each stored integer basis row D, up to the factor
-        d / s that leaves the span alone."""
+        """{P D P^-1 : D in space}, a space of this basis moved to the given
+        one: U D Z for each stored integer row D, up to d / s."""
+        return self._moved(space, self.u, self.z)
+
+    def space_in(self, space: Subspace) -> Subspace:
+        """{P^-1 D P : D in space}, the inverse move: Z D U for each row D."""
+        return self._moved(space, self.z, self.u)
+
+    def _moved(self, space: Subspace, left, right) -> Subspace:
         if self.u is None:
             return space
         n = self.alg.dim
         rows = []
         for row in _dict_rows(space):
             m = [[row.get(r * n + c, 0) for c in range(n)] for r in range(n)]
-            m = self._times(self._times(self.u, m), self.z)
+            m = self._times(self._times(left, m), right)
             rows.append({k: v for k, v in enumerate(itertools.chain(*m)) if v})
         return _subspace_int(n * n, rows)
 
@@ -779,11 +784,16 @@ class _AdaptedBasis:
             return tuple(x)
         return tuple(sum((xi * w for xi, w in zip(x, row)), QZERO) / self.s for row in self.u)
 
+    def point_in(self, x: Sequence[int]) -> Sequence[int]:
+        """Z x, an integer x of the given basis in this one: P^-1 x up to
+        d / s, which the almost inner condition, homogeneous in x, ignores."""
+        return x if self.u is None else [sum(map(mul, row, x)) for row in self.z]
+
     @staticmethod
     def _times(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
         """The product of two integer matrices given by their rows."""
         cols = list(zip(*b))
-        return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+        return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def aid_certify(alg: LeibnizAlgebra, dmat: RationalMatrix) -> CertOutcome:
@@ -822,16 +832,12 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
     variable per case; a pivot it cannot solve leaves that branch (and with
     it the whole certificate) inconclusive.
 
-    Almost-innerness does not depend on the basis, while elimination is very
-    sensitive to it, so a nilpotent algebra is eliminated in `basis`, adapted
-    to its lower central series and built from brackets, where the
-    constants are triangular by layer, sparse and small.  D is carried
-    there as P^-1 D P (`_AdaptedBasis.conjugate`).  The leaves `_decide`
-    yields are read up to the first refuted one, a concrete rational point
-    mapped back to the given basis by P (`point_back`) and re-verified there
-    with an exact rank comparison (`aid_witness`), in every basis; one that
-    does not replay ends an inconclusive log.  The log of the outcome is as
-    `CertOutcome` says.
+    Elimination, unlike almost-innerness, is very sensitive to the basis,
+    so it runs in `basis`, where D is P^-1 D P (`_AdaptedBasis.conjugate`).
+    The leaves `_decide` yields are read up to the first refuted one, a
+    rational point mapped back by P (`point_back`) and re-verified in the
+    given basis by an exact rank comparison (`aid_witness`); one that does
+    not replay ends an inconclusive log.  The log is as `CertOutcome` says.
     """
     n = alg.dim
     dm = basis.conjugate(dmat)
@@ -856,9 +862,7 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
     return CertOutcome("proved" if log == prefix else "inconclusive", branch_log=log)
 
 
-def aid_witness(
-    alg: LeibnizAlgebra, dmat: RationalMatrix, x: Sequence
-) -> tuple[Q, ...] | None:
+def aid_witness(alg: LeibnizAlgebra, dmat: RationalMatrix, x: Sequence) -> tuple[Q, ...] | None:
     """A concrete a with [x, a] = D(x), or None when there is none.
 
     Raises DimensionMismatch unless D is n x n and x has n coordinates."""
@@ -889,20 +893,10 @@ class AidResult:
 
 
 def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
-    """Compute AID(L) with certificates.
-
-    Pipeline: linear candidate from basis conditions, certification of a
-    deterministic complement of Inner in it, grid/random sampling refinement
-    that tests its points only against the generators not proved (a proved
-    one never cuts), then certification of a deterministic complement of
-    Inner inside the refined space, reusing the outcome of each generator
-    certified before.  A refuted generator's refuting x restricts
-    the space at x (no sampling resumes) and the complement is certified
-    again.  The refutation replays, so each such round lowers the dimension,
-    and the loop ends at a round that refutes nothing: certified_exact when
-    every complement generator is proved, probabilistic when some remain
-    inconclusive.
-    """
+    """Compute AID(L) with certificates, by the four steps of the module
+    docstring (`_der_inner_aid`): certified_exact when every generator of the
+    last complement of Inner is proved, probabilistic when some remain
+    inconclusive."""
     return _der_inner_aid(alg, cfg)[2]
 
 
@@ -912,20 +906,24 @@ def _der_inner_aid(
     """Der, Inner and AID of one algebra, each computed once, and the
     series-adapted basis they used, which carries the central series.
 
-    Der is solved in the series-adapted basis, where the Leibniz-rule system
-    is sparse, and mapped back by D -> P D P^-1 (`space_back`).  Inner, the
-    linear candidate and the sampling refinement stay in the given basis:
-    the basis-vector slice D e_i in [e_i, L] and the sample grid depend on
-    the basis, and so do the samples and witnesses reported.  The proved
-    parts are Inner plus the stored echelon rows of the proved complement
-    generators, a subset of a reduced echelon basis and so canonical as it
-    stands.
+    Der is solved in `basis` and stays there: callers read its dimension,
+    and only `catalog.build_deviations` moves it back, for a Der deviation.
+    Inner is solved in the given basis.  The candidate and the walk run in
+    `basis` at the points P^-1 x of the given ones and move back
+    (`space_back`) unless their dimension shows them to be Inner or
+    unchanged.  The complements of Inner, their certificates and the
+    refutation rounds stay in the given basis, so every generator, sample
+    and witness reported is that of the given basis.  The proved parts are
+    Inner plus the stored echelon rows of the proved complement generators,
+    a subset of a reduced echelon basis and so canonical as it stands.
     """
     n = alg.dim
     basis = _AdaptedBasis.of(alg)
-    der = basis.space_back(derivation_space(basis.alg))
+    der = derivation_space(basis.alg)
     inner = inner_space(alg)
-    cand = aid_basis_candidate(alg, der)
+    moved_cand = aid_basis_candidate(basis.alg, der, _into=basis.point_in)
+    # Inner lies in the candidate, so a candidate of its dimension is Inner
+    cand = inner if moved_cand.dim == inner.dim else basis.space_back(moved_cand)
     # each generator is certified once, keyed by its vector: the candidate's
     # generators before the walk, and any new ones the walk leaves after it;
     # they span a complement of Inner, so none is inner and elimination
@@ -938,12 +936,17 @@ def _der_inner_aid(
         return outcomes[gen_vec]
 
     # a proved generator never cuts, so the walk tests its points only
-    # against the generators left open
+    # against the generators left open, none when all are proved
     comp = complement_in(inner, cand)
     first = tuple(row for row, v in zip(comp.echelon, comp.basis_vectors())
                   if certified(v).kind == "proved")
-    first_proved = subspace_sum(inner, Subspace(n * n, first)) if first else inner
-    space, samples = aid_refine(alg, cand, cfg, inner=inner, _proved=first_proved)
+    moved_proved = moved_cand if len(first) == comp.dim else basis.space_in(
+        subspace_sum(inner, Subspace(n * n, first)))
+    moved, samples = aid_refine(basis.alg, moved_cand, cfg, inner=inner,
+                                _proved=moved_proved, _into=basis.point_in)
+    # the walk's result lies between Inner and the candidate
+    ends = {cand.dim: cand, inner.dim: inner}
+    space = ends[moved.dim] if moved.dim in ends else basis.space_back(moved)
     # each round walks a complement of Inner in the space up to its first
     # refuted generator; the exact rank test replayed its refuting x, so the
     # restriction at x drops that generator and keeps Inner (R_a(x) = [x, a]):
@@ -1006,13 +1009,10 @@ def rcaid_caid(alg: LeibnizAlgebra, target: str, aid: Subspace) -> Subspace:
     aid ∩ (Inner + Hom(L, T)).
     """
     ann = annihilators(alg)
-    if target == "right_ann":
-        t = ann.ann_r
-    elif target == "center":
-        t = ann.center
-    else:
+    targets = {"right_ann": ann.ann_r, "center": ann.center}
+    if target not in targets:
         raise ValueError(f"unknown target: {target!r}")
-    return _envelope_meet(aid, inner_space(alg), t)
+    return _envelope_meet(aid, inner_space(alg), targets[target])
 
 
 def _envelope_meet(aid: Subspace, inner: Subspace, target: Subspace) -> Subspace:

@@ -129,6 +129,33 @@ def test_criterion_1_table_reproduction_with_certificates():
             replay_certificate(alg, dev.certificate)
 
 
+def test_der_deviation_off_an_adapted_basis_replays_in_the_given_basis():
+    # every Der deviation of the catalog is on a D4 entry whose standard
+    # basis is series-adapted already; in a random basis Der is solved in
+    # the series-adapted one and moved back only for the certificate
+    import random
+
+    from leibniz_aid.algebra import change_basis
+    from leibniz_aid.catalog import ExpectedData
+    from leibniz_aid.cli import _random_invertible
+    from leibniz_aid.derivations import _AdaptedBasis, analysis_report
+
+    base = la.make("catalog:D4:L9")
+    alg = change_basis(base, _random_invertible(random.Random(1), base.dim))
+    assert _AdaptedBasis.of(alg).u is not None
+    der = derivation_space(alg)
+    report = analysis_report(alg, algebra_id="moved:D4:L9",
+                             expected=ExpectedData(der=der.dim + 1))
+    [dev] = report.deviations
+    assert (dev.location, dev.expected, dev.computed) == \
+        ("moved:D4:L9:der", str(der.dim + 1), str(der.dim))
+    assert dev.certificate["kind"] == "derivation_basis"
+    replay_certificate(alg, dev.certificate)
+    # the certificate is a basis of Der, not only members of it
+    vectors = [endo_to_vec(parse_matrix(rows)) for rows in dev.certificate["basis"]]
+    assert Subspace.from_vectors(alg.dim ** 2, vectors) == der
+
+
 @pytest.fixture(scope="module")
 def verify_runs():
     def capture(argv):

@@ -188,7 +188,9 @@ def test_der_in_the_adapted_basis_maps_back_to_der(ref):
     alg = random_basis_copy(ref, 3)
     der, _, _, basis = _der_inner_aid(alg, AidConfig())
     assert basis.u is not None  # Der was solved in the series-adapted basis
-    assert der == derivation_space(alg)
+    # and stays there: the analysis reports only its dimension
+    assert der == derivation_space(basis.alg)
+    assert basis.space_back(der) == derivation_space(alg)
 
 
 def test_der_of_a_non_nilpotent_algebra_stays_in_the_given_basis():
@@ -454,6 +456,27 @@ def test_aid_refine_works_out_inner_by_default(ref):
 )
 def test_refinement_sample_counts_are_pinned(ref, samples):
     assert aid_space(make(ref)).samples_used == samples
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_candidate_and_walk_in_the_adapted_basis_are_those_of_the_given_basis(ref):
+    # the analysis builds the candidate and walks in the series-adapted
+    # basis, carrying each point of the given basis there; moved back, both
+    # agree with the public given-basis routines, samples included
+    for seed in (1, 2, 3):
+        alg = random_basis_copy(ref, seed)
+        basis = derivations._AdaptedBasis.of(alg)
+        inner = inner_space(alg)
+        moved_inner = basis.space_in(inner)
+        assert moved_inner == inner_space(basis.alg), (ref, seed)
+        cand = aid_basis_candidate(alg)
+        moved_cand = aid_basis_candidate(
+            basis.alg, derivation_space(basis.alg), _into=basis.point_in)
+        assert basis.space_back(moved_cand) == cand, (ref, seed)
+        moved, samples = aid_refine(basis.alg, moved_cand, inner=inner,
+                                    _proved=moved_inner, _into=basis.point_in)
+        assert (basis.space_back(moved), samples) == \
+            aid_refine(alg, cand, inner=inner), (ref, seed)
 
 
 def random_basis_copy(ref: str, seed: int):

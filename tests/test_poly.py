@@ -50,14 +50,28 @@ def test_add_mul_commute_with_evaluation(p, q, pt):
     assert p.scale(Q(3, 2)).evaluate(pt) == Q(3, 2) * p.evaluate(pt)
 
 
-@settings(max_examples=40, deadline=None)
-@given(polys(), polys(), points)
-def test_subs_var_agrees_with_evaluation(p, r, pt):
-    r = Poly(N, {m: c for m, c in r.terms.items() if not m[0]})  # keep t1 out
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, N - 1), polys(), polys(), points)
+def test_subs_var_agrees_with_evaluation(k, p, r, pt):
+    r = Poly(N, {m: c for m, c in r.terms.items() if not m[k]})  # keep t_k out
     pt = tuple(Q(x) for x in pt)
-    substituted = p.subs_var(0, r)
-    moved = (r.evaluate(pt),) + pt[1:]
+    substituted = p.subs_var(k, r)
+    moved = pt[:k] + (r.evaluate(pt),) + pt[k + 1:]
     assert substituted.evaluate(pt) == p.evaluate(moved)
+    # terms that cancel leave no zero coefficient behind
+    assert all(substituted.terms.values())
+    assert not substituted.degree_in(k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys())
+def test_difference_is_the_sum_with_the_negation(p, q):
+    before = dict(p.terms), dict(q.terms)
+    assert p - q == p + (-q)
+    assert all((p - q).terms.values())
+    assert (p - p).is_zero()
+    # the difference is a new polynomial: neither operand changes
+    assert (p.terms, q.terms) == before
 
 
 def test_subs_var_rejects_self_reference():
