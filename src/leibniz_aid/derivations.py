@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -69,7 +69,6 @@ from .exactlin import (
     _restrict_int,
     _solve_int,
     _subspace_int,
-    solve_linear,
     subspace_intersect,
     subspace_sum,
     complement_in,
@@ -389,41 +388,59 @@ class CertOutcome:
 
 class _CertContext:
     """What every branch of one certification shares: the algebra, the
-    derivation and the node budget left."""
+    derivation as an integer matrix, up to a positive factor, since only
+    whether a witness exists is asked of it, and the node budget left."""
 
-    __slots__ = ("alg", "dmat", "budget")
+    __slots__ = ("alg", "dint", "budget")
 
-    def __init__(self, alg, dmat):
+    def __init__(self, alg: LeibnizAlgebra, dint: Sequence[Sequence[int]]):
         self.alg = alg
-        self.dmat = dmat
+        self.dint = dint
         self.budget = NODE_BUDGET
 
 
-def _strip_row(row: list[Poly], nz: frozenset[int]) -> list[Poly]:
-    """Remove a safe common monomial and the rational content of a row, its
-    coefficients followed by its right-hand side.
+def _strip_row(row: list[Poly], nz: frozenset[int]) -> tuple[list[Poly], int]:
+    """Remove a safe common monomial and the content of a row, its
+    coefficients followed by its right-hand side, over the ints.
 
     Dividing a whole row by a shared monomial is an equivalence only where
     the monomial cannot vanish, so only variables the current branch forces
     nonzero are divided out.  (Dividing by anything else can overconstrain a
     shared unknown on the vanishing locus: t2*w1 = 0 does not force w1 = 0 at
-    t2 = 0.)  Rational content removal is always exact; it is read off the
-    first nonzero entry, to keep coefficients small, and dividing by a
-    monomial leaves it alone.
+    t2 = 0.)  Dividing by a nonzero number is always exact: the row is
+    divided by the gcd of all its coefficients, signed by its first nonzero
+    entry's leading term, after a row with a Fraction coefficient is
+    scaled to ints.  Returns the row and the content m of its first nonzero
+    entry.  The printed row is the row divided by m, whose first entry is
+    primitive; neither it nor the returned row changes when the given row
+    is multiplied by a nonzero rational.
     """
-    polys = [p for p in row if not p.is_zero()]
+    polys = [p for p in row if p.terms]
     if not polys:
-        return row
-    c = polys[0].rational_content()
+        return row, 1
+    try:
+        g = gcd(*(c for p in polys for c in p.terms.values()))
+    except TypeError:
+        # math.gcd takes ints only: clear the row's denominators, then strip
+        return _strip_row(_over_ints(row)[1], nz)
+    first = polys[0].content()
+    if first < 0:
+        g = -g
     mono = polys[0].monomial_gcd()
     for p in polys[1:]:
         mono = tuple(min(a, b) for a, b in zip(mono, p.monomial_gcd()))
     mono = tuple(e if i in nz else 0 for i, e in enumerate(mono))
-    if any(mono):
-        row = [p.divide_monomial(mono) if not p.is_zero() else p for p in row]
-    if c != 1:
-        row = [p.scale(Q(1) / c) for p in row]
-    return row
+    if g != 1 or any(mono):
+        row = [p.divide_monomial(mono, g) if p.terms else p for p in row]
+    return row, first // g
+
+
+def _over_ints(polys: Sequence[Poly]) -> tuple[int, list[Poly]]:
+    """(d, [d * p for p in polys]) for the least positive d that makes every
+    coefficient an int."""
+    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return d, [Poly(p.nvars, {m: c.numerator * (d // c.denominator)
+                              for m, c in p.terms.items()}) for p in polys]
 
 
 def _search_refutation(
@@ -469,7 +486,7 @@ def _search_refutation(
             ):
                 continue
             checks += 1
-            if aid_witness(ctx.alg, ctx.dmat, point) is None:
+            if _int_witness(ctx.alg, ctx.dint, 1, point) is None:
                 return tuple(point)
             if checks > 50:
                 return None
@@ -498,18 +515,19 @@ def _linear_power(p: Poly) -> Poly | None:
     if not c:
         return None
     # normalize l to unit v0-coefficient; the t_v0^(k-1)*t_w coefficient of
-    # c*l**k is then c*k*a_w, and the t_v0^(k-1) coefficient is c*k*a_0
+    # c*l**k is then c*k*a_w, and the t_v0^(k-1) coefficient is c*k*a_0,
+    # each divided exactly, as Fractions, also when p is over the ints
     terms = {tuple(1 if i == v0 else 0 for i in range(nvars)): Q(1)}
-    a0 = p.terms.get(tuple(k - 1 if i == v0 else 0 for i in range(nvars)), QZERO)
+    a0 = p.terms.get(tuple(k - 1 if i == v0 else 0 for i in range(nvars)))
     if a0:
-        terms[(0,) * nvars] = a0 / (c * k)
+        terms[(0,) * nvars] = Q(a0, c * k)
     for w in variables[1:]:
         mono = tuple(
             k - 1 if i == v0 else (1 if i == w else 0) for i in range(nvars)
         )
-        aw = p.terms.get(mono, QZERO)
+        aw = p.terms.get(mono)
         if aw:
-            terms[tuple(1 if i == w else 0 for i in range(nvars))] = aw / (c * k)
+            terms[tuple(1 if i == w else 0 for i in range(nvars))] = Q(aw, c * k)
     ell = Poly(nvars, terms)
     power = ell
     for _ in range(k - 1):
@@ -567,7 +585,8 @@ def _eliminate(
 ) -> list[list[Poly]]:
     """Consume the pivot row by the fraction-free update pivot*row - f*pivot_row,
     which keeps entries polynomial.  A constant pivot leaves its factor on
-    each updated row; the next node's `_strip_row` divides it out."""
+    each updated row; the next node's `_strip_row` divides it out.  A zero
+    entry of either row drops its product."""
     prow = rows[pi]
     out = []
     for idx, row in enumerate(rows):
@@ -577,7 +596,14 @@ def _eliminate(
         if f.is_zero():
             out.append(row)
             continue
-        new = [pivot * a - f * b for a, b in zip(row, prow)]
+        new = []
+        for a, b in zip(row, prow):
+            if not b.terms:
+                new.append(pivot * a if a.terms else a)
+            elif not a.terms:
+                new.append(-(f * b))
+            else:
+                new.append(pivot * a - f * b)
         new[pc] = Poly.zero(pivot.nvars)
         out.append(new)
     return out
@@ -603,10 +629,12 @@ def _decide(
     if ctx.budget <= 0:
         yield CertOutcome("inconclusive", branch_log=path + ("node budget exhausted",))
         return
-    # normalize and triage
+    # normalize and triage; scales[i] is the content m of row i's first
+    # entry, and the row it prints is row i divided by m
     cleaned = []
+    scales = []
     for row in rows:
-        row = _strip_row(row, nz)
+        row, m = _strip_row(row, nz)
         if all(p.is_zero() for p in row[:-1]):
             rhs = row[-1]
             if rhs.is_zero():
@@ -619,6 +647,7 @@ def _decide(
                 yield CertOutcome("refuted", refuting_x=x, branch_log=path)
             return
         cleaned.append(row)
+        scales.append(m)
     rows = cleaned
     if all(row[-1].is_zero() for row in rows):
         return
@@ -628,25 +657,39 @@ def _decide(
         # forces nonzero: the pivot cannot vanish here, so no case split
         yield from _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs, path)
         return
-    zero = _zero_branch(pivot, nz, polys)
-    split_poly, cases = (pivot, []) if zero is None else zero
+    # the pivot as its row prints it; the split and its labels read this
+    # one, the integer rows the integer pivot
+    shown = pivot if scales[pi] == 1 else pivot.scale(Q(1, scales[pi]))
+    zero = _zero_branch(shown, nz, polys)
+    split_poly, cases = (shown, []) if zero is None else zero
     # branch split_poly != 0 (the same region as pivot != 0)
     yield from _decide(
         ctx, _eliminate(rows, pi, pc, pivot), *_held_nonzero(nz, polys, split_poly),
         subs, path + (f"case {split_poly} != 0",),
     )
     if zero is None:
-        note = f"cannot solve {pivot} = 0 (nonlinear in every variable)"
+        note = f"cannot solve {shown} = 0 (nonlinear in every variable)"
         yield CertOutcome("inconclusive", branch_log=path + (note,))
     for label, k, replacement, state in cases:
         case_subs = subs + [(k, replacement)]
         if _emptied(state, case_subs):
             continue
-        zero_rows = [[p.subs_var(k, replacement) for p in row] for row in rows]
+        den, (num,) = _over_ints([replacement])
+        zero_rows = [_substituted(row, k, num, den) for row in rows]
         yield from _decide(
             ctx, zero_rows, *state, case_subs,
             path + (f"case {label}, t{k + 1} := {replacement}",),
         )
+
+
+def _substituted(row: list[Poly], k: int, num: Poly, den: int) -> list[Poly]:
+    """The integer row at t_k := num / den, times den**E for E its degree
+    in t_k, which keeps it over the ints; a row free of t_k is passed on as
+    the same object."""
+    top = max(p.degree_in(k) for p in row)
+    if not top:
+        return row
+    return [p.subs_var(k, num, den, top) if p.terms else p for p in row]
 
 
 def _emptied(state: _Held, subs: list[tuple[int, Poly]]) -> bool:
@@ -667,7 +710,10 @@ def _solved_for(ell: Poly) -> tuple[int, Poly]:
     """(k, r) with ell = 0 exactly where t_k = r, for ell linear in t_k with a
     rational coefficient (the smallest such k)."""
     k, coeff = ell.linear_var_with_constant_coeff()
-    return k, (ell - Poly.var(ell.nvars, k, coeff)).scale(Q(-1) / coeff)
+    # ell is coeff * t_k plus its terms free of t_k; over the ints a unit
+    # coefficient is its own inverse, so only another one makes Fractions
+    rest = Poly(ell.nvars, {m: c for m, c in ell.terms.items() if not m[k]})
+    return k, rest.scale(-coeff if coeff in (1, -1) else Q(-1) / coeff)
 
 
 def _linear_reading(p: Poly) -> Poly | None:
@@ -749,14 +795,13 @@ class _AdaptedBasis:
         d, z = _int_inverse(u)
         return _AdaptedBasis(_constants_in(alg, u, z, s * d), series, u, s, z, d)
 
-    def conjugate(self, dmat: RationalMatrix) -> RationalMatrix:
-        """P^-1 D P, an endomorphism of the given basis carried into this
-        one: Z D U over the ints, divided by d and D's own scale once."""
-        if self.u is None:
-            return dmat
-        e, dint = _int_matrix(dmat.entries)
-        m = self._times(self._times(self.z, dint), self.u)
-        return vec_to_endo([Q(v, e * self.d) for v in itertools.chain(*m)], dmat.rows)
+    def conjugate(self, dmat: RationalMatrix) -> list[list[int]]:
+        """P^-1 D P up to a positive factor, an endomorphism of the given
+        basis carried into this one over the ints: Z D' U for the integer
+        multiple D' = e D, e the lcm of D's denominators, which is e d
+        P^-1 D P, or D' itself when P = I."""
+        dint = _int_matrix(dmat.entries)[1]
+        return dint if self.u is None else self._times(self._times(self.z, dint), self.u)
 
     def space_back(self, space: Subspace) -> Subspace:
         """{P D P^-1 : D in space}, a space of this basis moved to the given
@@ -834,6 +879,14 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
 
     Elimination, unlike almost-innerness, is very sensitive to the basis,
     so it runs in `basis`, where D is P^-1 D P (`_AdaptedBasis.conjugate`).
+    It runs over the ints: the rows are built from the integer constants
+    and the integer multiple of P^-1 D P that `conjugate` returns, which
+    scales the witness only, and every row, pivot and case split is that of
+    elimination over Q (`_strip_row`).  A rational enters only the printed
+    pivot and what is read off it (its split, the replacement and the
+    conditions a branch holds nonzero) and the refutation search's points;
+    the zero cases substitute over the ints (`_substituted`).
+
     The leaves `_decide` yields are read up to the first refuted one, a
     rational point mapped back by P (`point_back`) and re-verified in the
     given basis by an exact rank comparison (`aid_witness`); one that does
@@ -842,14 +895,17 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
     n = alg.dim
     dm = basis.conjugate(dmat)
     # row m of the witness equation, linear forms in t, as [M | b]:
-    # sum_j (sum_i c[i][j][m] t_i) w_j = sum_k D[m][k] t_k
-    c = basis.alg.constants
+    # sum_j (sum_i den c[i][j][m] t_i) w_j = sum_k dm[m][k] t_k, with
+    # nz[i][j] holding the pairs (m, den c[i][j][m])
+    nz = basis.alg.scaled_constants()[1]
     unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
-    rows = [
-        [Poly(n, {unit[i]: c[i][j][m] for i in range(n)}) for j in range(n)]
-        + [Poly(n, dict(zip(unit, dm.entries[m])))]
-        for m in range(n)
-    ]
+    coeffs: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for m, v in nz[i][j]:
+                coeffs[m][j][unit[i]] = v
+    rows = [[Poly(n, f) for f in coeffs[m]] + [Poly(n, dict(zip(unit, dm[m])))]
+            for m in range(n)]
     log = prefix = () if basis.u is None else ("series-adapted basis",)
     for leaf in _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ()):
         if leaf.kind == "refuted":
@@ -863,13 +919,39 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
 
 
 def aid_witness(alg: LeibnizAlgebra, dmat: RationalMatrix, x: Sequence) -> tuple[Q, ...] | None:
-    """A concrete a with [x, a] = D(x), or None when there is none.
+    """A concrete a with [x, a] = D(x), or None when there is none: one
+    integer solve (`_int_witness`) of D's integer multiple.
 
     Raises DimensionMismatch unless D is n x n and x has n coordinates."""
     xs = tuple(as_rational(v) for v in x)
     if (dmat.rows, dmat.cols, len(xs)) != (alg.dim,) * 3:
         raise DimensionMismatch("D and x must have the algebra's dimension")
-    return solve_linear(alg.left_mult(xs), dmat.apply(xs))
+    e, dint = _int_matrix(dmat.entries)
+    return _int_witness(alg, dint, e, xs)
+
+
+def _int_witness(alg: LeibnizAlgebra, dint: Sequence[Sequence[int]], e: int,
+                 x: Sequence[Q]) -> tuple[Q, ...] | None:
+    """The a with [x, a] = D(x) that sets every free unknown to zero, or
+    None, for D = dint / e and a rational x, over the ints.
+
+    With x = x' / d, x' integer, the columns [x', e_j] of `_bracket_columns`
+    are den d [x, e_j] (den the constants' denominator) and dint x' is e d
+    D(x), so row m is sum_j a_j e [x', e_j]_m = den (dint x')_m: row m of
+    [left_mult(x) | D(x)] times e den d."""
+    n = alg.dim
+    xs = _pairs(_int_matrix([x])[1][0])
+    cols = _bracket_columns(alg, xs)
+    den = alg.scaled_constants()[0]
+    rows = []
+    for m in range(n):
+        row = {j: e * col[m] for j, col in enumerate(cols) if m in col}
+        b = den * sum(dint[m][k] * xk for k, xk in xs)
+        if b:
+            row[n] = b
+        if row:
+            rows.append(row)
+    return _solve_int(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -924,22 +1006,23 @@ def _der_inner_aid(
     moved_cand = aid_basis_candidate(basis.alg, der, _into=basis.point_in)
     # Inner lies in the candidate, so a candidate of its dimension is Inner
     cand = inner if moved_cand.dim == inner.dim else basis.space_back(moved_cand)
-    # each generator is certified once, keyed by its vector: the candidate's
+    # each generator is certified once, keyed by its stored echelon row,
+    # which its vector (the row over its pivot) determines: the candidate's
     # generators before the walk, and any new ones the walk leaves after it;
     # they span a complement of Inner, so none is inner and elimination
     # alone decides them
-    outcomes: dict[tuple[Q, ...], CertOutcome] = {}
+    outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], CertOutcome] = {}
 
-    def certified(gen_vec: tuple[Q, ...]) -> CertOutcome:
-        if gen_vec not in outcomes:
-            outcomes[gen_vec] = _eliminated(alg, vec_to_endo(gen_vec, n), basis)
-        return outcomes[gen_vec]
+    def certified(row, gen_vec: tuple[Q, ...]) -> CertOutcome:
+        if row not in outcomes:
+            outcomes[row] = _eliminated(alg, vec_to_endo(gen_vec, n), basis)
+        return outcomes[row]
 
     # a proved generator never cuts, so the walk tests its points only
     # against the generators left open, none when all are proved
     comp = complement_in(inner, cand)
     first = tuple(row for row, v in zip(comp.echelon, comp.basis_vectors())
-                  if certified(v).kind == "proved")
+                  if certified(row, v).kind == "proved")
     moved_proved = moved_cand if len(first) == comp.dim else basis.space_in(
         subspace_sum(inner, Subspace(n * n, first)))
     moved, samples = aid_refine(basis.alg, moved_cand, cfg, inner=inner,
@@ -958,7 +1041,7 @@ def _der_inner_aid(
         # (stored echelon row, matrix, outcome) of each generator judged
         judged = []
         for row, gen_vec in zip(comp.echelon, comp.basis_vectors()):
-            outcome = certified(gen_vec)
+            outcome = certified(row, gen_vec)
             if outcome.kind == "refuted":
                 break
             judged.append((row, vec_to_endo(gen_vec, n), outcome))

@@ -274,8 +274,9 @@ def test_adapted_basis_moves_der_and_refutations_back_to_the_given_basis(ref):
         # the P^-1 D P images of a Der basis span Der of the adapted algebra,
         # and the space method maps them back onto Der
         gens = [vec_to_endo(v, n) for v in der.basis_vectors()]
+        # (conjugate gives each up to a positive factor, over the ints)
         moved = [basis.conjugate(g) for g in gens]
-        images = Subspace.from_vectors(n * n, [endo_to_vec(m) for m in moved])
+        images = Subspace.from_vectors(n * n, [list(itertools.chain(*m)) for m in moved])
         assert images == derivation_space(basis.alg), (ref, seed)
         assert basis.space_back(images) == der, (ref, seed)
         # x refutes P^-1 D P in the adapted basis exactly when P x refutes D
@@ -286,7 +287,7 @@ def test_adapted_basis_moves_der_and_refutations_back_to_the_given_basis(ref):
         refuted = 0
         for v in complement_in(aid, der).basis_vectors():
             dmat = vec_to_endo(v, n)
-            dm = basis.conjugate(dmat)
+            dm = RationalMatrix.from_rows(basis.conjugate(dmat))
             # the certifier's refutation in the adapted basis, if any, then grid points
             outcome = derivations._eliminated(basis.alg, dm, own)
             points = [outcome.refuting_x] if outcome.kind == "refuted" else []
@@ -825,18 +826,21 @@ _ELL = _t(0) - _t(2).scale(2)  # t1 - 2*t3
 _ML = _t(0) * _t(0) * _t(3).scale(2) + _t(0) * _t(1) * _t(3).scale(-6)  # t1*t4*(2*t1 - 6*t2)
 
 
+# each row is its coefficients, then its right-hand side
+CONSTANT_PIVOT_ROWS = [
+    [_c(-3), _t(0) + _t(1), _c(0), _t(1).scale(2)],
+    [_t(0).scale(Q(1, 2)), _c(5), _t(1), _t(0) - _c(1)],
+    [_c(0), _t(1), _t(0), _c(7)],
+    [_c(4), _c(0), _t(2).scale(-2), _c(0)],
+]
+
+
 def test_constant_pivot_update_strips_to_the_divided_update():
     # the fraction-free update leaves a constant pivot p on each updated row;
     # the next node's _strip_row divides it out, so the rows are those of
     # the update row - (f/p) * pivot_row
-    pivot = _c(-3)
-    # each row is its coefficients, then its right-hand side
-    rows = [
-        [pivot, _t(0) + _t(1), _c(0), _t(1).scale(2)],
-        [_t(0).scale(Q(1, 2)), _c(5), _t(1), _t(0) - _c(1)],
-        [_c(0), _t(1), _t(0), _c(7)],
-        [_c(4), _c(0), _t(2).scale(-2), _c(0)],
-    ]
+    rows = CONSTANT_PIVOT_ROWS
+    pivot = rows[0][0]
     prow = rows[0]
     divided = []
     for row in rows[1:]:
@@ -873,7 +877,9 @@ STRIP_ROW_CASES = [
     ids=["held", "not-held", "residual", "content-of-the-first-entry"],
 )
 def test_strip_row_divides_out_only_held_variables(row, nz, stripped):
-    got = derivations._strip_row(row, frozenset(nz))
+    # the row prints divided by the content m of its first entry
+    ints, m = derivations._strip_row(row, frozenset(nz))
+    got = [p.scale(Q(1, m)) for p in ints]
     assert [str(p) for p in got] == stripped
 
 
@@ -988,14 +994,29 @@ def test_zero_branch_of_an_unsolvable_pivot_is_none(pivot):
     assert _zero_branch(pivot, *_held()) is None
 
 
+def _ints(m: RationalMatrix) -> list[list[int]]:
+    """An integral D as the integer matrix the certifier's context takes."""
+    return [[int(v) for v in row] for row in m.entries]
+
+
+_ZERO_MATRIX3 = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
+_ZERO_D3 = _ints(_ZERO_MATRIX3)
+
+
+# t1^2 + t2*t3 is linear in no variable with a rational coefficient, is
+# no power of a linear form and has no monomial factor
+UNSOLVABLE_ROWS = [[_T1 * _T1 + _T2 * _T3, _T1]]
+# t1*t2 w1 = 0 and (t1^2 + t2*t3) w2 = t3
+NESTED_ROWS = [[_T1 * _T2, _ZERO3, _ZERO3], [_ZERO3, _T1 * _T1 + _T2 * _T3, _T3]]
+# one row (t1 - t2) w = t3
+EMPTIED_ROWS = [[_t(0) - _t(1), _t(2)]]
+
+
 def test_unsolvable_pivot_leaves_the_certificate_inconclusive():
-    # t1^2 + t2*t3 is linear in no variable with a rational coefficient, is
-    # no power of a linear form and has no monomial factor; a form in three
-    # variables, so splitting binary forms leaves it unsolved too
-    t1, t2, t3 = (Poly.var(3, k) for k in range(3))
-    zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
-    ctx = derivations._CertContext(make("catalog:NF:3"), zero)
-    leaves = derivations._decide(ctx, [[t1 * t1 + t2 * t3, t1]], frozenset(), (), [], ())
+    # the pivot t1^2 + t2*t3 is a form in three variables, so splitting
+    # binary forms leaves it unsolved too
+    ctx = derivations._CertContext(make("catalog:NF:3"), _ZERO_D3)
+    leaves = derivations._decide(ctx, UNSOLVABLE_ROWS, frozenset(), (), [], ())
     note = "cannot solve t1^2 + t2*t3 = 0 (nonlinear in every variable)"
     assert list(leaves) == [derivations.CertOutcome("inconclusive", branch_log=(note,))]
 
@@ -1005,10 +1026,8 @@ def test_nested_inconclusive_certification_log_is_pinned():
     # branch meets the unsolvable pivot, each zero case leaves the residual
     # t3, which no point refutes, and each undecided leaf keeps its full
     # case path, so the t1 = 0 case's nested t2 = 0 case keeps its parent
-    zero = RationalMatrix(3, 3, ((Q(0),) * 3,) * 3)
-    ctx = derivations._CertContext(make("catalog:NF:3"), zero)
-    rows = [[_T1 * _T2, _ZERO3, _ZERO3], [_ZERO3, _T1 * _T1 + _T2 * _T3, _T3]]
-    leaves = list(derivations._decide(ctx, rows, frozenset(), (), [], ()))
+    ctx = derivations._CertContext(make("catalog:NF:3"), _ZERO_D3)
+    leaves = list(derivations._decide(ctx, NESTED_ROWS, frozenset(), (), [], ()))
     assert {leaf.kind for leaf in leaves} == {"inconclusive"}
     assert [leaf.branch_log for leaf in leaves] == [
         ("case t1*t2 != 0",
@@ -1083,7 +1102,7 @@ def test_search_refutation_holds_the_branch_conditions():
     # D4:L4:1 with its non-AID derivation E(4,2), and the residual t1
     alg = make("catalog:D4:L4:1")
     dmat = matrix_unit(4, 4, 2)
-    ctx = derivations._CertContext(alg, dmat)
+    ctx = derivations._CertContext(alg, _ints(dmat))
     search = derivations._search_refutation
     # t1 alone is free, and no point on the t1 axis refutes
     assert search(ctx, _t(0), *_held(), []) is None
@@ -1100,13 +1119,83 @@ def test_a_zero_case_that_empties_the_branch_yields_nothing():
     # one row (t1 - t2) w = t3 on a branch that holds -t1 + t2 nonzero: the
     # zero case t1 := t2 would leave the residual t3 on an empty region,
     # where no point can refute, so it is skipped and the branch is proved
-    ctx = derivations._CertContext(make("catalog:D4:L4:1"), matrix_unit(4, 4, 2))
-    rows = [[_t(0) - _t(1), _t(2)]]
+    ctx = derivations._CertContext(make("catalog:D4:L4:1"), _ints(matrix_unit(4, 4, 2)))
+    rows = EMPTIED_ROWS
     held = _t(1) - _t(0)
     assert list(derivations._decide(ctx, rows, *_held(polys=[held]), [], ())) == []
     # without the held condition the zero case is entered and left open
     [leaf] = derivations._decide(ctx, rows, *_held(), [], ())
     assert leaf.branch_log[0] == "case t1 - t2 = 0, t1 := t2"
+
+
+def test_zero_case_substitution_scales_the_whole_row_by_one_power():
+    # t1 := (t2 - 1)/2 in a row whose entries have degrees 2, 1, 0 and 0 in
+    # t1: every entry is multiplied by the same 2^2, so the row over the
+    # ints is 4 times the row substituted over Q
+    row = [_t(0) * _t(0) + _t(1), _t(0).scale(3), _t(2), _c(5)]
+    replacement = (_t(1) - _c(1)).scale(Q(1, 2))
+    den, (num,) = derivations._over_ints([replacement])
+    assert (den, num) == (2, _t(1) - _c(1))
+    got = derivations._substituted(row, 0, num, den)
+    assert got == [p.subs_var(0, replacement).scale(4) for p in row]
+    assert all(type(c) is int for p in got for c in p.terms.values())
+    # a row free of t1 is passed on as the same object
+    free = [_t(1), _c(2)]
+    assert derivations._substituted(free, 0, num, den) is free
+
+
+# (algebra, D, rows, branch state) of each elimination the tests above run
+DECIDE_CASES = {
+    "constant-pivot": ("catalog:D4:L4:1", matrix_unit(4, 4, 2), CONSTANT_PIVOT_ROWS, _held()),
+    "unsolvable-pivot": ("catalog:NF:3", _ZERO_MATRIX3, UNSOLVABLE_ROWS, _held()),
+    "nested-inconclusive": ("catalog:NF:3", _ZERO_MATRIX3, NESTED_ROWS, _held()),
+    "emptied-zero-case": ("catalog:D4:L4:1", matrix_unit(4, 4, 2), EMPTIED_ROWS,
+                          _held(polys=[_t(1) - _t(0)])),
+    "entered-zero-case": ("catalog:D4:L4:1", matrix_unit(4, 4, 2), EMPTIED_ROWS, _held()),
+}
+# every row fixture above, with the variables held nonzero it is stripped on
+STRIPPED_ROWS = [(row, nz) for row, nz, _ in STRIP_ROW_CASES] + [
+    (row, set(held[0])) for *_, rows, held in DECIDE_CASES.values() for row in rows
+]
+SCALES = (Q(-3, 2), Q(7), Q(1, 5), Q(-1))
+
+
+def _scaled(row, s):
+    return [p.scale(s) for p in row]
+
+
+@pytest.mark.parametrize("i", range(len(STRIPPED_ROWS)))
+def test_strip_row_does_not_see_a_rational_factor(i):
+    # the stripped row over the ints and its first entry's content are
+    # those of every nonzero rational multiple of the row: the rows, pivots
+    # and splits of elimination over Q, whose rows differ by such factors
+    row, nz = STRIPPED_ROWS[i]
+    stripped = derivations._strip_row(row, frozenset(nz))
+    assert all(type(c) is int for p in stripped[0] for c in p.terms.values())
+    for s in SCALES:
+        assert derivations._strip_row(_scaled(row, s), frozenset(nz)) == stripped, s
+        # one rational entry among integer ones
+        for j in range(len(row)):
+            mixed = row[:j] + [row[j].scale(s)] + row[j + 1:]
+            ints, m = derivations._strip_row(mixed, frozenset(nz))
+            assert all(type(c) is int for p in ints for c in p.terms.values())
+
+
+@pytest.mark.parametrize("case", sorted(DECIDE_CASES))
+def test_decide_leaves_do_not_see_a_rational_factor_on_a_row(case):
+    ref, dmat, rows, held = DECIDE_CASES[case]
+    alg = make(ref)
+
+    def leaves(rows):
+        ctx = derivations._CertContext(alg, _ints(dmat))
+        out = list(derivations._decide(ctx, rows, *held, [], ()))
+        return out, derivations.NODE_BUDGET - ctx.budget
+
+    expected = leaves(rows)
+    for s in SCALES:
+        for i in range(len(rows)):
+            moved = rows[:i] + [_scaled(rows[i], s)] + rows[i + 1:]
+            assert leaves(moved) == expected, (s, i)
 
 
 # (catalog entry, copies per draw), drawn four times from random.Random(1)

@@ -1,6 +1,8 @@
-"""Sparse rational polynomials used by the symbolic certifier."""
+"""Sparse integer polynomials used by the symbolic certifier."""
 
 from __future__ import annotations
+
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +76,27 @@ def test_difference_is_the_sum_with_the_negation(p, q):
     assert (p.terms, q.terms) == before
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, N - 1), polys(), polys(), st.integers(1, 6), st.integers(0, 3), points)
+def test_subs_var_over_a_denominator_scales_by_its_power(k, p, r, den, degree, pt):
+    # den**E * p(t_k := r / den), E the larger of degree and p's degree in t_k
+    r = Poly(N, {m: c for m, c in r.terms.items() if not m[k]})
+    pt = tuple(Q(x) for x in pt)
+    top = max(degree, p.degree_in(k))
+    moved = pt[:k] + (r.evaluate(pt) / den,) + pt[k + 1:]
+    assert type(moved[k]) is Q
+    assert p.subs_var(k, r, den, degree).evaluate(pt) == den**top * p.evaluate(moved)
+
+
+def test_subs_var_over_a_denominator_keeps_integers():
+    p = t(0) * t(0) * t(1) + t(0, 3) + p_const(2)  # t1^2 t2 + 3 t1 + 2
+    # t1 := (t2 - 1) / 2, the row's degree 3: 2 (t2 - 1)^2 t2 + 12 (t2 - 1) + 16
+    got = p.subs_var(0, t(1) - p_const(1), 2, 3)
+    assert got == (t(1) - p_const(1)) * (t(1) - p_const(1)) * t(1).scale(2) \
+        + t(1, 12) + p_const(4)
+    assert all(type(c) is int for c in got.terms.values())
+
+
 def test_subs_var_rejects_self_reference():
     import pytest
 
@@ -126,16 +149,18 @@ def test_monomial_gcd_and_division():
     assert q == t(0) + t(2)
 
 
-def test_rational_content_normalizes_sign_and_scale():
-    p = t(0, Q(-4, 6)) + t(1, Q(-2, 3))  # -2/3 (t1 + t2)
-    c = p.rational_content()
-    assert c == Q(-2, 3)
-    normalized = p.scale(1 / c)
-    assert normalized == t(0) + t(1)
-    # scaling by any nonzero rational does not change the normalized form
-    for s in (Q(5), Q(-1, 7)):
+def test_content_normalizes_sign_and_scale():
+    p = t(0, -6) + t(1, -4)  # -2 (3 t1 + 2 t2)
+    c = p.content()
+    assert c == -2
+    normalized = p.divide_monomial((0,) * N, c)
+    assert normalized == t(0, 3) + t(1, 2)
+    assert all(type(v) is int for v in normalized.terms.values())
+    # scaling by any nonzero int does not change the normalized form
+    for s in (5, -7):
         scaled = p.scale(s)
-        assert scaled.scale(1 / scaled.rational_content()) == normalized
+        assert scaled.divide_monomial((0,) * N, scaled.content()) == normalized
+    assert Poly.zero(N).content() == 1
 
 
 def test_str_rendering():
@@ -154,15 +179,33 @@ def test_linear_power_detects_squares():
     assert _linear_power(cube.scale(2)) == ell
 
 
+def _primitive(p: Poly) -> Poly:
+    """p scaled to coprime integer coefficients with a positive leading term."""
+    d = lcm(*(c.denominator for c in p.terms.values()))
+    p = Poly(N, {m: int(c * d) for m, c in p.terms.items()})
+    return p.divide_monomial((0,) * N, p.content())
+
+
 def test_linear_power_with_constant_term():
     ell = t(0) + t(1) + p_const(-1)
     sq = (ell * ell).scale(Q(3, 4))
     found = _linear_power(sq)
     assert found is not None
     # the detected form is the same line up to scale
-    assert found.scale(1 / found.rational_content()) == ell.scale(
-        1 / ell.rational_content()
-    )
+    assert _primitive(found) == _primitive(ell)
+
+
+def test_linear_power_divides_integer_coefficients_exactly():
+    # (t1 + t2)^2 and 3 (2 t1 - t2)^3 over the ints: the unit-coefficient
+    # form is read off by exact division, never by float division
+    for p, ell in [
+        (Poly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}), {(1, 0): 1, (0, 1): 1}),
+        (Poly(2, {(3, 0): 24, (2, 1): -36, (1, 2): 18, (0, 3): -3}),
+         {(1, 0): 1, (0, 1): Q(-1, 2)}),
+    ]:
+        found = _linear_power(p)
+        assert found.terms == ell
+        assert all(type(c) in (int, Q) for c in found.terms.values())
 
 
 def test_linear_power_rejects_non_powers():
