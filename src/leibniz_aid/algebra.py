@@ -20,6 +20,7 @@ from .exactlin import (
     as_rational,
     complement_in,
     format_rational,
+    subspace_sum,
     _add_pivot,
     _freeze,
     _int_matrix,
@@ -251,11 +252,42 @@ class SeriesReport:
 
 
 def central_series(alg: LeibnizAlgebra) -> SeriesReport:
-    """Lower central series L^1 = L, L^{k+1} = [L^k, L].
+    """Lower central series L^1 = L, L^{k+1} = [L^k, L], built from
+    generators.
 
     Terms are listed until they stabilize; nilindex is the first s with
     L^s = 0, or None when the series stalls above zero.
+
+    G = `complement_in(L^2, L)`, S_1 = G and S_{k+1} = [S_k, G], and the
+    terms are F_k = S_k + S_{k+1} + ..., summed from the bottom up, which
+    takes dim S_k * dim G products per layer where [L^k, L] takes
+    dim L^k * n.  The Leibniz identity gives [x, [y, g]] = [[x, y], g] -
+    [[x, g], y], so [S_a, S_{b+1}] lies in [[S_a, S_b], G] + [[S_a, G], S_b]
+    and [S_a, S_b] lies in S_{a+b}, by induction on b.  Say S_s = 0 and
+    F_1 = L.  Then [F_k, L] = [F_k, F_1] lies in F_{k+1}, so L^k lies in
+    F_k by induction, and S_k lies in L^k, so F_k = L^k: L is nilpotent.
+    A nilpotent L has L^{n+1} = 0 and is generated by any complement of
+    L^2.  So when S_{n+1} is not 0, or F_1 is not L (F_2 is not L^2, as
+    for [e1, e1] = e1, where G = 0), L is not nilpotent, and the series
+    is the full one, `_full_series`, stalled term included.
     """
+    n = alg.dim
+    full = Subspace.full(n)
+    gens = complement_in(product_span(alg, full, full), full)
+    layers = [gens]
+    while layers[-1].dim and len(layers) <= n:
+        layers.append(product_span(alg, layers[-1], gens))
+    terms = [layers.pop()]
+    for layer in reversed(layers):
+        terms.append(subspace_sum(layer, terms[-1]))
+    terms.reverse()
+    if terms[-1].dim or terms[0] != full:
+        return _full_series(alg)
+    return _nilpotent_report(n, terms)
+
+
+def _full_series(alg: LeibnizAlgebra) -> SeriesReport:
+    """The lower central series term by term, [L^k, L] from all of L."""
     full = Subspace.full(alg.dim)
     terms = [full]
     while True:
@@ -269,8 +301,12 @@ def central_series(alg: LeibnizAlgebra) -> SeriesReport:
         terms.append(nxt)
         if nxt.dim == 0:
             break
+    return _nilpotent_report(alg.dim, terms)
+
+
+def _nilpotent_report(n: int, terms: Sequence[Subspace]) -> SeriesReport:
+    """The report of a series that reaches 0 at its last term."""
     nilindex = len(terms)
-    n = alg.dim
     dims = [t.dim for t in terms]
     null_filiform = all(
         (dims[i - 1] if i <= len(dims) else 0) == n + 1 - i for i in range(1, n + 2)

@@ -129,7 +129,9 @@ def derivation_space(alg: LeibnizAlgebra) -> Subspace:
     The constraint for (i, j) at coordinate m is
     sum_k c[i][j][k] D[m][k] - c[k][j][m] D[k][i] - c[i][k][m] D[k][j] = 0.
     Rows are built sparse from the integer constants, made primitive and
-    deduplicated, then eliminated by the sparse integer kernel.
+    deduplicated, then eliminated by the sparse integer kernel.  A pair
+    (i, j) with [e_i, e_j] = 0 builds only the rows at the m that its
+    other two terms reach.
     """
     n = alg.dim
     _, nz = alg.scaled_constants()
@@ -140,17 +142,17 @@ def derivation_space(alg: LeibnizAlgebra) -> Subspace:
     seen: set[tuple[tuple[int, int], ...]] = set()
     for i in range(n):
         for j in range(n):
-            acc: list[dict[int, int]] = [{} for _ in range(n)]
-            for k, v in nz[i][j]:
+            acc: dict[int, dict[int, int]] = {}
+            if nz[i][j]:
                 for m in range(n):
-                    acc[m][m * n + k] = v
+                    acc[m] = {m * n + k: v for k, v in nz[i][j]}
             for k, m, v in by_right[j]:
-                row = acc[m]
+                row = acc.setdefault(m, {})
                 row[k * n + i] = row.get(k * n + i, 0) - v
             for k, m, v in by_left[i]:
-                row = acc[m]
+                row = acc.setdefault(m, {})
                 row[k * n + j] = row.get(k * n + j, 0) - v
-            for row in acc:
+            for row in (acc[m] for m in sorted(acc)):
                 row = {col: v for col, v in row.items() if v}
                 if row:
                     row = _primitive_map(row)
@@ -374,7 +376,7 @@ def _sample_points(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], bool]]:
 # symbolic certification
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CertOutcome:
     """branch_log, after a "series-adapted basis" line when elimination ran
     there: if proved, nothing (or "inner: constant witness"); if refuted, the
@@ -958,20 +960,42 @@ def _int_witness(alg: LeibnizAlgebra, dint: Sequence[Sequence[int]], e: int,
 # the AID space
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AidResult:
+    """AID with its bounds.  `judged` holds each generator of the last
+    complement of Inner once, as its stored echelon row of `upper_bound`
+    (the same tuple) with its outcome; `proved_generators` and
+    `inconclusive_generators` build their matrices when read."""
+
     upper_bound: Subspace
     proved: Subspace
     status: str  # 'certified_exact' | 'probabilistic'
     samples_used: int
     seed: int
     witnesses: tuple[tuple[RationalMatrix, tuple[Q, ...]], ...]
-    proved_generators: tuple[tuple[RationalMatrix, CertOutcome], ...] = ()
-    inconclusive_generators: tuple[tuple[RationalMatrix, CertOutcome], ...] = ()
+    judged: tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], CertOutcome], ...] = ()
 
     @property
     def dim(self) -> int:
         return self.upper_bound.dim
+
+    @property
+    def proved_generators(self) -> tuple[tuple[RationalMatrix, CertOutcome], ...]:
+        return self._generators(True)
+
+    @property
+    def inconclusive_generators(self) -> tuple[tuple[RationalMatrix, CertOutcome], ...]:
+        return self._generators(False)
+
+    def _generators(self, proved: bool) -> tuple[tuple[RationalMatrix, CertOutcome], ...]:
+        n = isqrt(self.upper_bound.ambient_dim)
+        return tuple((_row_endo(row, n), o) for row, o in self.judged
+                     if (o.kind == "proved") == proved)
+
+
+def _row_endo(row: tuple[tuple[int, ...], tuple[int, ...]], n: int) -> RationalMatrix:
+    """The endomorphism of a stored echelon row, divided by its pivot."""
+    return vec_to_endo(Subspace(n * n, (row,)).basis_vectors()[0], n)
 
 
 def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
@@ -1013,16 +1037,15 @@ def _der_inner_aid(
     # alone decides them
     outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], CertOutcome] = {}
 
-    def certified(row, gen_vec: tuple[Q, ...]) -> CertOutcome:
+    def certified(row) -> CertOutcome:
         if row not in outcomes:
-            outcomes[row] = _eliminated(alg, vec_to_endo(gen_vec, n), basis)
+            outcomes[row] = _eliminated(alg, _row_endo(row, n), basis)
         return outcomes[row]
 
     # a proved generator never cuts, so the walk tests its points only
     # against the generators left open, none when all are proved
     comp = complement_in(inner, cand)
-    first = tuple(row for row, v in zip(comp.echelon, comp.basis_vectors())
-                  if certified(row, v).kind == "proved")
+    first = tuple(row for row in comp.echelon if certified(row).kind == "proved")
     moved_proved = moved_cand if len(first) == comp.dim else basis.space_in(
         subspace_sum(inner, Subspace(n * n, first)))
     moved, samples = aid_refine(basis.alg, moved_cand, cfg, inner=inner,
@@ -1037,29 +1060,26 @@ def _der_inner_aid(
     # the loop within dim(space) - dim(Inner) + 1 rounds
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
     while True:
-        comp = complement_in(inner, space)
-        # (stored echelon row, matrix, outcome) of each generator judged
+        # the stored echelon rows of the complement are those of the space
         judged = []
-        for row, gen_vec in zip(comp.echelon, comp.basis_vectors()):
-            outcome = certified(row, gen_vec)
+        for row in complement_in(inner, space).echelon:
+            outcome = certified(row)
             if outcome.kind == "refuted":
                 break
-            judged.append((row, vec_to_endo(gen_vec, n), outcome))
+            judged.append((row, outcome))
         else:
             break
-        refutations.append((vec_to_endo(gen_vec, n), outcome.refuting_x))
+        refutations.append((_row_endo(row, n), outcome.refuting_x))
         space = _restrict_at_point(alg, space, outcome.refuting_x)
         samples += 1
-    proved_gens = [(g, o) for _, g, o in judged if o.kind == "proved"]
-    inconclusive = [(g, o) for _, g, o in judged if o.kind != "proved"]
-    status = "probabilistic" if inconclusive else "certified_exact"
+    proved_rows = tuple(r for r, o in judged if o.kind == "proved")
+    status = "certified_exact" if len(proved_rows) == len(judged) else "probabilistic"
     if status == "certified_exact":
         # Inner plus a proved complement is the whole space; one object for
         # both bounds, since callers may keep many results alive
         proved = space
     else:
-        proved = subspace_sum(
-            inner, Subspace(n * n, tuple(r for r, _, o in judged if o.kind == "proved")))
+        proved = subspace_sum(inner, Subspace(n * n, proved_rows))
     aid = AidResult(
         upper_bound=space,
         proved=proved,
@@ -1067,8 +1087,7 @@ def _der_inner_aid(
         samples_used=samples,
         seed=cfg.seed,
         witnesses=tuple(refutations),
-        proved_generators=tuple(proved_gens),
-        inconclusive_generators=tuple(inconclusive),
+        judged=tuple(judged),
     )
     return der, inner, aid, basis
 

@@ -274,8 +274,12 @@ def _null_vectors_int(rows: Iterable[dict[int, int]], ncols: int) -> list[dict[i
 def _subspace_int(ambient_dim: int, rows: Iterable[dict[int, int]]) -> "Subspace":
     """The Subspace spanned by sparse integer rows."""
     echelon = []
-    # the kernel keeps its rows primitive; only the pivot's sign is free
+    # the kernel keeps its rows primitive; only the pivot's sign is free, so
+    # a row of one entry is (1,), one shared tuple for every such row
     for c, row in _rref_int(row for row in rows if row):
+        if len(row) == 1:
+            echelon.append(((c,), (1,)))
+            continue
         cols = tuple(sorted(row))
         sign = 1 if row[c] > 0 else -1
         echelon.append((cols, tuple(sign * row[k] for k in cols)))
@@ -451,24 +455,33 @@ def restrict(space: Subspace, constraint_rows: Sequence[Sequence[Q]]) -> Subspac
 
 def _restrict_int(space: Subspace, rows: Iterable[dict[int, int]]) -> Subspace:
     """{v in space : C v = 0} for sparse integer rows C: the combinations
-    y B with (C B^T) y = 0, B the stored integer basis."""
-    basis = _dict_rows(space)
+    y B with (C B^T) y = 0, B the stored integer basis.
+
+    C B^T is a sparse product: each entry a of a row of C at column k meets
+    only the basis rows stored nonzero at k, read off one column index of
+    B.  Entries that cancel to 0 are dropped, since kernel rows hold no
+    zeros, and a space no row cuts is returned as it is."""
+    by_col: dict[int, list[tuple[int, int]]] = {}
+    for b, (cols, vals) in enumerate(space.echelon):
+        for k, v in zip(cols, vals):
+            by_col.setdefault(k, []).append((b, v))
     small = []
     for row in rows:
-        acc = {}
-        for b, brow in enumerate(basis):
-            v = sum(a * brow.get(k, 0) for k, a in row.items())
-            if v:
-                acc[b] = v
+        acc: dict[int, int] = {}
+        for k, a in row.items():
+            for b, v in by_col.get(k, ()):
+                acc[b] = acc.get(b, 0) + a * v
+        if not all(acc.values()):
+            acc = {b: v for b, v in acc.items() if v}
         if acc:
             small.append(acc)
     if not small:
         return space
     vectors = []
-    for y in _null_vectors_int(small, len(basis)):
+    for y in _null_vectors_int(small, space.dim):
         vec: dict[int, int] = {}
         for b, coef in y.items():
-            for k, v in basis[b].items():
+            for k, v in zip(*space.echelon[b]):
                 vec[k] = vec.get(k, 0) + coef * v
         vectors.append({k: v for k, v in vec.items() if v})
     return _subspace_int(space.ambient_dim, vectors)

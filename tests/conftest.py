@@ -188,8 +188,10 @@ def dense_product(alg: la.LeibnizAlgebra, x, y) -> tuple:
     out = [Fraction(0)] * n
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
-            for k, v in enumerate(alg.constants[i][j]):
-                out[k] += xi * yj * v
+            # a zero coordinate adds nothing to the sum
+            if xi and yj:
+                for k, v in enumerate(alg.constants[i][j]):
+                    out[k] += xi * yj * v
     return tuple(out)
 
 

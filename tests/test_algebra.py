@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from leibniz_aid import catalog
+from leibniz_aid import algebra, catalog
 from leibniz_aid.cli import _random_invertible
 from leibniz_aid.algebra import (
     IdentityViolation,
@@ -21,6 +21,7 @@ from leibniz_aid.algebra import (
     from_json_dict,
     product_span,
     to_json_dict,
+    _full_series,
     _int_inverse,
 )
 from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, _int_matrix
@@ -288,14 +289,71 @@ def test_product_span():
     assert sq == Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
 
 
-@pytest.mark.parametrize(
-    "ref", ["catalog:NF:5", "catalog:D4:L9", "catalog:F1:6:0,0,-3/2,0", "catalog:G53"]
-)
-def test_central_series_matches_the_fraction_products(ref):
+# the `sweep` benchmark's algebras
+SWEEP_REFS = tuple(f"catalog:NF:{n}" for n in range(2, 17)) + tuple(
+    f"catalog:F3:{n}:0,0,1" for n in range(5, 13))
+
+
+def _random_copies(base: LeibnizAlgebra, count: int = 3) -> list[LeibnizAlgebra]:
     rng = random.Random(11)
+    return [change_basis(base, _random_invertible(rng, base.dim)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_central_series_matches_the_fraction_products(ref):
     base = catalog.make(catalog.parse_ref(ref))
-    for alg in (base, change_basis(base, _random_invertible(rng, base.dim)), SOLVABLE):
-        assert list(central_series(alg).terms) == fraction_central_series_terms(alg)
+    for alg in [base, *_random_copies(base)]:
+        series = central_series(alg)
+        assert list(series.terms) == fraction_central_series_terms(alg)
+        assert series == _full_series(alg)
+
+
+@pytest.mark.parametrize("ref", SWEEP_REFS)
+def test_series_from_generators_on_the_sweep(ref):
+    # the Fraction oracle in the given basis; in the random bases, where it
+    # takes about 24 s over these algebras, the term-by-term series, which
+    # the test above holds to the oracle
+    base = catalog.make(catalog.parse_ref(ref))
+    assert list(central_series(base).terms) == fraction_central_series_terms(base)
+    for alg in [base, *_random_copies(base)]:
+        assert central_series(alg) == _full_series(alg)
+
+
+# [e2, e1] = e2 and [e1, e1] = e2: L^2 = span(e2) and every layer
+# S_k = [S_{k-1}, e1] is span(e2), so the layers never reach 0
+ENDLESS_LAYERS = LeibnizAlgebra.build(2, {(1, 1): {2: 1}, (2, 1): {2: 1}})
+# [e1, e1] = e1 breaks the Leibniz identity, so it is built unchecked; the
+# series reads only the product, and G = 0 although L is not 0
+E1E1 = LeibnizAlgebra(1, (((Q(1),),),))
+# sl2 = span(e, f, h), perfect (L^2 = L), so G = 0 here too
+SL2 = LeibnizAlgebra.build(3, {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 1): {1: 2},
+                               (1, 3): {1: -2}, (3, 2): {2: -2}, (2, 3): {2: 2}})
+
+
+@pytest.mark.parametrize("alg, fallback", [
+    (SOLVABLE, True),  # G = span(e1), S_2 = 0, F_2 = 0 but L^2 = span(e2)
+    (E1E1, True),
+    (SL2, True),
+    (ENDLESS_LAYERS, True),
+    (LeibnizAlgebra.build(0, {}), False),
+    (LeibnizAlgebra.build(3, {}), False),
+], ids=["solvable", "e1e1-is-e1", "sl2", "endless-layers", "dim-0", "abelian"])
+def test_series_from_generators_falls_back_off_the_nilpotent_case(alg, fallback, monkeypatch):
+    expected = _full_series(alg)
+    calls = []
+    monkeypatch.setattr(algebra, "_full_series",
+                        lambda a: calls.append(a) or expected)
+    series = central_series(alg)
+    assert calls == ([alg] if fallback else [])
+    assert series == expected
+    assert list(series.terms) == fraction_central_series_terms(alg)
+    assert series.nilpotent is not fallback
+    if fallback:
+        # the stalled term closes the series, as in the term-by-term one
+        assert series.nilindex is None
+        assert series.terms[-1].dim and series.terms[-1] == series.terms[-2]
+    else:
+        assert series.nilindex == len(series.terms)
 
 
 def test_scaled_constants_are_computed_once_and_immutable():

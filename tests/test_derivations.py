@@ -1293,6 +1293,26 @@ def test_aid_space_l9_finds_one_extra_generator():
     assert res.seed == AidConfig().seed
 
 
+@pytest.mark.parametrize("budget", [None, 1])
+def test_aid_result_keeps_each_generator_once(budget, monkeypatch):
+    # G53 in this basis proves its complement generators, and with a budget
+    # of one node leaves them inconclusive; either way each is held as its
+    # stored row of the upper bound, and its matrix is built when read
+    if budget is not None:
+        monkeypatch.setattr(derivations, "NODE_BUDGET", budget)
+    alg = random_basis_copy("catalog:G53", 1)
+    aid = aid_space(alg)
+    assert aid.judged
+    assert all(any(row is r for r in aid.upper_bound.echelon) for row, _ in aid.judged)
+    comp = complement_in(inner_space(alg), aid.upper_bound)
+    matrices = [vec_to_endo(v, alg.dim) for v in comp.basis_vectors()]
+    kinds = [o.kind for _, o in aid.judged]
+    assert set(kinds) == ({"proved"} if budget is None else {"inconclusive"})
+    read = aid.proved_generators + aid.inconclusive_generators
+    assert [g for g, _ in read] == matrices
+    assert [o for _, o in read] == [o for _, o in aid.judged]
+
+
 def test_aid_space_records_refutations(monkeypatch):
     # with sampling skipped, certification itself must cut the linear
     # candidate of D4:L4:1 down to Inner, by a refuting point that replays

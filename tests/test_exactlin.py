@@ -8,7 +8,7 @@ from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leibniz_aid.exactlin import (
@@ -20,6 +20,7 @@ from leibniz_aid.exactlin import (
     as_rational,
     _add_pivot,
     _int_rows,
+    _restrict_int,
     complement_in,
     format_rational,
     nullspace,
@@ -29,6 +30,7 @@ from leibniz_aid.exactlin import (
     subspace_intersect,
     subspace_sum,
 )
+from leibniz_aid import exactlin
 from leibniz_aid.derivations import _hom_into
 
 from conftest import (
@@ -467,15 +469,22 @@ def test_add_pivot_reports_rank_growth(m):
 @st.composite
 def constraint_rows(draw, space: Subspace):
     """Rational rows on the ambient space of `space`: zero rows, dense rows,
-    rows with one or two nonzero entries, and rows vanishing on the space."""
+    rows with one or two nonzero entries, rows vanishing on the space, and
+    rows whose product with one basis row cancels to 0."""
     n = space.ambient_dim
     annihilator = dense_nullspace(space.basis).basis_vectors()
+    kinds = ("zero", "dense", "sparse", "annihilating") + (("cancelling",) if space.dim else ())
     rows = []
     for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(("zero", "dense", "sparse", "annihilating")))
+        kind = draw(st.sampled_from(kinds))
         row = [Q(0)] * n
         if kind == "dense":
             row = [draw(entries) for _ in range(n)]
+        elif kind == "cancelling":
+            b = draw(st.sampled_from(space.basis_vectors()))
+            row = [draw(entries) for _ in range(n)]
+            t = sum(x * y for x, y in zip(row, b)) / sum(y * y for y in b)
+            row = [x - t * y for x, y in zip(row, b)]
         elif kind == "sparse":
             for k in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
                 row[k] = draw(entries)
@@ -487,9 +496,43 @@ def constraint_rows(draw, space: Subspace):
     return rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(kernel_matrices(), st.data())
-def test_restrict_matches_the_fraction_oracle(m, data):
+@st.composite
+def restrict_cases(draw):
+    m = draw(kernel_matrices())
     space = Subspace.from_vectors(m.cols, m.entries)
-    rows = data.draw(constraint_rows(space))
-    assert restrict(space, rows) == fraction_restrict(space, rows)
+    return space, draw(constraint_rows(space))
+
+
+# B = [(1, 1, 0), (0, 0, 1)]: a row (a, -a, c) meets the first basis row in
+# a - a = 0
+CANCELLING_SPACE = Subspace.from_vectors(3, [[1, 1, 0], [0, 0, 1]])
+
+
+@settings(max_examples=200, deadline=None)
+@given(restrict_cases())
+# one product cancels to 0 and one does not
+@example((CANCELLING_SPACE, [[1, -1, 5]]))
+# every product cancels: C B^T = 0
+@example((CANCELLING_SPACE, [[1, -1, 0], [Q(-1, 2), Q(1, 2), 0]]))
+# the row touches no column of the basis
+@example((Subspace.from_vectors(3, [[1, 0, 0]]), [[0, 3, -1]]))
+def test_restrict_matches_the_fraction_oracle(case):
+    space, rows = case
+    cut = restrict(space, rows)
+    assert cut == fraction_restrict(space, rows)
+    # the cut keeps all of the space exactly when C B^T = 0, and then it is
+    # the space itself
+    assert (cut is space) == (cut == space)
+
+
+def test_restrict_passes_the_kernel_no_cancelled_entry(monkeypatch):
+    seen = []
+    kernel = exactlin._null_vectors_int
+    monkeypatch.setattr(exactlin, "_null_vectors_int",
+                        lambda rows, n: seen.extend(rows) or kernel(rows, n))
+    # the products with the two basis rows are 1 - 1 = 0 and 5, and then 0
+    # and 0: the first row reaches the kernel without its 0, the second not
+    # at all
+    cut = _restrict_int(CANCELLING_SPACE, [{0: 1, 1: -1, 2: 5}, {0: 2, 1: -2}])
+    assert seen == [{1: 5}]
+    assert cut == Subspace.from_vectors(3, [[1, 1, 0]])
