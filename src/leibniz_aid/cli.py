@@ -28,7 +28,8 @@ import sys
 from . import algebra as alg_mod
 from . import catalog as cat_mod
 from . import derivations as der_mod
-from .exactlin import Q, RationalMatrix, Subspace, as_rational, format_rational
+from .exactlin import (Q, RationalMatrix, Subspace, as_rational, format_rational,
+                       _int_rows, _rref_int)
 from .derivations import AidConfig, AnalysisReport, Deviation
 
 SCHEMA = "aid-report/1"
@@ -328,13 +329,12 @@ def _tower_dims(algebra) -> tuple[dict, str]:
 
 
 def _random_invertible(rng, n: int) -> RationalMatrix:
-    from .exactlin import rref
-
+    """A random n x n matrix with entries in [-2, 2], redrawn until its
+    integer rows have rank n."""
     while True:
         rows = [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        m = RationalMatrix.from_rows(rows)
-        if rref(m).rank == n:
-            return m
+        if len(_rref_int(_int_rows(rows))) == n:
+            return RationalMatrix.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,7 @@ operation reads those integer rows; the Fraction basis is only a view.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -337,7 +336,7 @@ def _solve_int(rows: Iterable[dict[int, int]], cols: int) -> tuple[Q, ...] | Non
     return tuple(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Subspace:
     """A linear subspace of Q^n held as its reduced row echelon basis.
 
@@ -351,6 +350,8 @@ class Subspace:
 
     ambient_dim: int
     echelon: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    # `basis`, once read
+    _basis: RationalMatrix | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_vectors(ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -374,11 +375,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self.echelon)
 
-    @cached_property
+    @property
     def basis(self) -> RationalMatrix:
-        reduced = ((cols[0], dict(zip(cols, vals))) for cols, vals in self.echelon)
-        rows = _fraction_rows(reduced, self.ambient_dim)
-        return RationalMatrix(len(rows), self.ambient_dim, _freeze(rows))
+        if self._basis is None:
+            reduced = ((cols[0], dict(zip(cols, vals))) for cols, vals in self.echelon)
+            rows = _fraction_rows(reduced, self.ambient_dim)
+            # the dataclass is frozen; `_basis` is left out of ==, hash and repr
+            object.__setattr__(self, "_basis", RationalMatrix(len(rows), self.ambient_dim, _freeze(rows)))
+        return self._basis
 
     def basis_vectors(self) -> tuple[tuple[Q, ...], ...]:
         return self.basis.entries

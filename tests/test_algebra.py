@@ -138,6 +138,23 @@ def test_check_identity_matches_the_triple_loop(ref):
     assert failures  # the perturbations do break the identity
 
 
+@pytest.mark.parametrize("w", [32, 64, 128])
+def test_check_identity_unpacks_a_failure_a_w_bit_slot_would_miss(w):
+    # [e1,e1] = (a e1 + e2)/3 and [e1,e2] = -(1 + a) e2/3 with a = 2^(w/2):
+    # over den^2 = 9, [e1,[e1,e1]] = (a^2, a - (1 + a)) = (2^w, -1) and the
+    # other side is 0, so packed in w-bit slots the two sides are equal
+    a = 2 ** (w // 2)
+    zero = Q(0)
+    alg = LeibnizAlgebra(2, (((Q(a, 3), Q(1, 3)), (zero, Q(-1 - a, 3))),
+                             ((zero, zero), (zero, zero))))
+    expected = (1, 1, 1, (Q(2 ** w, 9), Q(-1, 9)), (zero, zero))
+    assert reference_identity_failure(alg) == expected
+    with pytest.raises(IdentityViolation) as info:
+        alg.check_identity()
+    exc = info.value
+    assert (exc.i, exc.j, exc.k, exc.lhs, exc.rhs) == expected
+
+
 def test_labels_roundtrip_and_arity():
     alg = LeibnizAlgebra.build(2, {}, labels=["x", "y"])
     assert alg.label(1) == "x" and alg.label(2) == "y"
