@@ -123,25 +123,40 @@ def endo_actions(alg: LeibnizAlgebra, m: RationalMatrix) -> list[str]:
 # linear spaces of derivations
 
 
-def derivation_space(alg: LeibnizAlgebra) -> Subspace:
+def derivation_space(alg: LeibnizAlgebra, *, _gens: int | None = None) -> Subspace:
     """Null space of the Leibniz-rule constraints in endomorphism space.
 
     The constraint for (i, j) at coordinate m is
-    sum_k c[i][j][k] D[m][k] - c[k][j][m] D[k][i] - c[i][k][m] D[k][j] = 0.
+    sum_k c[i][j][k] D[m][k] - c[k][j][m] D[k][i] - c[i][k][m] D[k][j] = 0,
+    the m-th coordinate of D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j].
     Rows are built sparse from the integer constants, made primitive and
     deduplicated, then eliminated by the sparse integer kernel.  A pair
     (i, j) with [e_i, e_j] = 0 builds only the rows at the m that its
     other two terms reach.
+
+    With `_gens` = g, as in `_der_inner_aid`, only the pairs with j < g
+    are built, L x G for G the span of e_1..e_g, and the null space is
+    still Der when G generates L.  Let K = {y : D[x, y] = [Dx, y] + [x, Dy]
+    for all x}, a linear subspace.  For y, z in K, write D[x, [y, z]] =
+    D[[x, y], z] - D[[x, z], y] by the identity [x, [y, z]] = [[x, y], z] -
+    [[x, z], y], expand it by the rule at ([x, y], z), (x, y), ([x, z], y)
+    and (x, z), and regroup by the identity: it is [Dx, [y, z]] +
+    [x, [Dy, z] + [y, Dz]], which is [Dx, [y, z]] + [x, D[y, z]] by the
+    rule at (y, z).  So K is closed under the bracket.  The rows make G
+    lie in K, and a nilpotent L is generated by any complement of L^2
+    (`central_series`), so K = L.  The rows of L x G are a subset of the
+    full rows, so the null space is the same canonical Subspace.
     """
     n = alg.dim
     _, nz = alg.scaled_constants()
+    g = n if _gens is None else _gens
     # by_left[i]: (k, m, c[i][k][m]); by_right[j]: (k, m, c[k][j][m])
     by_left = [[(k, m, v) for k in range(n) for m, v in nz[i][k]] for i in range(n)]
-    by_right = [[(k, m, v) for k in range(n) for m, v in nz[k][j]] for j in range(n)]
+    by_right = [[(k, m, v) for k in range(n) for m, v in nz[k][j]] for j in range(g)]
     rows: list[dict[int, int]] = []
     seen: set[tuple[tuple[int, int], ...]] = set()
     for i in range(n):
-        for j in range(n):
+        for j in range(g):
             acc: dict[int, dict[int, int]] = {}
             if nz[i][j]:
                 for m in range(n):
@@ -762,6 +777,12 @@ def _zero_branch(
     return (pivot if any(mono) else ell), cases
 
 
+def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices given by their rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 @dataclass(frozen=True)
 class _AdaptedBasis:
     """A basis adapted to the lower central series of an algebra: `alg` is
@@ -797,13 +818,23 @@ class _AdaptedBasis:
         d, z = _int_inverse(u)
         return _AdaptedBasis(_constants_in(alg, u, z, s * d), series, u, s, z, d)
 
+    @property
+    def gens(self) -> int:
+        """A count g whose first g vectors of this basis generate `alg`:
+        n - dim L^2 for a nilpotent algebra of dimension n >= 1, where
+        they span a complement of L^2 (`_bracket_basis` puts one first, and
+        a given basis is adapted only with L^2 its trailing unit vectors),
+        and n otherwise."""
+        n = self.alg.dim
+        return n - self.series.terms[1].dim if self.series.nilpotent and n else n
+
     def conjugate(self, dmat: RationalMatrix) -> list[list[int]]:
         """P^-1 D P up to a positive factor, an endomorphism of the given
         basis carried into this one over the ints: Z D' U for the integer
         multiple D' = e D, e the lcm of D's denominators, which is e d
         P^-1 D P, or D' itself when P = I."""
         dint = _int_matrix(dmat.entries)[1]
-        return dint if self.u is None else self._times(self._times(self.z, dint), self.u)
+        return dint if self.u is None else _int_product(_int_product(self.z, dint), self.u)
 
     def space_back(self, space: Subspace) -> Subspace:
         """{P D P^-1 : D in space}, a space of this basis moved to the given
@@ -821,7 +852,7 @@ class _AdaptedBasis:
         rows = []
         for row in _dict_rows(space):
             m = [[row.get(r * n + c, 0) for c in range(n)] for r in range(n)]
-            m = self._times(self._times(left, m), right)
+            m = _int_product(_int_product(left, m), right)
             rows.append({k: v for k, v in enumerate(itertools.chain(*m)) if v})
         return _subspace_int(n * n, rows)
 
@@ -835,12 +866,6 @@ class _AdaptedBasis:
         """Z x, an integer x of the given basis in this one: P^-1 x up to
         d / s, which the almost inner condition, homogeneous in x, ignores."""
         return x if self.u is None else [sum(map(mul, row, x)) for row in self.z]
-
-    @staticmethod
-    def _times(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-        """The product of two integer matrices given by their rows."""
-        cols = list(zip(*b))
-        return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def aid_certify(alg: LeibnizAlgebra, dmat: RationalMatrix) -> CertOutcome:
@@ -1012,8 +1037,10 @@ def _der_inner_aid(
     """Der, Inner and AID of one algebra, each computed once, and the
     series-adapted basis they used, which carries the central series.
 
-    Der is solved in `basis` and stays there: callers read its dimension,
-    and only `catalog.build_deviations` moves it back, for a Der deviation.
+    Der is solved in `basis`, from the Leibniz rule at the pairs (e_i, g)
+    for its first `basis.gens` vectors g only, and stays there: callers
+    read its dimension, and only `catalog.build_deviations` moves it back,
+    for a Der deviation.
     Inner is solved in the given basis.  The candidate and the walk run in
     `basis` at the points P^-1 x of the given ones and move back
     (`space_back`) unless their dimension shows them to be Inner or
@@ -1025,7 +1052,7 @@ def _der_inner_aid(
     """
     n = alg.dim
     basis = _AdaptedBasis.of(alg)
-    der = derivation_space(basis.alg)
+    der = derivation_space(basis.alg, _gens=basis.gens)
     inner = inner_space(alg)
     moved_cand = aid_basis_candidate(basis.alg, der, _into=basis.point_in)
     # Inner lies in the candidate, so a candidate of its dimension is Inner
@@ -1163,32 +1190,47 @@ def bracket(d1: RationalMatrix, d2: RationalMatrix) -> RationalMatrix:
     return (d1 @ d2) - (d2 @ d1)
 
 
+def _int_commutator(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> dict[int, int]:
+    """AB - BA of two integer matrices given by their rows, as a sparse
+    row-major vector."""
+    ab, ba = _int_product(a, b), _int_product(b, a)
+    flat = (x - y for p, q in zip(ab, ba) for x, y in zip(p, q))
+    return {k: v for k, v in enumerate(flat) if v}
+
+
 def subalgebra_nilpotency(space: Subspace) -> tuple[tuple[int, ...], bool]:
     """Lower central series dims of a bracket-closed space of matrices.
 
     Raises NotBracketClosed when some commutator of basis elements leaves
     the space.  Returns the series dimensions and whether it reaches zero.
+    Each term is spanned by the commutators of the stored integer rows of
+    the one before with those of the space, taken as integer matrices; the
+    rows are positive multiples of a basis, so they span the same terms.
     """
     nsq = space.ambient_dim
     n = isqrt(nsq)
     if n * n != nsq:
         raise ValueError("ambient dimension is not a square")
-    mats = [vec_to_endo(v, n) for v in space.basis_vectors()]
 
-    def commutators(left: list[RationalMatrix]) -> Subspace:
-        return Subspace.from_vectors(
-            nsq, [endo_to_vec(bracket(a, b)) for a in left for b in mats])
+    def matrices(sub: Subspace) -> list[list[list[int]]]:
+        return [[[row.get(r * n + c, 0) for c in range(n)] for r in range(n)]
+                for row in _dict_rows(sub)]
 
-    # the first term [S, S] is also the closure test
+    mats = matrices(space)
+
+    def commutators(left: list[list[list[int]]]) -> Subspace:
+        return _subspace_int(nsq, [_int_commutator(a, b) for a in left for b in mats])
+
+    # the first term [S, S] is also the closure test, by rank
     term = commutators(mats)
-    if not space.contains_subspace(term):
+    if subspace_sum(space, term).dim != space.dim:
         raise NotBracketClosed("commutator of basis elements leaves the space")
     dims = [space.dim]
     while True:
         dims.append(term.dim)
         if term.dim in (0, dims[-2]):
             return tuple(dims), term.dim == 0
-        term = commutators([vec_to_endo(v, n) for v in term.basis_vectors()])
+        term = commutators(matrices(term))
 
 
 # ---------------------------------------------------------------------------

@@ -315,6 +315,56 @@ def fraction_central_series_terms(alg: la.LeibnizAlgebra) -> list[la.Subspace]:
             return terms
 
 
+# [e2, e1] = e2, not nilpotent
+SOLVABLE = la.LeibnizAlgebra.build(2, {(2, 1): {2: 1}})
+# [e2, e1] = e2 and [e1, e1] = e2: L^2 = span(e2) and every layer
+# S_k = [S_{k-1}, e1] is span(e2), so the layers never reach 0
+ENDLESS_LAYERS = la.LeibnizAlgebra.build(2, {(1, 1): {2: 1}, (2, 1): {2: 1}})
+# [e1, e1] = e1 breaks the Leibniz identity, so it is built unchecked; the
+# series reads only the product, and G = 0 although L is not 0
+E1E1 = la.LeibnizAlgebra(1, (((la.Q(1),),),))
+# sl2 = span(e, f, h), perfect (L^2 = L), so G = 0 here too
+SL2 = la.LeibnizAlgebra.build(3, {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 1): {1: 2},
+                                  (1, 3): {1: -2}, (3, 2): {2: -2}, (2, 3): {2: 2}})
+
+# (algebra, whether `central_series` falls back to the term-by-term series):
+# the algebras off its nilpotent path, and the two nilpotent edge cases
+SERIES_FALLBACK_CASES = [
+    # G = span(e1), S_2 = 0, F_2 = 0 but L^2 = span(e2)
+    pytest.param(SOLVABLE, True, id="solvable"),
+    pytest.param(E1E1, True, id="e1e1-is-e1"),
+    pytest.param(SL2, True, id="sl2"),
+    pytest.param(ENDLESS_LAYERS, True, id="endless-layers"),
+    pytest.param(la.LeibnizAlgebra.build(0, {}), False, id="dim-0"),
+    pytest.param(la.LeibnizAlgebra.build(3, {}), False, id="abelian"),
+]
+
+
+def fraction_subalgebra_nilpotency(space: la.Subspace) -> tuple[tuple[int, ...], bool]:
+    """The lower central series dims of a space of matrices from dense
+    Fraction commutators of its basis, with the closure test by membership:
+    the body `subalgebra_nilpotency` had before it took integer rows."""
+    nsq = space.ambient_dim
+    n = math.isqrt(nsq)
+    if n * n != nsq:
+        raise ValueError("ambient dimension is not a square")
+    mats = [la.vec_to_endo(v, n) for v in space.basis_vectors()]
+
+    def commutators(left):
+        return la.Subspace.from_vectors(
+            nsq, [la.endo_to_vec(la.bracket(a, b)) for a in left for b in mats])
+
+    term = commutators(mats)
+    if not space.contains_subspace(term):
+        raise la.NotBracketClosed("commutator of basis elements leaves the space")
+    dims = [space.dim]
+    while True:
+        dims.append(term.dim)
+        if term.dim in (0, dims[-2]):
+            return tuple(dims), term.dim == 0
+        term = commutators([la.vec_to_endo(v, n) for v in term.basis_vectors()])
+
+
 @functools.cache
 def analyze(ref: str) -> la.AnalysisReport:
     """One cached analysis per catalog ref for the whole session."""

@@ -28,6 +28,8 @@ from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, _int_matrix
 
 from conftest import (
     CATALOG_BATTERY,
+    SERIES_FALLBACK_CASES,
+    SOLVABLE,
     dense_mult,
     dense_product,
     fraction_annihilators,
@@ -37,7 +39,6 @@ from conftest import (
 )
 
 NF3 = catalog.make(catalog.parse_ref("catalog:NF:3"))
-SOLVABLE = LeibnizAlgebra.build(2, {(2, 1): {2: 1}})  # [e2,e1]=e2, not nilpotent
 
 
 # -- construction -------------------------------------------------------
@@ -336,25 +337,7 @@ def test_series_from_generators_on_the_sweep(ref):
         assert central_series(alg) == _full_series(alg)
 
 
-# [e2, e1] = e2 and [e1, e1] = e2: L^2 = span(e2) and every layer
-# S_k = [S_{k-1}, e1] is span(e2), so the layers never reach 0
-ENDLESS_LAYERS = LeibnizAlgebra.build(2, {(1, 1): {2: 1}, (2, 1): {2: 1}})
-# [e1, e1] = e1 breaks the Leibniz identity, so it is built unchecked; the
-# series reads only the product, and G = 0 although L is not 0
-E1E1 = LeibnizAlgebra(1, (((Q(1),),),))
-# sl2 = span(e, f, h), perfect (L^2 = L), so G = 0 here too
-SL2 = LeibnizAlgebra.build(3, {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 1): {1: 2},
-                               (1, 3): {1: -2}, (3, 2): {2: -2}, (2, 3): {2: 2}})
-
-
-@pytest.mark.parametrize("alg, fallback", [
-    (SOLVABLE, True),  # G = span(e1), S_2 = 0, F_2 = 0 but L^2 = span(e2)
-    (E1E1, True),
-    (SL2, True),
-    (ENDLESS_LAYERS, True),
-    (LeibnizAlgebra.build(0, {}), False),
-    (LeibnizAlgebra.build(3, {}), False),
-], ids=["solvable", "e1e1-is-e1", "sl2", "endless-layers", "dim-0", "abelian"])
+@pytest.mark.parametrize("alg, fallback", SERIES_FALLBACK_CASES)
 def test_series_from_generators_falls_back_off_the_nilpotent_case(alg, fallback, monkeypatch):
     expected = _full_series(alg)
     calls = []

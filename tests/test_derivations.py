@@ -61,11 +61,14 @@ from leibniz_aid.exactlin import (
 
 from conftest import (
     CATALOG_BATTERY,
+    SERIES_FALLBACK_CASES,
+    aid_of,
     dense_derivation_space,
     dense_inner_combination,
     dense_subspace,
     fraction_aid_basis_candidate,
     fraction_restrict_at_point,
+    fraction_subalgebra_nilpotency,
     fraction_transition_inverse,
     fuzz_copies,
     sympy_derivation_dim,
@@ -202,6 +205,64 @@ def test_der_of_a_non_nilpotent_algebra_stays_in_the_given_basis():
     assert der == derivation_space(alg) == dense_derivation_space(alg)
 
 
+def _generator_der_cases():
+    """(label, algebra, standard) triples: the standard bases of the sweep,
+    which are series-adapted already, the battery in three random bases,
+    which Der meets as bracket bases, and a direct sum with three
+    generators in G53 and one in NF:3."""
+    refs = [f"catalog:NF:{n}" for n in range(2, 17)] + [
+        f"catalog:F3:{n}:0,0,1" for n in range(5, 13)]
+    cases = [(ref, make(ref), True) for ref in refs]
+    rng = random.Random(11)
+    for ref in CATALOG_BATTERY:
+        base = make(ref)
+        for copy in range(3):
+            alg = change_basis(base, _random_invertible(rng, base.dim))
+            cases.append((f"{ref} basis {copy}", alg, False))
+    g53_nf3 = direct_sum(make("catalog:G53"), make("catalog:NF:3"))
+    cases.append(("G53 + NF:3", g53_nf3, False))
+    return cases
+
+
+def test_der_from_the_generators_equals_the_full_solve(monkeypatch):
+    # the analysis solves Der from the pairs (e_i, g) for the first
+    # n - dim L^2 vectors g of the adapted basis, through the module's
+    # derivation_space, and gets the full solve's Subspace
+    solve = derivations.derivation_space
+    gens_seen = []
+
+    def spy(alg, **kwargs):
+        gens_seen.append(kwargs["_gens"])
+        return solve(alg, **kwargs)
+
+    monkeypatch.setattr(derivations, "derivation_space", spy)
+    most = 0
+    bracket_bases = 0
+    for label, alg, standard in _generator_der_cases():
+        gens_seen.clear()
+        der, _, _, basis = _der_inner_aid(alg, AidConfig())
+        n = alg.dim
+        g = n - central_series(alg).dims[1]
+        assert gens_seen == [g] and basis.gens == g < n, label
+        if standard:
+            assert basis.u is None, label  # the given basis is adapted
+        bracket_bases += basis.u is not None
+        assert der == solve(basis.alg), label
+        most = max(most, g)
+    # every random copy, and the direct sum, is moved to its bracket basis
+    assert most == 4 and bracket_bases == 100
+
+
+@pytest.mark.parametrize("alg, fallback", SERIES_FALLBACK_CASES)
+def test_der_off_the_nilpotent_path_takes_every_pair(alg, fallback):
+    # a non-nilpotent algebra, dimension 0 and an abelian one (L^2 = 0) are
+    # solved from all n^2 pairs
+    basis = derivations._AdaptedBasis.of(alg)
+    assert basis.gens == alg.dim
+    assert derivation_space(basis.alg, _gens=basis.gens) == \
+        derivation_space(alg) == dense_derivation_space(alg)
+
+
 def _layer_of(series, n):
     """The series degree of each column of a basis adapted to it: column j
     lies in L^i exactly when j >= n - dim L^i."""
@@ -233,7 +294,7 @@ def test_bracket_basis_is_adapted_and_keeps_der_and_aid(ref):
         if basis.u is not None:
             # P P^-1 = (U / s)(s Z / d) = I: U Z = d I over the ints
             identity = [[basis.d * int(r == k) for k in range(n)] for r in range(n)]
-            assert basis._times(basis.u, basis.z) == identity
+            assert derivations._int_product(basis.u, basis.z) == identity
         moved_der, _, moved_aid, _ = _der_inner_aid(alg, AidConfig())
         assert (moved_der.dim, moved_aid.dim) == (der.dim, aid.dim), (ref, seed)
 
@@ -1460,16 +1521,40 @@ def test_subalgebra_nilpotency_cases():
         subalgebra_nilpotency(Subspace.full(3))
 
 
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_subalgebra_nilpotency_matches_the_fraction_oracle(ref):
+    alg = make(ref)
+    for space in (inner_space(alg), aid_of(ref).upper_bound):
+        assert subalgebra_nilpotency(space) == fraction_subalgebra_nilpotency(space), ref
+
+
+def test_subalgebra_nilpotency_of_der_matches_the_fraction_oracle():
+    stalled = 0
+    for ref in ("catalog:NF:3", "catalog:G53", "catalog:F3:6:0,0,1", "catalog:D4:L13:1",
+                "catalog:D3:L4"):
+        der = derivation_space(make(ref))
+        dims, nilpotent = subalgebra_nilpotency(der)
+        assert (dims, nilpotent) == fraction_subalgebra_nilpotency(der), ref
+        stalled += not nilpotent
+    assert stalled  # some series stops above zero
+    # a space that is not bracket-closed raises in both
+    s = Subspace.from_vectors(9, [[0, 1, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0, 0, 0, 0]])
+    for nilpotency in (subalgebra_nilpotency, fraction_subalgebra_nilpotency):
+        with pytest.raises(NotBracketClosed):
+            nilpotency(s)
+
+
 def test_aid_series_forms_each_commutator_once(monkeypatch):
     # G53's AID has series 5, 1, 0: [S, S] takes 25 commutators, and they are
     # the closure test too; [[S, S], S] takes 5 more
     aid = aid_space(make("catalog:G53")).upper_bound
     calls = []
+    commutator = derivations._int_commutator
 
     def counted(a, b):
         calls.append((a, b))
-        return bracket(a, b)
+        return commutator(a, b)
 
-    monkeypatch.setattr(derivations, "bracket", counted)
+    monkeypatch.setattr(derivations, "_int_commutator", counted)
     assert subalgebra_nilpotency(aid) == ((5, 1, 0), True)
     assert len(calls) == 30
