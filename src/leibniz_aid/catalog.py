@@ -13,8 +13,10 @@ listing, `expected_for` and `paper_claims` all read it.
 
 Seven of the four-dimensional entries and the five-dimensional Lie example
 carry expected dimension data (Inner/RCAID/AID/Der and a claimed complement
-generator).  `build_deviations` compares a computed analysis against that
-data and attaches a machine-checkable certificate to every disagreement:
+generator).  `build_deviations` compares an analysis, the one value
+`derivations.analysis` builds, against that data, and judges a claimed
+generator in the analysis's series-adapted basis (`Analysis.judge`).  It
+attaches a machine-checkable certificate to every disagreement:
 either a concrete refuting x for a claimed generator, an explicit inner
 combination showing the generator adds nothing, or per-member global-x
 witnesses for a larger-than-expected restricted space.  A claimed generator
@@ -34,8 +36,8 @@ from dataclasses import dataclass
 
 from .algebra import IdentityViolation, LeibnizAlgebra
 from .derivations import (
+    Analysis,
     Deviation,
-    _judged,
     endo_actions,
     matrix_unit,
     restriction_witness,
@@ -494,17 +496,17 @@ def inner_witness_certificate(alg: LeibnizAlgebra, gen: RationalMatrix,
     return cert
 
 
-def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
-                       basis) -> tuple[str, dict] | None:
+def _generator_failure(analysis: Analysis, gen: RationalMatrix,
+                       label: str) -> tuple[str, dict] | None:
     """Why a claimed complement generator fails; None when it is proved almost
     inner and lies outside Inner.
 
     Returns (computed, certificate): a refuting x, or the generator's
     combination of right multiplications when it cannot extend Inner.  An
     inconclusive certification has no certificate, so no `--deviations-ok`
-    run excuses it.  `basis` is the analysis's series-adapted basis.
+    run excuses it.  The generator is judged in the analysis's basis.
     """
-    outcome, combination = _judged(alg, gen, basis)
+    outcome, combination = analysis.judge(gen)
     if outcome.kind == "refuted":
         return "not an almost inner derivation", {
             "kind": "refuting_x",
@@ -515,26 +517,24 @@ def _generator_failure(alg: LeibnizAlgebra, gen: RationalMatrix, label: str,
         }
     if combination is not None:
         return "already an inner derivation", inner_witness_certificate(
-            alg, gen, combination, label)
+            analysis.alg, gen, combination, label)
     if outcome.kind == "inconclusive":
         return f"certification inconclusive: {outcome.branch_log[-1]}", {}
     return None
 
 
-def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner,
-                     aid, rcaid, ann_r, adapted) -> list:
+def build_deviations(analysis: Analysis, expected: ExpectedData, algebra_id: str) -> list:
     """Compare an analysis against the recorded expected values.
 
-    `der`, `inner` and `rcaid` are the analysis's spaces, `aid` its
-    AidResult, `ann_r` the right annihilator of `alg` and `adapted` the
-    analysis's series-adapted basis, where `der` lies; the other spaces lie
-    in the given basis.
+    Der lies in the analysis's series-adapted basis, the other spaces in
+    the given one; RCAID is read from AID's proved bound.
     """
     out: list = []
     loc = algebra_id
+    alg, der, inner, aid = analysis.alg, analysis.der, analysis.inner, analysis.aid
     if expected.der is not None and der.dim != expected.der:
         basis = [matrix_json(vec_to_endo(v, alg.dim))
-                 for v in adapted.space_back(der).basis_vectors()]
+                 for v in analysis.basis.space_back(der).basis_vectors()]
         out.append(Deviation(f"{loc}:der", str(expected.der), str(der.dim),
                              {"kind": "derivation_basis", "basis": basis}))
     if expected.inner is not None and inner.dim != expected.inner:
@@ -545,7 +545,7 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
     gen_computed, gen_cert = None, {}
     if expected.generator is not None:
         gen_computed, gen_cert = _generator_failure(
-            alg, expected.generator, expected.generator_label, adapted) or (None, {})
+            analysis, expected.generator, expected.generator_label) or (None, {})
     aid_differs = expected.aid is not None and aid.upper_bound.dim != expected.aid
     if aid_differs:
         # a failing generator's certificate explains the AID mismatch best
@@ -561,11 +561,12 @@ def build_deviations(alg, expected: ExpectedData, algebra_id: str, *, der, inner
         out.append(Deviation(
             f"{loc}:generator",
             f"{expected.generator_label} spans AID over Inner", gen_computed, gen_cert))
+    rcaid = analysis.rcaid[0]
     if expected.rcaid is not None and rcaid.dim != expected.rcaid:
         members = []
         for v in rcaid.basis_vectors():
             m = vec_to_endo(v, alg.dim)
-            gx = restriction_witness(alg, m, ann_r)
+            gx = restriction_witness(alg, m, analysis.annihilators.ann_r)
             members.append({
                 "matrix": matrix_json(m),
                 "actions": endo_actions(alg, m),

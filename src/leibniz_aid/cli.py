@@ -181,10 +181,15 @@ def report_text(report: AnalysisReport) -> str:
     lines.append(
         f"annihilators: right {a['right']}, left {a['left']}, center {a['center']}"
     )
+    exact = report.aid.status == "certified_exact"
+
+    def bounds(lower: str, upper: str) -> str:
+        return str(t[lower]) if exact else f"{t[lower]}..{t[upper]}"
+
     lines.append(
-        f"tower: Der {t['der']}, Inner {t['inner']}, AID {t['aid']} "
-        f"({report.aid.status}), RCAID {t['rcaid']}, CAID {t['caid']}, "
-        f"outer {t['outer']}"
+        f"tower: Der {t['der']}, Inner {t['inner']}, AID {bounds('aid_proved', 'aid')} "
+        f"({report.aid.status}), RCAID {bounds('rcaid', 'rcaid_upper')}, "
+        f"CAID {bounds('caid', 'caid_upper')}, outer {t['outer']}"
     )
     lines.append(
         f"aid sampling: seed {report.aid.seed}, samples {report.aid.samples_used}"
@@ -278,21 +283,20 @@ def _cmd_fuzz(args) -> int:
     if args.basis_changes < 0:
         raise InputError(f"--basis-changes must be nonnegative, not {args.basis_changes}")
     algebra, algebra_id, _ = _load_algebra(args.source)
-    base, base_status = _tower_dims(algebra)
+    base = der_mod.analysis(algebra)
     rng = random.Random(args.seed)
     n = algebra.dim
     failures = []
-    statuses = {base_status: 1}
+    statuses = {base.aid.status: 1}
     for trial in range(args.basis_changes):
         p = _random_invertible(rng, n)
-        changed = alg_mod.change_basis(algebra, p)
-        dims, status = _tower_dims(changed)
-        statuses[status] = statuses.get(status, 0) + 1
-        if dims != base:
+        an = der_mod.analysis(alg_mod.change_basis(algebra, p))
+        statuses[an.aid.status] = statuses.get(an.aid.status, 0) + 1
+        if an.upper_dims() != base.upper_dims():
             failures.append({
                 "trial": trial,
                 "matrix": cat_mod.matrix_json(p),
-                "dims": dims,
+                "dims": an.upper_dims(),
             })
         print(f"fuzz {algebra_id} trial {trial + 1}/{args.basis_changes}",
               file=sys.stderr)
@@ -301,31 +305,13 @@ def _cmd_fuzz(args) -> int:
         "algebra": algebra_id,
         "seed": args.seed,
         "basis_changes": args.basis_changes,
-        "reference_dims": base,
+        "reference_dims": base.upper_dims(),
         "statuses": dict(sorted(statuses.items())),
         "failures": failures,
         "ok": not failures,
     }
     print(json.dumps(doc, indent=2))
     return 0 if not failures else 1
-
-
-def _tower_dims(algebra) -> tuple[dict, str]:
-    """Five tower dimensions, all built on the sampling upper bound.
-
-    The upper bound always contains the true AID space, so when its dimension
-    matches across bases the derived intersections are comparable too even if
-    symbolic certification succeeds in one basis and not another; the
-    certification status is returned separately as data.
-    """
-    der, inner, aid, _ = der_mod._der_inner_aid(algebra, AidConfig())
-    ann = alg_mod.annihilators(algebra)
-    dims = {
-        "der": der.dim, "inner": inner.dim, "aid": aid.upper_bound.dim,
-        "rcaid": der_mod._envelope_meet(aid.upper_bound, inner, ann.ann_r).dim,
-        "caid": der_mod._envelope_meet(aid.upper_bound, inner, ann.center).dim,
-    }
-    return dims, aid.status
 
 
 def _random_invertible(rng, n: int) -> RationalMatrix:
@@ -360,7 +346,8 @@ def _evaluate(claim: cat_mod.Claim) -> dict:
         return _check(claim, not report.deviations, report.deviations,
                       {"tower": dict(report.tower), "status": report.aid.status})
     deviations = []
-    der, inner, aid, basis = der_mod._der_inner_aid(algebra, AidConfig())
+    an = der_mod.analysis(algebra)
+    der, inner, aid = an.der, an.inner, an.aid
     exact = aid.status == "certified_exact"
     values = {"status": aid.status, "der_dim": der.dim,
               "aid_dim": aid.upper_bound.dim, "inner_dim": inner.dim}
@@ -368,13 +355,12 @@ def _evaluate(claim: cat_mod.Claim) -> dict:
     # computed only for the claims that report it
     rcaid = None
     if "rcaid_dim" in claim.fields:
-        rcaid = der_mod._envelope_meet(aid.proved, inner,
-                                       alg_mod.annihilators(algebra).ann_r)
+        rcaid = an.rcaid[0]
         values["rcaid_dim"] = rcaid.dim
     collapses = exact and aid.upper_bound == inner
     gen = claim.generator
     if gen is not None:
-        outcome, combination = der_mod._judged(algebra, gen, basis)
+        outcome, combination = an.judge(gen)
         values["generator_certified"] = values["generator_outcome"] = outcome.kind
         if outcome.kind == "refuted":
             values["refuting_x"] = cat_mod.vec_json(outcome.refuting_x)

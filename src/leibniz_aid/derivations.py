@@ -28,6 +28,13 @@ candidate, the walk (each point x of the given basis taken as P^-1 x) and
 the elimination run there.  Inner, the complements of Inner, the refutation
 rounds and all that is reported are in the given basis, and only the
 candidate and a walk that cut it move back.
+
+One analysis of an algebra is one value, `Analysis`, built by `analysis`:
+the adapted basis with the central series, Der, Inner and the `AidResult`,
+and, worked out on first read, the annihilators, RCAID and CAID, the last
+two as the pair from AID's proved bound and from its upper bound.
+`aid_space`, `analysis_report` and every command read that value, so each
+stage runs once per analysis.
 """
 
 from __future__ import annotations
@@ -35,12 +42,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator, Sequence
 
 from ._poly import Poly
 from .algebra import (
+    Annihilators,
     LeibnizAlgebra,
     SeriesReport,
     _coords_str,
@@ -134,7 +143,7 @@ def derivation_space(alg: LeibnizAlgebra, *, _gens: int | None = None) -> Subspa
     (i, j) with [e_i, e_j] = 0 builds only the rows at the m that its
     other two terms reach.
 
-    With `_gens` = g, as in `_der_inner_aid`, only the pairs with j < g
+    With `_gens` = g, as in `analysis`, only the pairs with j < g
     are built, L x G for G the span of e_1..e_g, and the null space is
     still Der when G generates L.  Let K = {y : D[x, y] = [Dx, y] + [x, Dy]
     for all x}, a linear subspace.  For y, z in K, write D[x, [y, z]] =
@@ -1025,17 +1034,62 @@ def _row_endo(row: tuple[tuple[int, ...], tuple[int, ...]], n: int) -> RationalM
 
 def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     """Compute AID(L) with certificates, by the four steps of the module
-    docstring (`_der_inner_aid`): certified_exact when every generator of the
+    docstring (`analysis`): certified_exact when every generator of the
     last complement of Inner is proved, probabilistic when some remain
     inconclusive."""
-    return _der_inner_aid(alg, cfg)[2]
+    return analysis(alg, cfg).aid
 
 
-def _der_inner_aid(
-    alg: LeibnizAlgebra, cfg: AidConfig
-) -> tuple[Subspace, Subspace, AidResult, _AdaptedBasis]:
-    """Der, Inner and AID of one algebra, each computed once, and the
-    series-adapted basis they used, which carries the central series.
+@dataclass(frozen=True)
+class Analysis:
+    """One analysis of an algebra, each stage of its tower computed once.
+
+    `basis` is the series-adapted basis, with the central series; `der`
+    lies in it, `inner` and `aid` in the given basis.  The annihilators,
+    `rcaid` and `caid` are worked out on first read.  RCAID and CAID are
+    pairs, from AID's proved bound and from its upper bound: one object
+    twice when AID is certified exact.
+    """
+
+    alg: LeibnizAlgebra
+    basis: _AdaptedBasis
+    der: Subspace
+    inner: Subspace
+    aid: AidResult
+
+    @cached_property
+    def annihilators(self) -> Annihilators:
+        return annihilators(self.alg)
+
+    @cached_property
+    def rcaid(self) -> tuple[Subspace, Subspace]:
+        return self._meets(self.annihilators.ann_r)
+
+    @cached_property
+    def caid(self) -> tuple[Subspace, Subspace]:
+        return self._meets(self.annihilators.center)
+
+    def _meets(self, target: Subspace) -> tuple[Subspace, Subspace]:
+        proved = _envelope_meet(self.aid.proved, self.inner, target)
+        if self.aid.proved is self.aid.upper_bound:
+            return proved, proved
+        return proved, _envelope_meet(self.aid.upper_bound, self.inner, target)
+
+    def upper_dims(self) -> dict[str, int]:
+        """Der, Inner, AID and RCAID and CAID from AID's upper bound, which
+        always contains AID: what `fuzz` compares across bases, whatever
+        each basis certified."""
+        return {"der": self.der.dim, "inner": self.inner.dim, "aid": self.aid.dim,
+                "rcaid": self.rcaid[1].dim, "caid": self.caid[1].dim}
+
+    def judge(self, dmat: RationalMatrix) -> tuple[CertOutcome, tuple[Q, ...] | None]:
+        """`_judged` for a claimed generator, in this analysis's basis."""
+        return _judged(self.alg, dmat, self.basis)
+
+
+def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
+    """Der, Inner and AID of one algebra, each computed once, in the
+    series-adapted basis they share.
 
     Der is solved in `basis`, from the Leibniz rule at the pairs (e_i, g)
     for its first `basis.gens` vectors g only, and stays there: callers
@@ -1116,7 +1170,7 @@ def _der_inner_aid(
         witnesses=tuple(refutations),
         judged=tuple(judged),
     )
-    return der, inner, aid, basis
+    return Analysis(alg, basis, der, inner, aid)
 
 
 # ---------------------------------------------------------------------------
@@ -1275,29 +1329,27 @@ def analysis_report(
     """
     from .catalog import build_deviations  # local import to avoid a cycle
 
-    ann = annihilators(alg)
-    der, inner, aid, basis = _der_inner_aid(alg, cfg)
+    an = analysis(alg, cfg)
+    aid, ann = an.aid, an.annihilators
     notes = [
         "field: Q; sampling and certificates range over rational points only",
         "matrix convention: column j is the image of e_j; transposed "
         "presentations of the same generator are treated as the same object",
     ]
-    if aid.status != "certified_exact":
-        notes.append(
-            "aid not certified exact; rcaid/caid computed from the proved lower bound"
-        )
-    # certified exact, the proved bound is the upper bound
-    rcaid = _envelope_meet(aid.proved, inner, ann.ann_r)
-    caid = _envelope_meet(aid.proved, inner, ann.center)
+    (rcaid, rcaid_upper), (caid, caid_upper) = an.rcaid, an.caid
     tower = {
-        "der": der.dim,
-        "inner": inner.dim,
+        "der": an.der.dim,
+        "inner": an.inner.dim,
         "aid": aid.upper_bound.dim,
         "aid_proved": aid.proved.dim,
         "rcaid": rcaid.dim,
         "caid": caid.dim,
-        "outer": der.dim - inner.dim,
+        "outer": an.der.dim - an.inner.dim,
     }
+    if aid.status != "certified_exact":
+        notes.append("aid not certified exact; rcaid/caid computed from the proved "
+                     "lower bound, rcaid_upper/caid_upper from the upper bound")
+        tower.update(rcaid_upper=rcaid_upper.dim, caid_upper=caid_upper.dim)
     comp_info = []
     for kind, pairs in (
         ("proved", aid.proved_generators),
@@ -1311,17 +1363,12 @@ def analysis_report(
             else:
                 info["branch_log"] = list(detail.branch_log)
             comp_info.append(info)
-    deviations = ()
-    if expected is not None:
-        deviations = tuple(
-            build_deviations(alg, expected, algebra_id, der=der, inner=inner,
-                             aid=aid, rcaid=rcaid, ann_r=ann.ann_r, adapted=basis)
-        )
+    deviations = () if expected is None else tuple(build_deviations(an, expected, algebra_id))
     return AnalysisReport(
         algebra_id=algebra_id,
         dim=alg.dim,
         labels=alg.labels,
-        series=basis.series,
+        series=an.basis.series,
         annihilator_dims={
             "right": ann.ann_r.dim,
             "left": ann.ann_l.dim,

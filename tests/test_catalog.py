@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from leibniz_aid import catalog
+from leibniz_aid import derivations
 from leibniz_aid.catalog import (
     ArityMismatch,
     ParameterInvalid,
@@ -280,14 +280,15 @@ def test_inconclusive_claimed_generator_is_an_unexcused_deviation(monkeypatch, c
     # a table claim whose generator certification cannot decide must not pass
     l9 = make("catalog:D4:L9")
     note = "node budget exhausted"
-    judged = catalog._judged
+    judged = derivations._judged
 
     def undecided_on_l9(alg, gen, basis):
         if alg.constants == l9.constants:
             return CertOutcome("inconclusive", branch_log=("series-adapted basis", note)), None
         return judged(alg, gen, basis)
 
-    monkeypatch.setattr(catalog, "_judged", undecided_on_l9)
+    # `Analysis.judge` reads the judgement through the module global
+    monkeypatch.setattr(derivations, "_judged", undecided_on_l9)
     ref = parse_ref("catalog:D4:L9")
     report = analysis_report(l9, AidConfig(), ref.ref_string(), expected_for(ref))
     [dev] = [d for d in report.deviations if d.location.endswith(":generator")]

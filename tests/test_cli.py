@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from leibniz_aid.cli import main
+from leibniz_aid.algebra import change_basis, direct_sum, to_json_dict
+from leibniz_aid.catalog import make
+from leibniz_aid.cli import _random_invertible, main
 
 BROKEN = {
     "dim": 1,
@@ -24,6 +27,7 @@ NONNILPOTENT = {
 
 
 CATALOG_LISTING = Path(__file__).parent / "data" / "catalog_listing.txt"
+PROBABILISTIC_COPY = Path(__file__).parent / "data" / "probabilistic_copy.json"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -282,6 +286,26 @@ def test_fuzz_reference_dims_match_the_analyzed_tower(capsys, ref):
     assert fuzz_dims == {k: tower[k] for k in ("der", "inner", "aid", "rcaid", "caid")}
 
 
+def test_fuzz_reference_dims_are_the_upper_side_of_a_probabilistic_report(capsys):
+    # G53 + D4:L13:0 in the first basis that random.Random(5) draws, AID
+    # 6..7: the one input of CI that is not certified exact
+    base = direct_sum(make("catalog:G53"), make("catalog:D4:L13:0"))
+    alg = change_basis(base, _random_invertible(random.Random(5), 9))
+    assert json.loads(PROBABILISTIC_COPY.read_text()) == to_json_dict(alg)
+    code, out, _ = run(capsys, "analyze", str(PROBABILISTIC_COPY), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    tower = report["tower"]
+    assert report["aid"]["status"] == "probabilistic"
+    assert (tower["aid_proved"], tower["aid"]) == (6, 7)
+    assert tower["rcaid"] <= tower["rcaid_upper"] and tower["caid"] <= tower["caid_upper"]
+    code, out, _ = run(capsys, "fuzz", str(PROBABILISTIC_COPY), "--basis-changes", "0")
+    assert code == 0
+    assert json.loads(out)["reference_dims"] == {
+        "der": tower["der"], "inner": tower["inner"], "aid": tower["aid"],
+        "rcaid": tower["rcaid_upper"], "caid": tower["caid_upper"]}
+
+
 # -- verify-paper -------------------------------------------------------------
 
 
@@ -321,9 +345,12 @@ def test_verify_deviations_ok_accepts_certificated_mismatches(verify_runs):
             assert dev["certificate"], dev["location"]
 
 
-def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """The number of times each stage of an analysis is computed, counted
+    through the module globals of `derivations`, which the analysis calls,
+    and of `algebra`, which define them."""
     import leibniz_aid.algebra as alg_mod
-    import leibniz_aid.catalog as cat_mod
     import leibniz_aid.derivations as der_mod
 
     calls = {"derivation_space": 0, "inner_space": 0, "annihilators": 0,
@@ -344,6 +371,13 @@ def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
     counting(alg_mod, "annihilators")
     counting(der_mod, "central_series")
     counting(alg_mod, "central_series")
+    return calls
+
+
+def test_verify_computes_each_stage_once_per_claim(capsys, stage_calls):
+    import leibniz_aid.catalog as cat_mod
+
+    calls = stage_calls
     main(["verify-paper", "--nmax", "2"])
     capsys.readouterr()
     claims = cat_mod.paper_claims(2)
@@ -353,6 +387,21 @@ def test_verify_computes_each_stage_once_per_claim(capsys, monkeypatch):
     # one analysis_report per table row, one RCAID per row that reports it
     reporting = [c for c in claims if c.kind == "table" or "rcaid_dim" in c.fields]
     assert calls["annihilators"] == len(reporting)
+
+
+def test_analyze_computes_each_stage_once(capsys, stage_calls):
+    # D4:L9 has recorded data, so its deviations are built from the analysis
+    # too, and judging its claimed generator reuses the analysis's basis
+    assert main(["analyze", "catalog:D4:L9"]) == 0
+    assert "deviations from expected values:\n" in capsys.readouterr().out
+    assert stage_calls == dict.fromkeys(stage_calls, 1)
+
+
+def test_fuzz_computes_each_stage_once_per_basis(capsys, stage_calls):
+    # the given basis and two random ones, one analysis each
+    assert main(["fuzz", "catalog:D4:L9", "--basis-changes", "2"]) == 0
+    capsys.readouterr()
+    assert stage_calls == dict.fromkeys(stage_calls, 3)
 
 
 def test_verify_solves_each_constant_witness_once(capsys, monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from math import gcd, lcm
 
@@ -16,9 +17,10 @@ from leibniz_aid.algebra import (
     central_series,
     change_basis,
     direct_sum,
+    to_json_dict,
 )
 from leibniz_aid.catalog import make
-from leibniz_aid.cli import _random_invertible, report_json
+from leibniz_aid.cli import _random_invertible, main, report_json, report_text
 from leibniz_aid.derivations import (
     AidConfig,
     NotBracketClosed,
@@ -28,6 +30,7 @@ from leibniz_aid.derivations import (
     aid_refine,
     aid_space,
     aid_witness,
+    analysis,
     analysis_report,
     bracket,
     caid_restriction_witness,
@@ -43,7 +46,6 @@ from leibniz_aid.derivations import (
     subalgebra_nilpotency,
     vec_to_endo,
     _cuts,
-    _der_inner_aid,
     _grid_length,
     _held_nonzero,
     _restrict_at_point,
@@ -189,7 +191,8 @@ def test_restrict_at_point_matches_the_fraction_oracle(ref):
 @pytest.mark.parametrize("ref", ["catalog:G53", "catalog:F3:5:1,2,3", "catalog:D4:L9"])
 def test_der_in_the_adapted_basis_maps_back_to_der(ref):
     alg = random_basis_copy(ref, 3)
-    der, _, _, basis = _der_inner_aid(alg, AidConfig())
+    an = analysis(alg, AidConfig())
+    der, basis = an.der, an.basis
     assert basis.u is not None  # Der was solved in the series-adapted basis
     # and stays there: the analysis reports only its dimension
     assert der == derivation_space(basis.alg)
@@ -200,7 +203,8 @@ def test_der_of_a_non_nilpotent_algebra_stays_in_the_given_basis():
     solvable = LeibnizAlgebra.build(2, {(2, 1): {2: 1}})  # [e2,e1]=e2
     alg = change_basis(direct_sum(solvable, make("catalog:NF:3")),
                        _random_invertible(random.Random(4), 5))
-    der, _, _, basis = _der_inner_aid(alg, AidConfig())
+    an = analysis(alg, AidConfig())
+    der, basis = an.der, an.basis
     assert basis.u is None and basis.alg is alg
     assert der == derivation_space(alg) == dense_derivation_space(alg)
 
@@ -240,7 +244,8 @@ def test_der_from_the_generators_equals_the_full_solve(monkeypatch):
     bracket_bases = 0
     for label, alg, standard in _generator_der_cases():
         gens_seen.clear()
-        der, _, _, basis = _der_inner_aid(alg, AidConfig())
+        an = analysis(alg, AidConfig())
+        der, basis = an.der, an.basis
         n = alg.dim
         g = n - central_series(alg).dims[1]
         assert gens_seen == [g] and basis.gens == g < n, label
@@ -278,7 +283,8 @@ def _trailing_units(series, n):
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_bracket_basis_is_adapted_and_keeps_der_and_aid(ref):
-    der, _, aid, _ = _der_inner_aid(make(ref), AidConfig())
+    an = analysis(make(ref), AidConfig())
+    der, aid = an.der, an.aid
     for seed in (1, 2, 3):
         alg = random_basis_copy(ref, seed)
         n = alg.dim
@@ -295,7 +301,8 @@ def test_bracket_basis_is_adapted_and_keeps_der_and_aid(ref):
             # P P^-1 = (U / s)(s Z / d) = I: U Z = d I over the ints
             identity = [[basis.d * int(r == k) for k in range(n)] for r in range(n)]
             assert derivations._int_product(basis.u, basis.z) == identity
-        moved_der, _, moved_aid, _ = _der_inner_aid(alg, AidConfig())
+        moved = analysis(alg, AidConfig())
+        moved_der, moved_aid = moved.der, moved.aid
         assert (moved_der.dim, moved_aid.dim) == (der.dim, aid.dim), (ref, seed)
 
 
@@ -321,7 +328,8 @@ def test_bracket_basis_of_a_random_f3_12_copy_is_sparse():
     basis = derivations._AdaptedBasis.of(alg)
     c = basis.alg.constants
     assert sum(1 for plane in c for row in plane for v in row if v) <= 41
-    der, _, aid, _ = _der_inner_aid(alg, AidConfig())
+    an = analysis(alg, AidConfig())
+    der, aid = an.der, an.aid
     assert (der.dim, aid.dim, aid.status) == (21, 12, "certified_exact")
 
 
@@ -742,7 +750,31 @@ def test_integer_cut_test_agrees_with_the_exact_restriction(ref, seed):
         assert lazy
 
 
-def test_inconclusive_generator_reports_its_branch_log(monkeypatch):
+def test_analysis_reads_rcaid_and_caid_from_both_bounds_on_first_read(monkeypatch):
+    # aid_space reaches no annihilator; the analysis works them out once,
+    # on first read, and each pair is the public meet with each bound
+    solved = []
+    original = derivations.annihilators
+    monkeypatch.setattr(derivations, "annihilators",
+                        lambda alg: solved.append(alg) or original(alg))
+    exact = make("catalog:D4:L9")
+    aid_space(exact)
+    an = analysis(exact)
+    assert solved == []
+    assert an.rcaid[0] is an.rcaid[1] and an.caid[0] is an.caid[1]
+    assert an.rcaid[0] == rcaid_caid(exact, "right_ann", an.aid.upper_bound)
+    assert len(solved) == 2  # one for the analysis, one for rcaid_caid
+    monkeypatch.setattr(derivations, "NODE_BUDGET", 1)
+    an = analysis(random_basis_copy("catalog:G53", 1))
+    aid = an.aid
+    assert aid.status == "probabilistic"
+    for pair, target in ((an.rcaid, "right_ann"), (an.caid, "center")):
+        assert pair == (rcaid_caid(an.alg, target, aid.proved),
+                        rcaid_caid(an.alg, target, aid.upper_bound))
+        assert pair[0].dim < pair[1].dim
+
+
+def test_inconclusive_generator_reports_its_branch_log(monkeypatch, tmp_path, capsys):
     # with a budget of one node per generator, G53 in this basis leaves its
     # complement generators undecided, and the report says why
     monkeypatch.setattr(derivations, "NODE_BUDGET", 1)
@@ -751,13 +783,23 @@ def test_inconclusive_generator_reports_its_branch_log(monkeypatch):
     aid = report.aid
     assert aid.status == "probabilistic"
     assert aid.inconclusive_generators
-    gens = [
-        g for g in report_json(report)["complement_generators"]
-        if g["outcome"] == "inconclusive"
-    ]
+    doc = report_json(report)
+    gens = [g for g in doc["complement_generators"] if g["outcome"] == "inconclusive"]
     assert len(gens) == len(aid.inconclusive_generators)
     for g in gens:
         assert g["branch_log"][-1] == "node budget exhausted"
+    # RCAID is a bound too: from the proved part and from the upper bound,
+    # and the upper one is the RCAID that fuzz compares across bases
+    tower = doc["tower"]
+    assert (tower["rcaid"], tower["rcaid_upper"]) == (4, 5)
+    assert (tower["caid"], tower["caid_upper"]) == (4, 5)
+    assert "RCAID 4..5, CAID 4..5" in report_text(report)
+    source = tmp_path / "g53.json"
+    source.write_text(json.dumps(to_json_dict(alg)))
+    assert main(["fuzz", str(source), "--basis-changes", "0"]) == 0
+    fuzzed = json.loads(capsys.readouterr().out)
+    assert fuzzed["reference_dims"]["rcaid"] == tower["rcaid_upper"]
+    assert fuzzed["reference_dims"]["caid"] == tower["caid_upper"]
 
 
 # -- certification --------------------------------------------------------

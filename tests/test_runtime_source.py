@@ -4,7 +4,8 @@ Every module of the package is parsed; a float or complex literal, a call
 to `float` or `complex`, or an import of anything but the standard library
 and the package itself is reported with its line.  So is a name that a
 module other than `__init__.py` imports and never uses, and a module-level
-function or class that `__all__` does not export and the package never reads.
+function or class that `__all__` does not export and the package never reads,
+and a read of a private `derivations` name from any other module.
 Every function the benchmark's tracer wraps must still be there to wrap.
 """
 
@@ -144,6 +145,65 @@ def test_the_orphan_check_sees_each_kind_of_read():
     assert orphans(trees, {"public", "Kept"}) == [
         "m.py line 6: orphan _helper",
         "m.py line 7: orphan _Orphan",
+    ]
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def private_reads(tree: ast.AST, module: str = "derivations") -> list[str]:
+    """The private names of the package's `module` that a source reads:
+    imported by name (`from .derivations import _x`) or read as an
+    attribute of the module (`der_mod._x`, for `der_mod` bound by
+    `from . import derivations as der_mod` or by `import ... as`)."""
+    full = f"{PACKAGE.name}.{module}"
+    aliases = set()
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (module, full):
+                out += [(node.lineno, a.name) for a in node.names if _private(a.name)]
+            elif node.module in (None, PACKAGE.name):
+                aliases |= {a.asname or a.name for a in node.names if a.name == module}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.name == full and a.asname}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and _private(node.attr):
+            owner = node.value
+            if ((isinstance(owner, ast.Name) and owner.id in aliases)
+                    or (isinstance(owner, ast.Attribute) and owner.attr == module)):
+                out.append((node.lineno, node.attr))
+    return [f"line {line}: reads {module}.{name}" for line, name in sorted(out)]
+
+
+def test_no_module_reads_a_private_derivations_name():
+    # the other modules read an analysis through its public value
+    found = {p.name: private_reads(ast.parse(p.read_text(), str(p)))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "derivations.py"}
+    assert len(found) >= 6
+    assert {name: r for name, r in found.items() if r} == {}
+
+
+def test_the_private_read_check_sees_each_form():
+    source = (
+        "from .derivations import Deviation, _judged\n"
+        "from leibniz_aid.derivations import _cuts\n"
+        "from . import derivations as der_mod\n"
+        "from leibniz_aid import derivations\n"
+        "import leibniz_aid.derivations as dmod\n"
+        "from .catalog import _generator_failure\n"
+        "import leibniz_aid\n"
+        "a = der_mod._envelope_meet(der_mod.analysis, der_mod.__doc__)\n"
+        "b = derivations._x + dmod._y + leibniz_aid.derivations._z + catalog._w\n"
+    )
+    assert private_reads(ast.parse(source)) == [
+        "line 1: reads derivations._judged",
+        "line 2: reads derivations._cuts",
+        "line 8: reads derivations._envelope_meet",
+        "line 9: reads derivations._x",
+        "line 9: reads derivations._y",
+        "line 9: reads derivations._z",
     ]
 
 
