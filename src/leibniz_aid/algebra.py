@@ -9,10 +9,12 @@ c[i][j][k] is the coefficient of e_{k+1} in [e_{i+1}, e_{j+1}] (indices are
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
+    DimensionMismatch,
     Q,
     QZERO,
     RationalMatrix,
@@ -64,11 +66,48 @@ def _coords_str(v: Sequence[Q]) -> str:
     return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
+# nz[i][j]: the pairs (k, den * c[i][j][k]) of the nonzero constants
+Table = tuple[tuple[tuple[tuple[int, int], ...], ...], ...]
+
+
+@dataclass(frozen=True, init=False)
 class LeibnizAlgebra:
+    """An algebra held as one integer table of structure constants.
+
+    The stored form is the pair (den, nz) that `scaled_constants` returns:
+    den the least common denominator of the constants and nz[i][j] the
+    pairs (k, den * c[i][j][k]) for the nonzero ones, in increasing k.  That
+    form is unique, so dataclass equality and hashing compare the constants.
+    `LeibnizAlgebra(dim, constants, labels)` takes the constants as nested
+    Fraction tuples and checks nothing; `build` checks the identity.
+    `constants` is the Fraction view of the table, worked out on first
+    read and then kept.
+    """
+
     dim: int
-    constants: tuple[tuple[Vector, ...], ...]
-    labels: tuple[str, ...] | None = None
+    _table: tuple[int, Table]
+    labels: tuple[str, ...] | None
+
+    def __init__(self, dim: int, constants: Sequence[Sequence[Sequence[Q]]],
+                 labels: tuple[str, ...] | None = None):
+        den = lcm(*(v.denominator for plane in constants for row in plane for v in row if v))
+        table = den, tuple(
+            tuple(tuple((k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v)
+                  for row in plane)
+            for plane in constants
+        )
+        # the dataclass is frozen
+        self.__dict__.update(dim=dim, _table=table, labels=labels)
+
+    @staticmethod
+    def _checked(dim: int, table: tuple[int, Table],
+                 labels: tuple[str, ...] | None = None) -> "LeibnizAlgebra":
+        """The algebra of a table in the stored form, checked against the
+        Leibniz identity."""
+        alg = object.__new__(LeibnizAlgebra)
+        alg.__dict__.update(dim=dim, _table=table, labels=labels)
+        alg.check_identity()
+        return alg
 
     def label(self, k: int) -> str:
         """Display name of the (1-based) k-th basis vector."""
@@ -87,27 +126,31 @@ class LeibnizAlgebra:
         """Build from a sparse map of basis products, 1-based indices.
 
         `products` maps (i, j) to {k: coefficient}; omitted pairs multiply to
-        zero.  The Leibniz identity is verified on every basis triple and
-        IdentityViolation raised on the first failure.
+        zero.  The coefficients are scaled to ints by their least common
+        denominator once.  The Leibniz identity is verified on every basis
+        triple and IdentityViolation raised on the first failure.
         """
         if dim < 0:
             raise ValueError("dimension must be nonnegative")
-        table = [[[QZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        entries: dict[tuple[int, int, int], Q] = {}
         for (i, j), coeffs in products.items():
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise IndexOutOfRange(f"product index ({i},{j}) outside 1..{dim}")
             for k, v in coeffs.items():
                 if not 1 <= k <= dim:
                     raise IndexOutOfRange(f"target index {k} outside 1..{dim}")
-                table[i - 1][j - 1][k - 1] = as_rational(v)
-        constants = tuple(tuple(tuple(row) for row in plane) for plane in table)
+                entries[i - 1, j - 1, k - 1] = as_rational(v)
         if labels is not None:
             labels = tuple(labels)
             if len(labels) != dim:
                 raise ValueError("label count differs from dimension")
-        alg = LeibnizAlgebra(dim, constants, labels)
-        alg.check_identity()
-        return alg
+        den = lcm(*(v.denominator for v in entries.values() if v))
+        rows: list[list[list[tuple[int, int]]]] = [[[] for _ in range(dim)] for _ in range(dim)]
+        for (i, j, k), v in sorted(entries.items()):
+            if v:
+                rows[i][j].append((k, v.numerator * (den // v.denominator)))
+        nz = tuple(tuple(tuple(row) for row in plane) for plane in rows)
+        return LeibnizAlgebra._checked(dim, (den, nz), labels)
 
     def check_identity(self) -> None:
         """Raise IdentityViolation on the first basis triple (i, j, k), in
@@ -154,31 +197,30 @@ class LeibnizAlgebra:
                             _unpacked(rhs, s, n, den * den),
                         )
 
-    def scaled_constants(self) -> tuple[int, tuple[tuple[tuple[tuple[int, int], ...], ...], ...]]:
-        """(den, nz): one common denominator of the constants, and nz[i][j]
-        the pairs (k, den * c[i][j][k]) for the nonzero constants, as ints.
-
-        Computed once per algebra and kept in the instance; tuples all the
-        way down, so no caller can change the shared copy.
+    def scaled_constants(self) -> tuple[int, Table]:
+        """(den, nz): the least common denominator of the constants, and
+        nz[i][j] the pairs (k, den * c[i][j][k]) for the nonzero constants,
+        as ints.  This is the stored table itself; tuples all the way down,
+        so no caller can change it.
         """
-        cached = self.__dict__.get("_scaled_constants")
-        if cached is None:
-            c = self.constants
-            # rows of the one QZERO, as `build` leaves them, compare equal
-            # to `zero` without a Fraction comparison
-            zero = (QZERO,) * self.dim
-            den = lcm(*(v.denominator for plane in c for row in plane if row != zero for v in row))
-            cached = den, tuple(
-                tuple(
-                    tuple((k, v.numerator * (den // v.denominator)) for k, v in enumerate(row) if v)
-                    if row != zero else ()
-                    for row in plane
-                )
-                for plane in c
-            )
-            # the dataclass is frozen; the cache is not one of its fields
-            self.__dict__["_scaled_constants"] = cached
-        return cached
+        return self._table
+
+    @cached_property
+    def constants(self) -> tuple[tuple[Vector, ...], ...]:
+        """c[i][j][k] as Fractions, the view of the table that `to_json_dict`
+        reads; worked out on first read and kept in the instance."""
+        n, (den, nz) = self.dim, self._table
+        zero = (QZERO,) * n
+
+        def vector(row: tuple[tuple[int, int], ...]) -> Vector:
+            if not row:
+                return zero
+            v = [QZERO] * n
+            for k, x in row:
+                v[k] = Q(x, den)
+            return tuple(v)
+
+        return tuple(tuple(map(vector, plane)) for plane in nz)
 
     def basis_coords(self, i: int) -> Vector:
         """Coordinates of the 0-based i-th basis vector."""
@@ -397,39 +439,38 @@ def _int_inverse(u: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
-    """Block-diagonal sum; the factors do not interact."""
+    """Block-diagonal sum; the factors do not interact.  The two tables are
+    joined over lcm(den_a, den_b), the least common denominator of both."""
     n, m = a.dim, b.dim
-    products: dict[tuple[int, int], dict[int, Q]] = {}
-    for i in range(n):
-        for j in range(n):
-            coeffs = {k + 1: v for k, v in enumerate(a.constants[i][j]) if v}
-            if coeffs:
-                products[(i + 1, j + 1)] = coeffs
-    for i in range(m):
-        for j in range(m):
-            coeffs = {n + k + 1: v for k, v in enumerate(b.constants[i][j]) if v}
-            if coeffs:
-                products[(n + i + 1, n + j + 1)] = coeffs
+    (den_a, nz_a), (den_b, nz_b) = a.scaled_constants(), b.scaled_constants()
+    den = lcm(den_a, den_b)
+    fa, fb = den // den_a, den // den_b
+    nz = tuple(
+        tuple(tuple((k, v * fa) for k, v in row) for row in plane) + ((),) * m for plane in nz_a
+    ) + tuple(
+        ((),) * n + tuple(tuple((n + k, v * fb) for k, v in row) for row in plane) for plane in nz_b
+    )
     labels = None
     if a.labels or b.labels:
         labels = tuple(
             (a.labels[i] if a.labels else f"e{i + 1}") for i in range(n)
         ) + tuple((b.labels[i] if b.labels else f"e{i + 1}") + "'" for i in range(m))
-    return LeibnizAlgebra.build(n + m, products, labels=labels)
+    return LeibnizAlgebra._checked(n + m, (den, nz), labels)
 
 
 def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     """Structure constants in the basis f_j = sum_i P[i][j] e_i.
 
-    Raises SingularMatrix when P is not invertible.  The result is re-checked
-    against the Leibniz identity (`_constants_in`), which is most of the
-    cost on a dense copy: for F3:30:0,0,1 and the P that
-    `cli._random_invertible` draws from random.Random(1), 1.3 of the 1.4 s
-    on a 2-vCPU x86-64 host under CPython 3.11, and 0.10 of 0.13 s at F3:20.
+    Raises DimensionMismatch when P is not n x n and SingularMatrix when it
+    is not invertible.  The result is re-checked against the Leibniz
+    identity (`_constants_in`), which is most of the cost on a dense copy:
+    for F3:30:0,0,1 and the P that `cli._random_invertible` draws from
+    random.Random(1), 1.0 of the 1.1 s on a 2-vCPU x86-64 host under
+    CPython 3.11, and 0.08 of 0.10 s at F3:20.
     """
     n = alg.dim
     if (p.rows, p.cols) != (n, n):
-        raise SingularMatrix("base change matrix has the wrong shape")
+        raise DimensionMismatch("base change matrix has the wrong shape")
     s, u = _int_matrix(p.entries)
     d, z = _int_inverse(u)
     return _constants_in(alg, u, z, s * d)
@@ -441,8 +482,10 @@ def _constants_in(alg: LeibnizAlgebra, u: Sequence[Sequence[int]],
     f_j = U e_j / s, for an integer matrix U, Z = d U^-1 and scale = s d.
 
     Over ints, with the constants scaled by den, Z [u_i, u_j] is the
-    coordinate vector of [f_i, f_j] times scale * den.  The result goes
-    through `LeibnizAlgebra.build`, so it is checked against the Leibniz
+    coordinate vector of [f_i, f_j] times S = scale * den.  The table is
+    written in directly: with G the gcd of S and every entry, the new den
+    is S / G, the least common denominator of the constants, and each
+    entry is divided by G.  The result is checked against the Leibniz
     identity like any input; the identity is basis independent, so only a
     defect here can fail it, and on a dense result the check costs more
     than the conjugation (figures at `change_basis`).
@@ -450,15 +493,24 @@ def _constants_in(alg: LeibnizAlgebra, u: Sequence[Sequence[int]],
     n = alg.dim
     scale *= alg.scaled_constants()[0]
     ucols = [_pairs(col) for col in zip(*u)]
-    products: dict[tuple[int, int], dict[int, Q]] = {}
+    g = scale
+    planes = []
     for i in range(n):
         cols = _bracket_columns(alg, ucols[i])
+        plane = []
         for j in range(n):
             w = _combine(cols, ucols[j])
+            row = ()
             if w:
-                zw = (sum(row[m] * v for m, v in w.items()) for row in z)
-                products[(i + 1, j + 1)] = {k + 1: Q(t, scale) for k, t in enumerate(zw) if t}
-    return LeibnizAlgebra.build(n, products)
+                zw = (sum(r[m] * v for m, v in w.items()) for r in z)
+                row = tuple((k, t) for k, t in enumerate(zw) if t)
+                g = gcd(g, *(t for _, t in row))
+            plane.append(row)
+        planes.append(tuple(plane))
+    nz = tuple(planes)
+    if g > 1:
+        nz = tuple(tuple(tuple((k, t // g) for k, t in row) for row in plane) for plane in nz)
+    return LeibnizAlgebra._checked(n, (scale // g, nz))
 
 
 def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> tuple[int, list[list[int]]]:

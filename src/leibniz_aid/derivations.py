@@ -55,6 +55,7 @@ from .algebra import (
     _coords_str,
     _bracket_basis,
     _bracket_columns,
+    _combine,
     _constants_in,
     _int_inverse,
     _pairs,
@@ -855,14 +856,27 @@ class _AdaptedBasis:
         return self._moved(space, self.z, self.u)
 
     def _moved(self, space: Subspace, left, right) -> Subspace:
+        """{L D R : D in space}, each stored integer row D read as an n x n
+        matrix and mapped by its nonzero entries: the sum of D_ab L[:, a]
+        (x) R[b, :], with row a of D R combined first."""
         if self.u is None:
             return space
         n = self.alg.dim
+        lcols = [_pairs(col) for col in zip(*left)]
+        rrows = [dict(_pairs(row)) for row in right]
         rows = []
-        for row in _dict_rows(space):
-            m = [[row.get(r * n + c, 0) for c in range(n)] for r in range(n)]
-            m = _int_product(_int_product(left, m), right)
-            rows.append({k: v for k, v in enumerate(itertools.chain(*m)) if v})
+        for cols, vals in space.echelon:
+            by_row: dict[int, list[tuple[int, int]]] = {}
+            for ab, v in zip(cols, vals):
+                a, b = divmod(ab, n)
+                by_row.setdefault(a, []).append((b, v))
+            out: dict[int, int] = {}
+            for a, entries in by_row.items():
+                dr = _combine(rrows, entries)
+                for r, x in lcols[a]:
+                    for c, y in dr.items():
+                        out[r * n + c] = out.get(r * n + c, 0) + x * y
+            rows.append({k: v for k, v in out.items() if v})
         return _subspace_int(n * n, rows)
 
     def point_back(self, x: Sequence[Q]) -> tuple[Q, ...]:

@@ -248,6 +248,22 @@ def fuzz_copies(ref: str) -> list[la.LeibnizAlgebra]:
     return [alg] + [la.change_basis(alg, _random_invertible(rng, alg.dim)) for _ in range(2)]
 
 
+def three_bases(ref: str) -> tuple[la.LeibnizAlgebra, list[la.RationalMatrix]]:
+    """A catalog algebra and three base changes P drawn, as `fuzz` draws
+    them, from random.Random(11)."""
+    alg = la.make(ref)
+    rng = random.Random(11)
+    return alg, [_random_invertible(rng, alg.dim) for _ in range(3)]
+
+
+def fraction_conjugated_constants(alg: la.LeibnizAlgebra, p: la.RationalMatrix) -> tuple:
+    """c'[i][j] = P^-1 [P e_i, P e_j], over Fractions with `product`."""
+    n = alg.dim
+    cols = [p.col(j) for j in range(n)]
+    pinv = fraction_transition_inverse(cols, n)
+    return tuple(tuple(pinv.apply(alg.product(cols[i], cols[j])) for j in range(n)) for i in range(n))
+
+
 # -- Fraction point conditions ------------------------------------------------
 #
 # The package builds the almost inner condition D(x) in [x, L] once, as

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 
 import pytest
 
-from leibniz_aid import algebra, catalog
+from leibniz_aid import algebra, catalog, derivations
 from leibniz_aid.cli import _random_invertible
 from leibniz_aid.algebra import (
     IdentityViolation,
@@ -24,7 +25,7 @@ from leibniz_aid.algebra import (
     _full_series,
     _int_inverse,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, _int_matrix
+from leibniz_aid.exactlin import DimensionMismatch, Q, RationalMatrix, Subspace, _int_matrix
 
 from conftest import (
     CATALOG_BATTERY,
@@ -34,8 +35,10 @@ from conftest import (
     dense_product,
     fraction_annihilators,
     fraction_central_series_terms,
+    fraction_conjugated_constants,
     fraction_transition_inverse,
     fuzz_copies,
+    three_bases,
 )
 
 NF3 = catalog.make(catalog.parse_ref("catalog:NF:3"))
@@ -362,9 +365,64 @@ def test_scaled_constants_are_computed_once_and_immutable():
     assert alg.scaled_constants() is alg.scaled_constants()
     assert isinstance(nz, tuple)
     assert all(isinstance(x, tuple) for plane in nz for row in plane for x in (plane, row))
-    # the cache is no field: equality and hashing see the constants only
+    # the table is the stored form: equality and hashing see the constants
     assert alg == LeibnizAlgebra(alg.dim, alg.constants)
     assert hash(alg) == hash(LeibnizAlgebra(alg.dim, alg.constants))
+
+
+def fraction_table(constants) -> tuple:
+    """(den, nz) worked out from Fraction constants: den their least common
+    denominator, nz[i][j] the pairs (k, den * c) of the nonzero ones."""
+    den = math.lcm(*(v.denominator for plane in constants for row in plane for v in row))
+    return den, tuple(tuple(tuple((k, int(v * den)) for k, v in enumerate(row) if v)
+                            for row in plane) for plane in constants)
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_change_basis_table_matches_the_fraction_oracle(ref):
+    base, ps = three_bases(ref)
+    for p in ps:
+        copy = change_basis(base, p)
+        oracle = fraction_conjugated_constants(base, p)
+        assert copy.constants == oracle, ref
+        assert copy.constants is copy.constants  # the view is kept
+        assert copy.scaled_constants() == fraction_table(oracle), ref
+        for same in (LeibnizAlgebra(copy.dim, oracle), from_json_dict(to_json_dict(copy))):
+            assert copy == same and hash(copy) == hash(same), ref
+
+
+@pytest.mark.parametrize("first, second", zip(CATALOG_BATTERY, CATALOG_BATTERY[1:]))
+def test_direct_sum_of_two_copies_matches_the_block_oracle(first, second):
+    (a_base, (pa, *_)), (b_base, (pb, *_)) = three_bases(first), three_bases(second)
+    a, b = change_basis(a_base, pa), change_basis(b_base, pb)
+    n, m = a.dim, b.dim
+    zero = Q(0)
+    block = tuple(
+        tuple(
+            a.constants[i][j] + (zero,) * m if i < n and j < n
+            else (zero,) * n + b.constants[i - n][j - n] if i >= n and j >= n
+            else (zero,) * (n + m)
+            for j in range(n + m)
+        )
+        for i in range(n + m)
+    )
+    s = direct_sum(a, b)
+    assert s == LeibnizAlgebra(n + m, block)
+    assert s.scaled_constants() == fraction_table(block)
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_change_basis_and_analysis_never_read_the_fraction_view(ref, monkeypatch):
+    reads = []
+
+    def read(alg):
+        reads.append(alg)
+        raise AssertionError("the Fraction constants were read")
+
+    base, (p, *_) = three_bases(ref)
+    monkeypatch.setattr(LeibnizAlgebra, "constants", property(read))
+    derivations.analysis(change_basis(base, p))
+    assert not reads
 
 
 # -- direct sum, base change --------------------------------------------
@@ -410,7 +468,15 @@ def test_change_basis_rejects_singular():
     p = RationalMatrix.from_rows([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
     with pytest.raises(SingularMatrix):
         change_basis(NF3, p)
-    with pytest.raises(SingularMatrix):
+
+
+def test_change_basis_rejects_a_matrix_of_the_wrong_shape():
+    # the shape error of aid_witness and restriction_witness
+    alg = catalog.make(catalog.parse_ref("catalog:NF:2"))
+    for p in (RationalMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), RationalMatrix.identity(3)):
+        with pytest.raises(DimensionMismatch, match="wrong shape"):
+            change_basis(alg, p)
+    with pytest.raises(DimensionMismatch):
         change_basis(NF3, RationalMatrix.identity(2))
 
 

@@ -73,6 +73,7 @@ from conftest import (
     fraction_subalgebra_nilpotency,
     fraction_transition_inverse,
     fuzz_copies,
+    three_bases,
     sympy_derivation_dim,
 )
 
@@ -321,6 +322,28 @@ def test_adapted_basis_is_the_given_one_exactly_when_the_terms_are_trailing_unit
         else:
             # the bracket basis is adapted: its terms are trailing units
             assert _trailing_units(central_series(basis.alg), n), ref
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_space_moves_match_the_fraction_products(ref):
+    base, ps = three_bases(ref)
+    rng = random.Random(11)
+    for p in ps:
+        alg = change_basis(base, p)
+        n = alg.dim
+        basis = derivations._AdaptedBasis.of(alg)
+        # P = U / s, and its inverse from the dense oracle
+        pm = (RationalMatrix.identity(n) if basis.u is None
+              else RationalMatrix.from_rows([[Q(v, basis.s) for v in row] for row in basis.u]))
+        pinv = fraction_transition_inverse([pm.col(j) for j in range(n)], n)
+        random_space = Subspace.from_vectors(
+            n * n, [[rng.randint(-2, 2) for _ in range(n * n)] for _ in range(2)])
+        for space in (derivation_space(basis.alg), derivation_space(alg), random_space):
+            gens = [vec_to_endo(v, n) for v in space.basis_vectors()]
+            back = [list(itertools.chain(*(pm @ g @ pinv).entries)) for g in gens]
+            into = [list(itertools.chain(*(pinv @ g @ pm).entries)) for g in gens]
+            assert basis.space_back(space) == Subspace.from_vectors(n * n, back), ref
+            assert basis.space_in(space) == Subspace.from_vectors(n * n, into), ref
 
 
 def test_bracket_basis_of_a_random_f3_12_copy_is_sparse():
