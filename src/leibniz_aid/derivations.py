@@ -7,27 +7,29 @@ for all x.  Subspaces of endomorphisms live in the n^2-dimensional
 coordinate space of matrices, vectorized row major; column j of a matrix is
 the image of e_j.
 
-Membership of a candidate D in AID is decided in four steps.  First, a
-linear upper bound from the per-basis-vector conditions.  Second, a
-symbolic certificate pass over the generators of a complement of Inner in
-it: each is proved, D(x) in [x,L] for every rational x by case-split
-elimination, or refuted by a concrete x (verified by an exact rank test),
-or given up with an explicit inconclusive verdict.  Third, exact sampling
-refinement over a deterministic grid plus seeded random points, tested
-only against the generators not proved.  Once nothing outside the proved
-part is left to cut, the walk stops testing points; the sample count it
-reports is still that of the full walk.  Fourth, the certificate pass once
-more, reusing each outcome, on the generators the refined space adds;
-these span a complement of Inner, so elimination alone decides them.  A
-refuted generator's point cuts the space and the complement is certified
-again, until a round refutes nothing; each such cut lowers the dimension.
+Membership of a candidate D in AID is decided in three steps.  First, a
+linear upper bound from the per-basis-vector conditions.  Second, exact
+sampling refinement over a deterministic grid plus seeded random points.
+Third, refutation rounds: a refuted generator's point cuts the space and
+the complement is certified again, until a round refutes nothing; each
+such cut lowers the dimension.  One rule certifies a complement of Inner
+in each space these steps hold (the candidate, each space a cut of the
+walk leaves, each round's space): its generators in order, up to the first
+refuted one, each proved, D(x) in [x,L] for every rational x by
+case-split elimination, or refuted by a concrete x (verified by an exact
+rank test), or given up with an explicit inconclusive verdict.  They span
+a complement of Inner, so elimination alone decides them, and each
+outcome is kept, so none is certified twice.  The walk tests its points
+only against the generators of its space left unproved, and once none is
+left it stops testing points; the sample count it reports is still that
+of the full walk.
 
 The steps share one basis, `_AdaptedBasis`, adapted to the lower central
 series, where the constants of a nilpotent algebra are sparse: Der, the
 candidate, the walk (each point x of the given basis taken as P^-1 x) and
 the elimination run there.  Inner, the complements of Inner, the refutation
 rounds and all that is reported are in the given basis, and only the
-candidate and a walk that cut it move back.
+candidate and each space a cut of the walk leaves move back.
 
 One analysis of an algebra is one value, `Analysis`, built by `analysis`:
 the adapted basis with the central series, Der, Inner and the `AidResult`,
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import comb, gcd, isqrt, lcm
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._poly import Poly
 from .algebra import (
@@ -296,7 +298,7 @@ def _cuts(alg: LeibnizAlgebra, part: Subspace, x: Sequence[int]) -> bool:
     """Whether C(x) in [x, L] fails for some C of part, at an integer x.
 
     part is a complement in a candidate space of a part P that never cuts:
-    Inner plus the generators the certifier proved before the walk.  No
+    Inner plus generators the certifier proved.  No
     member of AID cuts: for D = E + C with E in P and C in the complement,
     E(x) lies in [x, L] at every x (for E = R_a it is [x, a]), so x cuts the
     candidate iff it cuts the complement.  At an integer x the images C_b(x)
@@ -335,22 +337,25 @@ def _restrict_at_point(alg: LeibnizAlgebra, space: Subspace, x: Sequence) -> Sub
 
 
 def aid_refine(alg: LeibnizAlgebra, space: Subspace, cfg: AidConfig = AidConfig(),
-               inner: Subspace | None = None, *, _proved: Subspace | None = None,
+               inner: Subspace | None = None, *,
+               _proved: Callable[[Subspace], Subspace] | None = None,
                _into=None) -> tuple[Subspace, int]:
     """Intersect a candidate space with sampled almost-inner conditions.
 
     Walks the deterministic grid, then random points seeded by cfg.seed, with
     entries in -RANDOM_BOUND..RANDOM_BOUND, until STALL_LIMIT consecutive
     random points fail to shrink the space.  `inner` is Inner(L) (worked out
-    here when not given) and must lie inside space.  `_proved` is Inner plus
-    the generators the certifier has proved (Inner when not given): no member
-    of AID cuts, so each point is tested (`_cuts`) on a complement of
-    `_proved` only, and only a point that cuts takes the exact restriction
-    (were a generator of `_proved` ever cut, `complement_in` would raise).
-    Once that complement is zero the walk stops testing points and counts
-    the ones left: the rest of the grid, and the STALL_LIMIT - stall random
-    points that would end it; so the samples do not depend on `_proved`.
-    Reaching dim Inner ends the walk.  With `_into`, as in
+    here when not given) and must lie inside space.  `_proved` maps each
+    space the walk holds, the given one and each a cut leaves, to a part of
+    it that is Inner plus generators the certifier has proved (Inner when
+    not given); it is read again after every cut.  No member of AID cuts,
+    so each point is tested (`_cuts`) on a complement of that part only,
+    and only a point that cuts takes the exact restriction (were a
+    generator of the part ever cut, `complement_in` would raise).  Once
+    that complement is zero the walk stops testing points and counts the
+    ones left: the rest of the grid, and the STALL_LIMIT - stall random
+    points that would end it; so neither the cuts nor the samples depend on
+    `_proved`.  Reaching dim Inner ends the walk.  With `_into`, as in
     `aid_basis_candidate`, each point is taken into alg's basis first: x
     cuts D iff P^-1 x cuts P^-1 D P, so the samples are those of the given
     basis; `_proved` is then required and only dim `inner` is read.  Returns
@@ -362,15 +367,15 @@ def aid_refine(alg: LeibnizAlgebra, space: Subspace, cfg: AidConfig = AidConfig(
         return space, samples
     if inner is None:
         inner = inner_space(alg)
-    proved = inner if _proved is None else _proved
-    part = complement_in(proved, space)
+    proved = (lambda _: inner) if _proved is None else _proved
+    part = complement_in(proved(space), space)
     stall = 0
     for point, drawn in _sample_points(n, cfg.seed):
         if stall >= STALL_LIMIT or space.dim <= inner.dim:
             break
         if not part.dim:
-            # nothing outside P is left to cut, and the space no longer
-            # moves: the rest of the walk is counted, not walked
+            # nothing outside the proved part is left to cut, and the space
+            # no longer moves: the rest of the walk is counted, not walked
             samples = (samples if drawn else _grid_length(n)) + STALL_LIMIT - stall
             break
         samples += 1
@@ -378,7 +383,7 @@ def aid_refine(alg: LeibnizAlgebra, space: Subspace, cfg: AidConfig = AidConfig(
             point = _into(point)
         if _cuts(alg, part, point):
             space = _restrict_at_point(alg, space, point)
-            part = complement_in(proved, space)
+            part = complement_in(proved(space), space)
             stall = 0
         elif drawn:
             stall += 1
@@ -1047,7 +1052,7 @@ def _row_endo(row: tuple[tuple[int, ...], tuple[int, ...]], n: int) -> RationalM
 
 
 def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
-    """Compute AID(L) with certificates, by the four steps of the module
+    """Compute AID(L) with certificates, by the three steps of the module
     docstring (`analysis`): certified_exact when every generator of the
     last complement of Inner is proved, probabilistic when some remain
     inconclusive."""
@@ -1110,13 +1115,16 @@ def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
     read its dimension, and only `catalog.build_deviations` moves it back,
     for a Der deviation.
     Inner is solved in the given basis.  The candidate and the walk run in
-    `basis` at the points P^-1 x of the given ones and move back
-    (`space_back`) unless their dimension shows them to be Inner or
-    unchanged.  The complements of Inner, their certificates and the
-    refutation rounds stay in the given basis, so every generator, sample
-    and witness reported is that of the given basis.  The proved parts are
-    Inner plus the stored echelon rows of the proved complement generators,
-    a subset of a reduced echelon basis and so canonical as it stands.
+    `basis` at the points P^-1 x of the given ones.  The candidate and each
+    space a cut of the walk leaves move back (`space_back`) once, unless
+    their dimension shows them to be Inner, to be certified by the one
+    rule of the module docstring (`judged`), and the walk reads its proved
+    part again after every cut (`proved_in`).  The complements of Inner,
+    their certificates and the refutation rounds stay in the given basis,
+    so every generator, sample and witness reported is that of the given
+    basis.  The proved parts are Inner plus stored echelon rows of proved
+    complement generators, a subset of a reduced echelon basis and so
+    canonical as it stands.
     """
     n = alg.dim
     basis = _AdaptedBasis.of(alg)
@@ -1126,49 +1134,64 @@ def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
     # Inner lies in the candidate, so a candidate of its dimension is Inner
     cand = inner if moved_cand.dim == inner.dim else basis.space_back(moved_cand)
     # each generator is certified once, keyed by its stored echelon row,
-    # which its vector (the row over its pivot) determines: the candidate's
-    # generators before the walk, and any new ones the walk leaves after it;
-    # they span a complement of Inner, so none is inner and elimination
-    # alone decides them
+    # which its vector (the row over its pivot) determines; the generators
+    # span a complement of Inner, so none is inner and elimination alone
+    # decides them
     outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], CertOutcome] = {}
 
-    def certified(row) -> CertOutcome:
-        if row not in outcomes:
-            outcomes[row] = _eliminated(alg, _row_endo(row, n), basis)
-        return outcomes[row]
+    def judged(space: Subspace) -> tuple[list, tuple | None]:
+        """The stored echelon rows of a complement of Inner in space (those
+        of space) with their outcomes, up to the first refuted one, and that
+        one with its outcome, or None."""
+        rows = []
+        for row in complement_in(inner, space).echelon:
+            if row not in outcomes:
+                outcomes[row] = _eliminated(alg, _row_endo(row, n), basis)
+            if outcomes[row].kind == "refuted":
+                return rows, (row, outcomes[row])
+            rows.append((row, outcomes[row]))
+        return rows, None
+
+    # the space the walk holds last, with that space moved back and its
+    # verdict: the candidate before the walk, then each space a cut leaves
+    held = [moved_cand, cand, judged(cand)]
+
+    def walked(moved: Subspace) -> tuple[Subspace, tuple[list, tuple | None]]:
+        """moved back, Inner when its dimension shows it to be, and its
+        verdict, each worked out once per space."""
+        if moved is not held[0]:
+            space = inner if moved.dim == inner.dim else basis.space_back(moved)
+            held[:] = moved, space, judged(space)
+        return held[1], held[2]
+
+    def proved_in(moved: Subspace) -> Subspace:
+        """Inner plus the proved generators of moved, in the adapted basis:
+        moved itself when its verdict proves every generator."""
+        rows, refuted = walked(moved)[1]
+        sure = tuple(row for row, o in rows if o.kind == "proved")
+        if refuted is None and len(sure) == len(rows):
+            return moved
+        return basis.space_in(subspace_sum(inner, Subspace(n * n, sure)))
 
     # a proved generator never cuts, so the walk tests its points only
-    # against the generators left open, none when all are proved
-    comp = complement_in(inner, cand)
-    first = tuple(row for row in comp.echelon if certified(row).kind == "proved")
-    moved_proved = moved_cand if len(first) == comp.dim else basis.space_in(
-        subspace_sum(inner, Subspace(n * n, first)))
+    # against the generators left open, and stops once none is
     moved, samples = aid_refine(basis.alg, moved_cand, cfg, inner=inner,
-                                _proved=moved_proved, _into=basis.point_in)
-    # the walk's result lies between Inner and the candidate
-    ends = {cand.dim: cand, inner.dim: inner}
-    space = ends[moved.dim] if moved.dim in ends else basis.space_back(moved)
-    # each round walks a complement of Inner in the space up to its first
-    # refuted generator; the exact rank test replayed its refuting x, so the
-    # restriction at x drops that generator and keeps Inner (R_a(x) = [x, a]):
-    # the dimension falls every round, and a round that refutes nothing ends
-    # the loop within dim(space) - dim(Inner) + 1 rounds
+                                _proved=proved_in, _into=basis.point_in)
+    space, (judged_rows, refuted) = walked(moved)
+    # each round restricts at the refuting x of the first refuted generator;
+    # the exact rank test replayed it, so the restriction drops that
+    # generator and keeps Inner (R_a(x) = [x, a]): the dimension falls every
+    # round, and a round that refutes nothing ends the loop within
+    # dim(space) - dim(Inner) + 1 rounds
     refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
-    while True:
-        # the stored echelon rows of the complement are those of the space
-        judged = []
-        for row in complement_in(inner, space).echelon:
-            outcome = certified(row)
-            if outcome.kind == "refuted":
-                break
-            judged.append((row, outcome))
-        else:
-            break
+    while refuted is not None:
+        row, outcome = refuted
         refutations.append((_row_endo(row, n), outcome.refuting_x))
         space = _restrict_at_point(alg, space, outcome.refuting_x)
         samples += 1
-    proved_rows = tuple(r for r, o in judged if o.kind == "proved")
-    status = "certified_exact" if len(proved_rows) == len(judged) else "probabilistic"
+        judged_rows, refuted = judged(space)
+    proved_rows = tuple(r for r, o in judged_rows if o.kind == "proved")
+    status = "certified_exact" if len(proved_rows) == len(judged_rows) else "probabilistic"
     if status == "certified_exact":
         # Inner plus a proved complement is the whole space; one object for
         # both bounds, since callers may keep many results alive
@@ -1182,7 +1205,7 @@ def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
         samples_used=samples,
         seed=cfg.seed,
         witnesses=tuple(refutations),
-        judged=tuple(judged),
+        judged=tuple(judged_rows),
     )
     return Analysis(alg, basis, der, inner, aid)
 

@@ -533,8 +533,8 @@ def test_aid_refine_works_out_inner_by_default(ref):
     inner = inner_space(alg)
     full = aid_refine(alg, cand, inner=inner)
     assert aid_refine(alg, cand) == full
-    # `_proved` defaults to Inner
-    assert aid_refine(alg, cand, inner=inner, _proved=inner) == full
+    # `_proved` defaults to Inner at every space
+    assert aid_refine(alg, cand, inner=inner, _proved=lambda _: inner) == full
 
 
 # every entry of the `sweep` benchmark workload, whose gate checks only the
@@ -567,7 +567,7 @@ def test_candidate_and_walk_in_the_adapted_basis_are_those_of_the_given_basis(re
             basis.alg, derivation_space(basis.alg), _into=basis.point_in)
         assert basis.space_back(moved_cand) == cand, (ref, seed)
         moved, samples = aid_refine(basis.alg, moved_cand, inner=inner,
-                                    _proved=moved_inner, _into=basis.point_in)
+                                    _proved=lambda _: moved_inner, _into=basis.point_in)
         assert (basis.space_back(moved), samples) == \
             aid_refine(alg, cand, inner=inner), (ref, seed)
 
@@ -596,23 +596,43 @@ def test_refinement_sample_counts_are_pinned_off_the_standard_basis(
     assert aid.status == "certified_exact"
 
 
-@pytest.mark.parametrize(
-    "ref,seed",
-    [(ref, None) for ref in CATALOG_BATTERY]
-    + [("catalog:G53", 1), ("catalog:F3:5:1,2,3", 1), ("catalog:D4:L13:1", 1)],
-)
+@pytest.mark.parametrize("ref,seed", [(ref, seed) for ref in CATALOG_BATTERY
+                                      for seed in (None, 1, 2, 3)])
 def test_walk_with_the_proved_view_equals_the_full_walk(ref, seed):
     alg = make(ref) if seed is None else random_basis_copy(ref, seed)
     n = alg.dim
     inner = inner_space(alg)
     cand = aid_basis_candidate(alg)
-    gens = complement_in(inner, cand).basis_vectors()
-    sure = [v for v in gens if aid_certify(alg, vec_to_endo(v, n)).kind == "proved"]
-    proved = subspace_sum(inner, Subspace.from_vectors(n * n, sure))
+    outcomes = {}
+
+    def proved_part(space: Subspace) -> Subspace:
+        """Inner plus the generators of a complement of Inner in space that
+        the certifier proves"""
+        gens = complement_in(inner, space).basis_vectors()
+        for v in gens:
+            if v not in outcomes:
+                outcomes[v] = aid_certify(alg, vec_to_endo(v, n)).kind
+        return subspace_sum(inner, Subspace.from_vectors(
+            n * n, [v for v in gens if outcomes[v] == "proved"]))
+
+    proved = proved_part(cand)
     full = aid_refine(alg, cand, inner=inner)
     # the full walk tests every proved generator at every point: none cuts
     assert full[0].contains_subspace(proved)
-    assert aid_refine(alg, cand, inner=inner, _proved=proved) == full
+    assert aid_refine(alg, cand, inner=inner, _proved=lambda _: proved) == full
+    # a proved part that grows at each cut, read for the candidate and again
+    # for each space a cut leaves, each inside the last, ends the walk at the
+    # same space with the same samples
+    held = []
+
+    def grown(space: Subspace) -> Subspace:
+        held.append(space)
+        return proved_part(space)
+
+    assert aid_refine(alg, cand, inner=inner, _proved=grown) == full
+    if cand.dim:
+        assert held[0] == cand and held[-1] == full[0]
+        assert all(a.dim > b.dim and a.contains_subspace(b) for a, b in zip(held, held[1:]))
 
 
 def test_walk_with_everything_proved_visits_every_point():
@@ -627,7 +647,7 @@ def test_walk_with_everything_proved_visits_every_point():
         assert cand.dim > inner.dim
         walked = len(list(refinement_grid(alg.dim))) + derivations.STALL_LIMIT
         assert aid_refine(alg, cand, inner=inner) == (aid_space(alg).upper_bound, walked)
-        assert aid_refine(alg, cand, inner=inner, _proved=cand) == (cand, walked)
+        assert aid_refine(alg, cand, inner=inner, _proved=lambda _: cand) == (cand, walked)
 
 
 def counted_cut_tests(monkeypatch) -> list:
@@ -652,7 +672,7 @@ def test_walk_counts_the_rest_once_a_cut_empties_the_view(monkeypatch):
     full = aid_refine(alg, cand, inner=inner)
     assert full == (aid, 297)
     tested = counted_cut_tests(monkeypatch)
-    assert aid_refine(alg, cand, inner=inner, _proved=aid) == full
+    assert aid_refine(alg, cand, inner=inner, _proved=lambda _: aid) == full
     # with AID proved that cut leaves nothing open: the other 148 grid points
     # and the 25 random ones are counted, not tested
     assert len(tested) == 125 and tested[-1] == (1, 1, -2, -2)
@@ -671,12 +691,50 @@ def test_walk_counts_the_stall_once_a_random_cut_empties_the_view(monkeypatch):
     full = aid_refine(alg, cand, inner=inner)
     assert full == (aid, 1 + derivations.STALL_LIMIT)
     tested = counted_cut_tests(monkeypatch)
-    assert aid_refine(alg, cand, inner=inner, _proved=aid) == full
+    assert aid_refine(alg, cand, inner=inner, _proved=lambda _: aid) == full
     assert len(tested) == 1
 
 
-# on D4:L13:1 the certifier refutes both generators before the walk and the
-# walk cuts them; on F3:6:0,0,1 it proves the one generator
+# the schedule of an analysis: the certifier refutes the candidate's first
+# generator before the walk; the walk cuts it at its last tested point, and
+# the one generator that cut leaves open is proved there, so the rest of the
+# walk is counted, not tested.  D4:L11 cuts at grid point 124 (counting from
+# 0) of 272, the three seed-1 copies at their third point
+@pytest.mark.parametrize("ref,seed,tested", [
+    ("catalog:D4:L11", None, 125),
+    ("catalog:D4:L12", 1, 3),
+    ("catalog:D4:L20:0", 1, 3),
+    ("catalog:D4:L20:2", 1, 3),
+])
+def test_the_walk_stops_testing_at_the_cut_that_leaves_only_proved_generators(
+        monkeypatch, ref, seed, tested):
+    alg = make(ref) if seed is None else random_basis_copy(ref, seed)
+    inner = inner_space(alg)
+    cand = aid_basis_candidate(alg)
+    points = counted_cut_tests(monkeypatch)
+    # tested against Inner alone, the walk tests every one of its points
+    space, samples = aid_refine(alg, cand, inner=inner)
+    assert samples == len(points) == 297
+    points.clear()
+    eliminated = derivations._eliminated
+    certified = []
+
+    def spy(alg, dmat, basis):
+        outcome = eliminated(alg, dmat, basis)
+        certified.append((len(points), outcome.kind))
+        return outcome
+
+    monkeypatch.setattr(derivations, "_eliminated", spy)
+    res = aid_space(alg)
+    assert certified == [(0, "refuted"), (tested, "proved")]
+    assert len(points) == tested
+    assert (res.upper_bound, res.samples_used) == (space, 297)
+    assert res.status == "certified_exact" and not res.witnesses
+    assert [o.kind for _, o in res.judged] == ["proved"]
+
+
+# on D4:L13:1 the certifier refutes the first generator before the walk and
+# the walk cuts both; on F3:6:0,0,1 it proves the one generator
 @pytest.mark.parametrize("ref", ["catalog:F3:6:0,0,1", "catalog:D4:L13:1"])
 def test_each_generator_is_certified_once_per_analysis(monkeypatch, ref):
     eliminated = derivations._eliminated
@@ -1476,8 +1534,9 @@ def test_refutation_loop_ends_by_dimension(monkeypatch, seed):
     for ref, alg in algebras.items():
         complements.clear()
         res = aid_space(alg)
-        # one complement of the candidate before the walk, then one per round
-        assert len(complements) == len(res.witnesses) + 2, ref
+        # one complement of the candidate before the walk, which the first
+        # round reuses, then one per round after a refutation
+        assert len(complements) == len(res.witnesses) + 1, ref
         assert res.status in ("certified_exact", "probabilistic"), ref
         assert all(aid_witness(alg, g, x) is None for g, x in res.witnesses), ref
         cand = aid_basis_candidate(alg)
