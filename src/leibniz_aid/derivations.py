@@ -25,11 +25,11 @@ left it stops testing points; the sample count it reports is still that
 of the full walk.
 
 The steps share one basis, `_AdaptedBasis`, adapted to the lower central
-series, where the constants of a nilpotent algebra are sparse: Der, the
-candidate, the walk (each point x of the given basis taken as P^-1 x) and
-the elimination run there.  Inner, the complements of Inner, the refutation
-rounds and all that is reported are in the given basis, and only the
-candidate and each space a cut of the walk leaves move back.
+series, where the constants of a nilpotent algebra are sparse: Der, Inner,
+the candidate, the walk (each point x of the given basis taken as P^-1 x),
+the complements of Inner, their elimination and the refutation rounds all
+run there.  What is reported moves back to the given basis once, after the
+rounds: Inner, AID's bounds, its generators and its witnesses.
 
 One analysis of an algebra is one value, `Analysis`, built by `analysis`:
 the adapted basis with the central series, Der, Inner and the `AidResult`,
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Callable, Iterator, Sequence
@@ -358,8 +358,8 @@ def aid_refine(alg: LeibnizAlgebra, space: Subspace, cfg: AidConfig = AidConfig(
     `_proved`.  Reaching dim Inner ends the walk.  With `_into`, as in
     `aid_basis_candidate`, each point is taken into alg's basis first: x
     cuts D iff P^-1 x cuts P^-1 D P, so the samples are those of the given
-    basis; `_proved` is then required and only dim `inner` is read.  Returns
-    the refined space and the number of samples the full walk uses.
+    basis.  Returns the refined space and the number of samples the full
+    walk uses.
     """
     n = alg.dim
     samples = 0
@@ -851,24 +851,31 @@ class _AdaptedBasis:
         dint = _int_matrix(dmat.entries)[1]
         return dint if self.u is None else _int_product(_int_product(self.z, dint), self.u)
 
+    def endo_back(self, dm: Sequence[Sequence[int]]) -> RationalMatrix:
+        """P D P^-1 up to a positive factor, `conjugate`'s inverse: U D Z
+        for an endomorphism D of this basis given by integer rows."""
+        return RationalMatrix.from_rows(
+            dm if self.u is None else _int_product(_int_product(self.u, dm), self.z))
+
     def space_back(self, space: Subspace) -> Subspace:
         """{P D P^-1 : D in space}, a space of this basis moved to the given
         one: U D Z for each stored integer row D, up to d / s."""
-        return self._moved(space, self.u, self.z)
+        return self._moved(space)
 
-    def space_in(self, space: Subspace) -> Subspace:
-        """{P^-1 D P : D in space}, the inverse move: Z D U for each row D."""
-        return self._moved(space, self.z, self.u)
+    def row_back(self, row: tuple[tuple[int, ...], tuple[int, ...]]):
+        """A stored echelon row of this basis moved to the given one, in the
+        stored form (primitive, positive pivot): the row itself when P = I."""
+        return self._moved(Subspace(self.alg.dim ** 2, (row,))).echelon[0]
 
-    def _moved(self, space: Subspace, left, right) -> Subspace:
-        """{L D R : D in space}, each stored integer row D read as an n x n
-        matrix and mapped by its nonzero entries: the sum of D_ab L[:, a]
-        (x) R[b, :], with row a of D R combined first."""
+    def _moved(self, space: Subspace) -> Subspace:
+        """{U D Z : D in space}, each stored integer row D read as an n x n
+        matrix and mapped by its nonzero entries: the sum of D_ab U[:, a]
+        (x) Z[b, :], with row a of D Z combined first."""
         if self.u is None:
             return space
         n = self.alg.dim
-        lcols = [_pairs(col) for col in zip(*left)]
-        rrows = [dict(_pairs(row)) for row in right]
+        lcols = [_pairs(col) for col in zip(*self.u)]
+        rrows = [dict(_pairs(row)) for row in self.z]
         rows = []
         for cols, vals in space.echelon:
             by_row: dict[int, list[tuple[int, int]]] = {}
@@ -890,8 +897,8 @@ class _AdaptedBasis:
             return tuple(x)
         return tuple(sum((xi * w for xi, w in zip(x, row)), QZERO) / self.s for row in self.u)
 
-    def point_in(self, x: Sequence[int]) -> Sequence[int]:
-        """Z x, an integer x of the given basis in this one: P^-1 x up to
+    def point_in(self, x: Sequence) -> Sequence:
+        """Z x, a point x of the given basis in this one: P^-1 x up to
         d / s, which the almost inner condition, homogeneous in x, ignores."""
         return x if self.u is None else [sum(map(mul, row, x)) for row in self.z]
 
@@ -918,10 +925,11 @@ def _judged(
     combination = inner_combination(alg, dmat)
     if combination is not None:
         return CertOutcome("proved", branch_log=("inner: constant witness",)), combination
-    return _eliminated(alg, dmat, basis), None
+    return _eliminated(alg, basis.conjugate(dmat), basis, dmat), None
 
 
-def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis) -> CertOutcome:
+def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]], basis: _AdaptedBasis,
+                dmat: RationalMatrix | None = None) -> CertOutcome:
     """Decide D(x) in [x, L] for every rational x by elimination alone.
 
     The witness equation left_mult(x) w = D x is eliminated symbolically in
@@ -933,22 +941,21 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
     it the whole certificate) inconclusive.
 
     Elimination, unlike almost-innerness, is very sensitive to the basis,
-    so it runs in `basis`, where D is P^-1 D P (`_AdaptedBasis.conjugate`).
-    It runs over the ints: the rows are built from the integer constants
-    and the integer multiple of P^-1 D P that `conjugate` returns, which
-    scales the witness only, and every row, pivot and case split is that of
-    elimination over Q (`_strip_row`).  A rational enters only the printed
+    so it runs in `basis`, on dm, integer rows of a positive multiple of
+    P^-1 D P (a stored row of a complement of Inner, or `conjugate` of a
+    claimed D), over the ints: dm's scale moves the witness only, and every
+    row, pivot and case split is that of elimination over Q (`_strip_row`).  A rational enters only the printed
     pivot and what is read off it (its split, the replacement and the
     conditions a branch holds nonzero) and the refutation search's points;
     the zero cases substitute over the ints (`_substituted`).
 
     The leaves `_decide` yields are read up to the first refuted one, a
     rational point mapped back by P (`point_back`) and re-verified in the
-    given basis by an exact rank comparison (`aid_witness`); one that does
-    not replay ends an inconclusive log.  The log is as `CertOutcome` says.
+    given basis by an exact rank comparison (`aid_witness`) against dmat,
+    or dm moved back (`endo_back`); one that does not replay ends an
+    inconclusive log.  The log is as `CertOutcome` says.
     """
     n = alg.dim
-    dm = basis.conjugate(dmat)
     # row m of the witness equation, linear forms in t, as [M | b]:
     # sum_j (sum_i den c[i][j][m] t_i) w_j = sum_k dm[m][k] t_k, with
     # nz[i][j] holding the pairs (m, den c[i][j][m])
@@ -965,7 +972,7 @@ def _eliminated(alg: LeibnizAlgebra, dmat: RationalMatrix, basis: _AdaptedBasis)
     for leaf in _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ()):
         if leaf.kind == "refuted":
             x = basis.point_back(leaf.refuting_x)
-            if aid_witness(alg, dmat, x) is None:
+            if aid_witness(alg, basis.endo_back(dm) if dmat is None else dmat, x) is None:
                 return CertOutcome("refuted", refuting_x=x, branch_log=prefix + leaf.branch_log)
             note = "refuting point does not replay in the given basis"
             return CertOutcome("inconclusive", branch_log=log + leaf.branch_log + (note,))
@@ -1015,9 +1022,10 @@ def _int_witness(alg: LeibnizAlgebra, dint: Sequence[Sequence[int]], e: int,
 
 @dataclass(frozen=True, slots=True)
 class AidResult:
-    """AID with its bounds.  `judged` holds each generator of the last
-    complement of Inner once, as its stored echelon row of `upper_bound`
-    (the same tuple) with its outcome; `proved_generators` and
+    """AID with its bounds, in the given basis.  `judged` holds each
+    generator of the last complement of Inner once, as its stored row moved
+    back (`_AdaptedBasis.row_back`: the upper bound's own echelon row when
+    P = I) with its outcome; `proved_generators` and
     `inconclusive_generators` build their matrices when read."""
 
     upper_bound: Subspace
@@ -1051,6 +1059,12 @@ def _row_endo(row: tuple[tuple[int, ...], tuple[int, ...]], n: int) -> RationalM
     return vec_to_endo(Subspace(n * n, (row,)).basis_vectors()[0], n)
 
 
+def _row_ints(row: tuple[tuple[int, ...], tuple[int, ...]], n: int) -> list[list[int]]:
+    """The stored echelon row as the integer rows of an n x n matrix."""
+    entries = dict(zip(*row))
+    return [[entries.get(r * n + c, 0) for c in range(n)] for r in range(n)]
+
+
 def aid_space(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> AidResult:
     """Compute AID(L) with certificates, by the three steps of the module
     docstring (`analysis`): certified_exact when every generator of the
@@ -1064,7 +1078,8 @@ class Analysis:
     """One analysis of an algebra, each stage of its tower computed once.
 
     `basis` is the series-adapted basis, with the central series; `der`
-    lies in it, `inner` and `aid` in the given basis.  The annihilators,
+    lies in it, and `inner` and `aid`, worked out there too, were moved
+    back to the given basis once.  The annihilators,
     `rcaid` and `caid` are worked out on first read.  RCAID and CAID are
     pairs, from AID's proved bound and from its upper bound: one object
     twice when AID is certified exact.
@@ -1113,101 +1128,83 @@ def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
     Der is solved in `basis`, from the Leibniz rule at the pairs (e_i, g)
     for its first `basis.gens` vectors g only, and stays there: callers
     read its dimension, and only `catalog.build_deviations` moves it back,
-    for a Der deviation.
-    Inner is solved in the given basis.  The candidate and the walk run in
-    `basis` at the points P^-1 x of the given ones.  The candidate and each
-    space a cut of the walk leaves move back (`space_back`) once, unless
-    their dimension shows them to be Inner, to be certified by the one
-    rule of the module docstring (`judged`), and the walk reads its proved
-    part again after every cut (`proved_in`).  The complements of Inner,
-    their certificates and the refutation rounds stay in the given basis,
-    so every generator, sample and witness reported is that of the given
-    basis.  The proved parts are Inner plus stored echelon rows of proved
-    complement generators, a subset of a reduced echelon basis and so
-    canonical as it stands.
+    for a Der deviation.  Inner, the candidate, the walk at the points
+    P^-1 x of the given ones, the complements of Inner with their
+    certificates (`judged`, the rule of the module docstring) and the
+    rounds run in `basis` too, since x cuts D exactly when P^-1 x cuts
+    P^-1 D P: the walk reads its proved part, Inner plus the proved rows,
+    with no move, and a round restricts at the refuting point taken in.
+    Only a refuted generator moves back before the rounds end, for its
+    replay (`_eliminated`).  Then what is reported moves back once: Inner,
+    AID's bounds, each generator as its stored row and each witness.
     """
     n = alg.dim
     basis = _AdaptedBasis.of(alg)
     der = derivation_space(basis.alg, _gens=basis.gens)
-    inner = inner_space(alg)
-    moved_cand = aid_basis_candidate(basis.alg, der, _into=basis.point_in)
-    # Inner lies in the candidate, so a candidate of its dimension is Inner
-    cand = inner if moved_cand.dim == inner.dim else basis.space_back(moved_cand)
-    # each generator is certified once, keyed by its stored echelon row,
-    # which its vector (the row over its pivot) determines; the generators
-    # span a complement of Inner, so none is inner and elimination alone
-    # decides them
+    inner = inner_space(basis.alg)
+    cand = aid_basis_candidate(basis.alg, der, _into=basis.point_in)
+    # each generator is certified once, keyed by its stored echelon row;
+    # the generators span a complement of Inner, so none is inner and
+    # elimination alone decides them
     outcomes: dict[tuple[tuple[int, ...], tuple[int, ...]], CertOutcome] = {}
 
+    @lru_cache(maxsize=1)
     def judged(space: Subspace) -> tuple[list, tuple | None]:
         """The stored echelon rows of a complement of Inner in space (those
         of space) with their outcomes, up to the first refuted one, and that
-        one with its outcome, or None."""
+        one with its outcome, or None (once for the walk's last space)."""
         rows = []
         for row in complement_in(inner, space).echelon:
             if row not in outcomes:
-                outcomes[row] = _eliminated(alg, _row_endo(row, n), basis)
+                outcomes[row] = _eliminated(alg, _row_ints(row, n), basis)
             if outcomes[row].kind == "refuted":
                 return rows, (row, outcomes[row])
             rows.append((row, outcomes[row]))
         return rows, None
 
-    # the space the walk holds last, with that space moved back and its
-    # verdict: the candidate before the walk, then each space a cut leaves
-    held = [moved_cand, cand, judged(cand)]
-
-    def walked(moved: Subspace) -> tuple[Subspace, tuple[list, tuple | None]]:
-        """moved back, Inner when its dimension shows it to be, and its
-        verdict, each worked out once per space."""
-        if moved is not held[0]:
-            space = inner if moved.dim == inner.dim else basis.space_back(moved)
-            held[:] = moved, space, judged(space)
-        return held[1], held[2]
-
-    def proved_in(moved: Subspace) -> Subspace:
-        """Inner plus the proved generators of moved, in the adapted basis:
-        moved itself when its verdict proves every generator."""
-        rows, refuted = walked(moved)[1]
+    def proved(space: Subspace) -> Subspace:
+        """Inner plus the proved generators of space: space itself when its
+        verdict proves every generator."""
+        rows, refuted = judged(space)
         sure = tuple(row for row, o in rows if o.kind == "proved")
         if refuted is None and len(sure) == len(rows):
-            return moved
-        return basis.space_in(subspace_sum(inner, Subspace(n * n, sure)))
+            return space
+        return subspace_sum(inner, Subspace(n * n, sure))
 
     # a proved generator never cuts, so the walk tests its points only
     # against the generators left open, and stops once none is
-    moved, samples = aid_refine(basis.alg, moved_cand, cfg, inner=inner,
-                                _proved=proved_in, _into=basis.point_in)
-    space, (judged_rows, refuted) = walked(moved)
+    space, samples = aid_refine(basis.alg, cand, cfg, inner=inner, _proved=proved,
+                                _into=basis.point_in)
+    judged_rows, refuted = judged(space)
     # each round restricts at the refuting x of the first refuted generator;
     # the exact rank test replayed it, so the restriction drops that
     # generator and keeps Inner (R_a(x) = [x, a]): the dimension falls every
     # round, and a round that refutes nothing ends the loop within
     # dim(space) - dim(Inner) + 1 rounds
-    refutations: list[tuple[RationalMatrix, tuple[Q, ...]]] = []
+    refutations = []
     while refuted is not None:
         row, outcome = refuted
-        refutations.append((_row_endo(row, n), outcome.refuting_x))
-        space = _restrict_at_point(alg, space, outcome.refuting_x)
+        refutations.append((row, outcome.refuting_x))
+        space = _restrict_at_point(basis.alg, space, basis.point_in(outcome.refuting_x))
         samples += 1
         judged_rows, refuted = judged(space)
-    proved_rows = tuple(r for r, o in judged_rows if o.kind == "proved")
-    status = "certified_exact" if len(proved_rows) == len(judged_rows) else "probabilistic"
-    if status == "certified_exact":
-        # Inner plus a proved complement is the whole space; one object for
-        # both bounds, since callers may keep many results alive
-        proved = space
-    else:
-        proved = subspace_sum(inner, Subspace(n * n, proved_rows))
+    # the space itself exactly when every generator is proved
+    lower = proved(space)
+    given_inner = basis.space_back(inner)
+    # Inner lies in the upper bound, so an upper bound of its dimension is it
+    upper = given_inner if space.dim == inner.dim else basis.space_back(space)
     aid = AidResult(
-        upper_bound=space,
-        proved=proved,
-        status=status,
+        upper_bound=upper,
+        # one object for both bounds when they agree, since callers may
+        # keep many results alive
+        proved=upper if lower is space else basis.space_back(lower),
+        status="certified_exact" if lower is space else "probabilistic",
         samples_used=samples,
         seed=cfg.seed,
-        witnesses=tuple(refutations),
-        judged=tuple(judged_rows),
+        witnesses=tuple((_row_endo(basis.row_back(r), n), x) for r, x in refutations),
+        judged=tuple((basis.row_back(r), o) for r, o in judged_rows),
     )
-    return Analysis(alg, basis, der, inner, aid)
+    return Analysis(alg, basis, der, given_inner, aid)
 
 
 # ---------------------------------------------------------------------------

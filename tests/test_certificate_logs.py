@@ -48,10 +48,20 @@ def _outcome(outcome) -> dict:
     }
 
 
+def _given_generator(dm, basis, dmat) -> list[str]:
+    """A certified generator in the given basis, over its pivot (its first
+    nonzero entry, row major), as the report shows a generator: dmat when
+    the certification was given it, else dm, a matrix of the series-adapted
+    basis, moved back."""
+    m = basis.endo_back(dm) if dmat is None else dmat
+    pivot = next(v for row in m.entries for v in row if v)
+    return _matrix(m.scale(1 / pivot))
+
+
 def _logged_analysis(alg) -> dict:
-    """aid_space of alg with each `_eliminated` call it makes, its outcome
-    and the case label of every elimination node it enters, in walk order
-    ("" for the root)."""
+    """aid_space of alg with each `_eliminated` call it makes, its generator
+    in the given basis, its outcome and the case label of every elimination
+    node it enters, in walk order ("" for the root)."""
     certifications = []
     decide, eliminated = derivations._decide, derivations._eliminated
 
@@ -59,9 +69,10 @@ def _logged_analysis(alg) -> dict:
         certifications[-1]["case_tree"].append(path[-1] if path else "")
         return decide(ctx, rows, nz, polys, subs, path)
 
-    def eliminated_spy(alg, dmat, basis):
-        certifications.append({"generator": _matrix(dmat), "case_tree": []})
-        outcome = eliminated(alg, dmat, basis)
+    def eliminated_spy(alg, dm, basis, dmat=None):
+        certifications.append({"generator": _given_generator(dm, basis, dmat),
+                               "case_tree": []})
+        outcome = eliminated(alg, dm, basis, dmat)
         certifications[-1].update(_outcome(outcome))
         return outcome
 

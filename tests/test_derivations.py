@@ -341,9 +341,7 @@ def test_space_moves_match_the_fraction_products(ref):
         for space in (derivation_space(basis.alg), derivation_space(alg), random_space):
             gens = [vec_to_endo(v, n) for v in space.basis_vectors()]
             back = [list(itertools.chain(*(pm @ g @ pinv).entries)) for g in gens]
-            into = [list(itertools.chain(*(pinv @ g @ pm).entries)) for g in gens]
             assert basis.space_back(space) == Subspace.from_vectors(n * n, back), ref
-            assert basis.space_in(space) == Subspace.from_vectors(n * n, into), ref
 
 
 def test_bracket_basis_of_a_random_f3_12_copy_is_sparse():
@@ -381,7 +379,7 @@ def test_adapted_basis_moves_der_and_refutations_back_to_the_given_basis(ref):
             dmat = vec_to_endo(v, n)
             dm = RationalMatrix.from_rows(basis.conjugate(dmat))
             # the certifier's refutation in the adapted basis, if any, then grid points
-            outcome = derivations._eliminated(basis.alg, dm, own)
+            outcome = derivations._eliminated(basis.alg, basis.conjugate(dmat), own)
             points = [outcome.refuting_x] if outcome.kind == "refuted" else []
             points += [tuple(map(Q, x)) for x in itertools.islice(refinement_grid(n), 300)]
             for x in points:
@@ -553,23 +551,154 @@ def test_refinement_sample_counts_are_pinned(ref, samples):
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_candidate_and_walk_in_the_adapted_basis_are_those_of_the_given_basis(ref):
-    # the analysis builds the candidate and walks in the series-adapted
-    # basis, carrying each point of the given basis there; moved back, both
-    # agree with the public given-basis routines, samples included
+    # the analysis solves Inner, builds the candidate and walks in the
+    # series-adapted basis, carrying each point of the given basis there;
+    # moved back, all three agree with the public given-basis routines,
+    # samples included
     for seed in (1, 2, 3):
         alg = random_basis_copy(ref, seed)
         basis = derivations._AdaptedBasis.of(alg)
         inner = inner_space(alg)
-        moved_inner = basis.space_in(inner)
-        assert moved_inner == inner_space(basis.alg), (ref, seed)
+        moved_inner = inner_space(basis.alg)
+        assert basis.space_back(moved_inner) == inner, (ref, seed)
         cand = aid_basis_candidate(alg)
         moved_cand = aid_basis_candidate(
             basis.alg, derivation_space(basis.alg), _into=basis.point_in)
         assert basis.space_back(moved_cand) == cand, (ref, seed)
-        moved, samples = aid_refine(basis.alg, moved_cand, inner=inner,
-                                    _proved=lambda _: moved_inner, _into=basis.point_in)
+        moved, samples = aid_refine(basis.alg, moved_cand, inner=moved_inner,
+                                    _into=basis.point_in)
         assert (basis.space_back(moved), samples) == \
             aid_refine(alg, cand, inner=inner), (ref, seed)
+
+
+NO_REPLAY = "refuting point does not replay in the given basis"
+
+
+def _over_its_pivot(m: RationalMatrix) -> bool:
+    return next(v for row in m.entries for v in row if v) == 1
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_reported_generators_and_witnesses_are_those_of_the_given_basis(ref, monkeypatch):
+    # the generators are chosen, certified and refuted in the adapted basis
+    # and moved back: with Inner they span the upper bound, each lies in it
+    # and outside Inner, each is shown over its pivot, and every witness
+    # replays in the given basis.  With sampling skipped the rounds refute
+    # the candidate's generators, so witnesses are moved back too
+    base, ps = three_bases(ref)
+    walk = derivations.aid_refine
+    for sampled in (True, False):
+        refine = walk if sampled else (lambda alg, space, cfg, inner, **_: (space, 0))
+        monkeypatch.setattr(derivations, "aid_refine", refine)
+        for p in ps:
+            alg = change_basis(base, p)
+            n = alg.dim
+            an = analysis(alg)
+            aid = an.aid
+            inner = inner_space(alg)
+            assert an.inner == inner, ref
+            gens = [g for g, _ in aid.proved_generators + aid.inconclusive_generators]
+            span = Subspace.from_vectors(n * n, [endo_to_vec(g) for g in gens])
+            assert subspace_sum(inner, span) == aid.upper_bound, ref
+            assert subspace_sum(inner, span).dim == inner.dim + len(gens), ref
+            for g in gens:
+                assert aid.upper_bound.contains(endo_to_vec(g)), ref
+                assert not inner.contains(endo_to_vec(g)), ref
+            if aid.status == "certified_exact":
+                assert aid.proved is aid.upper_bound
+            else:
+                proved = [endo_to_vec(g) for g, _ in aid.proved_generators]
+                assert aid.proved == subspace_sum(
+                    inner, Subspace.from_vectors(n * n, proved)), ref
+            assert all(map(_over_its_pivot, gens)), ref
+            assert all(_over_its_pivot(g) for g, _ in aid.witnesses), ref
+            assert all(aid_witness(alg, g, x) is None for g, x in aid.witnesses), ref
+            assert not any(o.branch_log[-1:] == (NO_REPLAY,) for _, o in aid.judged), ref
+            if not sampled and aid.status == "certified_exact":
+                # the rounds alone cut a candidate above AID, each cut at a
+                # refuting point moved back
+                cand = aid_basis_candidate(alg)
+                assert bool(aid.witnesses) == (cand.dim > aid.dim), ref
+
+
+def test_a_complement_generator_whose_refutation_does_not_replay_is_inconclusive(monkeypatch):
+    # D4:L4:1 in a random basis, with sampling skipped: the rounds refute
+    # its candidate's first generator in the adapted basis, and when the
+    # point does not replay in the given basis the generator stays,
+    # inconclusive, and nothing is cut at that point
+    alg = random_basis_copy("catalog:D4:L4:1", 1)
+    monkeypatch.setattr(derivations, "aid_refine", lambda alg, space, cfg, inner, **_: (space, 0))
+    assert aid_space(alg).witnesses
+    replay = derivations.aid_witness
+
+    def no_replay_in_the_given_basis(given, dmat, x):
+        return (Q(0),) * given.dim if given is alg else replay(given, dmat, x)
+
+    monkeypatch.setattr(derivations, "aid_witness", no_replay_in_the_given_basis)
+    aid = aid_space(alg)
+    assert not aid.witnesses and aid.status == "probabilistic"
+    assert aid.upper_bound == aid_basis_candidate(alg)
+    [(_, outcome), *_] = aid.judged
+    assert outcome.kind == "inconclusive" and outcome.refuting_x is None
+    assert outcome.branch_log[0] == "series-adapted basis"
+    assert outcome.branch_log[-1] == NO_REPLAY
+
+
+@pytest.mark.parametrize("sampled", [True, False])
+def test_nothing_moves_between_bases_while_the_walk_or_the_rounds_run(sampled, monkeypatch):
+    # every space and generator goes back to the given basis after the last
+    # certification and the last restriction at a point; during the walk and
+    # the rounds only a refuted generator is moved, by `endo_back`, to replay
+    # its point in the given basis
+    events = []
+
+    def logged(name, fn):
+        def spy(*args, **kwargs):
+            events.append(name)
+            return fn(*args, **kwargs)
+        return spy
+
+    def unsampled(alg, space, cfg, inner, **_):
+        return space, 0
+
+    walk = derivations.aid_refine if sampled else unsampled
+
+    def walked(*args, **kwargs):
+        events.append("walk")
+        out = walk(*args, **kwargs)
+        events.append("walked")
+        return out
+
+    eliminated = derivations._eliminated
+
+    def certified(*args):
+        outcome = eliminated(*args)
+        events.append(f"_eliminated {outcome.kind}")
+        return outcome
+
+    monkeypatch.setattr(derivations, "aid_refine", walked)
+    monkeypatch.setattr(derivations, "_eliminated", certified)
+    monkeypatch.setattr(derivations, "_restrict_at_point",
+                        logged("_restrict_at_point", derivations._restrict_at_point))
+    for name in ("_moved", "endo_back"):
+        method = getattr(derivations._AdaptedBasis, name)
+        monkeypatch.setattr(derivations._AdaptedBasis, name, logged(name, method))
+    moved = replayed = 0
+    for ref in CATALOG_BATTERY:
+        base, ps = three_bases(ref)
+        for p in ps:
+            events.clear()
+            aid = aid_space(change_basis(base, p))
+            last = max(i for i, e in enumerate(events) if e == "walked"
+                       or e.startswith(("_eliminated", "_restrict_at_point")))
+            assert "_moved" not in events[:last], (ref, events)
+            assert events.count("walk") == events.count("walked") == 1
+            # one replay per refuted certification
+            assert events.count("endo_back") == events.count("_eliminated refuted") \
+                >= len(aid.witnesses), ref
+            moved += events.count("_moved")
+            replayed += events.count("endo_back")
+    assert moved and replayed
 
 
 def random_basis_copy(ref: str, seed: int):
@@ -719,8 +848,8 @@ def test_the_walk_stops_testing_at_the_cut_that_leaves_only_proved_generators(
     eliminated = derivations._eliminated
     certified = []
 
-    def spy(alg, dmat, basis):
-        outcome = eliminated(alg, dmat, basis)
+    def spy(alg, dm, basis, dmat=None):
+        outcome = eliminated(alg, dm, basis, dmat)
         certified.append((len(points), outcome.kind))
         return outcome
 
@@ -740,9 +869,9 @@ def test_each_generator_is_certified_once_per_analysis(monkeypatch, ref):
     eliminated = derivations._eliminated
     seen = []
 
-    def spy(alg, dmat, basis):
-        seen.append(endo_to_vec(dmat))
-        return eliminated(alg, dmat, basis)
+    def spy(alg, dm, basis, dmat=None):
+        seen.append(tuple(map(tuple, dm)))
+        return eliminated(alg, dm, basis, dmat)
 
     monkeypatch.setattr(derivations, "_eliminated", spy)
     alg = make(ref)
@@ -1416,11 +1545,8 @@ def test_no_refutation_search_runs_on_an_emptied_branch(monkeypatch):
     assert emptied == []
 
 
-def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
-    # the second G53 copy that the `basis` workload draws from seed 1: its
-    # certification meets the pivot t2*t3 - t3^2 = t3*(t2 - t3), which the
-    # monomial split solves as t3 = 0 or t3 != 0, t2 - t3 = 0, and the power
-    # t2^2, which splits on t2
+def _recorded_splits(monkeypatch) -> list:
+    """Each split `_zero_branch` makes, as (pivot, split, case labels)."""
     splits = []
     zero_branch = derivations._zero_branch
 
@@ -1430,19 +1556,40 @@ def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
         return split, cases
 
     monkeypatch.setattr(derivations, "_zero_branch", recording)
-    rng = random.Random(1)
-    _random_invertible(rng, 5)
-    alg = change_basis(make("catalog:G53"), _random_invertible(rng, 5))
+    return splits
+
+
+def test_split_sequence_through_the_monomial_split_is_pinned(monkeypatch):
+    # the first G53 copy that the `basis` workload draws from seed 1: its
+    # certification meets the pivot 3*t2*t3 - t3^2 = t3*(3*t2 - t3), which
+    # the monomial split solves as t3 = 0 or t3 != 0, 3*t2 - t3 = 0
+    splits = _recorded_splits(monkeypatch)
+    alg = random_basis_copy("catalog:G53", 1)
     assert aid_space(alg).status == "certified_exact"
     assert splits == [
-        ("-4*t1 + 4*t2 - 4*t3", "-4*t1 + 4*t2 - 4*t3", ["-4*t1 + 4*t2 - 4*t3 = 0"]),
-        ("-t1", "-t1", ["-t1 = 0"]),
-        ("t2 - t3", "t2 - t3", ["t2 - t3 = 0"]),
-        ("-4*t4", "-4*t4", ["-4*t4 = 0"]),
-        ("t2*t3 - t3^2", "t2*t3 - t3^2", ["t3 = 0", "t3 != 0, t2 - t3 = 0"]),
-        ("t2^2", "t2", ["t2 = 0"]),
-        ("-t2 + t3", "-t2 + t3", ["-t2 + t3 = 0"]),
-        ("t3", "t3", ["t3 = 0"]),
+        ("-9*t1 + 18*t2 - 18*t3", "-9*t1 + 18*t2 - 18*t3", ["-9*t1 + 18*t2 - 18*t3 = 0"]),
+        ("3*t2 - t3", "3*t2 - t3", ["3*t2 - t3 = 0"]),
+        ("3*t1 + 4*t3", "3*t1 + 4*t3", ["3*t1 + 4*t3 = 0"]),
+        ("3*t2 - t3", "3*t2 - t3", ["3*t2 - t3 = 0"]),
+        ("3*t2*t3 - t3^2", "3*t2*t3 - t3^2", ["t3 = 0", "t3 != 0, 3*t2 - t3 = 0"]),
+        ("10*t3 + 9*t4", "10*t3 + 9*t4", ["10*t3 + 9*t4 = 0"]),
+        ("t4", "t4", ["t4 = 0"]),
+    ]
+
+
+def test_split_sequence_through_a_power_of_a_linear_form_is_pinned(monkeypatch):
+    # D4:L12 in the seed-1 basis: each of its two generators meets the
+    # square 4*t1^2 - 4*t1*t2 + t2^2 = 4*(t1 - 1/2*t2)^2, which splits on
+    # t1 - 1/2*t2 and substitutes the non-integer t1 := 1/2*t2
+    splits = _recorded_splits(monkeypatch)
+    alg = random_basis_copy("catalog:D4:L12", 1)
+    assert aid_space(alg).status == "certified_exact"
+    power = ("4*t1^2 - 4*t1*t2 + t2^2", "t1 - 1/2*t2", ["t1 - 1/2*t2 = 0"])
+    assert splits == [
+        ("t1", "t1", ["t1 = 0"]),
+        power,
+        ("t1", "t1", ["t1 = 0"]),
+        power,
         ("t2", "t2", ["t2 = 0"]),
     ]
 
@@ -1479,22 +1626,33 @@ def test_aid_space_l9_finds_one_extra_generator():
 
 @pytest.mark.parametrize("budget", [None, 1])
 def test_aid_result_keeps_each_generator_once(budget, monkeypatch):
-    # G53 in this basis proves its complement generators, and with a budget
-    # of one node leaves them inconclusive; either way each is held as its
-    # stored row of the upper bound, and its matrix is built when read
+    # G53 proves its complement generators, and with a budget of one node
+    # leaves them inconclusive; either way each is held as one stored row
+    # with its outcome, and its matrix, that row over its pivot, is built
+    # when read.  In the standard basis (P = I) the row is the upper bound's
+    # own echelon row; in a random one it is a row of the adapted basis
+    # moved back, which with Inner spans the upper bound
     if budget is not None:
         monkeypatch.setattr(derivations, "NODE_BUDGET", budget)
-    alg = random_basis_copy("catalog:G53", 1)
-    aid = aid_space(alg)
-    assert aid.judged
-    assert all(any(row is r for r in aid.upper_bound.echelon) for row, _ in aid.judged)
-    comp = complement_in(inner_space(alg), aid.upper_bound)
-    matrices = [vec_to_endo(v, alg.dim) for v in comp.basis_vectors()]
-    kinds = [o.kind for _, o in aid.judged]
-    assert set(kinds) == ({"proved"} if budget is None else {"inconclusive"})
-    read = aid.proved_generators + aid.inconclusive_generators
-    assert [g for g, _ in read] == matrices
-    assert [o for _, o in read] == [o for _, o in aid.judged]
+    for seed in (None, 1):
+        alg = make("catalog:G53") if seed is None else random_basis_copy("catalog:G53", seed)
+        n = alg.dim
+        aid = aid_space(alg)
+        assert aid.judged
+        rows = [row for row, _ in aid.judged]
+        vectors = [[dict(zip(*row)).get(k, 0) for k in range(n * n)] for row in rows]
+        # each row is in the stored form: primitive integers, positive pivot
+        assert all(Subspace(n * n, (row,)) == Subspace.from_vectors(n * n, [v])
+                   for row, v in zip(rows, vectors))
+        if seed is None:
+            assert all(any(row is r for r in aid.upper_bound.echelon) for row in rows)
+        assert subspace_sum(inner_space(alg), Subspace.from_vectors(n * n, vectors)) \
+            == aid.upper_bound
+        kinds = [o.kind for _, o in aid.judged]
+        assert set(kinds) == ({"proved"} if budget is None else {"inconclusive"})
+        read = aid.proved_generators + aid.inconclusive_generators
+        assert [g for g, _ in read] == [derivations._row_endo(row, n) for row in rows]
+        assert [o for _, o in read] == [o for _, o in aid.judged]
 
 
 def test_aid_space_records_refutations(monkeypatch):
