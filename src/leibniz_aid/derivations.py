@@ -851,26 +851,20 @@ class _AdaptedBasis:
         dint = _int_matrix(dmat.entries)[1]
         return dint if self.u is None else _int_product(_int_product(self.z, dint), self.u)
 
-    def endo_back(self, dm: Sequence[Sequence[int]]) -> RationalMatrix:
-        """P D P^-1 up to a positive factor, `conjugate`'s inverse: U D Z
-        for an endomorphism D of this basis given by integer rows."""
-        return RationalMatrix.from_rows(
-            dm if self.u is None else _int_product(_int_product(self.u, dm), self.z))
-
-    def space_back(self, space: Subspace) -> Subspace:
-        """{P D P^-1 : D in space}, a space of this basis moved to the given
-        one: U D Z for each stored integer row D, up to d / s."""
-        return self._moved(space)
+    def endo_back(self, dm: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+        """P D P^-1 up to a positive factor, `conjugate`'s inverse: the integer
+        rows U D Z for an endomorphism D of this basis given by integer rows."""
+        return dm if self.u is None else _int_product(_int_product(self.u, dm), self.z)
 
     def row_back(self, row: tuple[tuple[int, ...], tuple[int, ...]]):
         """A stored echelon row of this basis moved to the given one, in the
         stored form (primitive, positive pivot): the row itself when P = I."""
-        return self._moved(Subspace(self.alg.dim ** 2, (row,))).echelon[0]
+        return self.space_back(Subspace(self.alg.dim ** 2, (row,))).echelon[0]
 
-    def _moved(self, space: Subspace) -> Subspace:
-        """{U D Z : D in space}, each stored integer row D read as an n x n
-        matrix and mapped by its nonzero entries: the sum of D_ab U[:, a]
-        (x) Z[b, :], with row a of D Z combined first."""
+    def space_back(self, space: Subspace) -> Subspace:
+        """{P D P^-1 : D in space} up to d / s: U D Z for each stored integer
+        row D of this basis, read as an n x n matrix and mapped by its nonzero
+        entries, the sum of D_ab U[:, a] (x) Z[b, :], row a of D Z first."""
         if self.u is None:
             return space
         n = self.alg.dim
@@ -925,11 +919,11 @@ def _judged(
     combination = inner_combination(alg, dmat)
     if combination is not None:
         return CertOutcome("proved", branch_log=("inner: constant witness",)), combination
-    return _eliminated(alg, basis.conjugate(dmat), basis, dmat), None
+    return _eliminated(alg, basis.conjugate(dmat), basis), None
 
 
-def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]], basis: _AdaptedBasis,
-                dmat: RationalMatrix | None = None) -> CertOutcome:
+def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]],
+                basis: _AdaptedBasis) -> CertOutcome:
     """Decide D(x) in [x, L] for every rational x by elimination alone.
 
     The witness equation left_mult(x) w = D x is eliminated symbolically in
@@ -951,9 +945,9 @@ def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]], basis: _Adapte
 
     The leaves `_decide` yields are read up to the first refuted one, a
     rational point mapped back by P (`point_back`) and re-verified in the
-    given basis by an exact rank comparison (`aid_witness`) against dmat,
-    or dm moved back (`endo_back`); one that does not replay ends an
-    inconclusive log.  The log is as `CertOutcome` says.
+    given basis by an exact integer solve (`_int_witness`) against dm
+    moved back (`endo_back`), a positive multiple of D; one that does not
+    replay ends an inconclusive log.  The log is as `CertOutcome` says.
     """
     n = alg.dim
     # row m of the witness equation, linear forms in t, as [M | b]:
@@ -972,7 +966,7 @@ def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]], basis: _Adapte
     for leaf in _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ()):
         if leaf.kind == "refuted":
             x = basis.point_back(leaf.refuting_x)
-            if aid_witness(alg, basis.endo_back(dm) if dmat is None else dmat, x) is None:
+            if _int_witness(alg, basis.endo_back(dm), 1, x) is None:
                 return CertOutcome("refuted", refuting_x=x, branch_log=prefix + leaf.branch_log)
             note = "refuting point does not replay in the given basis"
             return CertOutcome("inconclusive", branch_log=log + leaf.branch_log + (note,))
@@ -1135,8 +1129,8 @@ def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
     P^-1 D P: the walk reads its proved part, Inner plus the proved rows,
     with no move, and a round restricts at the refuting point taken in.
     Only a refuted generator moves back before the rounds end, for its
-    replay (`_eliminated`).  Then what is reported moves back once: Inner,
-    AID's bounds, each generator as its stored row and each witness.
+    replay (`_eliminated`).  Then what is reported moves back once: Inner
+    and each generator, which span AID's bounds, and each witness.
     """
     n = alg.dim
     basis = _AdaptedBasis.of(alg)
@@ -1190,19 +1184,26 @@ def analysis(alg: LeibnizAlgebra, cfg: AidConfig = AidConfig()) -> Analysis:
         judged_rows, refuted = judged(space)
     # the space itself exactly when every generator is proved
     lower = proved(space)
+    # Inner and each generator move back once and span the bounds (P = I: no move)
     given_inner = basis.space_back(inner)
-    # Inner lies in the upper bound, so an upper bound of its dimension is it
-    upper = given_inner if space.dim == inner.dim else basis.space_back(space)
+    judged = tuple((basis.row_back(r), o) for r, o in judged_rows)
+
+    def given(adapted: Subspace, rows: list) -> Subspace:
+        if basis.u is None or not rows:
+            return adapted if rows else given_inner
+        return _subspace_int(n * n, _dict_rows(given_inner) + [dict(zip(*r)) for r in rows])
+
+    upper = given(space, [r for r, _ in judged])
     aid = AidResult(
         upper_bound=upper,
         # one object for both bounds when they agree, since callers may
         # keep many results alive
-        proved=upper if lower is space else basis.space_back(lower),
+        proved=upper if lower is space else given(lower, [r for r, o in judged if o.kind == "proved"]),
         status="certified_exact" if lower is space else "probabilistic",
         samples_used=samples,
         seed=cfg.seed,
         witnesses=tuple((_row_endo(basis.row_back(r), n), x) for r, x in refutations),
-        judged=tuple((basis.row_back(r), o) for r, o in judged_rows),
+        judged=judged,
     )
     return Analysis(alg, basis, der, given_inner, aid)
 

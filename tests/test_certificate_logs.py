@@ -23,7 +23,7 @@ from leibniz_aid import derivations
 from leibniz_aid.algebra import change_basis
 from leibniz_aid.catalog import make
 from leibniz_aid.cli import _random_invertible
-from leibniz_aid.exactlin import format_rational
+from leibniz_aid.exactlin import RationalMatrix, format_rational
 
 from conftest import CATALOG_BATTERY
 
@@ -48,12 +48,11 @@ def _outcome(outcome) -> dict:
     }
 
 
-def _given_generator(dm, basis, dmat) -> list[str]:
+def _given_generator(dm, basis) -> list[str]:
     """A certified generator in the given basis, over its pivot (its first
-    nonzero entry, row major), as the report shows a generator: dmat when
-    the certification was given it, else dm, a matrix of the series-adapted
-    basis, moved back."""
-    m = basis.endo_back(dm) if dmat is None else dmat
+    nonzero entry, row major), as the report shows a generator: dm, a
+    matrix of the series-adapted basis, moved back."""
+    m = RationalMatrix.from_rows(basis.endo_back(dm))
     pivot = next(v for row in m.entries for v in row if v)
     return _matrix(m.scale(1 / pivot))
 
@@ -69,10 +68,10 @@ def _logged_analysis(alg) -> dict:
         certifications[-1]["case_tree"].append(path[-1] if path else "")
         return decide(ctx, rows, nz, polys, subs, path)
 
-    def eliminated_spy(alg, dm, basis, dmat=None):
-        certifications.append({"generator": _given_generator(dm, basis, dmat),
+    def eliminated_spy(alg, dm, basis):
+        certifications.append({"generator": _given_generator(dm, basis),
                                "case_tree": []})
-        outcome = eliminated(alg, dm, basis, dmat)
+        outcome = eliminated(alg, dm, basis)
         certifications[-1].update(_outcome(outcome))
         return outcome
 

@@ -629,12 +629,12 @@ def test_a_complement_generator_whose_refutation_does_not_replay_is_inconclusive
     alg = random_basis_copy("catalog:D4:L4:1", 1)
     monkeypatch.setattr(derivations, "aid_refine", lambda alg, space, cfg, inner, **_: (space, 0))
     assert aid_space(alg).witnesses
-    replay = derivations.aid_witness
+    replay = derivations._int_witness
 
-    def no_replay_in_the_given_basis(given, dmat, x):
-        return (Q(0),) * given.dim if given is alg else replay(given, dmat, x)
+    def no_replay_in_the_given_basis(given, dint, e, x):
+        return (Q(0),) * given.dim if given is alg else replay(given, dint, e, x)
 
-    monkeypatch.setattr(derivations, "aid_witness", no_replay_in_the_given_basis)
+    monkeypatch.setattr(derivations, "_int_witness", no_replay_in_the_given_basis)
     aid = aid_space(alg)
     assert not aid.witnesses and aid.status == "probabilistic"
     assert aid.upper_bound == aid_basis_candidate(alg)
@@ -680,7 +680,7 @@ def test_nothing_moves_between_bases_while_the_walk_or_the_rounds_run(sampled, m
     monkeypatch.setattr(derivations, "_eliminated", certified)
     monkeypatch.setattr(derivations, "_restrict_at_point",
                         logged("_restrict_at_point", derivations._restrict_at_point))
-    for name in ("_moved", "endo_back"):
+    for name in ("space_back", "endo_back"):
         method = getattr(derivations._AdaptedBasis, name)
         monkeypatch.setattr(derivations._AdaptedBasis, name, logged(name, method))
     moved = replayed = 0
@@ -691,12 +691,12 @@ def test_nothing_moves_between_bases_while_the_walk_or_the_rounds_run(sampled, m
             aid = aid_space(change_basis(base, p))
             last = max(i for i, e in enumerate(events) if e == "walked"
                        or e.startswith(("_eliminated", "_restrict_at_point")))
-            assert "_moved" not in events[:last], (ref, events)
+            assert "space_back" not in events[:last], (ref, events)
             assert events.count("walk") == events.count("walked") == 1
             # one replay per refuted certification
             assert events.count("endo_back") == events.count("_eliminated refuted") \
                 >= len(aid.witnesses), ref
-            moved += events.count("_moved")
+            moved += events.count("space_back")
             replayed += events.count("endo_back")
     assert moved and replayed
 
@@ -848,8 +848,8 @@ def test_the_walk_stops_testing_at_the_cut_that_leaves_only_proved_generators(
     eliminated = derivations._eliminated
     certified = []
 
-    def spy(alg, dm, basis, dmat=None):
-        outcome = eliminated(alg, dm, basis, dmat)
+    def spy(alg, dm, basis):
+        outcome = eliminated(alg, dm, basis)
         certified.append((len(points), outcome.kind))
         return outcome
 
@@ -869,9 +869,9 @@ def test_each_generator_is_certified_once_per_analysis(monkeypatch, ref):
     eliminated = derivations._eliminated
     seen = []
 
-    def spy(alg, dm, basis, dmat=None):
+    def spy(alg, dm, basis):
         seen.append(tuple(map(tuple, dm)))
-        return eliminated(alg, dm, basis, dmat)
+        return eliminated(alg, dm, basis)
 
     monkeypatch.setattr(derivations, "_eliminated", spy)
     alg = make(ref)
@@ -1111,13 +1111,13 @@ def test_certify_maps_an_adapted_refutation_back_to_the_given_basis():
 
 def test_certify_reports_a_refutation_that_does_not_replay_as_inconclusive(monkeypatch):
     moved, gm = _moved_d4_l4_1()
-    replay = derivations.aid_witness
+    replay = derivations._int_witness
 
-    def no_replay_in_the_given_basis(alg, dmat, x):
+    def no_replay_in_the_given_basis(alg, dint, e, x):
         # the search in the adapted basis is left alone
-        return (Q(0),) * alg.dim if alg is moved else replay(alg, dmat, x)
+        return (Q(0),) * alg.dim if alg is moved else replay(alg, dint, e, x)
 
-    monkeypatch.setattr(derivations, "aid_witness", no_replay_in_the_given_basis)
+    monkeypatch.setattr(derivations, "_int_witness", no_replay_in_the_given_basis)
     out = aid_certify(moved, gm)
     assert out.kind == "inconclusive"
     assert out.refuting_x is None
