@@ -28,8 +28,7 @@ import sys
 from . import algebra as alg_mod
 from . import catalog as cat_mod
 from . import derivations as der_mod
-from .exactlin import (Q, RationalMatrix, Subspace, as_rational, format_rational,
-                       _int_rows, _rref_int)
+from .exactlin import Q, RationalMatrix, Subspace, as_rational, _int_rows, _rref_int
 from .derivations import AidConfig, AnalysisReport, Deviation
 
 SCHEMA = "aid-report/1"
@@ -123,99 +122,93 @@ def _deviation_json(d: Deviation) -> dict:
 
 
 def report_json(report: AnalysisReport) -> dict:
+    """The `aid-report/1` document of one analysis; the text form renders
+    it (`report_text`)."""
+    an = report.analysis
+    alg, aid, ann = an.alg, an.aid, an.annihilators
     gens = []
-    for info in report.complement_generators:
-        entry = {
-            "matrix": cat_mod.matrix_json(info["matrix"]),
-            "actions": info["actions"],
-            "outcome": info["outcome"],
-        }
-        if "refuting_x" in info:
-            entry["refuting_x"] = cat_mod.vec_json(info["refuting_x"])
-        if info.get("branch_log"):
-            entry["branch_log"] = info["branch_log"]
-        gens.append(entry)
-    witnesses = [
-        {"generator": cat_mod.matrix_json(g), "x": cat_mod.vec_json(x)}
-        for g, x in report.aid.witnesses
+    for outcome, pairs in (("proved", aid.proved_generators),
+                           ("inconclusive", aid.inconclusive_generators),
+                           ("refuted", aid.witnesses)):
+        for gmat, detail in pairs:
+            entry = {"matrix": cat_mod.matrix_json(gmat),
+                     "actions": der_mod.endo_actions(alg, gmat), "outcome": outcome}
+            if outcome == "refuted":
+                entry["refuting_x"] = cat_mod.vec_json(detail)
+            elif detail.branch_log:
+                entry["branch_log"] = list(detail.branch_log)
+            gens.append(entry)
+    notes = [
+        "field: Q; sampling and certificates range over rational points only",
+        "matrix convention: column j is the image of e_j; transposed "
+        "presentations of the same generator are treated as the same object",
     ]
+    if aid.status != "certified_exact":
+        notes.append("aid not certified exact; rcaid/caid computed from the proved "
+                     "lower bound, rcaid_upper/caid_upper from the upper bound")
     return {
         "schema": SCHEMA,
         "algebra": report.algebra_id,
-        "dim": report.dim,
+        "dim": alg.dim,
         "field": "Q",
-        "labels": list(report.labels) if report.labels else None,
-        "series": _series_json(report.series),
-        "annihilators": dict(report.annihilator_dims),
-        "tower": dict(report.tower),
+        "labels": list(alg.labels) if alg.labels else None,
+        "series": _series_json(an.basis.series),
+        "annihilators": {"right": ann.ann_r.dim, "left": ann.ann_l.dim,
+                         "center": ann.center.dim},
+        "tower": dict(an.tower),
         "aid": {
-            "status": report.aid.status,
-            "seed": report.aid.seed,
-            "samples_used": report.aid.samples_used,
-            "upper_dim": report.aid.upper_bound.dim,
-            "proved_dim": report.aid.proved.dim,
+            "status": aid.status,
+            "seed": aid.seed,
+            "samples_used": aid.samples_used,
+            "upper_dim": aid.upper_bound.dim,
+            "proved_dim": aid.proved.dim,
         },
         "complement_generators": gens,
-        "witnesses": witnesses,
+        "witnesses": [{"generator": cat_mod.matrix_json(g), "x": cat_mod.vec_json(x)}
+                      for g, x in aid.witnesses],
         "deviations": [_deviation_json(d) for d in report.deviations],
-        "notes": list(report.notes),
+        "notes": notes,
     }
 
 
-def report_text(report: AnalysisReport) -> str:
-    lines = []
-    t = report.tower
-    sr = report.series
-    lines.append(f"algebra: {report.algebra_id}")
-    lines.append(f"dim: {report.dim} over Q")
-    nil = f"nilindex {sr.nilindex}" if sr.nilpotent else "not nilpotent"
-    flags = []
-    if sr.null_filiform:
-        flags.append("null-filiform")
-    elif sr.filiform:
-        flags.append("filiform")
-    flag_txt = f" ({', '.join(flags)})" if flags else ""
-    dims = " ".join(str(d) for d in sr.dims)
-    lines.append(f"series dims: {dims}  [{nil}]{flag_txt}")
-    a = report.annihilator_dims
-    lines.append(
-        f"annihilators: right {a['right']}, left {a['left']}, center {a['center']}"
-    )
-    exact = report.aid.status == "certified_exact"
+def report_text(doc: dict) -> str:
+    """The text form of an `aid-report/1` document, read from it alone."""
+    t, sr, a, aid = doc["tower"], doc["series"], doc["annihilators"], doc["aid"]
+    nil = f"nilindex {sr['nilindex']}" if sr["nilpotent"] else "not nilpotent"
+    flag = (" (null-filiform)" if sr["null_filiform"]
+            else " (filiform)" if sr["filiform"] else "")
+    exact = aid["status"] == "certified_exact"
 
     def bounds(lower: str, upper: str) -> str:
         return str(t[lower]) if exact else f"{t[lower]}..{t[upper]}"
 
-    lines.append(
+    lines = [
+        f"algebra: {doc['algebra']}",
+        f"dim: {doc['dim']} over {doc['field']}",
+        f"series dims: {' '.join(map(str, sr['dims']))}  [{nil}]{flag}",
+        f"annihilators: right {a['right']}, left {a['left']}, center {a['center']}",
         f"tower: Der {t['der']}, Inner {t['inner']}, AID {bounds('aid_proved', 'aid')} "
-        f"({report.aid.status}), RCAID {bounds('rcaid', 'rcaid_upper')}, "
-        f"CAID {bounds('caid', 'caid_upper')}, outer {t['outer']}"
-    )
-    lines.append(
-        f"aid sampling: seed {report.aid.seed}, samples {report.aid.samples_used}"
-    )
-    if report.complement_generators:
+        f"({aid['status']}), RCAID {bounds('rcaid', 'rcaid_upper')}, "
+        f"CAID {bounds('caid', 'caid_upper')}, outer {t['outer']}",
+        f"aid sampling: seed {aid['seed']}, samples {aid['samples_used']}",
+    ]
+    if doc["complement_generators"]:
         lines.append("complement generators over Inner:")
-        for info in report.complement_generators:
-            actions = "; ".join(info["actions"])
-            extra = ""
-            if "refuting_x" in info:
-                coords = ",".join(format_rational(v) for v in info["refuting_x"])
-                extra = f" at x=({coords})"
-            lines.append(f"  - {info['outcome']}{extra}: {actions}")
+        for g in doc["complement_generators"]:
+            at = f" at x=({','.join(g['refuting_x'])})" if "refuting_x" in g else ""
+            lines.append(f"  - {g['outcome']}{at}: {'; '.join(g['actions'])}")
     else:
         lines.append("complement generators over Inner: none (AID = Inner)")
-    if report.deviations:
+    if doc["deviations"]:
         lines.append("deviations from expected values:")
-        for d in report.deviations:
+        for d in doc["deviations"]:
             lines.append(
-                f"  - {d.location}: expected {d.expected}, computed {d.computed} "
-                f"[certificate: {d.certificate.get('kind', 'none')}]"
+                f"  - {d['location']}: expected {d['expected']}, computed {d['computed']} "
+                f"[certificate: {d['certificate'].get('kind', 'none')}]"
             )
     else:
         lines.append("deviations from expected values: none")
-    for note in report.notes:
-        lines.append(f"note: {note}")
+    lines.extend(f"note: {note}" for note in doc["notes"])
     return "\n".join(lines) + "\n"
 
 
@@ -245,11 +238,11 @@ def _cmd_analyze(args) -> int:
     algebra, algebra_id, expected = _load_algebra(args.source)
     cfg = AidConfig() if args.seed is None else AidConfig(seed=args.seed)
     print(f"analyzing {algebra_id} ...", file=sys.stderr)
-    report = der_mod.analysis_report(algebra, cfg, algebra_id, expected)
+    doc = report_json(der_mod.analysis_report(algebra, cfg, algebra_id, expected))
     if args.format == "json":
-        print(json.dumps(report_json(report), indent=2))
+        print(json.dumps(doc, indent=2))
     else:
-        sys.stdout.write(report_text(report))
+        sys.stdout.write(report_text(doc))
     return 0
 
 
@@ -344,7 +337,8 @@ def _evaluate(claim: cat_mod.Claim) -> dict:
             algebra, algebra_id=ref.ref_string(), expected=cat_mod.expected_for(ref)
         )
         return _check(claim, not report.deviations, report.deviations,
-                      {"tower": dict(report.tower), "status": report.aid.status})
+                      {"tower": dict(report.analysis.tower),
+                       "status": report.analysis.aid.status})
     deviations = []
     an = der_mod.analysis(algebra)
     der, inner, aid = an.der, an.inner, an.aid

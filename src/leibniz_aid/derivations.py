@@ -34,9 +34,9 @@ rounds: Inner, AID's bounds, its generators and its witnesses.
 One analysis of an algebra is one value, `Analysis`, built by `analysis`:
 the adapted basis with the central series, Der, Inner and the `AidResult`,
 and, worked out on first read, the annihilators, RCAID and CAID, the last
-two as the pair from AID's proved bound and from its upper bound.
-`aid_space`, `analysis_report` and every command read that value, so each
-stage runs once per analysis.
+two as the pair from AID's proved bound and from its upper bound, and the
+tower of their dimensions.  `aid_space`, `analysis_report` and every
+command read that value, so each stage runs once per analysis.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .exactlin import (
     _int_matrix,
     _null_vectors_int,
     _nullspace_int,
-    _primitive_map,
     _restrict_int,
     _solve_int,
     _subspace_int,
@@ -141,10 +140,10 @@ def derivation_space(alg: LeibnizAlgebra, *, _gens: int | None = None) -> Subspa
     The constraint for (i, j) at coordinate m is
     sum_k c[i][j][k] D[m][k] - c[k][j][m] D[k][i] - c[i][k][m] D[k][j] = 0,
     the m-th coordinate of D[e_i, e_j] = [D e_i, e_j] + [e_i, D e_j].
-    Rows are built sparse from the integer constants, made primitive and
-    deduplicated, then eliminated by the sparse integer kernel.  A pair
-    (i, j) with [e_i, e_j] = 0 builds only the rows at the m that its
-    other two terms reach.
+    Rows are built sparse from the integer constants and go to the sparse
+    integer kernel as built: it keeps its rows primitive and reduces a
+    repeated row to zero.  A pair (i, j) with [e_i, e_j] = 0 builds only
+    the rows at the m that its other two terms reach.
 
     With `_gens` = g, as in `analysis`, only the pairs with j < g
     are built, L x G for G the span of e_1..e_g, and the null space is
@@ -166,7 +165,6 @@ def derivation_space(alg: LeibnizAlgebra, *, _gens: int | None = None) -> Subspa
     by_left = [[(k, m, v) for k in range(n) for m, v in nz[i][k]] for i in range(n)]
     by_right = [[(k, m, v) for k in range(n) for m, v in nz[k][j]] for j in range(g)]
     rows: list[dict[int, int]] = []
-    seen: set[tuple[tuple[int, int], ...]] = set()
     for i in range(n):
         for j in range(g):
             acc: dict[int, dict[int, int]] = {}
@@ -182,11 +180,7 @@ def derivation_space(alg: LeibnizAlgebra, *, _gens: int | None = None) -> Subspa
             for row in (acc[m] for m in sorted(acc)):
                 row = {col: v for col, v in row.items() if v}
                 if row:
-                    row = _primitive_map(row)
-                    key = tuple(sorted(row.items()))
-                    if key not in seen:
-                        seen.add(key)
-                        rows.append(row)
+                    rows.append(row)
     return _nullspace_int(rows, n * n)
 
 
@@ -1074,9 +1068,9 @@ class Analysis:
     `basis` is the series-adapted basis, with the central series; `der`
     lies in it, and `inner` and `aid`, worked out there too, were moved
     back to the given basis once.  The annihilators,
-    `rcaid` and `caid` are worked out on first read.  RCAID and CAID are
-    pairs, from AID's proved bound and from its upper bound: one object
-    twice when AID is certified exact.
+    `rcaid`, `caid` and `tower` are worked out on first read.  RCAID and
+    CAID are pairs, from AID's proved bound and from its upper bound: one
+    object twice when AID is certified exact.
     """
 
     alg: LeibnizAlgebra
@@ -1103,12 +1097,26 @@ class Analysis:
             return proved, proved
         return proved, _envelope_meet(self.aid.upper_bound, self.inner, target)
 
+    @cached_property
+    def tower(self) -> dict[str, int]:
+        """The `aid-report/1` tower: AID's two bounds, and RCAID and CAID
+        from the proved one, with `rcaid_upper` and `caid_upper` from the
+        upper one only when AID is not certified exact."""
+        (rcaid, rcaid_upper), (caid, caid_upper) = self.rcaid, self.caid
+        tower = {"der": self.der.dim, "inner": self.inner.dim, "aid": self.aid.dim,
+                 "aid_proved": self.aid.proved.dim, "rcaid": rcaid.dim, "caid": caid.dim,
+                 "outer": self.der.dim - self.inner.dim}
+        if self.aid.status != "certified_exact":
+            tower.update(rcaid_upper=rcaid_upper.dim, caid_upper=caid_upper.dim)
+        return tower
+
     def upper_dims(self) -> dict[str, int]:
-        """Der, Inner, AID and RCAID and CAID from AID's upper bound, which
-        always contains AID: what `fuzz` compares across bases, whatever
-        each basis certified."""
-        return {"der": self.der.dim, "inner": self.inner.dim, "aid": self.aid.dim,
-                "rcaid": self.rcaid[1].dim, "caid": self.caid[1].dim}
+        """The upper side of `tower`, which always contains AID: what `fuzz`
+        compares across bases, whatever each basis certified."""
+        t = self.tower
+        return {"der": t["der"], "inner": t["inner"], "aid": t["aid"],
+                "rcaid": t.get("rcaid_upper", t["rcaid"]),
+                "caid": t.get("caid_upper", t["caid"])}
 
     def judge(self, dmat: RationalMatrix) -> tuple[CertOutcome, tuple[Q, ...] | None]:
         """`_judged` for a claimed generator, in this analysis's basis."""
@@ -1336,18 +1344,13 @@ class Deviation:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """One analysis with its catalog id and its deviations from the
+    published values; `cli.report_json` builds the `aid-report/1` document
+    from it."""
+
     algebra_id: str
-    dim: int
-    labels: tuple[str, ...] | None
-    series: SeriesReport
-    annihilator_dims: dict
-    tower: dict
-    aid: AidResult
-    rcaid: Subspace
-    caid: Subspace
-    complement_generators: tuple[dict, ...]
+    analysis: Analysis
     deviations: tuple[Deviation, ...]
-    notes: tuple[str, ...]
 
 
 def analysis_report(
@@ -1356,7 +1359,7 @@ def analysis_report(
     algebra_id: str = "file:algebra",
     expected=None,
 ) -> AnalysisReport:
-    """Series, annihilators and the full derivation tower of one algebra.
+    """The analysis of one algebra (`analysis`) with its deviations.
 
     `expected` is an optional catalog record of published dimensions; any
     disagreement is reported as a deviation that carries a machine-checkable
@@ -1365,55 +1368,5 @@ def analysis_report(
     from .catalog import build_deviations  # local import to avoid a cycle
 
     an = analysis(alg, cfg)
-    aid, ann = an.aid, an.annihilators
-    notes = [
-        "field: Q; sampling and certificates range over rational points only",
-        "matrix convention: column j is the image of e_j; transposed "
-        "presentations of the same generator are treated as the same object",
-    ]
-    (rcaid, rcaid_upper), (caid, caid_upper) = an.rcaid, an.caid
-    tower = {
-        "der": an.der.dim,
-        "inner": an.inner.dim,
-        "aid": aid.upper_bound.dim,
-        "aid_proved": aid.proved.dim,
-        "rcaid": rcaid.dim,
-        "caid": caid.dim,
-        "outer": an.der.dim - an.inner.dim,
-    }
-    if aid.status != "certified_exact":
-        notes.append("aid not certified exact; rcaid/caid computed from the proved "
-                     "lower bound, rcaid_upper/caid_upper from the upper bound")
-        tower.update(rcaid_upper=rcaid_upper.dim, caid_upper=caid_upper.dim)
-    comp_info = []
-    for kind, pairs in (
-        ("proved", aid.proved_generators),
-        ("inconclusive", aid.inconclusive_generators),
-        ("refuted", aid.witnesses),
-    ):
-        for gmat, detail in pairs:
-            info = {"matrix": gmat, "actions": endo_actions(alg, gmat), "outcome": kind}
-            if kind == "refuted":
-                info["refuting_x"] = list(detail)
-            else:
-                info["branch_log"] = list(detail.branch_log)
-            comp_info.append(info)
     deviations = () if expected is None else tuple(build_deviations(an, expected, algebra_id))
-    return AnalysisReport(
-        algebra_id=algebra_id,
-        dim=alg.dim,
-        labels=alg.labels,
-        series=an.basis.series,
-        annihilator_dims={
-            "right": ann.ann_r.dim,
-            "left": ann.ann_l.dim,
-            "center": ann.center.dim,
-        },
-        tower=tower,
-        aid=aid,
-        rcaid=rcaid,
-        caid=caid,
-        complement_generators=tuple(comp_info),
-        deviations=deviations,
-        notes=tuple(notes),
-    )
+    return AnalysisReport(algebra_id, an, deviations)

@@ -108,10 +108,10 @@ def test_criterion_1_table_reproduction_with_certificates():
         report = analyze(ref)
         alg = la.make(ref)
         computed = (
-            report.tower["inner"],
-            report.tower["rcaid"],
-            report.tower["aid"],
-            report.tower["der"],
+            report.analysis.tower["inner"],
+            report.analysis.tower["rcaid"],
+            report.analysis.tower["aid"],
+            report.analysis.tower["der"],
         )
         expected = (inner_d, rcaid_d, aid_d, der_d)
         devs = {d.location.rsplit(":", 1)[-1]: d for d in report.deviations}
@@ -473,4 +473,4 @@ def test_readme_library_use_block_runs():
     exec(compile(block, "README.md", "exec"), names)
     assert names["res"].status == "certified_exact"
     assert (names["inner"].dim, names["rcaid"].dim, names["res"].upper_bound.dim) == (3, 4, 4)
-    assert names["report"].aid.status == "certified_exact"
+    assert names["report"].analysis.aid.status == "certified_exact"

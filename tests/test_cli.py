@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import random
@@ -13,7 +14,10 @@ import pytest
 
 from leibniz_aid.algebra import change_basis, direct_sum, to_json_dict
 from leibniz_aid.catalog import make
-from leibniz_aid.cli import _random_invertible, main
+from leibniz_aid.cli import _load_algebra, _random_invertible, main, report_json, report_text
+from leibniz_aid.derivations import AidConfig, analysis_report
+
+from conftest import CATALOG_BATTERY
 
 BROKEN = {
     "dim": 1,
@@ -28,6 +32,7 @@ NONNILPOTENT = {
 
 CATALOG_LISTING = Path(__file__).parent / "data" / "catalog_listing.txt"
 PROBABILISTIC_COPY = Path(__file__).parent / "data" / "probabilistic_copy.json"
+PROBABILISTIC_REPORT = Path(__file__).parent / "data" / "probabilistic_copy_report.txt"
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -304,6 +309,69 @@ def test_fuzz_reference_dims_are_the_upper_side_of_a_probabilistic_report(capsys
     assert json.loads(out)["reference_dims"] == {
         "der": tower["der"], "inner": tower["inner"], "aid": tower["aid"],
         "rcaid": tower["rcaid_upper"], "caid": tower["caid_upper"]}
+
+
+# -- the report document and its text form ------------------------------------
+
+PROBABILISTIC_SOURCE = pytest.param(str(PROBABILISTIC_COPY), id="probabilistic_copy")
+REPORT_SOURCES = [*CATALOG_BATTERY, PROBABILISTIC_SOURCE]
+
+
+def _fresh_report(source: str):
+    """The report `analyze SOURCE` builds its document from."""
+    algebra, algebra_id, expected = _load_algebra(source)
+    return analysis_report(algebra, AidConfig(), algebra_id, expected)
+
+
+_report = functools.cache(_fresh_report)
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_text_report_renders_the_json_document(capsys, source):
+    # the text form reads the document alone, so the document read back
+    # from its JSON renders the text `analyze` prints
+    code, out, _ = run(capsys, "analyze", source)
+    assert code == 0
+    doc = json.loads(json.dumps(report_json(_report(source))))
+    assert report_text(doc) == out
+
+
+def test_probabilistic_text_report_is_pinned(capsys):
+    code, out, _ = run(capsys, "analyze", str(PROBABILISTIC_COPY))
+    assert code == 0
+    assert out == PROBABILISTIC_REPORT.read_text()
+    lines = out.splitlines()
+    assert ("tower: Der 23, Inner 6, AID 6..7 (probabilistic), RCAID 6..7, "
+            "CAID 6..7, outer 17") in lines
+    # each refuted generator prints its point: the JSON witness x, joined
+    doc = json.loads(json.dumps(report_json(_report(str(PROBABILISTIC_COPY)))))
+    refuted = [line for line in lines if line.startswith("  - refuted at x=(")]
+    coords = [line[len("  - refuted at x=("):line.index("):")] for line in refuted]
+    assert coords == [",".join(w["x"]) for w in doc["witnesses"]]
+    assert len(coords) == 2
+
+
+@pytest.mark.parametrize("source", REPORT_SOURCES)
+def test_upper_dims_are_the_upper_side_of_the_tower(source):
+    an = _report(source).analysis
+    tower = an.tower
+    exact = an.aid.status == "certified_exact"
+    assert ("rcaid_upper" in tower) == ("caid_upper" in tower) == (not exact)
+    assert (tower["rcaid"], tower["caid"]) == (an.rcaid[0].dim, an.caid[0].dim)
+    upper = "" if exact else "_upper"
+    assert (tower["rcaid" + upper], tower["caid" + upper]) == (an.rcaid[1].dim, an.caid[1].dim)
+    assert an.upper_dims() == {
+        "der": tower["der"], "inner": tower["inner"], "aid": tower["aid"],
+        "rcaid": tower["rcaid" + upper], "caid": tower["caid" + upper]}
+
+
+@pytest.mark.parametrize("source", ["catalog:D4:L9", PROBABILISTIC_SOURCE])
+def test_report_and_upper_dims_share_one_annihilator_solve(stage_calls, source):
+    report = _fresh_report(source)
+    report_json(report)
+    report.analysis.upper_dims()
+    report_json(report)
+    assert stage_calls["annihilators"] == 1
 
 
 # -- verify-paper -------------------------------------------------------------

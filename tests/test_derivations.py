@@ -407,7 +407,7 @@ def test_an_analysis_inverts_its_adapted_basis_once(monkeypatch):
     calls.clear()
     report = analysis_report(alg)
     assert calls == [alg.dim]
-    assert report.aid.status == "certified_exact"
+    assert report.analysis.aid.status == "certified_exact"
     # in an adapted basis already, nothing is inverted
     calls.clear()
     analysis_report(make("catalog:G53"))
@@ -990,7 +990,7 @@ def test_inconclusive_generator_reports_its_branch_log(monkeypatch, tmp_path, ca
     monkeypatch.setattr(derivations, "NODE_BUDGET", 1)
     alg = random_basis_copy("catalog:G53", 1)
     report = analysis_report(alg)
-    aid = report.aid
+    aid = report.analysis.aid
     assert aid.status == "probabilistic"
     assert aid.inconclusive_generators
     doc = report_json(report)
@@ -1003,7 +1003,7 @@ def test_inconclusive_generator_reports_its_branch_log(monkeypatch, tmp_path, ca
     tower = doc["tower"]
     assert (tower["rcaid"], tower["rcaid_upper"]) == (4, 5)
     assert (tower["caid"], tower["caid_upper"]) == (4, 5)
-    assert "RCAID 4..5, CAID 4..5" in report_text(report)
+    assert "RCAID 4..5, CAID 4..5" in report_text(doc)
     source = tmp_path / "g53.json"
     source.write_text(json.dumps(to_json_dict(alg)))
     assert main(["fuzz", str(source), "--basis-changes", "0"]) == 0

@@ -45,8 +45,8 @@ def spaces_of(ref: str):
     alg = la.make(ref)
     der = derivation_space(alg)
     inner = inner_space(alg)
-    aid = report.aid.upper_bound
-    return alg, der, inner, aid, report.rcaid, report.caid
+    aid = report.analysis.aid.upper_bound
+    return alg, der, inner, aid, report.analysis.rcaid[0], report.analysis.caid[0]
 
 
 def mats_of(space: Subspace, n: int) -> list[RationalMatrix]:
@@ -186,10 +186,10 @@ def test_inner_proved_upper_sandwich(ref):
     report = analyze(ref)
     alg = la.make(ref)
     inner = inner_space(alg)
-    assert report.aid.proved.contains_subspace(inner)
-    assert report.aid.upper_bound.contains_subspace(report.aid.proved)
-    assert (report.aid.status == "certified_exact") == (
-        report.aid.proved == report.aid.upper_bound
+    assert report.analysis.aid.proved.contains_subspace(inner)
+    assert report.analysis.aid.upper_bound.contains_subspace(report.analysis.aid.proved)
+    assert (report.analysis.aid.status == "certified_exact") == (
+        report.analysis.aid.proved == report.analysis.aid.upper_bound
     )
 
 
@@ -251,7 +251,7 @@ def test_basis_change_equivariance_hundred_draws():
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_certified_status_survives_random_bases(ref):
-    if analyze(ref).aid.status != "certified_exact":
+    if analyze(ref).analysis.aid.status != "certified_exact":
         pytest.skip("not certified in the standard basis")
     alg = la.make(ref)
     rng = random.Random(DEFAULT_SEED)  # three bases, drawn as `fuzz` draws them
@@ -269,7 +269,7 @@ def test_witness_coherence_on_the_full_grid(ref):
     report = analyze(ref)
     alg = la.make(ref)
     n = alg.dim
-    for gmat, _ in report.aid.proved_generators:
+    for gmat, _ in report.analysis.aid.proved_generators:
         for point in refinement_grid(n):
             x = tuple(Q(v) for v in point)
             w = aid_witness(alg, gmat, x)
