@@ -14,7 +14,10 @@ generators over Inner runs in the candidate, after each cut of the walk
 and in each round.  So every reported dimension is
 either certified exact or explicitly marked as a probabilistic upper bound.
 An analysis runs in one basis, adapted to the lower central series, and
-moves back to the given basis only what it reports.
+moves back to the given basis only what it reports.  `algebra` builds that
+basis (`_AdaptedBasis`), `certify` holds the case-split elimination, which
+knows no basis, and `derivations` runs the analysis in that basis and
+moves into it and back out of it what the elimination reads and returns.
 """
 
 from .exactlin import (
@@ -49,25 +52,22 @@ from .algebra import (
     product_span,
     to_json_dict,
 )
+from .certify import CertOutcome, aid_witness
 from .derivations import (
     AidConfig,
     AidResult,
     Analysis,
     AnalysisReport,
-    CertOutcome,
     DEFAULT_SEED,
     Deviation,
     NotBracketClosed,
-    NotInCaid,
     aid_basis_candidate,
     aid_certify,
     aid_refine,
     aid_space,
-    aid_witness,
     analysis,
     analysis_report,
     bracket,
-    caid_restriction_witness,
     derivation_space,
     endo_to_vec,
     inner_space,
@@ -130,7 +130,6 @@ __all__ = [
     "DEFAULT_SEED",
     "Deviation",
     "NotBracketClosed",
-    "NotInCaid",
     "aid_basis_candidate",
     "aid_certify",
     "aid_refine",
@@ -139,7 +138,6 @@ __all__ = [
     "analysis",
     "analysis_report",
     "bracket",
-    "caid_restriction_witness",
     "derivation_space",
     "endo_to_vec",
     "inner_space",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
@@ -554,6 +555,114 @@ def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> tuple[int, list
         layer = kept
     scale = lcm(*(s for _, s in columns))
     return scale, [[w.get(r, 0) * (scale // s) for w, s in columns] for r in range(n)]
+
+
+# -- the series-adapted basis ------------------------------------------
+
+
+def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices given by their rows."""
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+@dataclass(frozen=True)
+class _AdaptedBasis:
+    """A basis adapted to the lower central series of an algebra: `alg` is
+    the algebra in the basis f_j = sum_i P[i][j] e_i and `series` the
+    central series of the given algebra.  P is held over the ints only:
+    P = U / s and P^-1 = s Z / d, with Z = d U^-1 from the one inversion.
+    U is None when the given basis is adapted already or the algebra is not
+    nilpotent; then P = I and each move returns its input.
+    """
+
+    alg: LeibnizAlgebra
+    series: SeriesReport
+    u: Sequence[Sequence[int]] | None = None
+    s: int = 1
+    z: Sequence[Sequence[int]] = ()
+    d: int = 1
+
+    @staticmethod
+    def of(alg: LeibnizAlgebra) -> "_AdaptedBasis":
+        """The basis `_bracket_basis` builds from brackets, in which
+        the constants of a nilpotent algebra only push into strictly deeper
+        series layers, which keeps elimination pivots sparse.  The given
+        basis is adapted already when every series term is spanned by the
+        trailing unit vectors."""
+        series = central_series(alg)
+        # a term of dimension d is spanned by the last d unit vectors exactly
+        # when its first echelon pivot is column dim - d
+        if not series.nilpotent or all(
+            t.dim == 0 or t.echelon[0][0][0] == alg.dim - t.dim for t in series.terms
+        ):
+            return _AdaptedBasis(alg, series)
+        s, u = _bracket_basis(alg, series)
+        d, z = _int_inverse(u)
+        return _AdaptedBasis(_constants_in(alg, u, z, s * d), series, u, s, z, d)
+
+    @property
+    def gens(self) -> int:
+        """A count g whose first g vectors of this basis generate `alg`:
+        n - dim L^2 for a nilpotent algebra of dimension n >= 1, where
+        they span a complement of L^2 (`_bracket_basis` puts one first, and
+        a given basis is adapted only with L^2 its trailing unit vectors),
+        and n otherwise."""
+        n = self.alg.dim
+        return n - self.series.terms[1].dim if self.series.nilpotent and n else n
+
+    def conjugate(self, dmat: RationalMatrix) -> list[list[int]]:
+        """P^-1 D P up to a positive factor, an endomorphism of the given
+        basis carried into this one over the ints: Z D' U for the integer
+        multiple D' = e D, e the lcm of D's denominators, which is e d
+        P^-1 D P, or D' itself when P = I."""
+        dint = _int_matrix(dmat.entries)[1]
+        return dint if self.u is None else _int_product(_int_product(self.z, dint), self.u)
+
+    def endo_back(self, dm: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+        """P D P^-1 up to a positive factor, `conjugate`'s inverse: the integer
+        rows U D Z for an endomorphism D of this basis given by integer rows."""
+        return dm if self.u is None else _int_product(_int_product(self.u, dm), self.z)
+
+    def row_back(self, row: tuple[tuple[int, ...], tuple[int, ...]]):
+        """A stored echelon row of this basis moved to the given one, in the
+        stored form (primitive, positive pivot): the row itself when P = I."""
+        return self.space_back(Subspace(self.alg.dim ** 2, (row,))).echelon[0]
+
+    def space_back(self, space: Subspace) -> Subspace:
+        """{P D P^-1 : D in space} up to d / s: U D Z for each stored integer
+        row D of this basis, read as an n x n matrix and mapped by its nonzero
+        entries, the sum of D_ab U[:, a] (x) Z[b, :], row a of D Z first."""
+        if self.u is None:
+            return space
+        n = self.alg.dim
+        lcols = [_pairs(col) for col in zip(*self.u)]
+        rrows = [dict(_pairs(row)) for row in self.z]
+        rows = []
+        for cols, vals in space.echelon:
+            by_row: dict[int, list[tuple[int, int]]] = {}
+            for ab, v in zip(cols, vals):
+                a, b = divmod(ab, n)
+                by_row.setdefault(a, []).append((b, v))
+            out: dict[int, int] = {}
+            for a, entries in by_row.items():
+                dr = _combine(rrows, entries)
+                for r, x in lcols[a]:
+                    for c, y in dr.items():
+                        out[r * n + c] = out.get(r * n + c, 0) + x * y
+            rows.append({k: v for k, v in out.items() if v})
+        return _subspace_int(n * n, rows)
+
+    def point_back(self, x: Sequence[Q]) -> tuple[Q, ...]:
+        """P x, a point of this basis in the coordinates of the given one."""
+        if self.u is None:
+            return tuple(x)
+        return tuple(sum((xi * w for xi, w in zip(x, row)), QZERO) / self.s for row in self.u)
+
+    def point_in(self, x: Sequence) -> Sequence:
+        """Z x, a point x of the given basis in this one: P^-1 x up to
+        d / s, which the almost inner condition, homogeneous in x, ignores."""
+        return x if self.u is None else [sum(map(mul, row, x)) for row in self.z]
 
 
 # -- JSON document form ------------------------------------------------

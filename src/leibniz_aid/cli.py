@@ -29,6 +29,7 @@ from . import algebra as alg_mod
 from . import catalog as cat_mod
 from . import derivations as der_mod
 from .exactlin import Q, RationalMatrix, Subspace, as_rational, _int_rows, _rref_int
+from .certify import aid_witness
 from .derivations import AidConfig, AnalysisReport, Deviation
 
 SCHEMA = "aid-report/1"
@@ -257,7 +258,7 @@ def _cmd_witness(args) -> int:
         x = tuple(as_rational(c) for c in args.coords)
     except (ValueError, TypeError) as exc:
         raise InputError(f"bad coordinate: {exc}") from exc
-    witness = der_mod.aid_witness(algebra, endo, x)
+    witness = aid_witness(algebra, endo, x)
     doc = {
         "schema": "aid-witness/1",
         "algebra": algebra_id,
@@ -381,7 +382,7 @@ def _evaluate(claim: cat_mod.Claim) -> dict:
         passed = sum_ok and direct
     elif claim.kind == "refutation":
         passed = (outcome.kind == "refuted" and collapses
-                  and der_mod.aid_witness(algebra, gen, outcome.refuting_x) is None)
+                  and aid_witness(algebra, gen, outcome.refuting_x) is None)
     elif claim.kind == "dims":
         want = cat_mod.expected_for(cat_mod.parse_ref(claim.ref))
         series_dims, nilpotent = der_mod.subalgebra_nilpotency(aid.upper_bound)

@@ -17,19 +17,22 @@ in each space these steps hold (the candidate, each space a cut of the
 walk leaves, each round's space): its generators in order, up to the first
 refuted one, each proved, D(x) in [x,L] for every rational x by
 case-split elimination, or refuted by a concrete x (verified by an exact
-rank test), or given up with an explicit inconclusive verdict.  They span
-a complement of Inner, so elimination alone decides them, and each
-outcome is kept, so none is certified twice.  The walk tests its points
+rank test), or given up with an explicit inconclusive verdict; the
+elimination itself is `certify`'s.  They span a complement of Inner, so
+elimination alone decides them, and each outcome is kept, so none is
+certified twice.  The walk tests its points
 only against the generators of its space left unproved, and once none is
 left it stops testing points; the sample count it reports is still that
 of the full walk.
 
-The steps share one basis, `_AdaptedBasis`, adapted to the lower central
-series, where the constants of a nilpotent algebra are sparse: Der, Inner,
-the candidate, the walk (each point x of the given basis taken as P^-1 x),
-the complements of Inner, their elimination and the refutation rounds all
-run there.  What is reported moves back to the given basis once, after the
-rounds: Inner, AID's bounds, its generators and its witnesses.
+The steps share one basis, `algebra._AdaptedBasis`, adapted to the lower
+central series, where the constants of a nilpotent algebra are sparse:
+Der, Inner, the candidate, the walk (each point x of the given basis taken
+as P^-1 x), the complements of Inner, their elimination and the refutation
+rounds all run there.  The elimination (`certify`) knows no basis: this
+module moves each generator in and each refuting point back.  What is
+reported moves back to the given basis once, after the rounds: Inner,
+AID's bounds, its generators and its witnesses.
 
 One analysis of an algebra is one value, `Analysis`, built by `analysis`:
 the adapted basis with the central series, Der, Inner and the `AidResult`,
@@ -45,32 +48,25 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import comb, gcd, isqrt, lcm
-from operator import mul
+from math import comb, gcd, isqrt
 from typing import Callable, Iterator, Sequence
 
-from ._poly import Poly
 from .algebra import (
     Annihilators,
     LeibnizAlgebra,
-    SeriesReport,
+    _AdaptedBasis,
     _coords_str,
-    _bracket_basis,
     _bracket_columns,
-    _combine,
-    _constants_in,
-    _int_inverse,
+    _int_product,
     _pairs,
     annihilators,
-    central_series,
 )
+from .certify import CertOutcome, undecided_leaves, _int_witness
 from .exactlin import (
     DimensionMismatch,
     Q,
-    QZERO,
     RationalMatrix,
     Subspace,
-    as_rational,
     _freeze,
     _add_pivot,
     _dict_rows,
@@ -90,16 +86,10 @@ DEFAULT_SEED = 3141592653
 # refinement stops after STALL_LIMIT of them in a row cut nothing
 RANDOM_BOUND = 10
 STALL_LIMIT = 25
-# certifier nodes per generator before it is `inconclusive`
-NODE_BUDGET = 4000
 
 
 class NotBracketClosed(ValueError):
     """The given endomorphism space is not closed under the commutator."""
-
-
-class NotInCaid(ValueError):
-    """No global x makes D - R_x land in the center."""
 
 
 # ---------------------------------------------------------------------------
@@ -397,498 +387,7 @@ def _sample_points(n: int, seed: int) -> Iterator[tuple[tuple[int, ...], bool]]:
 
 
 # ---------------------------------------------------------------------------
-# symbolic certification
-
-
-@dataclass(frozen=True, slots=True)
-class CertOutcome:
-    """branch_log, after a "series-adapted basis" line when elimination ran
-    there: if proved, nothing (or "inner: constant witness"); if refuted, the
-    refuting leaf's case path; if inconclusive, each undecided leaf in walk
-    order, its case path and then its reason."""
-
-    kind: str  # 'proved' | 'refuted' | 'inconclusive'
-    refuting_x: tuple[Q, ...] | None = None
-    branch_log: tuple[str, ...] = ()
-
-
-class _CertContext:
-    """What every branch of one certification shares: the algebra, the
-    derivation as an integer matrix, up to a positive factor, since only
-    whether a witness exists is asked of it, and the node budget left."""
-
-    __slots__ = ("alg", "dint", "budget")
-
-    def __init__(self, alg: LeibnizAlgebra, dint: Sequence[Sequence[int]]):
-        self.alg = alg
-        self.dint = dint
-        self.budget = NODE_BUDGET
-
-
-def _strip_row(row: list[Poly], nz: frozenset[int]) -> tuple[list[Poly], int]:
-    """Remove a safe common monomial and the content of a row, its
-    coefficients followed by its right-hand side, over the ints.
-
-    Dividing a whole row by a shared monomial is an equivalence only where
-    the monomial cannot vanish, so only variables the current branch forces
-    nonzero are divided out.  (Dividing by anything else can overconstrain a
-    shared unknown on the vanishing locus: t2*w1 = 0 does not force w1 = 0 at
-    t2 = 0.)  Dividing by a nonzero number is always exact: the row is
-    divided by the gcd of all its coefficients, signed by its first nonzero
-    entry's leading term, after a row with a Fraction coefficient is
-    scaled to ints.  Returns the row and the content m of its first nonzero
-    entry.  The printed row is the row divided by m, whose first entry is
-    primitive; neither it nor the returned row changes when the given row
-    is multiplied by a nonzero rational.
-    """
-    polys = [p for p in row if p.terms]
-    if not polys:
-        return row, 1
-    try:
-        g = gcd(*(c for p in polys for c in p.terms.values()))
-    except TypeError:
-        # math.gcd takes ints only: clear the row's denominators, then strip
-        return _strip_row(_over_ints(row)[1], nz)
-    first = polys[0].content()
-    if first < 0:
-        g = -g
-    mono = polys[0].monomial_gcd()
-    for p in polys[1:]:
-        mono = tuple(min(a, b) for a, b in zip(mono, p.monomial_gcd()))
-    mono = tuple(e if i in nz else 0 for i, e in enumerate(mono))
-    if g != 1 or any(mono):
-        row = [p.divide_monomial(mono, g) if p.terms else p for p in row]
-    return row, first // g
-
-
-def _over_ints(polys: Sequence[Poly]) -> tuple[int, list[Poly]]:
-    """(d, [d * p for p in polys]) for the least positive d that makes every
-    coefficient an int."""
-    d = lcm(*(c.denominator for p in polys for c in p.terms.values()))
-    return d, [Poly(p.nvars, {m: c.numerator * (d // c.denominator)
-                              for m, c in p.terms.items()}) for p in polys]
-
-
-def _search_refutation(
-    ctx: _CertContext,
-    residual: Poly,
-    nz: frozenset[int],
-    polys: tuple[Poly, ...],
-    subs: list[tuple[int, Poly]],
-) -> tuple[Q, ...] | None:
-    """Look for a small rational point where the branch residual is nonzero.
-
-    Candidate points keep the branch's nonzero conditions (nz and polys) as
-    a guide; each candidate is then verified with the exact rank test, which
-    is the only thing that can declare a refutation.
-    """
-    n = ctx.alg.dim
-    substituted = {k for k, _ in subs}
-    free = sorted(nz.union(
-        residual.variables(), *(r.variables() for _, r in subs),
-        *(p.variables() for p in polys),
-    ) - substituted)
-    if not free:
-        free = [v for v in range(n) if v not in substituted][:1]
-    checks = 0
-    seen = 0
-    prev = 0
-    for radius in (1, 2, 3, 5, 7):
-        for vals in itertools.product(range(-radius, radius + 1), repeat=len(free)):
-            if vals and max(abs(v) for v in vals) <= prev:
-                continue  # inner shells were already tried
-            seen += 1
-            if seen > 20000:
-                return None
-            point = [QZERO] * n
-            for var, v in zip(free, vals):
-                point[var] = Q(v)
-            for var, repl in reversed(subs):
-                point[var] = repl.evaluate(point)
-            if residual.evaluate(point) == 0:
-                continue
-            if any(point[v] == 0 for v in nz) or any(
-                p.evaluate(point) == 0 for p in polys
-            ):
-                continue
-            checks += 1
-            if _int_witness(ctx.alg, ctx.dint, 1, point) is None:
-                return tuple(point)
-            if checks > 50:
-                return None
-        prev = radius
-    return None
-
-
-def _linear_power(p: Poly) -> Poly | None:
-    """A linear form l with p = c * l**k (k >= 2), or None.
-
-    The zero set of such a pivot is the hyperplane l = 0, so a case split on
-    l is exact even though the pivot itself is linear in no variable.  The
-    coefficients of l are read off the leading terms and the factorization is
-    then verified by exact multiplication, so a wrong guess returns None.
-    """
-    k = p.total_degree()
-    if k < 2:
-        return None
-    variables = sorted(p.variables())
-    # every variable of c*l**k reaches the full degree k
-    if any(p.degree_in(v) != k for v in variables):
-        return None
-    nvars = p.nvars
-    v0 = variables[0]
-    c = p.terms.get(tuple(k if i == v0 else 0 for i in range(nvars)))
-    if not c:
-        return None
-    # normalize l to unit v0-coefficient; the t_v0^(k-1)*t_w coefficient of
-    # c*l**k is then c*k*a_w, and the t_v0^(k-1) coefficient is c*k*a_0,
-    # each divided exactly, as Fractions, also when p is over the ints
-    terms = {tuple(1 if i == v0 else 0 for i in range(nvars)): Q(1)}
-    a0 = p.terms.get(tuple(k - 1 if i == v0 else 0 for i in range(nvars)))
-    if a0:
-        terms[(0,) * nvars] = Q(a0, c * k)
-    for w in variables[1:]:
-        mono = tuple(
-            k - 1 if i == v0 else (1 if i == w else 0) for i in range(nvars)
-        )
-        aw = p.terms.get(mono)
-        if aw:
-            terms[tuple(1 if i == w else 0 for i in range(nvars))] = Q(aw, c * k)
-    ell = Poly(nvars, terms)
-    power = ell
-    for _ in range(k - 1):
-        power = power * ell
-    return ell if power.scale(c) == p else None
-
-
-# a branch state: the variables and the other polynomials it holds nonzero
-_Held = tuple[frozenset[int], tuple[Poly, ...]]
-
-
-def _held_nonzero(nz: frozenset[int], polys: tuple[Poly, ...], p: Poly) -> _Held:
-    """The branch state (nz, polys) that also holds p != 0.
-
-    A nonzero monomial holds every variable in it nonzero, and those join the
-    set nz, which later pivots can exploit one variable at a time; a nonzero
-    constant adds nothing, and any other polynomial joins polys.
-    """
-    if len(p.terms) == 1:
-        return nz | p.variables(), polys
-    return nz, polys + (p,)
-
-
-def _pivot_choice(rows: list[list[Poly]]) -> tuple[int, int, Poly]:
-    """Pick the next pivot entry; smaller score first.
-
-    Score class 0: nonzero constants (no case split at all), 1: polynomials
-    linear in some variable with a rational coefficient (both branches
-    resolvable), 2: anything else.  Ties prefer sparse columns, then sparse
-    rows, low degree, and finally position, which keeps runs deterministic.
-    """
-    col_fill = [0] * (len(rows[0]) - 1)
-    for row in rows:
-        for c, p in enumerate(row[:-1]):
-            if not p.is_zero():
-                col_fill[c] += 1
-    best = None
-    for i, row in enumerate(rows):
-        coeffs = row[:-1]
-        row_fill = sum(1 for p in coeffs if not p.is_zero())
-        for c, p in enumerate(coeffs):
-            if p.is_zero():
-                continue
-            cls = (0 if p.is_constant()
-                   else 1 if p.linear_var_with_constant_coeff() is not None else 2)
-            score = (cls, col_fill[c], row_fill, p.total_degree(), len(p.terms), i, c)
-            if best is None or score < best[0]:
-                best = (score, i, c, p)
-    _, i, c, p = best
-    return i, c, p
-
-
-def _eliminate(
-    rows: list[list[Poly]], pi: int, pc: int, pivot: Poly
-) -> list[list[Poly]]:
-    """Consume the pivot row by the fraction-free update pivot*row - f*pivot_row,
-    which keeps entries polynomial.  A constant pivot leaves its factor on
-    each updated row; the next node's `_strip_row` divides it out.  A zero
-    entry of either row drops its product."""
-    prow = rows[pi]
-    out = []
-    for idx, row in enumerate(rows):
-        if idx == pi:
-            continue
-        f = row[pc]
-        if f.is_zero():
-            out.append(row)
-            continue
-        new = []
-        for a, b in zip(row, prow):
-            if not b.terms:
-                new.append(pivot * a if a.terms else a)
-            elif not a.terms:
-                new.append(-(f * b))
-            else:
-                new.append(pivot * a - f * b)
-        new[pc] = Poly.zero(pivot.nvars)
-        out.append(new)
-    return out
-
-
-def _decide(
-    ctx: _CertContext,
-    rows: list[list[Poly]],
-    nz: frozenset[int],
-    polys: tuple[Poly, ...],
-    subs: list[tuple[int, Poly]],
-    path: tuple[str, ...],
-) -> Iterator[CertOutcome]:
-    """Eliminate rows, each its coefficients then its right-hand side, on the
-    branch that holds nz and polys nonzero, after subs, and yield the leaves
-    of its case tree that are not proved, in walk order, each log starting
-    with path, the branch's case labels (see `CertOutcome`); a branch that
-    yields nothing is proved.  A zero case whose substitutions make a
-    condition the branch holds nonzero vanish identically (`_emptied`) has
-    no point, so it is skipped: a refuting point would have to lie in it,
-    and its residuals could only end unverified."""
-    ctx.budget -= 1
-    if ctx.budget <= 0:
-        yield CertOutcome("inconclusive", branch_log=path + ("node budget exhausted",))
-        return
-    # normalize and triage; scales[i] is the content m of row i's first
-    # entry, and the row it prints is row i divided by m
-    cleaned = []
-    scales = []
-    for row in rows:
-        row, m = _strip_row(row, nz)
-        if all(p.is_zero() for p in row[:-1]):
-            rhs = row[-1]
-            if rhs.is_zero():
-                continue
-            x = _search_refutation(ctx, rhs, nz, polys, subs)
-            if x is None:
-                reason = f"unverified residual {rhs}"
-                yield CertOutcome("inconclusive", branch_log=path + (reason,))
-            else:
-                yield CertOutcome("refuted", refuting_x=x, branch_log=path)
-            return
-        cleaned.append(row)
-        scales.append(m)
-    rows = cleaned
-    if all(row[-1].is_zero() for row in rows):
-        return
-    pi, pc, pivot = _pivot_choice(rows)
-    if len(pivot.terms) == 1 and pivot.variables() <= nz:
-        # a nonzero constant, or a monomial in variables the branch already
-        # forces nonzero: the pivot cannot vanish here, so no case split
-        yield from _decide(ctx, _eliminate(rows, pi, pc, pivot), nz, polys, subs, path)
-        return
-    # the pivot as its row prints it; the split and its labels read this
-    # one, the integer rows the integer pivot
-    shown = pivot if scales[pi] == 1 else pivot.scale(Q(1, scales[pi]))
-    zero = _zero_branch(shown, nz, polys)
-    split_poly, cases = (shown, []) if zero is None else zero
-    # branch split_poly != 0 (the same region as pivot != 0)
-    yield from _decide(
-        ctx, _eliminate(rows, pi, pc, pivot), *_held_nonzero(nz, polys, split_poly),
-        subs, path + (f"case {split_poly} != 0",),
-    )
-    if zero is None:
-        note = f"cannot solve {shown} = 0 (nonlinear in every variable)"
-        yield CertOutcome("inconclusive", branch_log=path + (note,))
-    for label, k, replacement, state in cases:
-        case_subs = subs + [(k, replacement)]
-        if _emptied(state, case_subs):
-            continue
-        den, (num,) = _over_ints([replacement])
-        zero_rows = [_substituted(row, k, num, den) for row in rows]
-        yield from _decide(
-            ctx, zero_rows, *state, case_subs,
-            path + (f"case {label}, t{k + 1} := {replacement}",),
-        )
-
-
-def _substituted(row: list[Poly], k: int, num: Poly, den: int) -> list[Poly]:
-    """The integer row at t_k := num / den, times den**E for E its degree
-    in t_k, which keeps it over the ints; a row free of t_k is passed on as
-    the same object."""
-    top = max(p.degree_in(k) for p in row)
-    if not top:
-        return row
-    return [p.subs_var(k, num, den, top) if p.terms else p for p in row]
-
-
-def _emptied(state: _Held, subs: list[tuple[int, Poly]]) -> bool:
-    """Whether subs, applied in order, make a variable or a polynomial the
-    branch state holds nonzero vanish identically: such a case has no point."""
-    nz, polys = state
-    nvars = subs[0][1].nvars
-    for p in itertools.chain((Poly.var(nvars, v) for v in nz), polys):
-        for k, replacement in subs:
-            if p.degree_in(k):
-                p = p.subs_var(k, replacement)
-        if p.is_zero():
-            return True
-    return False
-
-
-def _solved_for(ell: Poly) -> tuple[int, Poly]:
-    """(k, r) with ell = 0 exactly where t_k = r, for ell linear in t_k with a
-    rational coefficient (the smallest such k)."""
-    k, coeff = ell.linear_var_with_constant_coeff()
-    # ell is coeff * t_k plus its terms free of t_k; over the ints a unit
-    # coefficient is its own inverse, so only another one makes Fractions
-    rest = Poly(ell.nvars, {m: c for m, c in ell.terms.items() if not m[k]})
-    return k, rest.scale(-coeff if coeff in (1, -1) else Q(-1) / coeff)
-
-
-def _linear_reading(p: Poly) -> Poly | None:
-    """p itself when it is a constant or linear in some variable with a
-    rational coefficient, else the l of p = c * l**k, else None."""
-    if p.is_constant() or p.linear_var_with_constant_coeff() is not None:
-        return p
-    return _linear_power(p)
-
-
-def _zero_branch(
-    pivot: Poly, nz: frozenset[int], polys: tuple[Poly, ...]
-) -> tuple[Poly, list[tuple[str, int, Poly, _Held]]] | None:
-    """Split pivot = 0 into cases; None when it cannot be solved.
-
-    Returns (split, cases), where the branch pivot != 0 records split != 0,
-    the same region.  The pivot is read as m * l, m a monomial and l linear
-    in some variable with a rational coefficient, a power of such a form, or
-    a constant.  In order: the pivot itself is l (split is the pivot); the
-    pivot is a rational multiple of a power of a linear form l (split is l);
-    m is the pivot's monomial gcd, and the quotient is read the same way
-    (split is the pivot).  m * l = 0 splits into t_v = 0 for each variable v
-    of m outside nz, the variables the branch holds nonzero, then all those
-    t_v nonzero and l = 0, solved for one variable of l.  Each case is
-    (label, k, replacement for t_k, the branch state (nz, polys) of the case).
-    """
-    nvars = pivot.nvars
-    mono = (0,) * nvars
-    ell = _linear_reading(pivot)
-    if ell is None and any(mono := pivot.monomial_gcd()):
-        ell = _linear_reading(pivot.divide_monomial(mono))
-    if ell is None:
-        return None
-    zero = Poly.zero(nvars)
-    mvars = [v for v, e in enumerate(mono) if e and v not in nz]
-    cases = [(f"t{v + 1} = 0", v, zero, (nz, polys)) for v in mvars]
-    if not ell.is_constant():
-        k, replacement = _solved_for(ell)
-        state = nz, polys
-        for v in mvars:
-            state = _held_nonzero(*state, Poly.var(nvars, v).subs_var(k, replacement))
-        label = "".join(f"t{v + 1} != 0, " for v in mvars) + f"{ell} = 0"
-        cases.append((label, k, replacement, state))
-    return (pivot if any(mono) else ell), cases
-
-
-def _int_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The product of two integer matrices given by their rows."""
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
-@dataclass(frozen=True)
-class _AdaptedBasis:
-    """A basis adapted to the lower central series of an algebra: `alg` is
-    the algebra in the basis f_j = sum_i P[i][j] e_i and `series` the
-    central series of the given algebra.  P is held over the ints only:
-    P = U / s and P^-1 = s Z / d, with Z = d U^-1 from the one inversion.
-    U is None when the given basis is adapted already or the algebra is not
-    nilpotent; then P = I and each move returns its input.
-    """
-
-    alg: LeibnizAlgebra
-    series: SeriesReport
-    u: Sequence[Sequence[int]] | None = None
-    s: int = 1
-    z: Sequence[Sequence[int]] = ()
-    d: int = 1
-
-    @staticmethod
-    def of(alg: LeibnizAlgebra) -> "_AdaptedBasis":
-        """The basis `algebra._bracket_basis` builds from brackets, in which
-        the constants of a nilpotent algebra only push into strictly deeper
-        series layers, which keeps elimination pivots sparse.  The given
-        basis is adapted already when every series term is spanned by the
-        trailing unit vectors."""
-        series = central_series(alg)
-        # a term of dimension d is spanned by the last d unit vectors exactly
-        # when its first echelon pivot is column dim - d
-        if not series.nilpotent or all(
-            t.dim == 0 or t.echelon[0][0][0] == alg.dim - t.dim for t in series.terms
-        ):
-            return _AdaptedBasis(alg, series)
-        s, u = _bracket_basis(alg, series)
-        d, z = _int_inverse(u)
-        return _AdaptedBasis(_constants_in(alg, u, z, s * d), series, u, s, z, d)
-
-    @property
-    def gens(self) -> int:
-        """A count g whose first g vectors of this basis generate `alg`:
-        n - dim L^2 for a nilpotent algebra of dimension n >= 1, where
-        they span a complement of L^2 (`_bracket_basis` puts one first, and
-        a given basis is adapted only with L^2 its trailing unit vectors),
-        and n otherwise."""
-        n = self.alg.dim
-        return n - self.series.terms[1].dim if self.series.nilpotent and n else n
-
-    def conjugate(self, dmat: RationalMatrix) -> list[list[int]]:
-        """P^-1 D P up to a positive factor, an endomorphism of the given
-        basis carried into this one over the ints: Z D' U for the integer
-        multiple D' = e D, e the lcm of D's denominators, which is e d
-        P^-1 D P, or D' itself when P = I."""
-        dint = _int_matrix(dmat.entries)[1]
-        return dint if self.u is None else _int_product(_int_product(self.z, dint), self.u)
-
-    def endo_back(self, dm: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
-        """P D P^-1 up to a positive factor, `conjugate`'s inverse: the integer
-        rows U D Z for an endomorphism D of this basis given by integer rows."""
-        return dm if self.u is None else _int_product(_int_product(self.u, dm), self.z)
-
-    def row_back(self, row: tuple[tuple[int, ...], tuple[int, ...]]):
-        """A stored echelon row of this basis moved to the given one, in the
-        stored form (primitive, positive pivot): the row itself when P = I."""
-        return self.space_back(Subspace(self.alg.dim ** 2, (row,))).echelon[0]
-
-    def space_back(self, space: Subspace) -> Subspace:
-        """{P D P^-1 : D in space} up to d / s: U D Z for each stored integer
-        row D of this basis, read as an n x n matrix and mapped by its nonzero
-        entries, the sum of D_ab U[:, a] (x) Z[b, :], row a of D Z first."""
-        if self.u is None:
-            return space
-        n = self.alg.dim
-        lcols = [_pairs(col) for col in zip(*self.u)]
-        rrows = [dict(_pairs(row)) for row in self.z]
-        rows = []
-        for cols, vals in space.echelon:
-            by_row: dict[int, list[tuple[int, int]]] = {}
-            for ab, v in zip(cols, vals):
-                a, b = divmod(ab, n)
-                by_row.setdefault(a, []).append((b, v))
-            out: dict[int, int] = {}
-            for a, entries in by_row.items():
-                dr = _combine(rrows, entries)
-                for r, x in lcols[a]:
-                    for c, y in dr.items():
-                        out[r * n + c] = out.get(r * n + c, 0) + x * y
-            rows.append({k: v for k, v in out.items() if v})
-        return _subspace_int(n * n, rows)
-
-    def point_back(self, x: Sequence[Q]) -> tuple[Q, ...]:
-        """P x, a point of this basis in the coordinates of the given one."""
-        if self.u is None:
-            return tuple(x)
-        return tuple(sum((xi * w for xi, w in zip(x, row)), QZERO) / self.s for row in self.u)
-
-    def point_in(self, x: Sequence) -> Sequence:
-        """Z x, a point x of the given basis in this one: P^-1 x up to
-        d / s, which the almost inner condition, homogeneous in x, ignores."""
-        return x if self.u is None else [sum(map(mul, row, x)) for row in self.z]
+# certification in the series-adapted basis
 
 
 def aid_certify(alg: LeibnizAlgebra, dmat: RationalMatrix) -> CertOutcome:
@@ -918,46 +417,18 @@ def _judged(
 
 def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]],
                 basis: _AdaptedBasis) -> CertOutcome:
-    """Decide D(x) in [x, L] for every rational x by elimination alone.
-
-    The witness equation left_mult(x) w = D x is eliminated symbolically in
-    the coordinates t of x, splitting into pivot = 0 / pivot != 0 cases when
-    a pivot polynomial can vanish, within NODE_BUDGET nodes.  Every split
-    removes a row (pivot != 0) or a variable (each zero case), so no branch
-    nests more than 2n splits.  `_zero_branch` solves pivot = 0 for one
-    variable per case; a pivot it cannot solve leaves that branch (and with
-    it the whole certificate) inconclusive.
-
-    Elimination, unlike almost-innerness, is very sensitive to the basis,
-    so it runs in `basis`, on dm, integer rows of a positive multiple of
-    P^-1 D P (a stored row of a complement of Inner, or `conjugate` of a
-    claimed D), over the ints: dm's scale moves the witness only, and every
-    row, pivot and case split is that of elimination over Q (`_strip_row`).  A rational enters only the printed
-    pivot and what is read off it (its split, the replacement and the
-    conditions a branch holds nonzero) and the refutation search's points;
-    the zero cases substitute over the ints (`_substituted`).
-
-    The leaves `_decide` yields are read up to the first refuted one, a
-    rational point mapped back by P (`point_back`) and re-verified in the
-    given basis by an exact integer solve (`_int_witness`) against dm
-    moved back (`endo_back`), a positive multiple of D; one that does not
-    replay ends an inconclusive log.  The log is as `CertOutcome` says.
+    """Decide D(x) in [x, L] for every rational x by elimination alone
+    (`certify.undecided_leaves`), in `basis`, since elimination, unlike
+    almost-innerness, is very sensitive to the basis: dm is integer rows of
+    a positive multiple of P^-1 D P (a stored row of a complement of Inner,
+    or `conjugate` of a claimed D).  The leaves are read up to the first
+    refuted one, whose point is mapped back by P (`point_back`) and
+    replayed in the given basis by an exact integer solve (`_int_witness`)
+    against dm moved back (`endo_back`), a positive multiple of D; one that
+    does not replay ends an inconclusive log, as `CertOutcome` says.
     """
-    n = alg.dim
-    # row m of the witness equation, linear forms in t, as [M | b]:
-    # sum_j (sum_i den c[i][j][m] t_i) w_j = sum_k dm[m][k] t_k, with
-    # nz[i][j] holding the pairs (m, den c[i][j][m])
-    nz = basis.alg.scaled_constants()[1]
-    unit = [tuple(int(t == i) for t in range(n)) for i in range(n)]
-    coeffs: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for m, v in nz[i][j]:
-                coeffs[m][j][unit[i]] = v
-    rows = [[Poly(n, f) for f in coeffs[m]] + [Poly(n, dict(zip(unit, dm[m])))]
-            for m in range(n)]
     log = prefix = () if basis.u is None else ("series-adapted basis",)
-    for leaf in _decide(_CertContext(basis.alg, dm), rows, frozenset(), (), [], ()):
+    for leaf in undecided_leaves(basis.alg, dm):
         if leaf.kind == "refuted":
             x = basis.point_back(leaf.refuting_x)
             if _int_witness(alg, basis.endo_back(dm), 1, x) is None:
@@ -966,42 +437,6 @@ def _eliminated(alg: LeibnizAlgebra, dm: Sequence[Sequence[int]],
             return CertOutcome("inconclusive", branch_log=log + leaf.branch_log + (note,))
         log += leaf.branch_log
     return CertOutcome("proved" if log == prefix else "inconclusive", branch_log=log)
-
-
-def aid_witness(alg: LeibnizAlgebra, dmat: RationalMatrix, x: Sequence) -> tuple[Q, ...] | None:
-    """A concrete a with [x, a] = D(x), or None when there is none: one
-    integer solve (`_int_witness`) of D's integer multiple.
-
-    Raises DimensionMismatch unless D is n x n and x has n coordinates."""
-    xs = tuple(as_rational(v) for v in x)
-    if (dmat.rows, dmat.cols, len(xs)) != (alg.dim,) * 3:
-        raise DimensionMismatch("D and x must have the algebra's dimension")
-    e, dint = _int_matrix(dmat.entries)
-    return _int_witness(alg, dint, e, xs)
-
-
-def _int_witness(alg: LeibnizAlgebra, dint: Sequence[Sequence[int]], e: int,
-                 x: Sequence[Q]) -> tuple[Q, ...] | None:
-    """The a with [x, a] = D(x) that sets every free unknown to zero, or
-    None, for D = dint / e and a rational x, over the ints.
-
-    With x = x' / d, x' integer, the columns [x', e_j] of `_bracket_columns`
-    are den d [x, e_j] (den the constants' denominator) and dint x' is e d
-    D(x), so row m is sum_j a_j e [x', e_j]_m = den (dint x')_m: row m of
-    [left_mult(x) | D(x)] times e den d."""
-    n = alg.dim
-    xs = _pairs(_int_matrix([x])[1][0])
-    cols = _bracket_columns(alg, xs)
-    den = alg.scaled_constants()[0]
-    rows = []
-    for m in range(n):
-        row = {j: e * col[m] for j, col in enumerate(cols) if m in col}
-        b = den * sum(dint[m][k] * xk for k, xk in xs)
-        if b:
-            row[n] = b
-        if row:
-            rows.append(row)
-    return _solve_int(rows, n)
 
 
 # ---------------------------------------------------------------------------
@@ -1269,14 +704,6 @@ def restriction_witness(
             row[n] = den * sum(fm * dint[m][j] for m, fm in f.items())
             rows.append({k: v for k, v in row.items() if v})
     return _solve_int(rows, n)
-
-
-def caid_restriction_witness(alg: LeibnizAlgebra, dmat: RationalMatrix) -> tuple[Q, ...]:
-    """The global x for a central almost inner derivation; NotInCaid otherwise."""
-    x = restriction_witness(alg, dmat, annihilators(alg).center)
-    if x is None:
-        raise NotInCaid("no global x maps D - R_x into the center")
-    return x
 
 
 # ---------------------------------------------------------------------------

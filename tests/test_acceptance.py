@@ -19,10 +19,10 @@ import pytest
 import leibniz_aid as la
 from leibniz_aid.algebra import LeibnizAlgebra
 from leibniz_aid.cli import main
+from leibniz_aid.certify import aid_witness
 from leibniz_aid.derivations import (
     aid_certify,
     aid_space,
-    aid_witness,
     derivation_space,
     endo_to_vec,
     inner_space,
@@ -135,10 +135,10 @@ def test_der_deviation_off_an_adapted_basis_replays_in_the_given_basis():
     # the series-adapted one and moved back only for the certificate
     import random
 
-    from leibniz_aid.algebra import change_basis
+    from leibniz_aid.algebra import _AdaptedBasis, change_basis
     from leibniz_aid.catalog import ExpectedData
     from leibniz_aid.cli import _random_invertible
-    from leibniz_aid.derivations import _AdaptedBasis, analysis_report
+    from leibniz_aid.derivations import analysis_report
 
     base = la.make("catalog:D4:L9")
     alg = change_basis(base, _random_invertible(random.Random(1), base.dim))

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from leibniz_aid import derivations
+from leibniz_aid import certify, derivations
 from leibniz_aid.algebra import change_basis
 from leibniz_aid.catalog import make
 from leibniz_aid.cli import _random_invertible
@@ -62,7 +62,7 @@ def _logged_analysis(alg) -> dict:
     in the given basis, its outcome and the case label of every elimination
     node it enters, in walk order ("" for the root)."""
     certifications = []
-    decide, eliminated = derivations._decide, derivations._eliminated
+    decide, eliminated = certify._decide, derivations._eliminated
 
     def decide_spy(ctx, rows, nz, polys, subs, path):
         certifications[-1]["case_tree"].append(path[-1] if path else "")
@@ -76,7 +76,7 @@ def _logged_analysis(alg) -> dict:
         return outcome
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(derivations, "_decide", decide_spy)
+        m.setattr(certify, "_decide", decide_spy)
         m.setattr(derivations, "_eliminated", eliminated_spy)
         aid = derivations.aid_space(alg)
     return {
@@ -103,6 +103,8 @@ def certificate_logs() -> dict:
 def test_certificate_logs_are_pinned():
     pinned = json.loads(DATA.read_text())
     logs = certificate_logs()
+    # the elimination spy sits where `certify` looks `_decide` up
+    assert any(c["case_tree"] for entry in logs.values() for c in entry["certifications"])
     assert logs.keys() == pinned.keys()
     for key, entry in logs.items():
         assert entry == pinned[key], key

@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-from math import lcm
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leibniz_aid._poly import Poly
-from leibniz_aid.derivations import _linear_power
 from leibniz_aid.exactlin import Q
 
 N = 3  # enough variables for every test here
@@ -167,81 +164,6 @@ def test_str_rendering():
     p = t(0, 2) * t(0) + t(1, -1) + p_const(Q(1, 2))
     assert str(p) == "2*t1^2 - t2 + 1/2"
     assert str(Poly.zero(N)) == "0"
-
-
-# -- the perfect-power detector used for case splits -----------------------
-
-
-def test_linear_power_detects_squares():
-    ell = t(0) + t(1, -1)  # t1 - t2
-    assert _linear_power(ell * ell) == ell
-    cube = ell * ell * ell
-    assert _linear_power(cube.scale(2)) == ell
-
-
-def _primitive(p: Poly) -> Poly:
-    """p scaled to coprime integer coefficients with a positive leading term."""
-    d = lcm(*(c.denominator for c in p.terms.values()))
-    p = Poly(N, {m: int(c * d) for m, c in p.terms.items()})
-    return p.divide_monomial((0,) * N, p.content())
-
-
-def test_linear_power_with_constant_term():
-    ell = t(0) + t(1) + p_const(-1)
-    sq = (ell * ell).scale(Q(3, 4))
-    found = _linear_power(sq)
-    assert found is not None
-    # the detected form is the same line up to scale
-    assert _primitive(found) == _primitive(ell)
-
-
-def test_linear_power_divides_integer_coefficients_exactly():
-    # (t1 + t2)^2 and 3 (2 t1 - t2)^3 over the ints: the unit-coefficient
-    # form is read off by exact division, never by float division
-    for p, ell in [
-        (Poly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}), {(1, 0): 1, (0, 1): 1}),
-        (Poly(2, {(3, 0): 24, (2, 1): -36, (1, 2): 18, (0, 3): -3}),
-         {(1, 0): 1, (0, 1): Q(-1, 2)}),
-    ]:
-        found = _linear_power(p)
-        assert found.terms == ell
-        assert all(type(c) in (int, Q) for c in found.terms.values())
-
-
-def test_linear_power_rejects_non_powers():
-    assert _linear_power(t(0) * t(0) + t(1)) is None  # t1^2 + t2
-    assert _linear_power(t(0) * t(0) * t(1)) is None  # t1^2 t2
-    assert _linear_power(t(0) * t(0) + t(1) * t(1)) is None  # t1^2 + t2^2
-    assert _linear_power(t(0) + t(1)) is None  # degree 1 is not a power
-    assert _linear_power(Poly.zero(N)) is None
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
-    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=2), min_size=N, max_size=N),
-    st.fractions(min_value=-2, max_value=2, max_denominator=2),
-    st.integers(2, 3),
-)
-def test_linear_power_roundtrip(scale, coeffs, const, k):
-    ell = Poly(N, {tuple(1 if i == j else 0 for i in range(N)): Q(c)
-                   for j, c in enumerate(coeffs) if c})
-    ell = ell + p_const(Q(const))
-    if ell.total_degree() != 1:
-        return
-    p = p_const(Q(scale))
-    for _ in range(k):
-        p = p * ell
-    found = _linear_power(p)
-    assert found is not None
-    # verify the factorization exactly
-    rebuilt = p_const(1)
-    for _ in range(k):
-        rebuilt = rebuilt * found
-    # p = c * found^k for the rational c matching the leading monomials
-    assert rebuilt.scale(
-        p.terms[max(p.terms)] / rebuilt.terms[max(rebuilt.terms)]
-    ) == p
 
 
 def test_hash_and_eq_consistency():

@@ -21,10 +21,10 @@ from leibniz_aid.algebra import (
     change_basis,
     direct_sum,
 )
+from leibniz_aid.certify import aid_witness
 from leibniz_aid.derivations import (
     DEFAULT_SEED,
     aid_space,
-    aid_witness,
     bracket,
     derivation_space,
     endo_to_vec,

@@ -5,7 +5,10 @@ to `float` or `complex`, or an import of anything but the standard library
 and the package itself is reported with its line.  So is a name that a
 module other than `__init__.py` imports and never uses, and a module-level
 function or class that `__all__` does not export and the package never reads,
-and a read of a private `derivations` name from any other module.
+and a read of a private `derivations` name from any other module, or of a
+private `certify` name from any module but `derivations`.  The certifier
+imports no module above it (`derivations`, `catalog`, `cli`) and never
+names the series-adapted basis.
 Every function the benchmark's tracer wraps must still be there to wrap.
 """
 
@@ -80,7 +83,7 @@ def orphans(trees: dict[str, ast.AST], kept: set[str]) -> list[str]:
 
 def test_runtime_has_no_floats_and_imports_only_the_standard_library():
     modules = sorted(PACKAGE.glob("*.py"))
-    assert len(modules) >= 7
+    assert len(modules) >= 8
     found = {p.name: violations(ast.parse(p.read_text(), str(p))) for p in modules}
     assert {name: v for name, v in found.items() if v} == {}
 
@@ -99,7 +102,7 @@ def test_the_source_check_sees_each_kind_of_violation():
 def test_every_imported_name_is_used():
     # __init__.py imports names only to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    assert len(modules) >= 6
+    assert len(modules) >= 7
     found = {p.name: unused_imports(ast.parse(p.read_text(), str(p))) for p in modules}
     assert {name: u for name, u in found.items() if u} == {}
 
@@ -125,7 +128,7 @@ def test_the_unused_import_check_sees_each_kind_of_import():
 
 def test_every_function_and_class_is_exported_or_read():
     trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
-    assert len(trees) >= 7
+    assert len(trees) >= 8
     assert orphans(trees, set(leibniz_aid.__all__) | READ_OUTSIDE) == []
 
 
@@ -181,8 +184,57 @@ def test_no_module_reads_a_private_derivations_name():
     # the other modules read an analysis through its public value
     found = {p.name: private_reads(ast.parse(p.read_text(), str(p)))
              for p in sorted(PACKAGE.glob("*.py")) if p.name != "derivations.py"}
-    assert len(found) >= 6
+    assert len(found) >= 7
     assert {name: r for name, r in found.items() if r} == {}
+
+
+def test_no_module_but_derivations_reads_a_private_certify_name():
+    # the certifier is entered through `undecided_leaves` and `aid_witness`;
+    # only the analysis, which moves points between bases, replays a point
+    # through `_int_witness`
+    found = {p.name: private_reads(ast.parse(p.read_text(), str(p)), "certify")
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "derivations.py"}
+    assert len(found) >= 7
+    assert {name: r for name, r in found.items() if r} == {}
+
+
+def package_imports(tree: ast.AST) -> set[str]:
+    """The package modules a source imports: `from .m import x`,
+    `from . import m`, `from leibniz_aid.m import x` and
+    `import leibniz_aid.m`."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in (None, PACKAGE.name):
+                out |= {a.name for a in node.names}
+            elif node.level or node.module.startswith(f"{PACKAGE.name}."):
+                out.add(node.module.removeprefix(f"{PACKAGE.name}."))
+        elif isinstance(node, ast.Import):
+            out |= {a.name.removeprefix(f"{PACKAGE.name}.") for a in node.names
+                    if a.name.startswith(f"{PACKAGE.name}.")}
+    return out
+
+
+def test_the_certifier_imports_no_module_above_it_and_knows_no_basis():
+    tree = ast.parse((PACKAGE / "certify.py").read_text())
+    imported = package_imports(tree)
+    assert imported and not imported & {"derivations", "catalog", "cli"}
+    assert imported <= {"_poly", "exactlin", "algebra"}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "_AdaptedBasis" not in names
+
+
+def test_the_package_import_check_sees_each_form():
+    source = (
+        "import os\n"
+        "from .algebra import LeibnizAlgebra\n"
+        "from . import derivations as der_mod\n"
+        "from leibniz_aid.catalog import make\n"
+        "import leibniz_aid.cli\n"
+        "from math import gcd\n"
+    )
+    assert package_imports(ast.parse(source)) == {"algebra", "derivations", "catalog", "cli"}
 
 
 def test_the_private_read_check_sees_each_form():
