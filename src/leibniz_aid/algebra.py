@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .exactlin import (
     DimensionMismatch,
@@ -101,12 +101,19 @@ class LeibnizAlgebra:
         self.__dict__.update(dim=dim, _table=table, labels=labels)
 
     @staticmethod
+    def _stored(dim: int, table: tuple[int, Table],
+                labels: tuple[str, ...] | None = None) -> "LeibnizAlgebra":
+        """The algebra of a table in the stored form, unchecked."""
+        alg = object.__new__(LeibnizAlgebra)
+        alg.__dict__.update(dim=dim, _table=table, labels=labels)
+        return alg
+
+    @staticmethod
     def _checked(dim: int, table: tuple[int, Table],
                  labels: tuple[str, ...] | None = None) -> "LeibnizAlgebra":
         """The algebra of a table in the stored form, checked against the
         Leibniz identity."""
-        alg = object.__new__(LeibnizAlgebra)
-        alg.__dict__.update(dim=dim, _table=table, labels=labels)
+        alg = LeibnizAlgebra._stored(dim, table, labels)
         alg.check_identity()
         return alg
 
@@ -171,7 +178,8 @@ class LeibnizAlgebra:
         unpacks into its sides as balanced base-2^s digits.  Where
         [e_i, e_j] = 0 only the k with [e_j, e_k] or [e_i, e_k] nonzero are
         visited, since both sides vanish at every other k.  On a dense
-        table this is most of the cost of building it (see `change_basis`).
+        table this costs far more than building it, so `change_basis`
+        checks the sparser of its two tables.
         """
         n = self.dim
         den, nz = self.scaled_constants()
@@ -268,14 +276,18 @@ def _pairs(x: Sequence[int]) -> list[tuple[int, int]]:
     return [(i, v) for i, v in enumerate(x) if v]
 
 
-def _bracket_columns(alg: LeibnizAlgebra, x: Iterable[tuple[int, int]]) -> list[dict[int, int]]:
+def _bracket_columns(alg: LeibnizAlgebra, x: Iterable[tuple[int, int]],
+                     wanted: Sequence[int] | None = None) -> list[dict[int, int]]:
     """The one bracket routine: the integer vectors [x, e_j] for integer
     coordinates x given as (i, x_i) pairs, read off the integer constants,
-    so each is scaled by their common denominator; they span [x, L]."""
+    so each is scaled by their common denominator; they span [x, L].  With
+    `wanted`, only the columns j in it are taken, in its order: [x, g] for
+    a unit vector g = e_j reads one column of the table."""
     nz = alg.scaled_constants()[1]
-    cols: list[dict[int, int]] = [{} for _ in range(alg.dim)]
+    cols: list[dict[int, int]] = [{} for _ in (range(alg.dim) if wanted is None else wanted)]
     for i, xi in x:
-        for col, entries in zip(cols, nz[i]):
+        plane = nz[i] if wanted is None else [nz[i][j] for j in wanted]
+        for col, entries in zip(cols, plane):
             for k, v in entries:
                 col[k] = col.get(k, 0) + xi * v
     return [col if all(col.values()) else {k: v for k, v in col.items() if v} for col in cols]
@@ -344,13 +356,20 @@ def central_series(alg: LeibnizAlgebra) -> SeriesReport:
     L^2.  So when S_{n+1} is not 0, or F_1 is not L (F_2 is not L^2, as
     for [e1, e1] = e1, where G = 0), L is not nilpotent, and the series
     is the full one, `_full_series`, stalled term included.
+
+    L^2 is the span of the table's nonzero rows [e_i, e_j].  Each vector of
+    G is a unit vector e_c, so a layer [S_k, G] takes only the columns c of
+    `_bracket_columns` for each echelon row of S_k.
     """
     n = alg.dim
     full = Subspace.full(n)
-    gens = complement_in(product_span(alg, full, full), full)
+    square = _subspace_int(n, (dict(row) for plane in alg.scaled_constants()[1] for row in plane))
+    gens = complement_in(square, full)
+    cols = [row[0][0] for row in gens.echelon]
     layers = [gens]
     while layers[-1].dim and len(layers) <= n:
-        layers.append(product_span(alg, layers[-1], gens))
+        layers.append(_subspace_int(n, [w for u in layers[-1].echelon
+                                        for w in _bracket_columns(alg, zip(*u), cols)]))
     terms = [layers.pop()]
     for layer in reversed(layers):
         terms.append(subspace_sum(layer, terms[-1]))
@@ -463,98 +482,152 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     """Structure constants in the basis f_j = sum_i P[i][j] e_i.
 
     Raises DimensionMismatch when P is not n x n and SingularMatrix when it
-    is not invertible.  The result is re-checked against the Leibniz
-    identity (`_constants_in`), which is most of the cost on a dense copy:
-    for F3:30:0,0,1 and the P that `cli._random_invertible` draws from
-    random.Random(1), 1.0 of the 1.1 s on a 2-vCPU x86-64 host under
-    CPython 3.11, and 0.08 of 0.10 s at F3:20.
+    is not invertible.  With P = U / s over the ints, the inverse Z = d U^-1
+    is checked exactly (U Z = d I), and then the Leibniz identity holds for
+    the result exactly when it holds for the input, so it is checked on the
+    table with fewer nonzero constants: the input, for a catalog algebra
+    moved to a random basis.  For F3:30:0,0,1 and the P that
+    `cli._random_invertible` draws from random.Random(1), the input's check
+    takes 2 ms of the 0.11 s `change_basis` takes, where the dense result's
+    would take 1.17 s (2-vCPU x86-64 host, CPython 3.11).
     """
     n = alg.dim
     if (p.rows, p.cols) != (n, n):
         raise DimensionMismatch("base change matrix has the wrong shape")
     s, u = _int_matrix(p.entries)
     d, z = _int_inverse(u)
-    return _constants_in(alg, u, z, s * d)
+    if _int_product(u, z) != [[d * (r == c) for c in range(n)] for r in range(n)]:
+        raise AssertionError("the inverse of the base change is not exact")
+    moved = _constants_in(alg, u, z, s * d)
+    min((alg, moved), key=lambda a: sum(len(row) for plane in a.scaled_constants()[1]
+                                        for row in plane)).check_identity()
+    return moved
 
 
 def _constants_in(alg: LeibnizAlgebra, u: Sequence[Sequence[int]],
                   z: Sequence[Sequence[int]], scale: int) -> LeibnizAlgebra:
-    """The one conjugation of the structure constants: alg in the basis
-    f_j = U e_j / s, for an integer matrix U, Z = d U^-1 and scale = s d.
+    """The conjugation of the structure constants by definition: alg in the
+    basis f_j = U e_j / s, for an integer matrix U, Z = d U^-1 and
+    scale = s d, unchecked: `change_basis` checks it or alg, the sparser.
 
     Over ints, with the constants scaled by den, Z [u_i, u_j] is the
-    coordinate vector of [f_i, f_j] times S = scale * den.  The table is
-    written in directly: with G the gcd of S and every entry, the new den
-    is S / G, the least common denominator of the constants, and each
-    entry is divided by G.  The result is checked against the Leibniz
-    identity like any input; the identity is basis independent, so only a
-    defect here can fail it, and on a dense result the check costs more
-    than the conjugation (figures at `change_basis`).
+    coordinate vector of [f_i, f_j] times S = scale * den, and the table
+    is written in directly (`_table_over`).  It takes n^2 brackets of the
+    given table; `_constants_from_brackets` gets the same table for a
+    bracket basis from n * dim G of them.
     """
     n = alg.dim
-    scale *= alg.scaled_constants()[0]
     ucols = [_pairs(col) for col in zip(*u)]
-    g = scale
     planes = []
     for i in range(n):
         cols = _bracket_columns(alg, ucols[i])
         plane = []
         for j in range(n):
             w = _combine(cols, ucols[j])
-            row = ()
-            if w:
-                zw = (sum(r[m] * v for m, v in w.items()) for r in z)
-                row = tuple((k, t) for k, t in enumerate(zw) if t)
-                g = gcd(g, *(t for _, t in row))
-            plane.append(row)
-        planes.append(tuple(plane))
-    nz = tuple(planes)
-    if g > 1:
-        nz = tuple(tuple(tuple((k, t // g) for k, t in row) for row in plane) for plane in nz)
-    return LeibnizAlgebra._checked(n, (scale // g, nz))
+            zw = (sum(r[m] * v for m, v in w.items()) for r in z) if w else ()
+            plane.append([(k, t) for k, t in enumerate(zw) if t])
+        planes.append(plane)
+    return LeibnizAlgebra._stored(n, _table_over(scale * alg.scaled_constants()[0], planes))
 
 
-def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport) -> tuple[int, list[list[int]]]:
-    """(s, U): a basis adapted to the lower central series of a nilpotent
-    algebra, built from brackets, degree by degree, as the columns of the
-    integer matrix U divided by the scale s.
+def _table_over(scale: int, planes: Sequence[Sequence[Collection[tuple[int, int]]]]
+                ) -> tuple[int, Table]:
+    """The stored form of integer rows of (k, t) pairs, in increasing k,
+    that hold the constants times scale: with G the gcd of scale and every
+    entry, the new den is scale / G, the least common denominator of the
+    constants, and each entry is divided by G."""
+    g = gcd(scale, *(t for plane in planes for row in plane for _, t in row))
+    return scale // g, tuple(tuple(tuple((k, t // g) for k, t in row) for row in plane)
+                             for plane in planes)
 
-    Degree 1 is `complement_in(L^2, L)`; degree i+1 takes the exact products
-    [u, g], u a chosen degree-i vector and g a degree-1 vector, in order,
-    keeping each one independent of L^{i+2} and of those kept before it.
-    The count dim L^{i+1} - dim L^{i+2} is always reached: L^i = U_i +
-    L^{i+1} and L = G + L^2 give L^{i+1} = [L^i, L] = [U_i, G] + [U_i, L^2]
-    + L^{i+2}, and the Leibniz identity [x, [y, z]] = [[x, y], z] -
-    [[x, z], y] puts [L^i, L^2] in L^{i+2}.  A layer that still comes up
-    short raises AssertionError.
+
+def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport
+                   ) -> tuple[int, list[list[int]], list[int], list[tuple[int, int]]]:
+    """(s, U, gens, parents): a basis adapted to the lower central series
+    of a nilpotent algebra, built from brackets, degree by degree, as the
+    columns of the integer matrix U divided by the scale s.
+
+    Degree 1 is `complement_in(L^2, L)`, the unit vectors e_c for c in
+    gens; degree i+1 takes the exact products [u, e_c], u a chosen degree-i
+    vector, in order, each one table column of `_bracket_columns`, keeping
+    each one independent of L^{i+2} and of those kept before it.  Column
+    len(gens) + k is [column a, column b] for (a, b) = parents[k], with
+    b < len(gens) a generator and a of the degree below.  The count
+    dim L^{i+1} - dim L^{i+2} is always reached: L^i = U_i + L^{i+1} and
+    L = G + L^2 give L^{i+1} = [L^i, L] = [U_i, G] + [U_i, L^2] + L^{i+2},
+    and the Leibniz identity [x, [y, z]] = [[x, y], z] - [[x, z], y] puts
+    [L^i, L^2] in L^{i+2}.  A layer that still comes up short raises
+    AssertionError.
     """
     n = alg.dim
     terms = series.terms
-    # a chosen vector is (w, s), the exact vector w / s with w an integer map
-    gens = [(dict(zip(*row)), 1) for row in complement_in(terms[1], terms[0]).echelon]
+    gens = [row[0][0] for row in complement_in(terms[1], terms[0]).echelon]
     den = alg.scaled_constants()[0]
-    columns, layer = list(gens), gens
+    # a chosen vector is (w, s), the exact vector w / s with w an integer map
+    columns = [({c: 1}, 1) for c in gens]
+    parents: list[tuple[int, int]] = []
+    layer = range(len(gens))
     for i in range(1, len(terms) - 1):
         # degree i+1: a complement of terms[i+1] = L^{i+2} in terms[i] = L^{i+1}
         pivots = {row[0][0]: dict(zip(*row)) for row in terms[i + 1].echelon}
         want = terms[i].dim - terms[i + 1].dim
-        kept: list[tuple[dict[int, int], int]] = []
-        for u, s in layer:
-            if len(kept) == want:
+        start = len(columns)
+        for a in layer:
+            if len(columns) - start == want:
                 break
-            cols = _bracket_columns(alg, u.items())
-            for g, _ in gens:
-                # the integer columns are scaled by den, so [u/s, g] = w / (den s)
-                w = _combine(cols, g.items())
+            u, s = columns[a]
+            # the integer columns are scaled by den, so [u/s, e_c] = w / (den s)
+            for b, w in enumerate(_bracket_columns(alg, u.items(), gens)):
                 if _add_pivot(pivots, w):
                     c = gcd(den * s, *w.values())
-                    kept.append(({k: v // c for k, v in w.items()}, den * s // c))
-        if len(kept) != want:
+                    columns.append(({k: v // c for k, v in w.items()}, den * s // c))
+                    parents.append((a, b))
+        if len(columns) - start != want:
             raise AssertionError(f"series layer {i + 1} is short of {want} brackets")
-        columns += kept
-        layer = kept
+        layer = range(start, len(columns))
     scale = lcm(*(s for _, s in columns))
-    return scale, [[w.get(r, 0) * (scale // s) for w, s in columns] for r in range(n)]
+    u = [[w.get(r, 0) * (scale // s) for w, s in columns] for r in range(n)]
+    return scale, u, gens, parents
+
+
+def _constants_from_brackets(alg: LeibnizAlgebra, u: Sequence[Sequence[int]], s: int,
+                             z: Sequence[Sequence[int]], d: int, gens: Sequence[int],
+                             parents: Sequence[tuple[int, int]]) -> LeibnizAlgebra:
+    """`_constants_in(alg, u, z, s * d)` for the basis (s, U, gens, parents)
+    of `_bracket_basis`, from the brackets with its generators only, and
+    checked against the Leibniz identity.  It is the conjugate only when
+    alg satisfies the identity, as every public constructor checks.
+
+    T[i][j] = S c'[i][j], S = s d den, holds the new constants over ints.
+    A generator column b is Z s [u_i, e_c] for c = gens[b], one table column
+    per u_i.  Every other column j = [f_a, f_b] is worked out in the new,
+    sparse table in degree order (a < j): the identity gives
+    [f_i, f_j] = [[f_i, f_a], f_b] - [[f_i, f_b], f_a], so S T[i][j] is
+    sum_k T[i][a][k] T[k][b] - T[i][b][k] T[k][a], and a division by S that
+    is not exact raises AssertionError.
+    """
+    n = alg.dim
+    scale = s * d * alg.scaled_constants()[0]
+    table: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for row, col in zip(table, zip(*u)):
+        for b, w in enumerate(_bracket_columns(alg, _pairs(col), gens)):
+            if w:
+                zw = (s * sum(r[m] * v for m, v in w.items()) for r in z)
+                row[b] = {k: t for k, t in enumerate(zw) if t}
+    for j, (a, b) in enumerate(parents, len(gens)):
+        for row in table:
+            out: dict[int, int] = {}
+            for k, x in row[a].items():
+                for m, y in table[k][b].items():
+                    out[m] = out.get(m, 0) + x * y
+            for k, x in row[b].items():
+                for m, y in table[k][a].items():
+                    out[m] = out.get(m, 0) - x * y
+            if any(t % scale for t in out.values()):
+                raise AssertionError(f"column {j + 1} of the adapted table is not integral")
+            row[j] = {m: t // scale for m, t in sorted(out.items()) if t}
+    return LeibnizAlgebra._checked(
+        n, _table_over(scale, [[col.items() for col in row] for row in table]))
 
 
 # -- the series-adapted basis ------------------------------------------
@@ -589,7 +662,10 @@ class _AdaptedBasis:
         the constants of a nilpotent algebra only push into strictly deeper
         series layers, which keeps elimination pivots sparse.  The given
         basis is adapted already when every series term is spanned by the
-        trailing unit vectors."""
+        trailing unit vectors.  alg must satisfy the Leibniz identity, as
+        `central_series` assumes too: the table in the new basis is worked
+        out from the brackets with the generators by the identity
+        (`_constants_from_brackets`)."""
         series = central_series(alg)
         # a term of dimension d is spanned by the last d unit vectors exactly
         # when its first echelon pivot is column dim - d
@@ -597,9 +673,10 @@ class _AdaptedBasis:
             t.dim == 0 or t.echelon[0][0][0] == alg.dim - t.dim for t in series.terms
         ):
             return _AdaptedBasis(alg, series)
-        s, u = _bracket_basis(alg, series)
+        s, u, gens, parents = _bracket_basis(alg, series)
         d, z = _int_inverse(u)
-        return _AdaptedBasis(_constants_in(alg, u, z, s * d), series, u, s, z, d)
+        return _AdaptedBasis(_constants_from_brackets(alg, u, s, z, d, gens, parents),
+                             series, u, s, z, d)
 
     @property
     def gens(self) -> int:

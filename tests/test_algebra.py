@@ -480,6 +480,116 @@ def test_change_basis_rejects_a_matrix_of_the_wrong_shape():
         change_basis(NF3, RationalMatrix.identity(2))
 
 
+def _nonzeros(alg):
+    return sum(len(row) for plane in alg.scaled_constants()[1] for row in plane)
+
+
+def _broken_nf4():
+    """NF:4 with one structure constant moved, unchecked, so that the
+    identity fails."""
+    nf4 = catalog.make(catalog.parse_ref("catalog:NF:4"))
+    rng = random.Random(5)
+    while True:
+        bad = _perturbed(nf4, rng)
+        if reference_identity_failure(bad):
+            return bad
+
+
+def test_change_basis_checks_an_unchecked_table_that_breaks_the_identity():
+    bad = _broken_nf4()
+    rng = random.Random(13)
+    for p in [RationalMatrix.identity(4)] + [_random_invertible(rng, 4) for _ in range(3)]:
+        with pytest.raises(IdentityViolation):
+            change_basis(bad, p)
+    # a dense broken copy moved back to the sparse table: the check runs on
+    # the result, and still fails
+    p = _random_invertible(rng, 4)
+    s, u = _int_matrix(p.entries)
+    d, z = _int_inverse(u)
+    dense = algebra._constants_in(bad, u, z, s * d)
+    assert _nonzeros(dense) > _nonzeros(bad)
+    with pytest.raises(IdentityViolation):
+        change_basis(dense, RationalMatrix.from_rows([[Q(s * v, d) for v in row] for row in z]))
+
+
+def test_change_basis_checks_the_identity_on_the_sparser_table(monkeypatch):
+    base, (p, *_) = three_bases("catalog:F3:6:0,0,1")
+    checked = []
+    check = LeibnizAlgebra.check_identity
+    monkeypatch.setattr(LeibnizAlgebra, "check_identity",
+                        lambda alg: checked.append(alg) or check(alg))
+    copy = change_basis(base, p)
+    assert checked == [base] and _nonzeros(copy) > _nonzeros(base)
+    checked.clear()
+    s, u = _int_matrix(p.entries)
+    d, z = _int_inverse(u)
+    back = change_basis(copy, RationalMatrix.from_rows([[Q(s * v, d) for v in row] for row in z]))
+    assert back == base and checked == [back]
+
+
+def test_change_basis_checks_the_inverse_exactly(monkeypatch):
+    inverse = algebra._int_inverse
+
+    def off_by_one(u):
+        d, z = inverse(u)
+        return d, [[v + (r == c == 0) for c, v in enumerate(row)] for r, row in enumerate(z)]
+
+    monkeypatch.setattr(algebra, "_int_inverse", off_by_one)
+    with pytest.raises(AssertionError, match="inverse"):
+        change_basis(NF3, _random_invertible(random.Random(3), 3))
+
+
+@pytest.mark.parametrize("ref", CATALOG_BATTERY)
+def test_conjugated_copies_satisfy_the_identity(ref):
+    # change_basis checks the sparser input, so a defect in the conjugation
+    # has to show here
+    base, ps = three_bases(ref)
+    for p in ps:
+        copy = change_basis(base, p)
+        assert _nonzeros(copy) >= _nonzeros(base)
+        copy.check_identity()
+
+
+def _adapted_cases():
+    """(label, algebra) pairs: the battery in the bases of `three_bases`,
+    the sweep in one random basis and two direct sums in a random basis."""
+    for ref in CATALOG_BATTERY:
+        base, ps = three_bases(ref)
+        yield from ((f"{ref} basis {k}", change_basis(base, p)) for k, p in enumerate(ps))
+    for ref in SWEEP_REFS:
+        base = catalog.make(catalog.parse_ref(ref))
+        yield ref, _random_copies(base, 1)[0]
+    rng = random.Random(17)
+    for first, second in (("catalog:G53", "catalog:NF:3"), ("catalog:D4:L9", "catalog:D3:L4")):
+        s = direct_sum(*(catalog.make(catalog.parse_ref(r)) for r in (first, second)))
+        yield f"{first} + {second}", change_basis(s, _random_invertible(rng, s.dim))
+
+
+def test_adapted_table_is_the_conjugate_by_definition():
+    # the table worked out from the generators' brackets against
+    # `change_basis`, which conjugates every bracket
+    moved = 0
+    for label, alg in _adapted_cases():
+        basis = algebra._AdaptedBasis.of(alg)
+        if basis.u is None:
+            continue
+        p = RationalMatrix.from_rows([[Q(v, basis.s) for v in row] for row in basis.u])
+        assert basis.alg == change_basis(alg, p), label
+        moved += 1
+    assert moved == 3 * len(CATALOG_BATTERY) + len(SWEEP_REFS) + 2
+
+
+def test_bracket_columns_takes_the_wanted_columns_in_order():
+    rng = random.Random(19)
+    for alg in fuzz_copies("catalog:G53"):
+        n = alg.dim
+        x = [(i, rng.randint(-3, 3)) for i in range(n)]
+        full = algebra._bracket_columns(alg, x)
+        wanted = rng.sample(range(n), 3)
+        assert algebra._bracket_columns(alg, x, wanted) == [full[j] for j in wanted]
+        assert algebra._bracket_columns(alg, x, []) == []
+
+
 # -- JSON ----------------------------------------------------------------
 
 

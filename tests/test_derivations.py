@@ -351,6 +351,23 @@ def test_bracket_basis_of_a_random_f3_12_copy_is_sparse():
     assert (der.dim, aid.dim, aid.status) == (21, 12, "certified_exact")
 
 
+def test_adapted_basis_of_a_random_f3_12_copy_reads_generator_columns_only(monkeypatch):
+    # the series layers, the bracket basis and the new table take [u, g]
+    # for the generators g only, one table column each
+    alg = random_basis_copy("catalog:F3:12:0,0,1", 1)
+    columns = algebra._bracket_columns
+    wanted = []
+
+    def spy(alg, x, cols=None):
+        wanted.append(cols)
+        return columns(alg, x, cols)
+
+    monkeypatch.setattr(algebra, "_bracket_columns", spy)
+    basis = algebra._AdaptedBasis.of(alg)
+    assert basis.u is not None and wanted
+    assert all(cols is not None and len(cols) == basis.gens < alg.dim for cols in wanted)
+
+
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_adapted_basis_moves_der_and_refutations_back_to_the_given_basis(ref):
     for seed in (1, 2):
