@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
 from operator import mul
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .exactlin import (
     DimensionMismatch,
@@ -483,7 +483,9 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
 
     Raises DimensionMismatch when P is not n x n and SingularMatrix when it
     is not invertible.  With P = U / s over the ints, the inverse Z = d U^-1
-    is checked exactly (U Z = d I), and then the Leibniz identity holds for
+    is checked exactly (U Z = d I), and the table is conjugated by
+    definition, every column from whole planes of the given table
+    (`_conjugated` with no parents).  The Leibniz identity then holds for
     the result exactly when it holds for the input, so it is checked on the
     table with fewer nonzero constants: the input, for a catalog algebra
     moved to a random basis.  For F3:30:0,0,1 and the P that
@@ -498,61 +500,81 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     d, z = _int_inverse(u)
     if _int_product(u, z) != [[d * (r == c) for c in range(n)] for r in range(n)]:
         raise AssertionError("the inverse of the base change is not exact")
-    moved = _constants_in(alg, u, z, s * d)
+    moved = _conjugated(alg, u, s, z, d)
     min((alg, moved), key=lambda a: sum(len(row) for plane in a.scaled_constants()[1]
                                         for row in plane)).check_identity()
     return moved
 
 
-def _constants_in(alg: LeibnizAlgebra, u: Sequence[Sequence[int]],
-                  z: Sequence[Sequence[int]], scale: int) -> LeibnizAlgebra:
-    """The conjugation of the structure constants by definition: alg in the
-    basis f_j = U e_j / s, for an integer matrix U, Z = d U^-1 and
-    scale = s d, unchecked: `change_basis` checks it or alg, the sparser.
+def _conjugated(alg: LeibnizAlgebra, u: Sequence[Sequence[int]], s: int,
+                z: Sequence[Sequence[int]], d: int,
+                parents: Sequence[tuple[int, int]] = ()) -> LeibnizAlgebra:
+    """The one conjugation of the structure constants: alg in the basis
+    f_j = U e_j / s, for an integer matrix U and Z = d U^-1, unchecked:
+    `change_basis` checks the sparser of its two tables, and
+    `_AdaptedBasis.of` the adapted one.
 
-    Over ints, with the constants scaled by den, Z [u_i, u_j] is the
-    coordinate vector of [f_i, f_j] times S = scale * den, and the table
-    is written in directly (`_table_over`).  It takes n^2 brackets of the
-    given table; `_constants_from_brackets` gets the same table for a
-    bracket basis from n * dim G of them.
+    Over ints, with the constants scaled by den, T[i][j] = Z [u_i, u_j] is
+    the coordinate vector of [f_i, f_j] times S = s d den.  The last
+    len(parents) columns come from their parents, as `_bracket_basis`
+    records them: column j = [f_a, f_b] for (a, b) = parents[j - m], with
+    m = n - len(parents), a < j and b < m.  Each column j < m is taken by
+    definition, from the given table's columns [u_i, e_c] for the c where
+    u_j is nonzero: whole table planes without parents (`change_basis`;
+    an invertible U has no zero row),
+    the generators' columns with them.  A column with parents is worked
+    out in the new table, in order: the identity gives [f_i, f_j] =
+    [[f_i, f_a], f_b] - [[f_i, f_b], f_a], so S T[i][j] is
+    sum_k T[i][a][k] T[k][b] - T[i][b][k] T[k][a], and a division by S
+    that is not exact raises AssertionError.  That column is the
+    conjugate only when alg satisfies the identity.  The stored form
+    divides S and every entry by their gcd G: the new den is S / G, the
+    least common denominator of the constants.
     """
     n = alg.dim
+    scale = s * d * alg.scaled_constants()[0]
     ucols = [_pairs(col) for col in zip(*u)]
-    planes = []
-    for i in range(n):
-        cols = _bracket_columns(alg, ucols[i])
-        plane = []
-        for j in range(n):
+    m = n - len(parents)
+    wanted = sorted({c for col in ucols[:m] for c, _ in col})
+    table: list[list[dict[int, int]]] = []
+    for ucol in ucols:
+        cols = dict(zip(wanted, _bracket_columns(alg, ucol, wanted)))
+        row = []
+        for j in range(m):
             w = _combine(cols, ucols[j])
-            zw = (sum(r[m] * v for m, v in w.items()) for r in z) if w else ()
-            plane.append([(k, t) for k, t in enumerate(zw) if t])
-        planes.append(plane)
-    return LeibnizAlgebra._stored(n, _table_over(scale * alg.scaled_constants()[0], planes))
-
-
-def _table_over(scale: int, planes: Sequence[Sequence[Collection[tuple[int, int]]]]
-                ) -> tuple[int, Table]:
-    """The stored form of integer rows of (k, t) pairs, in increasing k,
-    that hold the constants times scale: with G the gcd of scale and every
-    entry, the new den is scale / G, the least common denominator of the
-    constants, and each entry is divided by G."""
-    g = gcd(scale, *(t for plane in planes for row in plane for _, t in row))
-    return scale // g, tuple(tuple(tuple((k, t // g) for k, t in row) for row in plane)
-                             for plane in planes)
+            zw = (sum(r[k] * v for k, v in w.items()) for r in z) if w else ()
+            row.append({k: t for k, t in enumerate(zw) if t})
+        table.append(row)
+    for j, (a, b) in enumerate(parents, m):
+        for row in table:
+            out: dict[int, int] = {}
+            for k, x in row[a].items():
+                for c, y in table[k][b].items():
+                    out[c] = out.get(c, 0) + x * y
+            for k, x in row[b].items():
+                for c, y in table[k][a].items():
+                    out[c] = out.get(c, 0) - x * y
+            if any(t % scale for t in out.values()):
+                raise AssertionError(f"column {j + 1} of the adapted table is not integral")
+            row.append({c: t // scale for c, t in sorted(out.items()) if t})
+    g = gcd(scale, *(t for row in table for col in row for t in col.values()))
+    return LeibnizAlgebra._stored(n, (scale // g, tuple(
+        tuple(tuple((k, t // g) for k, t in col.items()) for col in row) for row in table)))
 
 
 def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport
-                   ) -> tuple[int, list[list[int]], list[int], list[tuple[int, int]]]:
-    """(s, U, gens, parents): a basis adapted to the lower central series
+                   ) -> tuple[int, list[list[int]], list[tuple[int, int]]]:
+    """(s, U, parents): a basis adapted to the lower central series
     of a nilpotent algebra, built from brackets, degree by degree, as the
     columns of the integer matrix U divided by the scale s.
 
-    Degree 1 is `complement_in(L^2, L)`, the unit vectors e_c for c in
-    gens; degree i+1 takes the exact products [u, e_c], u a chosen degree-i
-    vector, in order, each one table column of `_bracket_columns`, keeping
-    each one independent of L^{i+2} and of those kept before it.  Column
-    len(gens) + k is [column a, column b] for (a, b) = parents[k], with
-    b < len(gens) a generator and a of the degree below.  The count
+    Degree 1 is `complement_in(L^2, L)`, g unit vectors e_c, the first g
+    columns; degree i+1 takes the exact products [u, e_c], u a chosen
+    degree-i vector, in order, each one table column of `_bracket_columns`,
+    keeping each one independent of L^{i+2} and of those kept before it.
+    Column g + k is [column a, column b] for (a, b) = parents[k], with
+    b < g a generator and a of the degree below; `_conjugated` reads the
+    parents to write the table in this basis.  The count
     dim L^{i+1} - dim L^{i+2} is always reached: L^i = U_i + L^{i+1} and
     L = G + L^2 give L^{i+1} = [L^i, L] = [U_i, G] + [U_i, L^2] + L^{i+2},
     and the Leibniz identity [x, [y, z]] = [[x, y], z] - [[x, z], y] puts
@@ -587,47 +609,7 @@ def _bracket_basis(alg: LeibnizAlgebra, series: SeriesReport
         layer = range(start, len(columns))
     scale = lcm(*(s for _, s in columns))
     u = [[w.get(r, 0) * (scale // s) for w, s in columns] for r in range(n)]
-    return scale, u, gens, parents
-
-
-def _constants_from_brackets(alg: LeibnizAlgebra, u: Sequence[Sequence[int]], s: int,
-                             z: Sequence[Sequence[int]], d: int, gens: Sequence[int],
-                             parents: Sequence[tuple[int, int]]) -> LeibnizAlgebra:
-    """`_constants_in(alg, u, z, s * d)` for the basis (s, U, gens, parents)
-    of `_bracket_basis`, from the brackets with its generators only, and
-    checked against the Leibniz identity.  It is the conjugate only when
-    alg satisfies the identity, as every public constructor checks.
-
-    T[i][j] = S c'[i][j], S = s d den, holds the new constants over ints.
-    A generator column b is Z s [u_i, e_c] for c = gens[b], one table column
-    per u_i.  Every other column j = [f_a, f_b] is worked out in the new,
-    sparse table in degree order (a < j): the identity gives
-    [f_i, f_j] = [[f_i, f_a], f_b] - [[f_i, f_b], f_a], so S T[i][j] is
-    sum_k T[i][a][k] T[k][b] - T[i][b][k] T[k][a], and a division by S that
-    is not exact raises AssertionError.
-    """
-    n = alg.dim
-    scale = s * d * alg.scaled_constants()[0]
-    table: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
-    for row, col in zip(table, zip(*u)):
-        for b, w in enumerate(_bracket_columns(alg, _pairs(col), gens)):
-            if w:
-                zw = (s * sum(r[m] * v for m, v in w.items()) for r in z)
-                row[b] = {k: t for k, t in enumerate(zw) if t}
-    for j, (a, b) in enumerate(parents, len(gens)):
-        for row in table:
-            out: dict[int, int] = {}
-            for k, x in row[a].items():
-                for m, y in table[k][b].items():
-                    out[m] = out.get(m, 0) + x * y
-            for k, x in row[b].items():
-                for m, y in table[k][a].items():
-                    out[m] = out.get(m, 0) - x * y
-            if any(t % scale for t in out.values()):
-                raise AssertionError(f"column {j + 1} of the adapted table is not integral")
-            row[j] = {m: t // scale for m, t in sorted(out.items()) if t}
-    return LeibnizAlgebra._checked(
-        n, _table_over(scale, [[col.items() for col in row] for row in table]))
+    return scale, u, parents
 
 
 # -- the series-adapted basis ------------------------------------------
@@ -662,10 +644,16 @@ class _AdaptedBasis:
         the constants of a nilpotent algebra only push into strictly deeper
         series layers, which keeps elimination pivots sparse.  The given
         basis is adapted already when every series term is spanned by the
-        trailing unit vectors.  alg must satisfy the Leibniz identity, as
-        `central_series` assumes too: the table in the new basis is worked
-        out from the brackets with the generators by the identity
-        (`_constants_from_brackets`)."""
+        trailing unit vectors.  The table in the new basis is worked out by
+        `_conjugated` from the generators' columns and, by the Leibniz
+        identity, from the parents, and only the adapted table, the sparse
+        one, is checked.  That is the conjugate only when alg satisfies the
+        identity, which `central_series` assumes too; the raw constructor
+        `LeibnizAlgebra(dim, constants, labels)` does not check it.  So when
+        the basis comes up short, a column is not integral or the adapted
+        table breaks the identity, alg is checked before the error is
+        raised, and a table that breaks the identity raises its own
+        IdentityViolation."""
         series = central_series(alg)
         # a term of dimension d is spanned by the last d unit vectors exactly
         # when its first echelon pivot is column dim - d
@@ -673,10 +661,15 @@ class _AdaptedBasis:
             t.dim == 0 or t.echelon[0][0][0] == alg.dim - t.dim for t in series.terms
         ):
             return _AdaptedBasis(alg, series)
-        s, u, gens, parents = _bracket_basis(alg, series)
-        d, z = _int_inverse(u)
-        return _AdaptedBasis(_constants_from_brackets(alg, u, s, z, d, gens, parents),
-                             series, u, s, z, d)
+        try:
+            s, u, parents = _bracket_basis(alg, series)
+            d, z = _int_inverse(u)
+            adapted = _conjugated(alg, u, s, z, d, parents)
+            adapted.check_identity()
+        except (AssertionError, IdentityViolation):
+            alg.check_identity()
+            raise
+        return _AdaptedBasis(adapted, series, u, s, z, d)
 
     @property
     def gens(self) -> int:

@@ -506,7 +506,7 @@ def test_change_basis_checks_an_unchecked_table_that_breaks_the_identity():
     p = _random_invertible(rng, 4)
     s, u = _int_matrix(p.entries)
     d, z = _int_inverse(u)
-    dense = algebra._constants_in(bad, u, z, s * d)
+    dense = algebra._conjugated(bad, u, s, z, d)
     assert _nonzeros(dense) > _nonzeros(bad)
     with pytest.raises(IdentityViolation):
         change_basis(dense, RationalMatrix.from_rows([[Q(s * v, d) for v in row] for row in z]))
@@ -577,6 +577,46 @@ def test_adapted_table_is_the_conjugate_by_definition():
         assert basis.alg == change_basis(alg, p), label
         moved += 1
     assert moved == 3 * len(CATALOG_BATTERY) + len(SWEEP_REFS) + 2
+
+
+def test_adapted_basis_checks_the_identity_on_the_adapted_table(monkeypatch):
+    # the given table is dense; checking it would cost far more at F3:30
+    base, (p, *_) = three_bases("catalog:F3:6:0,0,1")
+    copy = change_basis(base, p)
+    checked = []
+    check = LeibnizAlgebra.check_identity
+    monkeypatch.setattr(LeibnizAlgebra, "check_identity",
+                        lambda alg: checked.append(alg) or check(alg))
+    basis = algebra._AdaptedBasis.of(copy)
+    assert basis.u is not None and _nonzeros(copy) > _nonzeros(basis.alg)
+    assert len(checked) == 1 and checked[0] is basis.alg
+
+
+def test_analysis_of_an_unchecked_table_raises_its_identity_violation():
+    # [e3, e3] = e2 and [e3, e2] = e1 through the raw constructor, which
+    # checks nothing; the series-adapted basis comes up short of a bracket
+    c = [[[Q(0)] * 3 for _ in range(3)] for _ in range(3)]
+    c[2][2][1] = c[2][1][0] = Q(1)
+    bad = LeibnizAlgebra(3, c)
+    with pytest.raises(IdentityViolation) as given:
+        bad.check_identity()
+    assert (given.value.i, given.value.j, given.value.k) == (3, 3, 3)
+    for run in (algebra._AdaptedBasis.of, derivations.analysis):
+        with pytest.raises(IdentityViolation) as caught:
+            run(bad)
+        assert str(caught.value) == str(given.value)
+
+
+def test_adapted_basis_reraises_a_failure_on_a_leibniz_table(monkeypatch):
+    # the given table passes its check, so the conjugation's own error stands
+    def failing(*args):
+        raise AssertionError("column 3 of the adapted table is not integral")
+
+    base, (p, *_) = three_bases("catalog:G53")
+    copy = change_basis(base, p)
+    monkeypatch.setattr(algebra, "_conjugated", failing)
+    with pytest.raises(AssertionError, match="not integral"):
+        algebra._AdaptedBasis.of(copy)
 
 
 def test_bracket_columns_takes_the_wanted_columns_in_order():

@@ -34,7 +34,7 @@ from leibniz_aid.derivations import (
     subalgebra_nilpotency,
     vec_to_endo,
 )
-from leibniz_aid.exactlin import Q, RationalMatrix, Subspace, rref
+from leibniz_aid.exactlin import Q, RationalMatrix, Subspace
 
 from conftest import CATALOG_BATTERY, analyze, fraction_transition_inverse
 
@@ -204,15 +204,6 @@ EQUIVARIANCE_DRAWS = (
 )  # 100 random invertible matrices in total
 
 
-def _random_invertible(rng: random.Random, n: int) -> RationalMatrix:
-    while True:
-        m = RationalMatrix.from_rows(
-            [[Q(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
-        )
-        if rref(m).rank == n:
-            return m
-
-
 def _tower(alg) -> tuple[int, int, int, int, int, str]:
     aid = aid_space(alg)
     return (
@@ -234,7 +225,7 @@ def test_basis_change_equivariance_hundred_draws():
         base = _tower(alg)
         der = derivation_space(alg)
         for _ in range(trials):
-            p = _random_invertible(rng, n)
+            p = cli._random_invertible(rng, n)
             moved = change_basis(alg, p)
             assert _tower(moved) == base, (ref, p.entries)
             # the derivation space moves by conjugation, elementwise
