@@ -59,7 +59,6 @@ from .derivations import (
     Analysis,
     AnalysisReport,
     DEFAULT_SEED,
-    Deviation,
     NotBracketClosed,
     aid_basis_candidate,
     aid_certify,
@@ -128,7 +127,6 @@ __all__ = [
     "AnalysisReport",
     "CertOutcome",
     "DEFAULT_SEED",
-    "Deviation",
     "NotBracketClosed",
     "aid_basis_candidate",
     "aid_certify",

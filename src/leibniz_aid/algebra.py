@@ -80,9 +80,12 @@ class LeibnizAlgebra:
     pairs (k, den * c[i][j][k]) for the nonzero ones, in increasing k.  That
     form is unique, so dataclass equality and hashing compare the constants.
     `LeibnizAlgebra(dim, constants, labels)` takes the constants as nested
-    Fraction tuples and checks nothing; `build` checks the identity.
-    `constants` is the Fraction view of the table, worked out on first
-    read and then kept.
+    Fraction tuples.  Every table is checked against the Leibniz identity
+    once, where it enters: the raw constructor and `build` (so
+    `from_json_dict` and `catalog.make`) raise IdentityViolation on a table
+    that breaks it.  The tables worked out from a checked one by definition,
+    `direct_sum` and `change_basis`, are not checked again.  `constants` is
+    the Fraction view of the table, worked out on first read and then kept.
     """
 
     dim: int
@@ -99,22 +102,15 @@ class LeibnizAlgebra:
         )
         # the dataclass is frozen
         self.__dict__.update(dim=dim, _table=table, labels=labels)
+        self.check_identity()
 
     @staticmethod
     def _stored(dim: int, table: tuple[int, Table],
                 labels: tuple[str, ...] | None = None) -> "LeibnizAlgebra":
-        """The algebra of a table in the stored form, unchecked."""
+        """The algebra of a table in the stored form, unchecked: for the
+        checked entry points and the tables derived from a checked one."""
         alg = object.__new__(LeibnizAlgebra)
         alg.__dict__.update(dim=dim, _table=table, labels=labels)
-        return alg
-
-    @staticmethod
-    def _checked(dim: int, table: tuple[int, Table],
-                 labels: tuple[str, ...] | None = None) -> "LeibnizAlgebra":
-        """The algebra of a table in the stored form, checked against the
-        Leibniz identity."""
-        alg = LeibnizAlgebra._stored(dim, table, labels)
-        alg.check_identity()
         return alg
 
     def label(self, k: int) -> str:
@@ -158,7 +154,9 @@ class LeibnizAlgebra:
             if v:
                 rows[i][j].append((k, v.numerator * (den // v.denominator)))
         nz = tuple(tuple(tuple(row) for row in plane) for plane in rows)
-        return LeibnizAlgebra._checked(dim, (den, nz), labels)
+        alg = LeibnizAlgebra._stored(dim, (den, nz), labels)
+        alg.check_identity()
+        return alg
 
     def check_identity(self) -> None:
         """Raise IdentityViolation on the first basis triple (i, j, k), in
@@ -178,8 +176,8 @@ class LeibnizAlgebra:
         unpacks into its sides as balanced base-2^s digits.  Where
         [e_i, e_j] = 0 only the k with [e_j, e_k] or [e_i, e_k] nonzero are
         visited, since both sides vanish at every other k.  On a dense
-        table this costs far more than building it, so `change_basis`
-        checks the sparser of its two tables.
+        table this costs far more than building it, so it runs where a
+        table enters, not on the tables derived from a checked one.
         """
         n = self.dim
         den, nz = self.scaled_constants()
@@ -460,7 +458,9 @@ def _int_inverse(u: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
 
 def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
     """Block-diagonal sum; the factors do not interact.  The two tables are
-    joined over lcm(den_a, den_b), the least common denominator of both."""
+    joined over lcm(den_a, den_b), the least common denominator of both.
+    Unchecked: both sides of the identity vanish on a triple that mixes the
+    blocks, so the sum satisfies it when both factors do."""
     n, m = a.dim, b.dim
     (den_a, nz_a), (den_b, nz_b) = a.scaled_constants(), b.scaled_constants()
     den = lcm(den_a, den_b)
@@ -475,7 +475,7 @@ def direct_sum(a: LeibnizAlgebra, b: LeibnizAlgebra) -> LeibnizAlgebra:
         labels = tuple(
             (a.labels[i] if a.labels else f"e{i + 1}") for i in range(n)
         ) + tuple((b.labels[i] if b.labels else f"e{i + 1}") + "'" for i in range(m))
-    return LeibnizAlgebra._checked(n + m, (den, nz), labels)
+    return LeibnizAlgebra._stored(n + m, (den, nz), labels)
 
 
 def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
@@ -486,12 +486,8 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     is checked exactly (U Z = d I), and the table is conjugated by
     definition, every column from whole planes of the given table
     (`_conjugated` with no parents).  The Leibniz identity then holds for
-    the result exactly when it holds for the input, so it is checked on the
-    table with fewer nonzero constants: the input, for a catalog algebra
-    moved to a random basis.  For F3:30:0,0,1 and the P that
-    `cli._random_invertible` draws from random.Random(1), the input's check
-    takes 2 ms of the 0.11 s `change_basis` takes, where the dense result's
-    would take 1.17 s (2-vCPU x86-64 host, CPython 3.11).
+    the result because it holds for the input, which was checked where it
+    entered, so it is not checked again.
     """
     n = alg.dim
     if (p.rows, p.cols) != (n, n):
@@ -500,10 +496,7 @@ def change_basis(alg: LeibnizAlgebra, p: RationalMatrix) -> LeibnizAlgebra:
     d, z = _int_inverse(u)
     if _int_product(u, z) != [[d * (r == c) for c in range(n)] for r in range(n)]:
         raise AssertionError("the inverse of the base change is not exact")
-    moved = _conjugated(alg, u, s, z, d)
-    min((alg, moved), key=lambda a: sum(len(row) for plane in a.scaled_constants()[1]
-                                        for row in plane)).check_identity()
-    return moved
+    return _conjugated(alg, u, s, z, d)
 
 
 def _conjugated(alg: LeibnizAlgebra, u: Sequence[Sequence[int]], s: int,
@@ -511,8 +504,7 @@ def _conjugated(alg: LeibnizAlgebra, u: Sequence[Sequence[int]], s: int,
                 parents: Sequence[tuple[int, int]] = ()) -> LeibnizAlgebra:
     """The one conjugation of the structure constants: alg in the basis
     f_j = U e_j / s, for an integer matrix U and Z = d U^-1, unchecked:
-    `change_basis` checks the sparser of its two tables, and
-    `_AdaptedBasis.of` the adapted one.
+    `_AdaptedBasis.of` checks the adapted table, and `change_basis` none.
 
     Over ints, with the constants scaled by den, T[i][j] = Z [u_i, u_j] is
     the coordinate vector of [f_i, f_j] times S = s d den.  The last
@@ -647,13 +639,10 @@ class _AdaptedBasis:
         trailing unit vectors.  The table in the new basis is worked out by
         `_conjugated` from the generators' columns and, by the Leibniz
         identity, from the parents, and only the adapted table, the sparse
-        one, is checked.  That is the conjugate only when alg satisfies the
-        identity, which `central_series` assumes too; the raw constructor
-        `LeibnizAlgebra(dim, constants, labels)` does not check it.  So when
-        the basis comes up short, a column is not integral or the adapted
-        table breaks the identity, alg is checked before the error is
-        raised, and a table that breaks the identity raises its own
-        IdentityViolation."""
+        one, is checked, with the exact divisions of the parents' columns:
+        they guard a recursion that uses the identity.  The given table was
+        checked where it entered, so a failure here is an error of the
+        conjugation and raised as it is."""
         series = central_series(alg)
         # a term of dimension d is spanned by the last d unit vectors exactly
         # when its first echelon pivot is column dim - d
@@ -661,14 +650,10 @@ class _AdaptedBasis:
             t.dim == 0 or t.echelon[0][0][0] == alg.dim - t.dim for t in series.terms
         ):
             return _AdaptedBasis(alg, series)
-        try:
-            s, u, parents = _bracket_basis(alg, series)
-            d, z = _int_inverse(u)
-            adapted = _conjugated(alg, u, s, z, d, parents)
-            adapted.check_identity()
-        except (AssertionError, IdentityViolation):
-            alg.check_identity()
-            raise
+        s, u, parents = _bracket_basis(alg, series)
+        d, z = _int_inverse(u)
+        adapted = _conjugated(alg, u, s, z, d, parents)
+        adapted.check_identity()
         return _AdaptedBasis(adapted, series, u, s, z, d)
 
     @property

@@ -37,7 +37,6 @@ from dataclasses import dataclass
 from .algebra import IdentityViolation, LeibnizAlgebra
 from .derivations import (
     Analysis,
-    Deviation,
     endo_actions,
     matrix_unit,
     restriction_witness,
@@ -523,25 +522,30 @@ def _generator_failure(analysis: Analysis, gen: RationalMatrix,
     return None
 
 
-def build_deviations(analysis: Analysis, expected: ExpectedData, algebra_id: str) -> list:
-    """Compare an analysis against the recorded expected values.
+def build_deviations(analysis: Analysis, expected: ExpectedData, algebra_id: str) -> list[dict]:
+    """Compare an analysis against the recorded expected values: one
+    document {location, expected, computed, certificate} per disagreement.
 
     Der lies in the analysis's series-adapted basis, the other spaces in
     the given one; RCAID is read from AID's proved bound.
     """
-    out: list = []
-    loc = algebra_id
+    out: list[dict] = []
+
+    def deviation(where: str, want: str, got: str, certificate: dict) -> None:
+        out.append({"location": f"{algebra_id}:{where}", "expected": want,
+                    "computed": got, "certificate": certificate})
+
     alg, der, inner, aid = analysis.alg, analysis.der, analysis.inner, analysis.aid
     if expected.der is not None and der.dim != expected.der:
         basis = [matrix_json(vec_to_endo(v, alg.dim))
                  for v in analysis.basis.space_back(der).basis_vectors()]
-        out.append(Deviation(f"{loc}:der", str(expected.der), str(der.dim),
-                             {"kind": "derivation_basis", "basis": basis}))
+        deviation("der", str(expected.der), str(der.dim),
+                  {"kind": "derivation_basis", "basis": basis})
     if expected.inner is not None and inner.dim != expected.inner:
         basis = [matrix_json(alg.right_mult(alg.basis_coords(j)))
                  for j in range(alg.dim)]
-        out.append(Deviation(f"{loc}:inner", str(expected.inner), str(inner.dim),
-                             {"kind": "inner_basis", "basis": basis}))
+        deviation("inner", str(expected.inner), str(inner.dim),
+                  {"kind": "inner_basis", "basis": basis})
     gen_computed, gen_cert = None, {}
     if expected.generator is not None:
         gen_computed, gen_cert = _generator_failure(
@@ -555,12 +559,10 @@ def build_deviations(analysis: Analysis, expected: ExpectedData, algebra_id: str
                       for v in aid.upper_bound.basis_vectors()],
             "status": aid.status,
         }
-        out.append(Deviation(f"{loc}:aid", str(expected.aid),
-                             str(aid.upper_bound.dim), cert))
+        deviation("aid", str(expected.aid), str(aid.upper_bound.dim), cert)
     if gen_computed is not None and not (aid_differs and gen_cert):
-        out.append(Deviation(
-            f"{loc}:generator",
-            f"{expected.generator_label} spans AID over Inner", gen_computed, gen_cert))
+        deviation("generator", f"{expected.generator_label} spans AID over Inner",
+                  gen_computed, gen_cert)
     rcaid = analysis.rcaid[0]
     if expected.rcaid is not None and rcaid.dim != expected.rcaid:
         members = []
@@ -572,11 +574,10 @@ def build_deviations(analysis: Analysis, expected: ExpectedData, algebra_id: str
                 "actions": endo_actions(alg, m),
                 "global_x": vec_json(gx) if gx is not None else None,
             })
-        out.append(Deviation(
-            f"{loc}:rcaid", str(expected.rcaid), str(rcaid.dim),
-            {"kind": "restricted_members", "target": "right_ann",
-             "members": members,
-             "generator": members[-1]["matrix"] if members else None,
-             "x": members[-1]["global_x"] if members else None,
-             "expects_witness": True}))
+        deviation("rcaid", str(expected.rcaid), str(rcaid.dim),
+                  {"kind": "restricted_members", "target": "right_ann",
+                   "members": members,
+                   "generator": members[-1]["matrix"] if members else None,
+                   "x": members[-1]["global_x"] if members else None,
+                   "expects_witness": True})
     return out

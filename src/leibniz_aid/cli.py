@@ -30,7 +30,7 @@ from . import catalog as cat_mod
 from . import derivations as der_mod
 from .exactlin import Q, RationalMatrix, Subspace, as_rational, _int_rows, _rref_int
 from .certify import aid_witness
-from .derivations import AidConfig, AnalysisReport, Deviation
+from .derivations import AidConfig, AnalysisReport
 
 SCHEMA = "aid-report/1"
 
@@ -113,15 +113,6 @@ def _series_json(sr):
     }
 
 
-def _deviation_json(d: Deviation) -> dict:
-    return {
-        "location": d.location,
-        "expected": d.expected,
-        "computed": d.computed,
-        "certificate": d.certificate,
-    }
-
-
 def report_json(report: AnalysisReport) -> dict:
     """The `aid-report/1` document of one analysis; the text form renders
     it (`report_text`)."""
@@ -167,7 +158,7 @@ def report_json(report: AnalysisReport) -> dict:
         "complement_generators": gens,
         "witnesses": [{"generator": cat_mod.matrix_json(g), "x": cat_mod.vec_json(x)}
                       for g, x in aid.witnesses],
-        "deviations": [_deviation_json(d) for d in report.deviations],
+        "deviations": list(report.deviations),
         "notes": notes,
     }
 
@@ -373,12 +364,12 @@ def _evaluate(claim: cat_mod.Claim) -> dict:
         values["sum_matches"] = sum_ok
         direct = combination is None
         if not direct:
-            deviations.append(Deviation(
-                f"{claim.ref}:decomposition",
-                "generator independent of Inner (direct sum)",
-                "generator already inner",
-                cat_mod.inner_witness_certificate(algebra, gen, combination),
-            ))
+            deviations.append({
+                "location": f"{claim.ref}:decomposition",
+                "expected": "generator independent of Inner (direct sum)",
+                "computed": "generator already inner",
+                "certificate": cat_mod.inner_witness_certificate(algebra, gen, combination),
+            })
         passed = sum_ok and direct
     elif claim.kind == "refutation":
         passed = (outcome.kind == "refuted" and collapses
@@ -398,7 +389,7 @@ def _evaluate(claim: cat_mod.Claim) -> dict:
 
 def _check(claim: cat_mod.Claim, passed: bool, deviations, values: dict) -> dict:
     entry = {"name": f"{claim.kind}:{claim.ref}", "passed": passed,
-             "deviations": [_deviation_json(d) for d in deviations]}
+             "deviations": list(deviations)}
     # refuting_x exists only for a refuted generator
     entry.update((f, values[f]) for f in claim.fields if f in values)
     return entry

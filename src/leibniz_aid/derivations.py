@@ -762,22 +762,14 @@ def subalgebra_nilpotency(space: Subspace) -> tuple[tuple[int, ...], bool]:
 
 
 @dataclass(frozen=True)
-class Deviation:
-    location: str
-    expected: str
-    computed: str
-    certificate: dict
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     """One analysis with its catalog id and its deviations from the
-    published values; `cli.report_json` builds the `aid-report/1` document
-    from it."""
+    published values, each the document `catalog.build_deviations` writes;
+    `cli.report_json` builds the `aid-report/1` document from it."""
 
     algebra_id: str
     analysis: Analysis
-    deviations: tuple[Deviation, ...]
+    deviations: tuple[dict, ...]
 
 
 def analysis_report(

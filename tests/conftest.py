@@ -336,9 +336,10 @@ SOLVABLE = la.LeibnizAlgebra.build(2, {(2, 1): {2: 1}})
 # [e2, e1] = e2 and [e1, e1] = e2: L^2 = span(e2) and every layer
 # S_k = [S_{k-1}, e1] is span(e2), so the layers never reach 0
 ENDLESS_LAYERS = la.LeibnizAlgebra.build(2, {(1, 1): {2: 1}, (2, 1): {2: 1}})
-# [e1, e1] = e1 breaks the Leibniz identity, so it is built unchecked; the
-# series reads only the product, and G = 0 although L is not 0
-E1E1 = la.LeibnizAlgebra(1, (((la.Q(1),),),))
+# [e1, e1] = e1 breaks the Leibniz identity, so it is built unchecked, in
+# the stored form (den 1, the pair (k, c) = (0, 1)); the series reads only
+# the product, and G = 0 although L is not 0
+E1E1 = la.LeibnizAlgebra._stored(1, (1, ((((0, 1),),),)))
 # sl2 = span(e, f, h), perfect (L^2 = L), so G = 0 here too
 SL2 = la.LeibnizAlgebra.build(3, {(1, 2): {3: 1}, (2, 1): {3: -1}, (3, 1): {1: 2},
                                   (1, 3): {1: -2}, (3, 2): {2: -2}, (2, 3): {2: 2}})

@@ -114,19 +114,19 @@ def test_criterion_1_table_reproduction_with_certificates():
             report.analysis.tower["der"],
         )
         expected = (inner_d, rcaid_d, aid_d, der_d)
-        devs = {d.location.rsplit(":", 1)[-1]: d for d in report.deviations}
+        devs = {d["location"].rsplit(":", 1)[-1]: d for d in report.deviations}
         for name, want, got in zip(("inner", "rcaid", "aid", "der"), expected, computed):
             if want == got:
                 continue
             # a mismatch is acceptable only with a replayable certificate
             assert name in devs, (ref, name, want, got)
             dev = devs[name]
-            assert dev.expected == str(want) and dev.computed == str(got)
-            assert dev.certificate, (ref, name)
-            replay_certificate(alg, dev.certificate)
+            assert dev["expected"] == str(want) and dev["computed"] == str(got)
+            assert dev["certificate"], (ref, name)
+            replay_certificate(alg, dev["certificate"])
         # any extra deviations (e.g. about the claimed generator) must replay too
         for dev in report.deviations:
-            replay_certificate(alg, dev.certificate)
+            replay_certificate(alg, dev["certificate"])
 
 
 def test_der_deviation_off_an_adapted_basis_replays_in_the_given_basis():
@@ -147,12 +147,12 @@ def test_der_deviation_off_an_adapted_basis_replays_in_the_given_basis():
     report = analysis_report(alg, algebra_id="moved:D4:L9",
                              expected=ExpectedData(der=der.dim + 1))
     [dev] = report.deviations
-    assert (dev.location, dev.expected, dev.computed) == \
+    assert (dev["location"], dev["expected"], dev["computed"]) == \
         ("moved:D4:L9:der", str(der.dim + 1), str(der.dim))
-    assert dev.certificate["kind"] == "derivation_basis"
-    replay_certificate(alg, dev.certificate)
+    assert dev["certificate"]["kind"] == "derivation_basis"
+    replay_certificate(alg, dev["certificate"])
     # the certificate is a basis of Der, not only members of it
-    vectors = [endo_to_vec(parse_matrix(rows)) for rows in dev.certificate["basis"]]
+    vectors = [endo_to_vec(parse_matrix(rows)) for rows in dev["certificate"]["basis"]]
     assert Subspace.from_vectors(alg.dim ** 2, vectors) == der
 
 

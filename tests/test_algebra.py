@@ -83,8 +83,8 @@ def test_identity_violation_reports_1_based_triple():
 
 
 def test_check_identity_catches_an_unchecked_algebra():
-    # the dataclass constructor checks nothing: [e1,e1]=e1 gets through it
-    alg = LeibnizAlgebra(1, (((Q(1),),),))
+    # the stored form is unchecked: [e1,e1]=e1 gets through it
+    alg = LeibnizAlgebra._stored(1, (1, ((((0, 1),),),)))
     with pytest.raises(IdentityViolation) as info:
         alg.check_identity()
     assert (info.value.i, info.value.j, info.value.k) == (1, 1, 1)
@@ -116,7 +116,7 @@ def _perturbed(alg, rng):
     table = [[list(row) for row in plane] for plane in alg.constants]
     i, j, k = (rng.randrange(n) for _ in range(3))
     table[i][j][k] += Q(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3]))
-    return LeibnizAlgebra(n, tuple(tuple(tuple(r) for r in p) for p in table))
+    return LeibnizAlgebra._stored(n, fraction_table(table))
 
 
 @pytest.mark.parametrize(
@@ -149,8 +149,8 @@ def test_check_identity_unpacks_a_failure_a_w_bit_slot_would_miss(w):
     # other side is 0, so packed in w-bit slots the two sides are equal
     a = 2 ** (w // 2)
     zero = Q(0)
-    alg = LeibnizAlgebra(2, (((Q(a, 3), Q(1, 3)), (zero, Q(-1 - a, 3))),
-                             ((zero, zero), (zero, zero))))
+    constants = (((Q(a, 3), Q(1, 3)), (zero, Q(-1 - a, 3))), ((zero, zero), (zero, zero)))
+    alg = LeibnizAlgebra._stored(2, fraction_table(constants))
     expected = (1, 1, 1, (Q(2 ** w, 9), Q(-1, 9)), (zero, zero))
     assert reference_identity_failure(alg) == expected
     with pytest.raises(IdentityViolation) as info:
@@ -409,6 +409,8 @@ def test_direct_sum_of_two_copies_matches_the_block_oracle(first, second):
     s = direct_sum(a, b)
     assert s == LeibnizAlgebra(n + m, block)
     assert s.scaled_constants() == fraction_table(block)
+    # the sum is not checked where it is built: no mixed triple breaks it
+    s.check_identity()
 
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
@@ -495,36 +497,41 @@ def _broken_nf4():
             return bad
 
 
-def test_change_basis_checks_an_unchecked_table_that_breaks_the_identity():
-    bad = _broken_nf4()
-    rng = random.Random(13)
-    for p in [RationalMatrix.identity(4)] + [_random_invertible(rng, 4) for _ in range(3)]:
-        with pytest.raises(IdentityViolation):
-            change_basis(bad, p)
-    # a dense broken copy moved back to the sparse table: the check runs on
-    # the result, and still fails
-    p = _random_invertible(rng, 4)
-    s, u = _int_matrix(p.entries)
-    d, z = _int_inverse(u)
-    dense = algebra._conjugated(bad, u, s, z, d)
-    assert _nonzeros(dense) > _nonzeros(bad)
-    with pytest.raises(IdentityViolation):
-        change_basis(dense, RationalMatrix.from_rows([[Q(s * v, d) for v in row] for row in z]))
+def _unit_table(n, products):
+    """The unchecked algebra with [e_i, e_j] = e_k for each (i, j): k of
+    `products`, 1-based, and every other product zero."""
+    nz = [[() for _ in range(n)] for _ in range(n)]
+    for (i, j), k in products.items():
+        nz[i - 1][j - 1] = ((k - 1, 1),)
+    return LeibnizAlgebra._stored(n, (1, tuple(map(tuple, nz))))
 
 
-def test_change_basis_checks_the_identity_on_the_sparser_table(monkeypatch):
-    base, (p, *_) = three_bases("catalog:F3:6:0,0,1")
-    checked = []
-    check = LeibnizAlgebra.check_identity
-    monkeypatch.setattr(LeibnizAlgebra, "check_identity",
-                        lambda alg: checked.append(alg) or check(alg))
-    copy = change_basis(base, p)
-    assert checked == [base] and _nonzeros(copy) > _nonzeros(base)
-    checked.clear()
-    s, u = _int_matrix(p.entries)
-    d, z = _int_inverse(u)
-    back = change_basis(copy, RationalMatrix.from_rows([[Q(s * v, d) for v in row] for row in z]))
-    assert back == base and checked == [back]
+@pytest.mark.parametrize("bad, triple", [
+    # the basis is adapted already, so an analysis would reach the series
+    pytest.param(lambda: _unit_table(3, {(1, 1): 2, (1, 2): 3}), (1, 1, 1), id="e1e1-e2-e1e2-e3"),
+    pytest.param(_broken_nf4, None, id="perturbed-NF4"),
+    # not adapted: the series-adapted basis would come up short of a bracket
+    pytest.param(lambda: _unit_table(3, {(3, 3): 2, (3, 2): 1}), (3, 3, 3), id="e3e3-e2-e3e2-e1"),
+])
+def test_every_public_constructor_checks_the_identity(bad, triple):
+    # a table that breaks the identity enters through none of them, with
+    # the triple and message of check_identity on its stored form
+    bad = bad()
+    with pytest.raises(IdentityViolation) as given:
+        bad.check_identity()
+    first = reference_identity_failure(bad)[:3]
+    assert (given.value.i, given.value.j, given.value.k) == first and triple in (None, first)
+    n, (den, nz) = bad.dim, bad.scaled_constants()
+    products = {(i + 1, j + 1): {k + 1: Q(v, den) for k, v in row}
+                for i, plane in enumerate(nz) for j, row in enumerate(plane) if row}
+    for construct in (lambda: LeibnizAlgebra(n, bad.constants),
+                      lambda: LeibnizAlgebra.build(n, products),
+                      lambda: from_json_dict(to_json_dict(bad))):
+        with pytest.raises(IdentityViolation) as caught:
+            construct()
+        assert (caught.value.i, caught.value.j, caught.value.k) == \
+            (given.value.i, given.value.j, given.value.k)
+        assert str(caught.value) == str(given.value)
 
 
 def test_change_basis_checks_the_inverse_exactly(monkeypatch):
@@ -541,8 +548,8 @@ def test_change_basis_checks_the_inverse_exactly(monkeypatch):
 
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_conjugated_copies_satisfy_the_identity(ref):
-    # change_basis checks the sparser input, so a defect in the conjugation
-    # has to show here
+    # change_basis checks no table, so a defect in the conjugation has to
+    # show here
     base, ps = three_bases(ref)
     for p in ps:
         copy = change_basis(base, p)
@@ -590,21 +597,6 @@ def test_adapted_basis_checks_the_identity_on_the_adapted_table(monkeypatch):
     basis = algebra._AdaptedBasis.of(copy)
     assert basis.u is not None and _nonzeros(copy) > _nonzeros(basis.alg)
     assert len(checked) == 1 and checked[0] is basis.alg
-
-
-def test_analysis_of_an_unchecked_table_raises_its_identity_violation():
-    # [e3, e3] = e2 and [e3, e2] = e1 through the raw constructor, which
-    # checks nothing; the series-adapted basis comes up short of a bracket
-    c = [[[Q(0)] * 3 for _ in range(3)] for _ in range(3)]
-    c[2][2][1] = c[2][1][0] = Q(1)
-    bad = LeibnizAlgebra(3, c)
-    with pytest.raises(IdentityViolation) as given:
-        bad.check_identity()
-    assert (given.value.i, given.value.j, given.value.k) == (3, 3, 3)
-    for run in (algebra._AdaptedBasis.of, derivations.analysis):
-        with pytest.raises(IdentityViolation) as caught:
-            run(bad)
-        assert str(caught.value) == str(given.value)
 
 
 def test_adapted_basis_reraises_a_failure_on_a_leibniz_table(monkeypatch):

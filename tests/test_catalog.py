@@ -291,11 +291,11 @@ def test_inconclusive_claimed_generator_is_an_unexcused_deviation(monkeypatch, c
     monkeypatch.setattr(derivations, "_judged", undecided_on_l9)
     ref = parse_ref("catalog:D4:L9")
     report = analysis_report(l9, AidConfig(), ref.ref_string(), expected_for(ref))
-    [dev] = [d for d in report.deviations if d.location.endswith(":generator")]
-    assert dev.location == "catalog:D4:L9:generator"
-    assert dev.expected == "E(4,2) spans AID over Inner"
-    assert dev.computed == f"certification inconclusive: {note}"
-    assert dev.certificate == {}
+    [dev] = [d for d in report.deviations if d["location"].endswith(":generator")]
+    assert dev["location"] == "catalog:D4:L9:generator"
+    assert dev["expected"] == "E(4,2) spans AID over Inner"
+    assert dev["computed"] == f"certification inconclusive: {note}"
+    assert dev["certificate"] == {}
     # verify-paper reports it as its one uncertified deviation, and
     # --deviations-ok does not excuse it
     assert main(["verify-paper", "--deviations-ok"]) == 1

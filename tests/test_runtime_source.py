@@ -8,7 +8,9 @@ function or class that `__all__` does not export and the package never reads,
 and a read of a private `derivations` name from any other module, or of a
 private `certify` name from any module but `derivations`.  The certifier
 imports no module above it (`derivations`, `catalog`, `cli`) and never
-names the series-adapted basis.
+names the series-adapted basis.  Only `algebra` builds an algebra from a
+table unchecked (`LeibnizAlgebra._stored`), and only in its checked entry
+point `build` and where a table is derived from a checked one.
 Every function the benchmark's tracer wraps must still be there to wrap.
 """
 
@@ -256,6 +258,63 @@ def test_the_private_read_check_sees_each_form():
         "line 9: reads derivations._x",
         "line 9: reads derivations._y",
         "line 9: reads derivations._z",
+    ]
+
+
+# the functions of `algebra` that may build an algebra unchecked: the
+# checked entry point, which checks the table next, and the two tables
+# derived from a checked one by definition
+STORED_BY = {"algebra.py": {"build", "direct_sum", "_conjugated"}}
+
+
+def stored_reads(tree: ast.AST, allowed: set[str] = frozenset()) -> list[str]:
+    """The reads of `._stored`, the unchecked way to build an algebra, that
+    lie outside the functions named in `allowed`, each reported with the
+    innermost function around it (`<module>` at the top level)."""
+    out = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        elif isinstance(node, ast.Attribute) and node.attr == "_stored" and where not in allowed:
+            out.append(f"line {node.lineno}: {where} reads _stored")
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return out
+
+
+def test_only_algebra_builds_an_algebra_unchecked():
+    # every table is checked against the Leibniz identity where it enters
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 8
+    found = {name: stored_reads(tree, STORED_BY.get(name, set())) for name, tree in trees.items()}
+    assert {name: r for name, r in found.items() if r} == {}
+    # each allowed function does build one, so the rule names no stale one
+    readers = {line.split()[2] for line in stored_reads(trees["algebra.py"])}
+    assert readers == STORED_BY["algebra.py"]
+
+
+def test_the_unchecked_build_rule_sees_a_mutation():
+    # a derivations function that builds its own table unchecked
+    source = (PACKAGE / "derivations.py").read_text()
+    line = source.count("\n") + 4
+    mutated = source + "\n\ndef _unchecked(dim, table):\n    return LeibnizAlgebra._stored(dim, table)\n"
+    assert stored_reads(ast.parse(source)) == []
+    assert stored_reads(ast.parse(mutated)) == [f"line {line}: _unchecked reads _stored"]
+    # and each other form: a module-level read, an alias, a nested function
+    source = (
+        "from . import algebra as alg_mod\n"
+        "make = alg_mod.LeibnizAlgebra._stored\n"
+        "def build(dim, table):\n"
+        "    def inner():\n"
+        "        return LeibnizAlgebra._stored(dim, table)\n"
+        "    return LeibnizAlgebra._stored(dim, table)\n"
+    )
+    assert stored_reads(ast.parse(source), {"build"}) == [
+        "line 2: <module> reads _stored",
+        "line 5: inner reads _stored",
     ]
 
 
