@@ -49,7 +49,6 @@ from .algebra import (
     change_basis,
     direct_sum,
     from_json_dict,
-    product_span,
     to_json_dict,
 )
 from .certify import CertOutcome, aid_witness
@@ -119,7 +118,6 @@ __all__ = [
     "change_basis",
     "direct_sum",
     "from_json_dict",
-    "product_span",
     "to_json_dict",
     "AidConfig",
     "AidResult",

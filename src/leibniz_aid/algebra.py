@@ -306,106 +306,94 @@ def _column_matrix(alg: LeibnizAlgebra, cols: Sequence[dict[int, int]], d: int) 
     return RationalMatrix(n, n, _freeze([Q(col.get(k, 0), scale) for col in cols] for k in range(n)))
 
 
-# -- spans, series, annihilators --------------------------------------
-
-
-def product_span(alg: LeibnizAlgebra, s1: Subspace, s2: Subspace) -> Subspace:
-    """Span of [u, v] over basis vectors u of s1 and v of s2.
-
-    The products of the stored integer basis rows are taken with the integer
-    constants: the same lines, so the same span.
-    """
-    rows = []
-    for u in s1.echelon:
-        cols = _bracket_columns(alg, zip(*u))
-        rows.extend(_combine(cols, zip(*v)) for v in s2.echelon)
-    return _subspace_int(alg.dim, rows)
+# -- series, annihilators ---------------------------------------------
 
 
 @dataclass(frozen=True)
 class SeriesReport:
+    """The lower central series L^1 = L, L^{k+1} = [L^k, L], listed until a
+    term is 0 or repeats the one before; every other field is read off
+    the terms."""
+
     terms: tuple[Subspace, ...]
-    nilindex: int | None
-    nilpotent: bool
-    null_filiform: bool
-    filiform: bool
 
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple(t.dim for t in self.terms)
+
+    @property
+    def nilpotent(self) -> bool:
+        return self.terms[-1].dim == 0
+
+    @property
+    def nilindex(self) -> int | None:
+        """The first s with L^s = 0, or None when the series stalls above 0."""
+        return len(self.terms) if self.nilpotent else None
+
+    @property
+    def null_filiform(self) -> bool:
+        """dim L^i = n + 1 - i: the dims are n, n-1, ..., 0."""
+        n = self.terms[0].ambient_dim
+        return self.dims == tuple(range(n, -1, -1))
+
+    @property
+    def filiform(self) -> bool:
+        """dim L^i = n - i for i >= 2: the dims are n, n-2, ..., 0, n >= 2."""
+        n = self.terms[0].ambient_dim
+        return n >= 2 and self.dims == (n, *range(n - 2, -1, -1))
+
+
+def _layers(alg: LeibnizAlgebra, gens: Subspace) -> list[Subspace]:
+    """S_1 = G, S_{k+1} = [S_k, G] for a G spanned by unit vectors e_c:
+    a layer takes the columns c of `_bracket_columns` for each echelon
+    row of S_k.  The layers stop at one that is 0 or repeats the one
+    before, or at n + 1 of them."""
+    n = alg.dim
+    cols = [row[0][0] for row in gens.echelon]
+    layers, prev = [gens], None
+    while layers[-1].dim and len(layers) <= n and layers[-1] != prev:
+        prev = layers[-1]
+        layers.append(_subspace_int(n, [w for u in prev.echelon
+                                        for w in _bracket_columns(alg, zip(*u), cols)]))
+    return layers
 
 
 def central_series(alg: LeibnizAlgebra) -> SeriesReport:
     """Lower central series L^1 = L, L^{k+1} = [L^k, L], built from
     generators.
 
-    Terms are listed until they stabilize; nilindex is the first s with
-    L^s = 0, or None when the series stalls above zero.
-
-    G = `complement_in(L^2, L)`, S_1 = G and S_{k+1} = [S_k, G], and the
-    terms are F_k = S_k + S_{k+1} + ..., summed from the bottom up, which
-    takes dim S_k * dim G products per layer where [L^k, L] takes
+    G = `complement_in(L^2, L)`, S_1 = G and S_{k+1} = [S_k, G] (`_layers`),
+    and the terms are F_k = S_k + S_{k+1} + ..., summed from the bottom up,
+    which takes dim S_k * dim G products per layer where [L^k, L] takes
     dim L^k * n.  The Leibniz identity gives [x, [y, g]] = [[x, y], g] -
     [[x, g], y], so [S_a, S_{b+1}] lies in [[S_a, S_b], G] + [[S_a, G], S_b]
     and [S_a, S_b] lies in S_{a+b}, by induction on b.  Say S_s = 0 and
     F_1 = L.  Then [F_k, L] = [F_k, F_1] lies in F_{k+1}, so L^k lies in
     F_k by induction, and S_k lies in L^k, so F_k = L^k: L is nilpotent.
     A nilpotent L has L^{n+1} = 0 and is generated by any complement of
-    L^2.  So when S_{n+1} is not 0, or F_1 is not L (F_2 is not L^2, as
-    for [e1, e1] = e1, where G = 0), L is not nilpotent, and the series
-    is the full one, `_full_series`, stalled term included.
+    L^2.  So when the last layer is not 0, or F_1 is not L (F_2 is not
+    L^2, as for the perfect sl(2), where L^2 = L and G = 0), L is not
+    nilpotent, and the series is the full one, `_full_series`, stalled
+    term included.
 
-    L^2 is the span of the table's nonzero rows [e_i, e_j].  Each vector of
-    G is a unit vector e_c, so a layer [S_k, G] takes only the columns c of
-    `_bracket_columns` for each echelon row of S_k.
+    L^2 is the span of the table's nonzero rows [e_i, e_j].
     """
     n = alg.dim
     full = Subspace.full(n)
     square = _subspace_int(n, (dict(row) for plane in alg.scaled_constants()[1] for row in plane))
-    gens = complement_in(square, full)
-    cols = [row[0][0] for row in gens.echelon]
-    layers = [gens]
-    while layers[-1].dim and len(layers) <= n:
-        layers.append(_subspace_int(n, [w for u in layers[-1].echelon
-                                        for w in _bracket_columns(alg, zip(*u), cols)]))
+    layers = _layers(alg, complement_in(square, full))
     terms = [layers.pop()]
     for layer in reversed(layers):
         terms.append(subspace_sum(layer, terms[-1]))
     terms.reverse()
     if terms[-1].dim or terms[0] != full:
         return _full_series(alg)
-    return _nilpotent_report(n, terms)
+    return SeriesReport(tuple(terms))
 
 
 def _full_series(alg: LeibnizAlgebra) -> SeriesReport:
-    """The lower central series term by term, [L^k, L] from all of L."""
-    full = Subspace.full(alg.dim)
-    terms = [full]
-    while True:
-        nxt = product_span(alg, terms[-1], full)
-        if nxt.dim == terms[-1].dim:
-            # stabilized above zero (or both zero for the abelian case)
-            if nxt.dim == 0:
-                break
-            terms.append(nxt)
-            return SeriesReport(tuple(terms), None, False, False, False)
-        terms.append(nxt)
-        if nxt.dim == 0:
-            break
-    return _nilpotent_report(alg.dim, terms)
-
-
-def _nilpotent_report(n: int, terms: Sequence[Subspace]) -> SeriesReport:
-    """The report of a series that reaches 0 at its last term."""
-    nilindex = len(terms)
-    dims = [t.dim for t in terms]
-    null_filiform = all(
-        (dims[i - 1] if i <= len(dims) else 0) == n + 1 - i for i in range(1, n + 2)
-    )
-    filiform = n >= 2 and all(
-        (dims[i - 1] if i <= len(dims) else 0) == n - i for i in range(2, n + 1)
-    )
-    return SeriesReport(tuple(terms), nilindex, True, null_filiform, filiform)
+    """The lower central series term by term: the layers of G = L."""
+    return SeriesReport(tuple(_layers(alg, Subspace.full(alg.dim))))
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,8 @@ back-substitution pass clears the other pivot columns, and each pivot row
 is divided by its pivot only at the end.  Every caller builds integer
 rows once, enters the kernel (or `_add_pivot`) once and reads its answer
 off the integer rows; no Fraction row is padded or eliminated a second
-time.  Callers outside this module (Der, Inner, the annihilators, product
-spans, point conditions, global witnesses) use `_rref_int`,
+time.  Callers outside this module (Der, Inner, the annihilators, the
+central series' layers, point conditions, global witnesses) use `_rref_int`,
 `_nullspace_int`, `_null_vectors_int`, `_subspace_int`, `_restrict_int`
 and `_solve_int` directly.  A
 subspace stores what the kernel produces: its reduced row echelon rows,

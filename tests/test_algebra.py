@@ -20,7 +20,6 @@ from leibniz_aid.algebra import (
     change_basis,
     direct_sum,
     from_json_dict,
-    product_span,
     to_json_dict,
     _full_series,
     _int_inverse,
@@ -305,8 +304,8 @@ def test_int_inverse_on_the_empty_matrix_negative_pivots_and_singular_input():
 
 
 def test_product_span():
-    full = Subspace.full(3)
-    sq = product_span(NF3, full, full)
+    # L^2 = [L, L], the second term of the term-by-term series
+    sq = _full_series(NF3).terms[1]
     assert sq == Subspace.from_vectors(3, [[0, 1, 0], [0, 0, 1]])
 
 
@@ -320,12 +319,42 @@ def _random_copies(base: LeibnizAlgebra, count: int = 3) -> list[LeibnizAlgebra]
     return [change_basis(base, _random_invertible(rng, base.dim)) for _ in range(count)]
 
 
+_DERIVED_FIELDS = ("dims", "nilpotent", "nilindex", "null_filiform", "filiform")
+
+
+def _expected_fields(n: int, terms) -> dict:
+    """The derived fields of a series read off its terms by the definitions,
+    index by index, a dim L^i past the listed terms read as 0: nilindex is
+    the first s with L^s = 0, and the two shapes ask dim L^i = n + 1 - i for
+    i = 1..n+1 (null-filiform) or dim L^i = n - i for i = 2..n (filiform,
+    n >= 2) of a nilpotent algebra."""
+    dims = tuple(t.dim for t in terms)
+
+    def dim(i: int) -> int:
+        return dims[i - 1] if i <= len(dims) else 0
+
+    nilpotent = dims[-1] == 0
+    return {
+        "dims": dims,
+        "nilpotent": nilpotent,
+        "nilindex": len(dims) if nilpotent else None,
+        "null_filiform": nilpotent and all(dim(i) == n + 1 - i for i in range(1, n + 2)),
+        "filiform": nilpotent and n >= 2 and all(dim(i) == n - i for i in range(2, n + 1)),
+    }
+
+
+def _fields(series) -> dict:
+    return {name: getattr(series, name) for name in _DERIVED_FIELDS}
+
+
 @pytest.mark.parametrize("ref", CATALOG_BATTERY)
 def test_central_series_matches_the_fraction_products(ref):
     base = catalog.make(catalog.parse_ref(ref))
     for alg in [base, *_random_copies(base)]:
         series = central_series(alg)
-        assert list(series.terms) == fraction_central_series_terms(alg)
+        expected = fraction_central_series_terms(alg)
+        assert list(series.terms) == expected
+        assert _fields(series) == _expected_fields(alg.dim, expected)
         assert series == _full_series(alg)
 
 
@@ -349,7 +378,9 @@ def test_series_from_generators_falls_back_off_the_nilpotent_case(alg, fallback,
     series = central_series(alg)
     assert calls == ([alg] if fallback else [])
     assert series == expected
-    assert list(series.terms) == fraction_central_series_terms(alg)
+    terms = fraction_central_series_terms(alg)
+    assert list(series.terms) == terms
+    assert _fields(series) == _expected_fields(alg.dim, terms)
     assert series.nilpotent is not fallback
     if fallback:
         # the stalled term closes the series, as in the term-by-term one
